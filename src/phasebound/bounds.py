@@ -4,6 +4,12 @@ Three extremal families compete: a ball indicator (p = 1), a Gaussian
 (subcritical) and a truncated Gaussian (supercritical).  The classifier
 compares (B/A)^p against kappa^d (time-frequency) or 4 pi sigma (wavelet);
 ties are classified as gaussian, where the two formulas coincide.
+
+Every bound is a closed form.  In the time-frequency supercritical regime
+the level of the truncated Gaussian solves a polynomial equation in
+x = p log(lam/A), for every d.  The quadratures of the moment and of the
+bound integral (``_moment_gabor``, ``_truncated_gabor_bound_quad``) stay as
+independent oracles for ``verify`` and the tests.
 """
 from __future__ import annotations
 
@@ -11,10 +17,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.special import gammainc
 
-from .core import ConstraintSet
+from .core import ConstraintSet, expm1_poly, quad
 from .errors import InvalidInputError, RegimeError
 
 __all__ = ["G", "G_beta", "BoundReport", "gabor_bound", "wavelet_bound", "lambda_root"]
@@ -83,6 +88,46 @@ def _exp_or_inf(x: float) -> float:
     return math.exp(x) if x < 709.0 else math.inf
 
 
+def _log_exp_poly(n: int, y: float) -> float:
+    """log e_n(e^y), where e_n(x) = sum_{i <= n} x^i / i!, for any real y.
+
+    For x <= 1 through log1p, which keeps small x exact; for x > 1 from the
+    top term, log(x^n / n!) + log sum_k n!/(n-k)! x^{-k}, which cannot
+    overflow.
+    """
+    if y <= 0.0:
+        return math.log1p(expm1_poly(n, math.exp(y)))
+    z = math.exp(-y)
+    tail = 1.0
+    for i in range(1, n + 1):
+        tail = 1.0 + i * z * tail
+    return n * y - math.lgamma(n + 1) + math.log(tail)
+
+
+def _saturation_root(d: int, log_ratio: float) -> float:
+    """log x for the positive root x of e_d(x) = critical ratio.
+
+    The saturation equation p int_0^A t^{p-1} u_lam dt = B^p integrates to
+    e_d(x) = (B/A)^p / kappa^d with x = p log(lam/A).  Newton runs on
+    g(y) = log e_d(e^y) - log_ratio, which is increasing and convex in
+    y = log x.  It starts from the smaller of two upper bounds on the root,
+    e_d(x) >= 1 + x and e_d(x) >= x^d / d!, so the iterates decrease
+    monotonically; for d = 1 the start x = ratio - 1 is the root itself.
+    """
+    y = (log_ratio + math.lgamma(d + 1)) / d
+    if log_ratio < 700.0:
+        y = min(y, math.log(math.expm1(log_ratio)))
+    for _ in range(100):
+        log_e = _log_exp_poly(d, y)
+        # g'(y) = x e_{d-1}(x) / e_d(x)
+        step = (log_e - log_ratio) / math.exp(y + _log_exp_poly(d - 1, y) - log_e)
+        y -= step
+        # the iterates only decrease; a step that does not is rounding noise
+        if step <= 4e-16 * max(1.0, abs(y)):
+            break
+    return y
+
+
 def _u_gabor(t, lam: float, p: float, d: int):
     """Distribution function of the (possibly truncated) Gaussian profile."""
     t = np.asarray(t, dtype=float)
@@ -90,16 +135,16 @@ def _u_gabor(t, lam: float, p: float, d: int):
 
 
 def _moment_gabor(lam: float, c: ConstraintSet) -> float:
-    """h(lam) = p * int_0^A t^{p-1} u_lam(t) dt by adaptive quadrature."""
+    """h(lam) = p * int_0^A t^{p-1} u_lam(t) dt by adaptive quadrature (oracle)."""
     p, d = c.p, c.d
     upper = min(c.A, lam)
     val, _ = quad(lambda t: p * t ** (p - 1.0) * _u_gabor(t, lam, p, d),
-                  0.0, upper, epsabs=1e-14, epsrel=1e-13, limit=200)
+                  0.0, upper, epsabs=0.0, epsrel=1e-13, limit=200)
     return val
 
 
 def _truncated_gabor_bound_quad(c: ConstraintSet, lam: float) -> float:
-    """int_0^A G(u_lam(t)) dt; the general-d route for the supercritical bound."""
+    """int_0^A G(u_lam(t)) dt by adaptive quadrature (oracle)."""
     val, _ = quad(lambda t: G(_u_gabor(t, lam, c.p, c.d), c.d),
                   0.0, c.A, epsabs=1e-12, epsrel=1e-12, limit=200)
     return val
@@ -108,46 +153,28 @@ def _truncated_gabor_bound_quad(c: ConstraintSet, lam: float) -> float:
 def lambda_root(c: ConstraintSet, rtol: float = 1e-12) -> float:
     """Peak level of the supercritical extremal, from the saturation equation.
 
-    Bisection on the strictly increasing h(lam) = p int t^{p-1} u_lam dt over
-    an expanding bracket [A, A 2^k]; stops when |h - B^p| / B^p < rtol.
+    lam = A exp(x / p), where x is the root of the polynomial equation
+    e_d(x) = (B/A)^p / kappa^d that ``gabor_bound`` solves; inf when lam
+    leaves float range.  The root is solved to double precision, so rtol
+    (kept for compatibility) always holds.
     """
     if c.transform != "gabor":
         raise RegimeError("lambda_root handles the time-frequency case")
-    target = c.B ** c.p
-    if c.p == 1 or math.isinf(c.A) or c.b_over_a_pow_p <= c.kappa ** c.d:
+    report = gabor_bound(c)
+    if report.regime != "truncated":
         raise RegimeError("lambda_root requires the supercritical regime")
-    # bracket multiplicatively: h grows only like (log lam)^d, so the root
-    # can sit far beyond A (or beyond float range altogether -> inf)
-    log_a = math.log(c.A)
-    prev_span = 0.0
-    span = math.log(2.0)
-    while _moment_gabor(math.exp(log_a + span), c) < target:
-        prev_span, span = span, 2.0 * span
-        if log_a + span > 700.0:
-            return math.inf
-    lo, hi = log_a + prev_span, log_a + span
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        h = _moment_gabor(math.exp(mid), c)
-        if abs(h - target) < rtol * target:
-            return math.exp(mid)
-        if h < target:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 4e-16 * max(abs(hi), 1.0):
-            break
-    return math.exp(0.5 * (lo + hi))
+    return report.lam
 
 
-def gabor_bound(c: ConstraintSet, root_tol: float = 1e-12) -> BoundReport:
+def gabor_bound(c: ConstraintSet) -> BoundReport:
     """Sharp bound for the norm of a time-frequency localization operator.
 
     p = 1: A G(B/A), attained by a ball indicator.
     Subcritical ((B/A)^p <= kappa^d): kappa^{d kappa} B, attained by a Gaussian
     of peak lam = B kappa^{-d/p}.
-    Supercritical: int_0^A G(u_lam) dt with lam > A from ``lambda_root``; for
-    d = 1 both lam and the bound have closed forms.
+    Supercritical: the Gaussian capped at A, with peak lam = A e^{x/p} where
+    e_d(x) = (B/A)^p / kappa^d; the bound int_0^A G(u_lam) dt integrates to
+    A [1 - e^{-kappa x} / p * sum_{j<d} kappa^j e_j(x)].
     """
     if c.transform != "gabor":
         raise InvalidInputError("constraint set is not tagged gabor")
@@ -156,19 +183,25 @@ def gabor_bound(c: ConstraintSet, root_tol: float = 1e-12) -> BoundReport:
     if p == 1:
         return BoundReport("ball", A * G(B / A, d), None, math.inf, c)
 
-    kd = c.kappa ** d
-    ratio = c.b_over_a_pow_p / kd
-    if ratio <= 1.0:
-        lam = B * c.kappa ** (-d / p)
-        return BoundReport("gaussian", c.kappa ** (d * c.kappa) * B, lam, ratio, c)
+    # log of the critical ratio (B/A)^p / kappa^d, which cannot overflow
+    kappa = c.kappa
+    log_ratio = (-math.inf if math.isinf(A)
+                 else p * (math.log(B) - math.log(A)) - d * math.log(kappa))
+    ratio = _exp_or_inf(log_ratio)
+    if log_ratio <= 0.0:
+        lam = B * kappa ** (-d / p)
+        return BoundReport("gaussian", kappa ** (d * kappa) * B, lam, ratio, c)
 
-    if d == 1:
-        lam = A * _exp_or_inf(c.b_over_a_pow_p / (p - 1.0) - 1.0 / p)
-        bound = A * (1.0 - math.exp(max(c.kappa - c.b_over_a_pow_p, -745.0)) / p)
-    else:
-        lam = lambda_root(c, rtol=root_tol)
-        # beyond float range the level sets fill (0, A) and the bound is A
-        bound = A if math.isinf(lam) else _truncated_gabor_bound_quad(c, lam)
+    # beyond x = e^700, lam is inf and the correction below is 0 in double
+    # precision even for kappa near machine epsilon: the cap changes nothing
+    y = min(_saturation_root(d, log_ratio), 700.0)
+    x = math.exp(y)
+    lam = A * _exp_or_inf(x / p)
+    # with 1/p = (1 - kappa) and sum_{j<d} kappa^j (1 - kappa) = 1 - kappa^d,
+    # the bracket is kappa^d + (1 - kappa) sum_j kappa^j (1 - e^{-kappa x} e_j(x));
+    # each term is an expm1, so a bound far below A keeps its relative precision
+    terms = sum(kappa ** j * math.expm1(_log_exp_poly(j, y) - kappa * x) for j in range(d))
+    bound = A * (kappa ** d - (1.0 - kappa) * terms)
     return BoundReport("truncated", bound, lam, ratio, c)
 
 

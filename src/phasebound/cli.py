@@ -2,8 +2,9 @@
 
 Commands: bound, extremal, norm, symmetrize, verify.  A plain ``key = value``
 config file may preset any long flag; explicit flags win.  Exit codes:
-0 success, 1 malformed flags or unreadable files, 2 unattainable supremum
-(p = 1 without a sup constraint), 3 verification failure.
+0 success, 1 malformed flags, invalid constraint values or unreadable files,
+2 unattainable supremum (p = 1 without a sup constraint), 3 verification
+failure.
 
 The PHASEBOUND_THREADS environment variable caps worker parallelism; it is
 applied to the numerical backends before they load, so imports of the heavy
@@ -93,21 +94,23 @@ def _constraints_from_args(args):
 
 def cmd_bound(args) -> int:
     from .bounds import gabor_bound, wavelet_bound
-    from .errors import UnattainedBoundError
+    from .errors import PhaseboundError, UnattainedBoundError
     try:
         c = _constraints_from_args(args)
-        report = (gabor_bound(c, root_tol=args.root_tol)
-                  if args.transform == "gabor" else wavelet_bound(c))
+        report = gabor_bound(c) if args.transform == "gabor" else wavelet_bound(c)
     except UnattainedBoundError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_UNATTAINED
+    except PhaseboundError as exc:
+        sys.stderr.write(f"error: {exc}\n")
+        return EXIT_USAGE
     _emit(report.as_dict(), args.format)
     return EXIT_OK
 
 
 def cmd_extremal(args) -> int:
     from .bounds import gabor_bound, wavelet_bound
-    from .errors import UnattainedBoundError
+    from .errors import PhaseboundError, UnattainedBoundError
     from .extremals import extremal_weight_gabor, extremal_weight_wavelet
     from .io import write_disc_profile, write_radial_profile
     try:
@@ -123,7 +126,7 @@ def cmd_extremal(args) -> int:
     except UnattainedBoundError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_UNATTAINED
-    except OSError as exc:
+    except (OSError, PhaseboundError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
     payload = report.as_dict()
@@ -220,8 +223,6 @@ def _build_parser() -> _Parser:
         p.add_argument("--B", type=float, required=True, help="L^p budget")
         p.add_argument("--d", type=int, default=1, help="dimension (gabor)")
         p.add_argument("--beta", type=float, default=1.0, help="wavelet order")
-        p.add_argument("--root-tol", type=float, default=1e-12,
-                       help="relative residual for the level root-finder")
         p.add_argument("--format", choices=("json", "csv", "text"), default="text")
 
     b = sub.add_parser("bound", help="evaluate the sharp operator-norm bound")

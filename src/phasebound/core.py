@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaincc
 
 from .errors import DivergenceError, InvalidInputError, UnattainedBoundError
 
@@ -26,6 +25,32 @@ __all__ = [
     "schwarz_symmetrize",
     "lp_norm",
 ]
+
+
+# ---------------------------------------------------------------------------
+# numerics shared across modules
+# ---------------------------------------------------------------------------
+
+def quad(func, a, b, **kwargs):
+    """``scipy.integrate.quad``, imported on the first call.
+
+    Only the quadrature oracles integrate; loading ``scipy.integrate`` at
+    import would cost every closed-form caller its start-up time and memory.
+    """
+    from scipy.integrate import quad as scipy_quad
+    return scipy_quad(func, a, b, **kwargs)
+
+
+def expm1_poly(n: int, x):
+    """e_n(x) - 1 = sum_{1 <= i <= n} x^i / i!, by Horner.
+
+    e_n is the degree-n Taylor polynomial of exp.  Returning e_n - 1 keeps
+    full relative precision for small x, as ``math.expm1`` does.
+    """
+    out = 0.0
+    for i in range(n, 0, -1):
+        out = x / i * (1.0 + out)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -382,11 +407,13 @@ def lp_norm(w, p: float, measure: str = "lebesgue") -> float:
         # int |rho|^p dz = amplitude^p (scale/p)^d in the volume coordinate
         return float(w.amplitude * (w.scale / p) ** (d / p))
     if w.kind == "truncated_gaussian":
-        tau0 = w.scale * math.log(w.amplitude / w.cap)
-        cap_part = w.cap ** p * tau0 ** d / math.factorial(d)
-        c = p / w.scale
-        tail = w.amplitude ** p * (w.scale / p) ** d * gammaincc(d, c * tau0)
-        return float((cap_part + tail) ** (1.0 / p))
+        # cap^p times the capped volume tau0^d / d!, plus the Gaussian tail
+        # amplitude^p (scale/p)^d Q(d, p s0) = cap^p (scale/p)^d e_{d-1}(p s0),
+        # since Q(d, y) e^y = e_{d-1}(y); amplitude^p would overflow
+        s0 = math.log(w.amplitude / w.cap)
+        tau0 = w.scale * s0
+        tail = (w.scale / p) ** d * (1.0 + expm1_poly(d - 1, p * s0))
+        return float(w.cap * (tau0 ** d / math.factorial(d) + tail) ** (1.0 / p))
     if w.kind == "constant":
         raise DivergenceError("constant profile is not in L^p of the plane")
     vols = w._vol(w.knots)
@@ -446,4 +473,10 @@ class ConstraintSet:
 
     @property
     def b_over_a_pow_p(self) -> float:
-        return 0.0 if math.isinf(self.A) else (self.B / self.A) ** self.p
+        """(B/A)^p: 0 when A = inf, inf when it overflows."""
+        if math.isinf(self.A):
+            return 0.0
+        try:
+            return (self.B / self.A) ** self.p
+        except OverflowError:
+            return math.inf

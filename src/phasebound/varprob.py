@@ -13,10 +13,9 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import quad
 
 from .bounds import G, G_beta, gabor_bound, wavelet_bound
-from .core import ConstraintSet
+from .core import ConstraintSet, quad
 from .errors import InvalidInputError, RegimeError
 
 __all__ = [

@@ -13,10 +13,10 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.special import betainc, betaln, eval_genlaguerre, gammaln
 
 from .bounds import G_beta
+from .core import quad
 from .errors import (DivergenceError, InvalidInputError, NormalizationError,
                      RegimeError)
 from .gabor import OperatorSpectrum, _tail_estimate

@@ -211,7 +211,7 @@ def test_criterion_8_wavelet_sharpness():
 def test_criterion_9_general_dimension():
     c = ConstraintSet(2.0, 1.0, 1.0, "gabor", d=2)
     lam = lambda_root(c)
-    report("9a d=2 bisection root vs hand-derived e^{(sqrt 7 - 1)/2}",
+    report("9a d=2 closed-form root vs hand-derived e^{(sqrt 7 - 1)/2}",
            abs(lam - LAMBDA_D2), 1e-10)
     rep = gabor_bound(c)
     report("9b d=2 bound regression against the pinned value",

@@ -1,12 +1,15 @@
-"""Bound formulas, regime classification and the root-finder."""
+"""Bound formulas, regime classification and the supercritical level."""
 import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from phasebound.bounds import (G, G_beta, _truncated_gabor_bound_quad,
-                               gabor_bound, lambda_root, wavelet_bound)
+from phasebound.bounds import (G, G_beta, _moment_gabor,
+                               _truncated_gabor_bound_quad, gabor_bound,
+                               lambda_root, wavelet_bound)
 from phasebound.core import ConstraintSet
 from phasebound.errors import (InvalidInputError, RegimeError,
                                UnattainedBoundError)
@@ -117,7 +120,7 @@ def test_transform_tag_checked():
 
 
 # ---------------------------------------------------------------------------
-# lambda root-finder
+# supercritical level lambda
 # ---------------------------------------------------------------------------
 
 def test_lambda_root_d1_closed_form():
@@ -234,3 +237,44 @@ def test_monotonicity_and_dominance():
         else:
             assert bigger >= bound
         assert gabor_bound(ConstraintSet(p, A * 1.1, B, "gabor", d=d)).bound >= bound - 1e-12
+
+
+# ---------------------------------------------------------------------------
+# supercritical closed form against the quadrature oracles
+# ---------------------------------------------------------------------------
+
+def test_huge_b_over_a_gives_finite_truncated_bound():
+    for d in (1, 2):
+        c = ConstraintSet(2.0, 1e-150, 1e150, "gabor", d=d)
+        assert c.b_over_a_pow_p == math.inf
+        r = gabor_bound(c)
+        assert r.regime == "truncated"
+        assert 0.0 < r.bound <= c.A
+
+
+def test_bound_near_p_one_general_dimension():
+    # 7-digit values of the 30-digit mpmath reference; lam overflows here
+    for d, want in ((2, 0.5941819), (3, 0.4012965)):
+        r = gabor_bound(ConstraintSet(1.001, 1.0, 2.0, "gabor", d=d))
+        assert r.regime == "truncated" and math.isinf(r.lam)
+        assert abs(r.bound - want) <= 1e-6
+    # the bound decreases to the ball value A G(B/A, d) linearly in p - 1
+    for d in (1, 2, 3):
+        for eps in (1e-5, 1e-7, 1e-9):
+            gap = gabor_bound(ConstraintSet(1.0 + eps, 1.5, 2.0, "gabor", d=d)).bound \
+                - 1.5 * G(2.0 / 1.5, d)
+            assert 0.0 < gap <= eps
+
+
+@settings(max_examples=60, deadline=None)
+@given(d=st.integers(1, 4), p=st.floats(1.01, 50.0),
+       log_ratio=st.floats(0.0, math.log(1e4), exclude_min=True),
+       A=st.floats(0.1, 10.0))
+def test_closed_form_matches_quadrature_oracles(d, p, log_ratio, A):
+    kappa = (p - 1.0) / p
+    B = A * math.exp((log_ratio + d * math.log(kappa)) / p)
+    c = ConstraintSet(p, A, B, "gabor", d=d)
+    r = gabor_bound(c)
+    assume(r.regime == "truncated" and math.log(r.lam) < 700.0)
+    assert abs(_moment_gabor(r.lam, c) - B ** p) / B ** p <= 1e-10
+    assert abs(r.bound - _truncated_gabor_bound_quad(c, r.lam)) <= 1e-10

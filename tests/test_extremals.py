@@ -66,6 +66,14 @@ def test_gabor_weight_norm_and_sup_saturation():
             assert w.ess_sup() == pytest.approx(c.A)
 
 
+def test_gabor_weight_norm_with_peak_power_beyond_float_range():
+    # lam = e^{500} is finite but lam^p = e^{1500} is not
+    c = ConstraintSet(3.0, 1.0, 10.0, "gabor", d=1)
+    w = extremal_weight_gabor(c)
+    assert math.isfinite(w.amplitude) and c.p * math.log(w.amplitude) > 710.0
+    assert lp_norm(w, c.p) == pytest.approx(10.0, rel=1e-10)
+
+
 def test_gabor_weight_distribution_matches_maximizer():
     for c in GABOR_CASES:
         w = extremal_weight_gabor(c)

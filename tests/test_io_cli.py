@@ -221,3 +221,26 @@ def test_cli_verify_deterministic_and_config(tmp_path):
                            "--p", "2", "--A", "1")
     assert code == 0
     assert json.loads(out)["bound"] == pytest.approx(0.6967347, abs=1e-6)
+
+
+def test_cli_invalid_constraints_exit_usage(capsys, tmp_path):
+    from phasebound import cli
+    assert cli.main(["bound", "--p", "0.5", "--A", "1", "--B", "1"]) == cli.EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error:") and err.count("\n") == 1
+
+    target = tmp_path / "weight.csv"
+    assert cli.main(["extremal", "--p", "2", "--A", "1", "--B", "1", "--d", "0",
+                     "--out", str(target)]) == cli.EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error:") and err.count("\n") == 1
+    assert not target.exists()
+
+
+def test_cli_import_leaves_scipy_integrate_unloaded():
+    # quadrature oracles and assembled spectra load these on first use
+    code = ("import sys, phasebound.cli; "
+            "print([m for m in ('scipy.integrate', 'scipy.linalg') if m in sys.modules])")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, check=True)
+    assert proc.stdout.strip() == "[]"

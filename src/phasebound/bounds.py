@@ -230,9 +230,12 @@ def wavelet_bound(c: ConstraintSet) -> BoundReport:
         bound = 2.0 * beta / (4.0 * math.pi) ** (1.0 / p) * sigma ** c.kappa * B
         return BoundReport("gaussian", bound, lam, ratio, c)
 
-    base = (4.0 * math.pi * A ** p * p * sigma
-            / (alpha * (B ** p + 4.0 * A ** p * math.pi)))
-    lam = A * _exp_or_inf(-math.log(base) / alpha)
+    # lam = A [(p sigma / alpha) / q]^{-1/alpha} with q = 1 + (B/A)^p / (4 pi);
+    # once (B/A)^p overflows, log q = p log(B/A) - log(4 pi) to double precision
+    r = c.b_over_a_pow_p
+    log_q = (math.log1p(r / (4.0 * math.pi)) if math.isfinite(r)
+             else p * (math.log(B) - math.log(A)) - math.log(4.0 * math.pi))
+    lam = A * _exp_or_inf((log_q - math.log(p * sigma / alpha)) / alpha)
     bound = A * (1.0 - p ** (2.0 * beta) * (sigma / alpha) ** (2.0 * beta + 1.0)
-                 * (1.0 + c.b_over_a_pow_p / (4.0 * math.pi)) ** (-2.0 * beta))
+                 * (1.0 + r / (4.0 * math.pi)) ** (-2.0 * beta))
     return BoundReport("truncated", bound, lam, ratio, c)

@@ -5,31 +5,20 @@ config file may preset any long flag; explicit flags win.  Exit codes:
 0 success, 1 malformed flags, invalid constraint values or unreadable files,
 2 unattainable supremum (p = 1 without a sup constraint), 3 verification
 failure.
-
-The PHASEBOUND_THREADS environment variable caps worker parallelism; it is
-applied to the numerical backends before they load, so imports of the heavy
-modules are deferred into the command handlers.
 """
 from __future__ import annotations
 
 import argparse
 import json
 import math
-import os
 import sys
+
+from .errors import PhaseboundError, UnattainedBoundError
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_UNATTAINED = 2
 EXIT_VERIFY = 3
-
-
-def _apply_thread_cap():
-    cap = os.environ.get("PHASEBOUND_THREADS")
-    if cap:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                    "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
-            os.environ.setdefault(var, cap)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -94,86 +83,48 @@ def _constraints_from_args(args):
 
 def cmd_bound(args) -> int:
     from .bounds import gabor_bound, wavelet_bound
-    from .errors import PhaseboundError, UnattainedBoundError
-    try:
-        c = _constraints_from_args(args)
-        report = gabor_bound(c) if args.transform == "gabor" else wavelet_bound(c)
-    except UnattainedBoundError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_UNATTAINED
-    except PhaseboundError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_USAGE
+    c = _constraints_from_args(args)
+    report = gabor_bound(c) if args.transform == "gabor" else wavelet_bound(c)
     _emit(report.as_dict(), args.format)
     return EXIT_OK
 
 
 def cmd_extremal(args) -> int:
     from .bounds import gabor_bound, wavelet_bound
-    from .errors import PhaseboundError, UnattainedBoundError
     from .extremals import extremal_weight_gabor, extremal_weight_wavelet
     from .io import write_disc_profile, write_radial_profile
-    try:
-        c = _constraints_from_args(args)
-        if args.transform == "gabor":
-            report = gabor_bound(c)
-            write_radial_profile(extremal_weight_gabor(c), args.out,
-                                 n_samples=args.samples)
-        else:
-            report = wavelet_bound(c)
-            write_disc_profile(extremal_weight_wavelet(c), args.out,
-                               n_samples=args.samples)
-    except UnattainedBoundError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_UNATTAINED
-    except (OSError, PhaseboundError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_USAGE
-    payload = report.as_dict()
-    payload["out"] = args.out
-    _emit(payload, args.format)
+    c = _constraints_from_args(args)
+    if args.transform == "gabor":
+        report, weight, write = gabor_bound(c), extremal_weight_gabor(c), write_radial_profile
+    else:
+        report, weight, write = wavelet_bound(c), extremal_weight_wavelet(c), write_disc_profile
+    write(weight, args.out, n_samples=args.samples)
+    _emit({**report.as_dict(), "out": args.out}, args.format)
     return EXIT_OK
 
 
 def cmd_norm(args) -> int:
-    import numpy as np
+    from . import io
     from .bounds import gabor_bound, wavelet_bound
     from .core import ConstraintSet, lp_norm
-    from .errors import PhaseboundError
     from .gabor import assemble_operator, radial_eigenvalues, spectrum_from_matrix
-    from .io import (read_disc_profile, read_halfplane_field,
-                     read_radial_profile, read_weight_field, sniff_weight_file)
-    from .wavelet import (assemble_wavelet_operator, bergman_radial_eigenvalues,
-                          lp_norm_nu)
-    try:
-        kind = sniff_weight_file(args.weight)
-        if kind == "field":
-            field = read_weight_field(args.weight)
-            A, B = field.ess_sup(), lp_norm(field, args.p)
-            spec = spectrum_from_matrix(assemble_operator(
-                field, args.basis, points_per_cell=args.points_per_cell))
-            report = gabor_bound(ConstraintSet(args.p, A, B, "gabor", d=1))
-        elif kind == "radial":
-            prof = read_radial_profile(args.weight)
-            A, B = prof.ess_sup(), lp_norm(prof, args.p)
-            spec = radial_eigenvalues(prof, args.basis)
-            report = gabor_bound(ConstraintSet(args.p, A, B, "gabor", d=1))
-        elif kind == "disc":
-            prof = read_disc_profile(args.weight)
-            A, B = prof.ess_sup(), prof.lp_norm(args.p)
-            spec = bergman_radial_eigenvalues(prof, args.beta, args.basis)
-            report = wavelet_bound(ConstraintSet(args.p, A, B, "wavelet", beta=args.beta))
-        else:
-            field = read_halfplane_field(args.weight)
-            A, B = field.ess_sup(), lp_norm_nu(field, args.p)
-            eigs = np.sort(np.linalg.eigvalsh(
-                assemble_wavelet_operator(field, args.beta, args.basis)))[::-1]
-            from .gabor import OperatorSpectrum, _tail_estimate
-            spec = OperatorSpectrum(eigs, args.basis, _tail_estimate(eigs))
-            report = wavelet_bound(ConstraintSet(args.p, A, B, "wavelet", beta=args.beta))
-    except (OSError, PhaseboundError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_USAGE
+    from .wavelet import assemble_wavelet_operator, bergman_radial_eigenvalues
+    K, beta = args.basis, args.beta
+    # file format -> (reader, transform of its bound, spectrum of the weight)
+    formats = {
+        "field": (io.read_weight_field, "gabor", lambda w: spectrum_from_matrix(
+            assemble_operator(w, K, points_per_cell=args.points_per_cell))),
+        "radial": (io.read_radial_profile, "gabor", lambda w: radial_eigenvalues(w, K)),
+        "disc": (io.read_disc_profile, "wavelet",
+                 lambda w: bergman_radial_eigenvalues(w, beta, K)),
+        "halfplane": (io.read_halfplane_field, "wavelet", lambda w: spectrum_from_matrix(
+            assemble_wavelet_operator(w, beta, K))),
+    }
+    read, transform, spectrum = formats[io.sniff_weight_file(args.weight)]
+    w = read(args.weight)
+    c = ConstraintSet(args.p, w.ess_sup(), lp_norm(w, args.p), transform, d=1, beta=beta)
+    spec = spectrum(w)
+    report = gabor_bound(c) if transform == "gabor" else wavelet_bound(c)
     norm = spec.norm()
     _emit({"norm": norm, "bound": report.bound,
            "ratio": norm / report.bound if report.bound else math.nan,
@@ -183,14 +134,8 @@ def cmd_norm(args) -> int:
 
 def cmd_symmetrize(args) -> int:
     from .core import schwarz_symmetrize
-    from .errors import PhaseboundError
     from .io import read_weight_field, write_radial_profile
-    try:
-        field = read_weight_field(args.weight)
-        write_radial_profile(schwarz_symmetrize(field), args.out)
-    except (OSError, PhaseboundError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_USAGE
+    write_radial_profile(schwarz_symmetrize(read_weight_field(args.weight)), args.out)
     _emit({"out": args.out}, args.format)
     return EXIT_OK
 
@@ -267,7 +212,6 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    _apply_thread_cap()
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = _build_parser()
 
@@ -287,7 +231,15 @@ def main(argv=None) -> int:
     if args.command is None:
         parser.print_help()
         return EXIT_USAGE
-    return _COMMANDS[args.command](args)
+    # the one place where domain and file errors become exit codes
+    try:
+        return _COMMANDS[args.command](args)
+    except UnattainedBoundError as exc:
+        sys.stderr.write(f"error: {exc}\n")
+        return EXIT_UNATTAINED
+    except (OSError, PhaseboundError) as exc:
+        sys.stderr.write(f"error: {exc}\n")
+        return EXIT_USAGE
 
 
 def _coerce(subparser, dest: str, raw: str):

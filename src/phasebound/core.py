@@ -1,10 +1,24 @@
-"""Phase-space weights, norms, distribution functions and rearrangements.
+"""Phase-space weights in the measure coordinate: norms, distribution
+functions, distribution bounds and rearrangements.
 
-Weights live on the plane R^2 (or symbolically on R^{2d}): either gridded
-complex fields on a square box, or radial nonincreasing profiles rho(r).
-The volume coordinate v(r) = (pi r^2)^d / d! turns every radial integral
-into a one-dimensional one, which is how the closed forms below are
-obtained.
+A weight enters the sharp bounds only through the measure s of its
+superlevel sets, and this module owns that coordinate.  On the plane
+R^{2d}, s = (pi r^2)^d / d! is the volume of the ball of radius r; on the
+disc model of the half-plane (``wavelet``), s = 4 pi x / (1 - x) is the
+hyperbolic measure of {|w|^2 < x}.  Everything that does not depend on the
+geometry is written once, in s:
+
+  GridField       complex values on cells of known mass (``WeightField``
+                  here, ``HalfPlaneField`` in ``wavelet``);
+  MeasureProfile  nonincreasing radial profiles (``RadialProfile`` here,
+                  ``DiscProfile`` in ``wavelet``): knot validation, step
+                  evaluation, ess_sup, and the indicator, sampled and
+                  constant branches of the L^p norm, of mu(t) and of the
+                  radial spectra;
+  distribution_bound  int_0^inf G(mu(t)) dt for the ceiling G of a setting.
+
+A setting supplies its coordinate map, its analytic family (a Gaussian in
+pi r^2, a power of 1 - x) and its spectral CDF (regularized Gamma or Beta).
 """
 from __future__ import annotations
 
@@ -16,11 +30,14 @@ import numpy as np
 from .errors import DivergenceError, InvalidInputError, UnattainedBoundError
 
 __all__ = [
+    "GridField",
     "WeightField",
+    "MeasureProfile",
     "RadialProfile",
     "DistributionFunction",
     "ConstraintSet",
     "distribution_function",
+    "distribution_bound",
     "decreasing_rearrangement",
     "schwarz_symmetrize",
     "lp_norm",
@@ -53,24 +70,44 @@ def expm1_poly(n: int, x):
     return out
 
 
+def _step_mu(levels: np.ndarray, measures: np.ndarray, t) -> np.ndarray:
+    """mu(t) of a step distribution: measures[i] is the measure of the set
+    where the weight is at least levels[i], with levels nonincreasing."""
+    counts = np.searchsorted(-levels, -t, side="left")
+    return np.where(counts > 0, measures[np.maximum(counts - 1, 0)], 0.0)
+
+
 # ---------------------------------------------------------------------------
 # gridded weights
 # ---------------------------------------------------------------------------
 
+class GridField:
+    """Complex ``values`` on grid cells; subclasses supply ``cell_masses()``."""
+
+    def ess_sup(self) -> float:
+        return float(np.max(np.abs(self.values)))
+
+    def levels(self):
+        """|values| sorted descending, with the cumulated cell mass of each
+        value and all above it: the step form of the distribution."""
+        vals = np.abs(self.values).ravel()
+        masses = self.cell_masses().ravel()
+        order = np.argsort(vals)[::-1]
+        return vals[order], np.cumsum(masses[order])
+
+
 @dataclass(frozen=True)
-class WeightField:
+class WeightField(GridField):
     """Complex weight sampled at cell centers of a square phase-plane box.
 
     The box is [-half_width, half_width]^2; values[i, j] is the sample at
-    (x_i, omega_j) with x_i = -half_width + (i + 1/2) * cell.  Cell masses
-    default to the uniform cell area; ``measure_weight`` overrides them
-    (hyperbolic cell masses in wavelet use).
+    (x_i, omega_j) with x_i = -half_width + (i + 1/2) * cell, and every
+    cell carries its Lebesgue area.
     """
 
     half_width: float
     n: int
     values: np.ndarray
-    measure_weight: np.ndarray | None = None
 
     def __post_init__(self):
         if self.half_width <= 0:
@@ -83,13 +120,6 @@ class WeightField:
         if not (np.all(np.isfinite(v.real)) and np.all(np.isfinite(v.imag))):
             raise InvalidInputError("weight values must be finite")
         object.__setattr__(self, "values", v)
-        if self.measure_weight is not None:
-            w = np.asarray(self.measure_weight, dtype=float)
-            if w.shape != (self.n, self.n):
-                raise InvalidInputError("measure_weight must match the grid shape")
-            if not np.all(np.isfinite(w)) or np.any(w <= 0):
-                raise InvalidInputError("measure weights must be positive and finite")
-            object.__setattr__(self, "measure_weight", w)
 
     @property
     def cell(self) -> float:
@@ -105,23 +135,125 @@ class WeightField:
         return -self.half_width + (np.arange(self.n) + 0.5) * self.cell
 
     def cell_masses(self) -> np.ndarray:
-        if self.measure_weight is not None:
-            return self.measure_weight
         return np.full((self.n, self.n), self.cell_area)
-
-    def ess_sup(self) -> float:
-        return float(np.max(np.abs(self.values)))
 
 
 # ---------------------------------------------------------------------------
 # radial profiles
 # ---------------------------------------------------------------------------
 
-_KINDS = ("ball_indicator", "gaussian", "truncated_gaussian", "sampled", "constant")
+class MeasureProfile:
+    """Nonincreasing radial weight, handled through the measure s of its
+    superlevel sets.
+
+    Subclasses are frozen dataclasses with the fields kind, amplitude, cap,
+    knots and knot_values.  Their five kinds are an indicator, an analytic
+    family, the family capped at ``cap``, left-continuous steps on
+    ``knots`` and a constant.  A subclass lists its kind names in
+    ``_KINDS`` in that order, with the first three also as ``_INDICATOR``,
+    ``_FAMILY`` and ``_TRUNCATED``, bounds its knots by ``_COORD_MAX`` and
+    supplies
+      measure(coord)  its radial coordinate -> s (floats or arrays)
+      edge            the coordinate where the indicator ends
+      _family(coord)  the untruncated analytic profile
+      _family_mu(t)   s of {family > t}, for 0 < t < amplitude
+      _family_lp(p)   the L^p norm of the family and truncated kinds.
+    """
+
+    _COORD_MAX = math.inf
+
+    def _validate(self):
+        if self.kind not in self._KINDS:
+            raise InvalidInputError(f"unknown profile kind {self.kind!r}")
+        if self.amplitude < 0:
+            raise InvalidInputError("amplitude must be nonnegative")
+        if self.kind == self._TRUNCATED and not (0 < self.cap < self.amplitude):
+            raise InvalidInputError("truncation requires 0 < cap < amplitude")
+        if self.kind == "sampled":
+            r = np.asarray(self.knots, dtype=float)
+            v = np.asarray(self.knot_values, dtype=float)
+            if r.ndim != 1 or r.shape != v.shape or r.size == 0:
+                raise InvalidInputError("sampled profile needs matching 1-d knots/values")
+            if not (np.all(np.isfinite(r)) and np.all(np.isfinite(v))):
+                raise InvalidInputError("sampled profile must be finite")
+            if r[0] <= 0 or r[-1] >= self._COORD_MAX or np.any(np.diff(r) <= 0):
+                raise InvalidInputError(
+                    f"knots must increase strictly inside (0, {self._COORD_MAX})")
+            if np.any(v < 0) or np.any(np.diff(v) > 0):
+                raise InvalidInputError("sampled values must be nonnegative and nonincreasing")
+            object.__setattr__(self, "knots", r)
+            object.__setattr__(self, "knot_values", v)
+
+    def __call__(self, coord):
+        coord = np.asarray(coord, dtype=float)
+        if self.kind == self._INDICATOR:
+            return np.where(coord < self.edge, self.amplitude, 0.0)
+        if self.kind == self._FAMILY:
+            return self._family(coord)
+        if self.kind == self._TRUNCATED:
+            return np.minimum(self._family(coord), self.cap)
+        if self.kind == "constant":
+            return np.full_like(coord, self.amplitude, dtype=float)
+        # sampled: value v[i] on (knots[i-1], knots[i]], zero past the last knot
+        idx = np.searchsorted(self.knots, coord, side="left")
+        out = np.zeros_like(coord, dtype=float)
+        inside = idx < self.knots.size
+        out[inside] = self.knot_values[idx[inside]]
+        return out
+
+    def ess_sup(self) -> float:
+        if self.kind == self._TRUNCATED:
+            return self.cap
+        if self.kind == "sampled":
+            return float(self.knot_values[0])
+        return float(self.amplitude)
+
+    def lp_norm(self, p: float) -> float:
+        """(int rho^p ds)^{1/p}, the L^p norm against the setting's measure."""
+        if p < 1:
+            raise InvalidInputError("p must be >= 1")
+        kind = self.kind
+        if kind == "sampled":
+            steps = np.diff(self.measure(self.knots), prepend=0.0)
+            return float(np.sum(self.knot_values ** p * steps) ** (1.0 / p))
+        if kind == "constant":
+            raise DivergenceError("a constant profile is not in L^p")
+        if kind == self._INDICATOR:
+            return float(self.amplitude * self.measure(self.edge) ** (1.0 / p))
+        return self._family_lp(p)
+
+    def mu(self, t) -> np.ndarray:
+        """Measure s of the superlevel set {rho > t}, elementwise in t."""
+        t = np.asarray(t, dtype=float)
+        if self.kind == self._INDICATOR:
+            return np.where(t < self.amplitude, self.measure(self.edge), 0.0)
+        if self.kind == "sampled":
+            return _step_mu(self.knot_values, self.measure(self.knots), t)
+        if self.kind == "constant":
+            raise DivergenceError("a constant profile has superlevel sets of infinite measure")
+        # superlevel sets below a cap are those of the untruncated family
+        mu = np.zeros_like(t)
+        good = t < self.ess_sup()
+        mu[good] = self._family_mu(t[good])
+        return mu
+
+    def step_eigenvalues(self, ks: np.ndarray, cdf, *params) -> np.ndarray:
+        """lambda_k of the indicator, sampled and constant kinds.
+
+        cdf(k, s, *params) is the setting's k-th spectral distribution
+        function in the measure coordinate; a step of height v on
+        (s_{i-1}, s_i] contributes v (cdf(k, s_i) - cdf(k, s_{i-1})).
+        """
+        if self.kind == self._INDICATOR:
+            return self.amplitude * cdf(ks, self.measure(self.edge), *params)
+        if self.kind == "constant":
+            return np.full(ks.size, float(self.amplitude))
+        s = np.concatenate([[0.0], self.measure(self.knots)])
+        return np.diff(cdf(ks[:, None], s[None, :], *params), axis=1) @ self.knot_values
 
 
 @dataclass(frozen=True)
-class RadialProfile:
+class RadialProfile(MeasureProfile):
     """Nonincreasing nonnegative radial weight rho(|z - center|) on R^{2d}.
 
     kinds and parameters:
@@ -142,29 +274,15 @@ class RadialProfile:
     center: tuple[float, float] = (0.0, 0.0)
     dim: int = 1
 
+    _KINDS = ("ball_indicator", "gaussian", "truncated_gaussian", "sampled", "constant")
+    _INDICATOR, _FAMILY, _TRUNCATED = _KINDS[:3]
+
     def __post_init__(self):
-        if self.kind not in _KINDS:
-            raise InvalidInputError(f"unknown profile kind {self.kind!r}")
-        if self.amplitude < 0 or self.scale <= 0 or self.dim < 1:
-            raise InvalidInputError("amplitude must be >= 0, scale > 0, dim >= 1")
+        self._validate()
+        if self.scale <= 0 or self.dim < 1:
+            raise InvalidInputError("scale must be > 0 and dim >= 1")
         if self.kind == "ball_indicator" and self.radius <= 0:
             raise InvalidInputError("ball needs a positive radius")
-        if self.kind == "truncated_gaussian":
-            if not (0 < self.cap < self.amplitude):
-                raise InvalidInputError("truncation requires 0 < cap < amplitude")
-        if self.kind == "sampled":
-            r = np.asarray(self.knots, dtype=float)
-            v = np.asarray(self.knot_values, dtype=float)
-            if r.ndim != 1 or r.shape != v.shape or r.size == 0:
-                raise InvalidInputError("sampled profile needs matching 1-d knots/values")
-            if np.any(np.diff(r) <= 0) or r[0] <= 0:
-                raise InvalidInputError("knots must be positive and strictly increasing")
-            if np.any(v < 0) or np.any(np.diff(v) > 0):
-                raise InvalidInputError("sampled values must be nonnegative and nonincreasing")
-            if not (np.all(np.isfinite(r)) and np.all(np.isfinite(v))):
-                raise InvalidInputError("sampled profile must be finite")
-            object.__setattr__(self, "knots", r)
-            object.__setattr__(self, "knot_values", v)
 
     # -- constructors ------------------------------------------------------
     @classmethod
@@ -192,30 +310,33 @@ class RadialProfile:
     def constant(cls, level: float, center=(0.0, 0.0), dim: int = 1) -> "RadialProfile":
         return cls("constant", amplitude=level, center=center, dim=dim)
 
-    # -- evaluation --------------------------------------------------------
-    def __call__(self, r):
-        r = np.asarray(r, dtype=float)
-        if self.kind == "ball_indicator":
-            return np.where(r < self.radius, self.amplitude, 0.0)
-        if self.kind == "gaussian":
-            return self.amplitude * np.exp(-math.pi * r * r / self.scale)
-        if self.kind == "truncated_gaussian":
-            return np.minimum(self.amplitude * np.exp(-math.pi * r * r / self.scale), self.cap)
-        if self.kind == "constant":
-            return np.full_like(r, self.amplitude, dtype=float)
-        # sampled: value v[i] on (knots[i-1], knots[i]], zero past the last knot
-        idx = np.searchsorted(self.knots, r, side="left")
-        out = np.zeros_like(r, dtype=float)
-        inside = idx < self.knots.size
-        out[inside] = self.knot_values[idx[inside]]
-        return out
+    # -- the plane's coordinate and family -----------------------------------
+    def measure(self, r):
+        """Volume (pi r^2)^d / d! of the ball of radius r in R^{2d}."""
+        return (math.pi * r ** 2) ** self.dim / math.factorial(self.dim)
 
-    def ess_sup(self) -> float:
-        if self.kind == "truncated_gaussian":
-            return self.cap
-        if self.kind == "sampled":
-            return float(self.knot_values[0])
-        return float(self.amplitude)
+    @property
+    def edge(self) -> float:
+        return self.radius
+
+    def _family(self, r):
+        return self.amplitude * np.exp(-math.pi * r * r / self.scale)
+
+    def _family_mu(self, t):
+        return (self.scale * np.log(self.amplitude / t)) ** self.dim / math.factorial(self.dim)
+
+    def _family_lp(self, p: float) -> float:
+        d = self.dim
+        if self.kind == "gaussian":
+            # int |rho|^p dz = amplitude^p (scale/p)^d in the volume coordinate
+            return float(self.amplitude * (self.scale / p) ** (d / p))
+        # cap^p times the capped volume tau0^d / d!, plus the Gaussian tail
+        # amplitude^p (scale/p)^d Q(d, p s0) = cap^p (scale/p)^d e_{d-1}(p s0),
+        # since Q(d, y) e^y = e_{d-1}(y); amplitude^p would overflow
+        s0 = math.log(self.amplitude / self.cap)
+        tau0 = self.scale * s0
+        tail = (self.scale / p) ** d * (1.0 + expm1_poly(d - 1, p * s0))
+        return float(self.cap * (tau0 ** d / math.factorial(d) + tail) ** (1.0 / p))
 
     def on_grid(self, half_width: float, n: int) -> WeightField:
         """Sample onto a centered square grid (profile center included)."""
@@ -223,10 +344,6 @@ class RadialProfile:
         dx = ax[:, None] - self.center[0]
         dy = ax[None, :] - self.center[1]
         return WeightField(half_width, n, self(np.hypot(dx, dy)).astype(complex))
-
-    # volume of the ball of radius r in R^{2d}
-    def _vol(self, r):
-        return (math.pi * np.asarray(r, float) ** 2) ** self.dim / math.factorial(self.dim)
 
 
 # ---------------------------------------------------------------------------
@@ -274,8 +391,8 @@ def distribution_function(w, n_levels: int = 256) -> DistributionFunction:
     """Distribution function of |w| sampled at geometric thresholds.
 
     Thresholds span (ess_sup * 1e-6, ess_sup]; this resolves both Gaussian
-    tails and indicator jumps.  Grid fields count cell masses; closed-form
-    radial profiles are inverted analytically.
+    tails and indicator jumps.  Grid fields count cell masses; profiles
+    are inverted in the measure coordinate.
     """
     if n_levels < 2:
         raise InvalidInputError("need at least 2 levels")
@@ -283,46 +400,34 @@ def distribution_function(w, n_levels: int = 256) -> DistributionFunction:
     if ess == 0.0:
         return DistributionFunction.zero()
     ts = np.geomspace(ess * 1e-6, ess, n_levels)
-
-    if isinstance(w, WeightField):
-        vals = np.abs(w.values).ravel()
-        masses = w.cell_masses().ravel()
-        order = np.argsort(vals)[::-1]
-        vals = vals[order]
-        cum = np.cumsum(masses[order])
-        # mu(t) = total mass of cells with value strictly above t
-        counts = np.searchsorted(-vals, -ts, side="left")
-        mu = np.where(counts > 0, cum[np.maximum(counts - 1, 0)], 0.0)
-        return DistributionFunction(ts, mu, ess)
-
-    if isinstance(w, RadialProfile):
-        return DistributionFunction(ts, _radial_mu(w, ts), ess)
-
+    if isinstance(w, GridField):
+        return DistributionFunction(ts, _step_mu(*w.levels(), ts), ess)
+    if isinstance(w, MeasureProfile):
+        return DistributionFunction(ts, w.mu(ts), ess)
     raise InvalidInputError(f"unsupported weight type {type(w).__name__}")
 
 
-def _radial_mu(p: RadialProfile, ts: np.ndarray) -> np.ndarray:
-    ts = np.asarray(ts, dtype=float)
-    if p.kind == "ball_indicator":
-        return np.where(ts < p.amplitude, p._vol(p.radius), 0.0)
-    if p.kind == "gaussian":
-        good = ts < p.amplitude
-        mu = np.zeros_like(ts)
-        mu[good] = (p.scale * np.log(p.amplitude / ts[good])) ** p.dim / math.factorial(p.dim)
-        return mu
-    if p.kind == "truncated_gaussian":
-        # superlevel sets below the cap are those of the untruncated Gaussian
-        good = ts < p.cap
-        mu = np.zeros_like(ts)
-        mu[good] = (p.scale * np.log(p.amplitude / ts[good])) ** p.dim / math.factorial(p.dim)
-        return mu
-    if p.kind == "constant":
-        raise DivergenceError("constant profile has superlevel sets of infinite measure")
-    # sampled steps: {rho > t} = (0, last knot whose value exceeds t];
-    # values are nonincreasing, so that knot index is a searchsorted count
-    vols = p._vol(p.knots)
-    counts = np.searchsorted(-p.knot_values, -ts, side="left")
-    return np.where(counts > 0, vols[np.maximum(counts - 1, 0)], 0.0)
+def distribution_bound(w, G) -> float:
+    """int_0^inf G(mu(t)) dt, the distribution-function norm bound.
+
+    G is the concentration ceiling of the weight's setting, taking measures
+    s.  Grid fields and sampled profiles have step distributions, so the
+    integral is an exact sum; the other profile kinds are integrated by
+    adaptive quadrature against the analytic mu, as an oracle.
+    """
+    if isinstance(w, GridField):
+        levels, measures = w.levels()
+    elif isinstance(w, MeasureProfile) and w.kind == "sampled":
+        levels, measures = w.knot_values, w.measure(w.knots)
+    elif isinstance(w, MeasureProfile):
+        pts = [w.cap * (1.0 - 1e-12)] if w.kind == w._TRUNCATED else None
+        val, _ = quad(lambda t: float(G(float(w.mu(np.atleast_1d(t))[0]))),
+                      0.0, w.ess_sup(), points=pts, epsabs=1e-12, epsrel=1e-11, limit=300)
+        return val
+    else:
+        raise InvalidInputError(f"unsupported weight type {type(w).__name__}")
+    drops = levels - np.concatenate([levels[1:], [0.0]])
+    return float(np.sum(G(measures) * drops))
 
 
 # ---------------------------------------------------------------------------
@@ -350,22 +455,17 @@ def schwarz_symmetrize(w: WeightField) -> RadialProfile:
 
     Cells are stacked by decreasing value; the k-th step ends at the radius
     whose disc area equals the cumulated cell mass, so the result is
-    equimeasurable with |w| exactly (at grid resolution).  Lebesgue-measure
-    fields only: rearrangement against another measure is not radial in the
-    plane.
+    equimeasurable with |w| exactly (at grid resolution).  Plane fields
+    only: rearrangement against another measure is not radial in the plane.
     """
-    if w.measure_weight is not None:
-        raise InvalidInputError("symmetrization is defined for Lebesgue cell masses")
-    vals = np.abs(w.values).ravel()
-    masses = w.cell_masses().ravel()
-    positive = vals > 0.0
-    if not np.any(positive):
+    if not isinstance(w, WeightField):
+        raise InvalidInputError("symmetrization is defined for phase-plane fields")
+    vals, cum = w.levels()
+    n = np.count_nonzero(vals)
+    if n == 0:
         return RadialProfile.sampled([w.cell], [0.0])
-    vals = vals[positive]
-    masses = masses[positive]
-    order = np.argsort(vals)[::-1]
-    vals = vals[order]
-    radii = np.sqrt(np.cumsum(masses[order]) / math.pi)
+    vals = vals[:n]
+    radii = np.sqrt(cum[:n] / math.pi)
     # merge equal-value runs so knots stay strictly increasing and minimal
     keep = np.nonzero(np.diff(vals, append=-1.0) != 0.0)[0]
     return RadialProfile.sampled(radii[keep], vals[keep])
@@ -375,50 +475,17 @@ def schwarz_symmetrize(w: WeightField) -> RadialProfile:
 # norms
 # ---------------------------------------------------------------------------
 
-def lp_norm(w, p: float, measure: str = "lebesgue") -> float:
-    """L^p norm of the weight against the chosen measure.
-
-    Closed forms are used for analytic profile kinds; grid fields sum
-    |value|^p over cell masses.
-    """
+def lp_norm(w, p: float) -> float:
+    """L^p norm of a weight: grid fields sum |value|^p over their cell
+    masses, profiles integrate in their measure coordinate (closed forms
+    for the analytic kinds)."""
     if p < 1:
         raise InvalidInputError("p must be >= 1")
-    if measure not in ("lebesgue", "hyperbolic"):
-        raise InvalidInputError(f"unknown measure {measure!r}")
-
-    if isinstance(w, WeightField):
-        if measure == "hyperbolic":
-            if w.measure_weight is None:
-                raise InvalidInputError("hyperbolic norm needs measure_weight on the field")
-            masses = w.measure_weight
-        else:
-            masses = w.cell_area
-        return float(np.sum(np.abs(w.values) ** p * masses) ** (1.0 / p))
-
-    if not isinstance(w, RadialProfile):
-        raise InvalidInputError(f"unsupported weight type {type(w).__name__}")
-    if measure == "hyperbolic":
-        raise InvalidInputError("plane profiles carry no hyperbolic measure")
-
-    d = w.dim
-    if w.kind == "ball_indicator":
-        return float(w.amplitude * w._vol(w.radius) ** (1.0 / p))
-    if w.kind == "gaussian":
-        # int |rho|^p dz = amplitude^p (scale/p)^d in the volume coordinate
-        return float(w.amplitude * (w.scale / p) ** (d / p))
-    if w.kind == "truncated_gaussian":
-        # cap^p times the capped volume tau0^d / d!, plus the Gaussian tail
-        # amplitude^p (scale/p)^d Q(d, p s0) = cap^p (scale/p)^d e_{d-1}(p s0),
-        # since Q(d, y) e^y = e_{d-1}(y); amplitude^p would overflow
-        s0 = math.log(w.amplitude / w.cap)
-        tau0 = w.scale * s0
-        tail = (w.scale / p) ** d * (1.0 + expm1_poly(d - 1, p * s0))
-        return float(w.cap * (tau0 ** d / math.factorial(d) + tail) ** (1.0 / p))
-    if w.kind == "constant":
-        raise DivergenceError("constant profile is not in L^p of the plane")
-    vols = w._vol(w.knots)
-    steps = np.diff(vols, prepend=0.0)
-    return float(np.sum(w.knot_values ** p * steps) ** (1.0 / p))
+    if isinstance(w, MeasureProfile):
+        return w.lp_norm(p)
+    if isinstance(w, GridField):
+        return float(np.sum(np.abs(w.values) ** p * w.cell_masses()) ** (1.0 / p))
+    raise InvalidInputError(f"unsupported weight type {type(w).__name__}")
 
 
 # ---------------------------------------------------------------------------

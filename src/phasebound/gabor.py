@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammainc, gammaincc, gammainccinv, gammaln
 
-from .core import RadialProfile, WeightField, quad
+from .core import RadialProfile, WeightField, lp_norm, quad
 from .errors import (AliasingError, BasisTruncationError, InvalidInputError,
                      RegimeError)
 
@@ -361,9 +361,12 @@ def radial_eigenvalues(rho: RadialProfile, K: int, method: str = "auto") -> Oper
     return OperatorSpectrum(lam, K, _tail_estimate(lam))
 
 
+def _gamma_cdf(k, s):
+    """P(k + 1, s): the spectral CDF of the k-th Hermite function in the area s."""
+    return gammainc(k + 1, s)
+
+
 def _radial_eigs_closed(rho: RadialProfile, ks: np.ndarray) -> np.ndarray:
-    if rho.kind == "ball_indicator":
-        return rho.amplitude * gammainc(ks + 1, math.pi * rho.radius ** 2)
     if rho.kind == "gaussian":
         return rho.amplitude * (rho.scale / (1.0 + rho.scale)) ** (ks + 1.0)
     if rho.kind == "truncated_gaussian":
@@ -371,12 +374,7 @@ def _radial_eigs_closed(rho: RadialProfile, ks: np.ndarray) -> np.ndarray:
         c = 1.0 + 1.0 / rho.scale
         return (rho.cap * gammainc(ks + 1, s0)
                 + rho.amplitude * (1.0 / c) ** (ks + 1.0) * gammaincc(ks + 1, c * s0))
-    if rho.kind == "constant":
-        return np.full(ks.size, float(rho.amplitude))
-    s_edges = math.pi * rho.knots ** 2
-    P = gammainc(ks[:, None] + 1, s_edges[None, :])
-    P = np.concatenate([np.zeros((ks.size, 1)), P], axis=1)
-    return np.diff(P, axis=1) @ rho.knot_values
+    return rho.step_eigenvalues(ks, _gamma_cdf)
 
 
 def _profile_breaks_s(rho: RadialProfile) -> list[float]:
@@ -452,5 +450,4 @@ def lieb_quotient(f: Signal, p: float, half_width: float = 6.0, n: int = 256) ->
     """||Vf||_{L^p} over the plane; at most (2/p)^{1/p} for unit-norm f."""
     if p < 2:
         raise InvalidInputError("the phase-space L^p bound holds for p >= 2")
-    field = stft(f, half_width, n)
-    return float(np.sum(np.abs(field.values) ** p * field.cell_area) ** (1.0 / p))
+    return lp_norm(stft(f, half_width, n), p)

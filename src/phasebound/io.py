@@ -1,11 +1,15 @@
 """CSV interchange for weights, profiles and spectra.
 
 Formats:
-  weight field   header ``x,omega,re,im``, row-major over the square grid
+  weight field   header ``x,omega,re,im``, row-major over the centered square grid
   radial profile header ``r,value`` with strictly increasing r
   disc profile   header ``x,value`` with strictly increasing x in (0, 1)
-  half-plane     header ``x,y,re,im``
+  half-plane     header ``x,y,re,im``, row-major, uniform in x, geometric in y
   spectrum       header ``k,eigenvalue``
+
+Every reader checks the header, the column count of every row and that
+every entry is a finite number; the grid readers also check the
+coordinates against the grid they imply.
 """
 from __future__ import annotations
 
@@ -24,45 +28,69 @@ __all__ = [
     "write_radial_profile", "read_radial_profile",
     "write_disc_profile", "read_disc_profile",
     "write_halfplane_field", "read_halfplane_field",
-    "write_spectrum", "write_matrix", "sniff_weight_file",
+    "write_spectrum", "sniff_weight_file",
 ]
 
+# grid coordinates may differ from the grid they imply by this many cells
+_GRID_RTOL = 1e-9
 
-def _read_rows(path, expected_header):
+
+def _write_rows(path, header, *columns):
+    """One CSV row per entry of the equal-length columns; floats in repr form."""
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        w.writerows(zip(*(np.asarray(c).ravel().tolist() for c in columns)))
+
+
+def _read_rows(path, header) -> np.ndarray:
+    """The data rows of a CSV file with the given header, as a float array."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != expected_header:
+        got = next(reader, None)
+        if got is None or [h.strip() for h in got] != header:
+            raise InvalidInputError(f"{path}: expected header {','.join(header)}")
+        rows = [row for row in reader if row]
+    for line, row in enumerate(rows, start=2):
+        if len(row) != len(header):
             raise InvalidInputError(
-                f"{path}: expected header {','.join(expected_header)}")
-        try:
-            return [[float(x) for x in row] for row in reader if row]
-        except ValueError as exc:
-            raise InvalidInputError(f"{path}: non-numeric entry ({exc})") from exc
+                f"{path}: row {line} has {len(row)} columns, expected {len(header)}")
+    try:
+        out = np.array([[float(x) for x in row] for row in rows], dtype=float)
+    except ValueError as exc:
+        raise InvalidInputError(f"{path}: non-numeric entry ({exc})") from exc
+    if out.size == 0:
+        raise InvalidInputError(f"{path}: no data rows")
+    if not np.all(np.isfinite(out)):
+        raise InvalidInputError(f"{path}: entries must be finite")
+    return out
+
+
+def _check_axis(path, name, got, want, step):
+    """File coordinates against the implied grid, to round-off of a cell."""
+    if np.max(np.abs(got - want)) > _GRID_RTOL * step:
+        raise InvalidInputError(
+            f"{path}: {name} coordinates do not form the grid they imply "
+            "(rows out of order, missing or unevenly spaced)")
 
 
 def write_weight_field(field: WeightField, path):
-    ax = field.axis
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["x", "omega", "re", "im"])
-        for i in range(field.n):
-            for j in range(field.n):
-                v = field.values[i, j]
-                w.writerow([repr(float(ax[i])), repr(float(ax[j])),
-                            repr(float(v.real)), repr(float(v.imag))])
+    ax, n = field.axis, field.n
+    _write_rows(path, ["x", "omega", "re", "im"], np.repeat(ax, n), np.tile(ax, n),
+                field.values.real, field.values.imag)
 
 
 def read_weight_field(path) -> WeightField:
-    rows = np.asarray(_read_rows(path, ["x", "omega", "re", "im"]), dtype=float)
+    rows = _read_rows(path, ["x", "omega", "re", "im"])
     n = int(round(math.sqrt(rows.shape[0])))
     if n * n != rows.shape[0] or n < 2:
         raise InvalidInputError(f"{path}: row count {rows.shape[0]} is not a square grid")
-    xs = np.unique(rows[:, 0])
-    cell = xs[1] - xs[0]
-    half_width = (xs[-1] - xs[0] + cell) / 2.0
-    values = (rows[:, 2] + 1j * rows[:, 3]).reshape(n, n)
-    return WeightField(half_width, n, values)
+    lo, hi = rows[:, 0].min(), rows[:, 0].max()
+    cell = (hi - lo) / (n - 1)
+    field = WeightField((hi - lo + cell) / 2.0, n, (rows[:, 2] + 1j * rows[:, 3]).reshape(n, n))
+    _check_axis(path, "x", rows[:, 0], np.repeat(field.axis, n), cell)
+    _check_axis(path, "omega", rows[:, 1], np.tile(field.axis, n), cell)
+    return field
 
 
 def write_radial_profile(profile: RadialProfile, path, n_samples: int = 512,
@@ -75,11 +103,7 @@ def write_radial_profile(profile: RadialProfile, path, n_samples: int = 512,
             r_max = _profile_extent(profile)
         rs = np.linspace(r_max / n_samples, r_max, n_samples)
         vals = profile(rs)
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["r", "value"])
-        for r, v in zip(rs, vals):
-            w.writerow([repr(float(r)), repr(float(v))])
+    _write_rows(path, ["r", "value"], rs, vals)
 
 
 def _profile_extent(profile: RadialProfile) -> float:
@@ -94,9 +118,7 @@ def _profile_extent(profile: RadialProfile) -> float:
 
 
 def read_radial_profile(path) -> RadialProfile:
-    rows = np.asarray(_read_rows(path, ["r", "value"]), dtype=float)
-    if rows.size == 0:
-        raise InvalidInputError(f"{path}: empty profile")
+    rows = _read_rows(path, ["r", "value"])
     return RadialProfile.sampled(rows[:, 0], np.maximum(rows[:, 1], 0.0))
 
 
@@ -106,17 +128,11 @@ def write_disc_profile(profile: DiscProfile, path, n_samples: int = 512):
     else:
         xs = np.linspace(0.0, 1.0, n_samples + 2)[1:-1]
         vals = profile(xs)
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["x", "value"])
-        for x, v in zip(xs, vals):
-            w.writerow([repr(float(x)), repr(float(v))])
+    _write_rows(path, ["x", "value"], xs, vals)
 
 
 def read_disc_profile(path) -> DiscProfile:
-    rows = np.asarray(_read_rows(path, ["x", "value"]), dtype=float)
-    if rows.size == 0:
-        raise InvalidInputError(f"{path}: empty profile")
+    rows = _read_rows(path, ["x", "value"])
     vals = np.maximum(rows[:, 1], 0.0)
     # enforce the nonincreasing invariant up to round-off from sampling
     vals = np.minimum.accumulate(vals)
@@ -125,49 +141,37 @@ def read_disc_profile(path) -> DiscProfile:
 
 def write_halfplane_field(field: HalfPlaneField, path):
     xs, ys = field.grid.x, field.grid.y
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["x", "y", "re", "im"])
-        for i in range(xs.size):
-            for j in range(ys.size):
-                v = field.values[i, j]
-                w.writerow([repr(float(xs[i])), repr(float(ys[j])),
-                            repr(float(v.real)), repr(float(v.imag))])
+    _write_rows(path, ["x", "y", "re", "im"], np.repeat(xs, ys.size), np.tile(ys, xs.size),
+                field.values.real, field.values.imag)
 
 
 def read_halfplane_field(path) -> HalfPlaneField:
-    rows = np.asarray(_read_rows(path, ["x", "y", "re", "im"]), dtype=float)
-    xs = np.unique(rows[:, 0])
-    ys = np.unique(rows[:, 1])
-    if xs.size * ys.size != rows.shape[0]:
+    rows = _read_rows(path, ["x", "y", "re", "im"])
+    nx, ny = np.unique(rows[:, 0]).size, np.unique(rows[:, 1]).size
+    if nx * ny != rows.shape[0]:
         raise InvalidInputError(f"{path}: rows do not form a tensor grid")
-    # rebuild edges from centers: uniform in x, geometric in y
-    dx = xs[1] - xs[0]
-    x_edges = np.concatenate([xs - dx / 2.0, [xs[-1] + dx / 2.0]])
-    ry = math.sqrt(ys[1] / ys[0])
-    y_edges = np.concatenate([ys / ry, [ys[-1] * ry]])
-    grid = HalfPlaneGrid(x_edges, y_edges)
-    values = (rows[:, 2] + 1j * rows[:, 3]).reshape(xs.size, ys.size)
-    return HalfPlaneField(grid, values)
-
-
-def write_matrix(M: np.ndarray, path):
-    """Dump an assembled operator matrix (j,k,re,im rows) for debugging."""
-    M = np.asarray(M, complex)
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["j", "k", "re", "im"])
-        for j in range(M.shape[0]):
-            for k in range(M.shape[1]):
-                w.writerow([j, k, repr(float(M[j, k].real)), repr(float(M[j, k].imag))])
+    if nx < 2 or ny < 2:
+        raise InvalidInputError(f"{path}: need at least 2 points per axis, got {nx} x {ny}")
+    # centers uniform in x and geometric in y; edges halfway between them
+    x0, x1 = rows[:, 0].min(), rows[:, 0].max()
+    y0, y1 = rows[:, 1].min(), rows[:, 1].max()
+    if y0 <= 0:
+        raise InvalidInputError(f"{path}: half-plane points need y > 0")
+    dx = (x1 - x0) / (nx - 1)
+    log_step = math.log(y1 / y0) / (ny - 1)
+    xs = x0 + np.arange(nx) * dx
+    ys = y0 * np.exp(np.arange(ny) * log_step)
+    _check_axis(path, "x", rows[:, 0], np.repeat(xs, ny), dx)
+    _check_axis(path, "y", np.log(rows[:, 1]), np.tile(np.log(ys), nx), log_step)
+    ry = math.exp(log_step / 2.0)
+    grid = HalfPlaneGrid(np.concatenate([xs - dx / 2.0, [xs[-1] + dx / 2.0]]),
+                         np.concatenate([ys / ry, [ys[-1] * ry]]))
+    return HalfPlaneField(grid, (rows[:, 2] + 1j * rows[:, 3]).reshape(nx, ny))
 
 
 def write_spectrum(spectrum: OperatorSpectrum, path):
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["k", "eigenvalue"])
-        for k, lam in enumerate(spectrum.eigenvalues):
-            w.writerow([k, repr(float(lam))])
+    _write_rows(path, ["k", "eigenvalue"], np.arange(spectrum.eigenvalues.size),
+                spectrum.eigenvalues)
 
 
 def sniff_weight_file(path) -> str:

@@ -13,8 +13,8 @@ import numpy as np
 from . import bounds as bd
 from . import varprob as vp
 from .core import (ConstraintSet, RadialProfile, WeightField,
-                   decreasing_rearrangement, distribution_function, lp_norm,
-                   quad, schwarz_symmetrize)
+                   decreasing_rearrangement, distribution_bound,
+                   distribution_function, lp_norm, schwarz_symmetrize)
 from .extremals import (extremal_signal, extremal_weight_gabor,
                         extremal_weight_wavelet, wavelet_disc_coefficients)
 from .gabor import (Signal, assemble_operator, ball_mask, concentration,
@@ -56,29 +56,8 @@ class _Recorder:
 # ---------------------------------------------------------------------------
 
 def distribution_norm_bound(w, d: int = 1) -> float:
-    """int_0^inf G(mu(t)) dt: exact step sums for grids, quadrature for profiles."""
-    if isinstance(w, WeightField):
-        vals = np.abs(w.values).ravel()
-        masses = w.cell_masses().ravel()
-        order = np.argsort(vals)[::-1]
-        v = vals[order]
-        cum = np.cumsum(masses[order])
-        v_next = np.concatenate([v[1:], [0.0]])
-        return float(np.sum(bd.G(cum, d) * (v - v_next)))
-    if isinstance(w, RadialProfile):
-        if w.kind == "sampled":
-            # mu is a step function: the bound integral is an exact sum
-            vols = (math.pi * w.knots ** 2) ** w.dim / math.factorial(w.dim)
-            v = w.knot_values
-            v_next = np.concatenate([v[1:], [0.0]])
-            return float(np.sum(bd.G(vols, w.dim) * (v - v_next)))
-        from .core import _radial_mu
-        ess = w.ess_sup()
-        pts = [w.cap * (1.0 - 1e-12)] if w.kind == "truncated_gaussian" else None
-        val, _ = quad(lambda t: float(bd.G(float(_radial_mu(w, np.atleast_1d(t))[0]), d)),
-                      0.0, ess, points=pts, epsabs=1e-12, epsrel=1e-11, limit=300)
-        return val
-    raise TypeError(f"unsupported weight type {type(w).__name__}")
+    """int_0^inf G(mu(t), d) dt for a phase-plane field or radial profile."""
+    return distribution_bound(w, lambda s: bd.G(s, d))
 
 
 def random_feasible_competitor(rng, c: ConstraintSet, n_steps: int = 40):

@@ -1,10 +1,16 @@
 """Cauchy-wavelet transform, hyperbolic geometry, and wavelet operator spectra.
 
 The transform maps Hardy-space signals isometrically into L^2 of the upper
-half-plane with the invariant measure y^{-2} dx dy.  Through the Cayley map
-w = (z - i)/(z + i) everything radial about i becomes radial in the disc
+half-plane with the invariant measure nu = y^{-2} dx dy.  Through the Cayley
+map w = (z - i)/(z + i) everything radial about i becomes radial in the disc
 coordinate x = |w|^2, where symbols diagonalize against the Beta(k+1, 2 beta)
 densities.
+
+The disc is one setting of the measure-coordinate core in ``core``: the
+hyperbolic measure of {|w|^2 < x} is s = 4 pi x / (1 - x), half-plane fields
+are grid fields with nu cell masses, and ``DiscProfile`` supplies only its
+coordinate map, its power family and, in ``bergman_radial_eigenvalues``, its
+Beta spectral CDF.
 """
 from __future__ import annotations
 
@@ -16,7 +22,7 @@ import numpy as np
 from scipy.special import betainc, betaln, eval_genlaguerre, gammaln
 
 from .bounds import G_beta
-from .core import quad
+from .core import GridField, MeasureProfile, distribution_bound, lp_norm
 from .errors import (DivergenceError, InvalidInputError, NormalizationError,
                      RegimeError)
 from .gabor import OperatorSpectrum, _tail_estimate
@@ -29,7 +35,6 @@ __all__ = [
     "HalfPlaneGrid",
     "HalfPlaneField",
     "wavelet_transform",
-    "wavelet_transform_at",
     "wavelet_transform_grid",
     "bergman_basis",
     "HyperbolicDisc",
@@ -186,7 +191,7 @@ class HalfPlaneGrid:
 
 
 @dataclass(frozen=True)
-class HalfPlaneField:
+class HalfPlaneField(GridField):
     grid: HalfPlaneGrid
     values: np.ndarray  # shape (nx, ny)
 
@@ -197,46 +202,17 @@ class HalfPlaneField:
             raise InvalidInputError(f"values must have shape {want}")
         object.__setattr__(self, "values", v)
 
-    def ess_sup(self) -> float:
-        return float(np.max(np.abs(self.values)))
+    def cell_masses(self) -> np.ndarray:
+        return self.grid.cell_masses()
 
 
-def lp_norm_nu(field: HalfPlaneField, p: float) -> float:
-    """L^p norm of the field against the hyperbolic measure."""
-    if p < 1:
-        raise InvalidInputError("p must be >= 1")
-    return float(np.sum(np.abs(field.values) ** p * field.grid.cell_masses()) ** (1.0 / p))
+# the L^p norm against nu: a half-plane field is a grid field with nu masses
+lp_norm_nu = lp_norm
 
 
 # ---------------------------------------------------------------------------
 # the transform
 # ---------------------------------------------------------------------------
-
-def wavelet_transform_at(f: HardySignal, beta: float, x, y) -> np.ndarray:
-    """Wf at arbitrary points: sqrt(y) int f-hat(om) conj(psi-hat(y om)) e^{i x om} d om.
-
-    The frequency-domain kernel follows from the time-domain definition by
-    Parseval under the unitary Fourier convention; the isometry onto
-    L^2(d nu) pins its normalization.
-    """
-    x = np.asarray(x, float).ravel()
-    y = np.asarray(y, float).ravel()
-    if x.shape != y.shape:
-        raise InvalidInputError("x and y must have matching shapes")
-    if np.any(y <= 0):
-        raise InvalidInputError("evaluation points must satisfy y > 0")
-    cb = cauchy_norm_const(beta)
-    om = f.omegas
-    coef = f.weights * f.values / cb
-    out = np.empty(x.size, dtype=complex)
-    block = max(1, 4_000_000 // om.size)
-    for start in range(0, x.size, block):
-        sl = slice(start, start + block)
-        kern = (np.sqrt(y[sl, None]) * (y[sl, None] * om[None, :]) ** beta
-                * np.exp(-y[sl, None] * om[None, :] + 1j * x[sl, None] * om[None, :]))
-        out[sl] = kern @ coef
-    return out
-
 
 def wavelet_transform_grid(f: HardySignal, beta: float, xs, ys) -> np.ndarray:
     """Wf on the tensor grid xs x ys, shape (len(xs), len(ys)).
@@ -329,11 +305,8 @@ def hyperbolic_disc_mask(disc: HyperbolicDisc, grid: HalfPlaneGrid) -> HalfPlane
 # disc-model radial symbols
 # ---------------------------------------------------------------------------
 
-_DISC_KINDS = ("disc_indicator", "power", "truncated_power", "sampled", "constant")
-
-
 @dataclass(frozen=True)
-class DiscProfile:
+class DiscProfile(MeasureProfile):
     """Radial symbol rho(x), x = |w|^2 in the disc model, about ``center``.
 
     kinds:
@@ -353,28 +326,16 @@ class DiscProfile:
     knot_values: np.ndarray | None = None
     center: complex = 1j
 
+    _KINDS = ("disc_indicator", "power", "truncated_power", "sampled", "constant")
+    _INDICATOR, _FAMILY, _TRUNCATED = _KINDS[:3]
+    _COORD_MAX = 1.0
+
     def __post_init__(self):
-        if self.kind not in _DISC_KINDS:
-            raise InvalidInputError(f"unknown disc profile kind {self.kind!r}")
-        if self.amplitude < 0:
-            raise InvalidInputError("amplitude must be nonnegative")
+        self._validate()
         if self.center.imag <= 0:
             raise InvalidInputError("center must lie in the upper half-plane")
         if self.kind == "disc_indicator" and not (0 < self.x_threshold < 1):
             raise InvalidInputError("indicator threshold must lie in (0, 1)")
-        if self.kind == "truncated_power" and not (0 < self.cap < self.amplitude):
-            raise InvalidInputError("truncation requires 0 < cap < amplitude")
-        if self.kind == "sampled":
-            xk = np.asarray(self.knots, float)
-            v = np.asarray(self.knot_values, float)
-            if xk.ndim != 1 or xk.shape != v.shape or xk.size == 0:
-                raise InvalidInputError("sampled profile needs matching knots/values")
-            if xk[0] <= 0 or xk[-1] >= 1 or np.any(np.diff(xk) <= 0):
-                raise InvalidInputError("knots must increase strictly inside (0, 1)")
-            if np.any(v < 0) or np.any(np.diff(v) > 0):
-                raise InvalidInputError("values must be nonnegative and nonincreasing")
-            object.__setattr__(self, "knots", xk)
-            object.__setattr__(self, "knot_values", v)
 
     # -- constructors --------------------------------------------------
     @classmethod
@@ -401,79 +362,38 @@ class DiscProfile:
         return cls("sampled", knots=np.asarray(knots, float),
                    knot_values=np.asarray(values, float), center=center)
 
-    # -- evaluation ------------------------------------------------------
-    def __call__(self, x):
-        x = np.asarray(x, float)
-        if self.kind == "disc_indicator":
-            return np.where(x < self.x_threshold, self.amplitude, 0.0)
-        if self.kind == "power":
-            return self.amplitude * (1.0 - x) ** self.exponent
-        if self.kind == "truncated_power":
-            return np.minimum(self.amplitude * (1.0 - x) ** self.exponent, self.cap)
-        if self.kind == "constant":
-            return np.full_like(x, float(self.amplitude))
-        idx = np.searchsorted(self.knots, x, side="left")
-        out = np.zeros_like(x, dtype=float)
-        inside = idx < self.knots.size
-        out[inside] = self.knot_values[idx[inside]]
-        return out
+    # -- the disc's coordinate and family ----------------------------------
+    def measure(self, x):
+        """nu-measure 4 pi x / (1 - x) of the disc {|w|^2 < x}."""
+        return FOUR_PI * x / (1.0 - x)
 
-    def ess_sup(self) -> float:
-        if self.kind == "truncated_power":
-            return self.cap
-        if self.kind == "sampled":
-            return float(self.knot_values[0])
-        return float(self.amplitude)
+    @property
+    def edge(self) -> float:
+        return self.x_threshold
+
+    def _family(self, x):
+        return self.amplitude * (1.0 - x) ** self.exponent
+
+    def _family_mu(self, t):
+        return FOUR_PI * ((t / self.amplitude) ** (-1.0 / self.exponent) - 1.0)
+
+    def _family_lp(self, p: float) -> float:
+        if self.kind == "power":
+            if p * self.exponent <= 1:
+                raise DivergenceError("power profile not in L^p(d nu): need p * exponent > 1")
+            return float(self.amplitude
+                         * (FOUR_PI / (p * self.exponent - 1.0)) ** (1.0 / p))
+        one_minus = (self.cap / self.amplitude) ** (1.0 / self.exponent)
+        cap_part = self.cap ** p * (1.0 / one_minus - 1.0)
+        tail = (self.amplitude ** p * one_minus ** (p * self.exponent - 1.0)
+                / (p * self.exponent - 1.0))
+        return float((FOUR_PI * (cap_part + tail)) ** (1.0 / p))
 
     def on_grid(self, grid: HalfPlaneGrid) -> HalfPlaneField:
         X, Y = np.meshgrid(grid.x, grid.y, indexing="ij")
         z = X + 1j * Y
         x = np.abs((z - self.center) / (z - np.conj(self.center))) ** 2
         return HalfPlaneField(grid, self(x).astype(complex))
-
-    # -- integrals ---------------------------------------------------------
-    def lp_norm(self, p: float) -> float:
-        """L^p norm against nu: (4 pi int_0^1 rho(x)^p (1-x)^{-2} dx)^{1/p}."""
-        if p < 1:
-            raise InvalidInputError("p must be >= 1")
-        if self.kind == "disc_indicator":
-            s = FOUR_PI * (1.0 / (1.0 - self.x_threshold) - 1.0)
-            return float(self.amplitude * s ** (1.0 / p))
-        if self.kind == "power":
-            if p * self.exponent <= 1:
-                raise DivergenceError("power profile not in L^p(d nu): need p * exponent > 1")
-            return float(self.amplitude
-                         * (FOUR_PI / (p * self.exponent - 1.0)) ** (1.0 / p))
-        if self.kind == "truncated_power":
-            one_minus = (self.cap / self.amplitude) ** (1.0 / self.exponent)
-            cap_part = self.cap ** p * (1.0 / one_minus - 1.0)
-            tail = (self.amplitude ** p * one_minus ** (p * self.exponent - 1.0)
-                    / (p * self.exponent - 1.0))
-            return float((FOUR_PI * (cap_part + tail)) ** (1.0 / p))
-        if self.kind == "constant":
-            raise DivergenceError("constant symbol is not in L^p(d nu)")
-        edges = np.concatenate([[0.0], self.knots])
-        ann = 1.0 / (1.0 - edges[1:]) - 1.0 / (1.0 - edges[:-1])
-        return float((FOUR_PI * np.sum(self.knot_values ** p * ann)) ** (1.0 / p))
-
-    def nu_distribution(self, t) -> np.ndarray:
-        """mu(t) = nu-measure of the superlevel set {rho > t}."""
-        t = np.asarray(t, float)
-        if self.kind == "disc_indicator":
-            s = FOUR_PI * (1.0 / (1.0 - self.x_threshold) - 1.0)
-            return np.where(t < self.amplitude, s, 0.0)
-        if self.kind in ("power", "truncated_power"):
-            ess = self.ess_sup()
-            mu = np.zeros_like(t)
-            good = t < ess
-            mu[good] = FOUR_PI * ((t[good] / self.amplitude)
-                                  ** (-1.0 / self.exponent) - 1.0)
-            return mu
-        if self.kind == "constant":
-            raise DivergenceError("constant symbol has infinite superlevel sets")
-        masses = FOUR_PI * (1.0 / (1.0 - self.knots) - 1.0)
-        counts = np.searchsorted(-self.knot_values, -t, side="left")
-        return np.where(counts > 0, masses[np.maximum(counts - 1, 0)], 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -483,6 +403,12 @@ class DiscProfile:
 def _beta_ratio(k: np.ndarray, beta: float, shift: float) -> np.ndarray:
     """B(k+1, 2 beta + shift) / B(k+1, 2 beta), elementwise in k."""
     return np.exp(betaln(k + 1, 2 * beta + shift) - betaln(k + 1, 2 * beta))
+
+
+def _beta_cdf(k, s, beta: float):
+    """I_x(k + 1, 2 beta) at x = s / (s + 4 pi): the spectral CDF of the k-th
+    disc monomial in the nu-measure s."""
+    return betainc(k + 1, 2 * beta, s / (s + FOUR_PI))
 
 
 def _self_check(beta: float):
@@ -515,9 +441,7 @@ def bergman_radial_eigenvalues(rho: DiscProfile, beta: float, K: int) -> Operato
     _self_check(beta)
     ks = np.arange(K, dtype=float)
 
-    if rho.kind == "disc_indicator":
-        lam = rho.amplitude * betainc(ks + 1, 2 * beta, rho.x_threshold)
-    elif rho.kind == "power":
+    if rho.kind == "power":
         if 2 * beta + rho.exponent <= 0:
             raise DivergenceError(
                 f"Beta integral diverges: exponent {rho.exponent} <= -2 beta")
@@ -527,12 +451,8 @@ def bergman_radial_eigenvalues(rho: DiscProfile, beta: float, K: int) -> Operato
         lam = (rho.cap * betainc(ks + 1, 2 * beta, xstar)
                + rho.amplitude * _beta_ratio(ks, beta, rho.exponent)
                * (1.0 - betainc(ks + 1, 2 * beta + rho.exponent, xstar)))
-    elif rho.kind == "constant":
-        lam = np.full(K, float(rho.amplitude))
     else:
-        edges = np.concatenate([[0.0], rho.knots])
-        P = betainc(ks[:, None] + 1, 2 * beta, edges[None, :])
-        lam = np.diff(P, axis=1) @ rho.knot_values
+        lam = rho.step_eigenvalues(ks, _beta_cdf, beta)
 
     lam = np.sort(lam)[::-1]
     return OperatorSpectrum(lam, K, _tail_estimate(lam))
@@ -585,31 +505,5 @@ def nu_window_integral(fun, x_span=(-20.0, 20.0), y_span=(5e-3, 100.0),
 
 
 def distribution_norm_bound_nu(w, beta: float) -> float:
-    """int_0^inf G_beta(mu(t)) dt, the distribution-function norm bound.
-
-    Exact step sums for gridded fields; adaptive quadrature with the
-    analytic mu for disc profiles.
-    """
-    if isinstance(w, HalfPlaneField):
-        vals = np.abs(w.values).ravel()
-        masses = w.grid.cell_masses().ravel()
-        order = np.argsort(vals)[::-1]
-        v = vals[order]
-        cum = np.cumsum(masses[order])
-        v_next = np.concatenate([v[1:], [0.0]])
-        return float(np.sum(G_beta(cum, beta) * (v - v_next)))
-    if isinstance(w, DiscProfile):
-        if w.kind == "sampled":
-            # step mu: exact sum over the knot levels
-            s = FOUR_PI * (1.0 / (1.0 - w.knots) - 1.0)
-            v = w.knot_values
-            v_next = np.concatenate([v[1:], [0.0]])
-            return float(np.sum(G_beta(s, beta) * (v - v_next)))
-        ess = w.ess_sup()
-        pts = None
-        if w.kind == "truncated_power":
-            pts = [w.cap * (1.0 - 1e-12)]
-        val, _ = quad(lambda t: float(G_beta(float(w.nu_distribution(np.atleast_1d(t))[0]), beta)),
-                      0.0, ess, points=pts, epsabs=1e-12, epsrel=1e-11, limit=300)
-        return val
-    raise InvalidInputError(f"unsupported weight type {type(w).__name__}")
+    """int_0^inf G_beta(mu(t)) dt for a half-plane field or a disc profile."""
+    return distribution_bound(w, lambda s: G_beta(s, beta))

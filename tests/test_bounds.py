@@ -252,6 +252,21 @@ def test_huge_b_over_a_gives_finite_truncated_bound():
         assert 0.0 < r.bound <= c.A
 
 
+def test_huge_b_over_a_gives_finite_truncated_wavelet_bound():
+    c = ConstraintSet(2.0, 1e-200, 1e200, "wavelet")
+    assert c.b_over_a_pow_p == math.inf
+    r = wavelet_bound(c)
+    assert r.regime == "truncated"
+    assert math.isfinite(r.bound) and 0.0 < r.bound <= c.A
+    # the level stays finite where only (B/A)^p overflows: sigma = 3 and
+    # alpha = 7.5, so lam = (4 / q)^{-1/alpha} with q = 1 + 1e800 / (4 pi)
+    r = wavelet_bound(ConstraintSet(10.0, 1.0, 1e80, "wavelet", beta=0.1))
+    assert math.isfinite(r.lam)
+    assert math.log(r.lam) == pytest.approx(
+        (800 * math.log(10) - math.log(4 * math.pi) - math.log(4.0)) / 7.5,
+        rel=1e-12)
+
+
 def test_bound_near_p_one_general_dimension():
     # 7-digit values of the 30-digit mpmath reference; lam overflows here
     for d, want in ((2, 0.5941819), (3, 0.4012965)):

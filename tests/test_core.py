@@ -208,18 +208,4 @@ def test_lp_norm_divergence_and_grid():
     f = make_field(seed=2)
     want = (np.sum(np.abs(f.values) ** 2) * f.cell_area) ** 0.5
     assert lp_norm(f, 2.0) == pytest.approx(want)
-    with pytest.raises(InvalidInputError):
-        lp_norm(f, 2.0, measure="hyperbolic")  # no measure weights attached
 
-
-def test_measure_weight_overrides_cell_mass():
-    rng = np.random.default_rng(7)
-    vals = rng.uniform(0.1, 1.0, (8, 8))
-    masses = rng.uniform(0.5, 2.0, (8, 8))
-    f = WeightField(1.0, 8, vals.astype(complex), measure_weight=masses)
-    want = float(np.sum(vals ** 2 * masses)) ** 0.5
-    assert lp_norm(f, 2.0, measure="hyperbolic") == pytest.approx(want)
-    # distribution function counts the custom masses
-    mu = distribution_function(f, 32)
-    t = mu.breakpoints[5]
-    assert mu.masses[5] == pytest.approx(float(np.sum(masses[vals > t])))

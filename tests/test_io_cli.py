@@ -7,6 +7,7 @@ import sys
 import numpy as np
 import pytest
 
+from phasebound import cli
 from phasebound.core import RadialProfile, WeightField
 from phasebound.errors import InvalidInputError
 from phasebound.io import (read_disc_profile, read_halfplane_field,
@@ -18,7 +19,23 @@ from phasebound.verify import random_field
 from phasebound.wavelet import DiscProfile, HalfPlaneGrid, HalfPlaneField
 
 
-def run_cli(*args):
+@pytest.fixture
+def run_cli(capsys):
+    """Run the CLI in process; returns (exit code, stdout, stderr).
+
+    argparse errors leave through SystemExit, whose code is the exit code.
+    """
+    def run(*args):
+        try:
+            code = cli.main(list(args))
+        except SystemExit as exc:
+            code = exc.code
+        out, err = capsys.readouterr()
+        return code, out, err
+    return run
+
+
+def run_cli_child(*args):
     proc = subprocess.run([sys.executable, "-m", "phasebound.cli", *args],
                           capture_output=True, text=True)
     return proc.returncode, proc.stdout, proc.stderr
@@ -81,17 +98,6 @@ def test_spectrum_export(tmp_path):
     assert float(rows[1].split(",")[1]) == pytest.approx(1 - math.exp(-1))
 
 
-def test_matrix_dump(tmp_path):
-    from phasebound.io import write_matrix
-    M = np.array([[1.0, 2.0 + 1j], [2.0 - 1j, 3.0]])
-    path = tmp_path / "op.csv"
-    write_matrix(M, path)
-    rows = path.read_text().strip().splitlines()
-    assert rows[0] == "j,k,re,im"
-    assert len(rows) == 5
-    assert float(rows[2].split(",")[3]) == 1.0
-
-
 def test_bad_header_rejected(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("a,b\n1,2\n")
@@ -105,7 +111,7 @@ def test_bad_header_rejected(tmp_path):
 # CLI
 # ---------------------------------------------------------------------------
 
-def test_cli_bound_examples():
+def test_cli_bound_examples(run_cli):
     code, out, _ = run_cli("bound", "--transform", "gabor", "--p", "1",
                            "--A", "1", "--B", "1", "--d", "1", "--format", "json")
     assert code == 0
@@ -124,9 +130,10 @@ def test_cli_bound_examples():
     assert json.loads(out)["bound"] == pytest.approx(0.2523, abs=1e-4)
 
 
-def test_cli_exit_codes():
-    code, _, err = run_cli("bound", "--transform", "gabor", "--p", "1",
-                           "--A", "inf", "--B", "3")
+def test_cli_exit_codes(run_cli):
+    # one real child: the exit code reaches the shell through __main__
+    code, _, err = run_cli_child("bound", "--transform", "gabor", "--p", "1",
+                                 "--A", "inf", "--B", "3")
     assert code == 2
     assert "3.0" in err and "not attained" in err
 
@@ -136,7 +143,7 @@ def test_cli_exit_codes():
     assert code == 1
 
 
-def test_cli_extremal_norm_pipeline(tmp_path):
+def test_cli_extremal_norm_pipeline(tmp_path, run_cli):
     out_csv = tmp_path / "extremal.csv"
     code, out, _ = run_cli("extremal", "--transform", "gabor", "--p", "2",
                            "--A", "1", "--B", "1", "--out", str(out_csv),
@@ -149,7 +156,7 @@ def test_cli_extremal_norm_pipeline(tmp_path):
     assert 0.9999 <= payload["ratio"] <= 1.0
 
 
-def test_cli_extremal_wavelet_pipeline(tmp_path):
+def test_cli_extremal_wavelet_pipeline(tmp_path, run_cli):
     out_csv = tmp_path / "disc.csv"
     code, out, _ = run_cli("extremal", "--transform", "wavelet", "--p", "2",
                            "--A", "inf", "--B", "1", "--beta", "1",
@@ -165,7 +172,7 @@ def test_cli_extremal_wavelet_pipeline(tmp_path):
     assert 0.97 <= payload["ratio"] <= 1.0 + 1e-9
 
 
-def test_cli_output_formats():
+def test_cli_output_formats(run_cli):
     code, out, _ = run_cli("bound", "--transform", "gabor", "--p", "1",
                            "--A", "1", "--B", "1", "--format", "csv")
     assert code == 0
@@ -179,7 +186,7 @@ def test_cli_output_formats():
     assert "regime" in out and "ball" in out
 
 
-def test_cli_norm_square_indicator(tmp_path):
+def test_cli_norm_square_indicator(tmp_path, run_cli):
     n = 128
     ax = -6.0 + (np.arange(n) + 0.5) * (12.0 / n)
     inside = (np.abs(ax[:, None]) < 0.5) & (np.abs(ax[None, :]) < 0.5)
@@ -192,7 +199,22 @@ def test_cli_norm_square_indicator(tmp_path):
     assert payload["ratio"] < 1.0 - 1e-3  # square is not a ball
 
 
-def test_cli_symmetrize_monotonicity(tmp_path):
+def test_cli_norm_halfplane_disc_mask(tmp_path, run_cli):
+    from phasebound.bounds import G_beta
+    from phasebound.wavelet import HyperbolicDisc, hyperbolic_disc_mask
+    grid = HalfPlaneGrid.logarithmic(-0.8, 0.8, 96, 0.42, 2.1, 96)
+    path = tmp_path / "disc_mask.csv"
+    write_halfplane_field(hyperbolic_disc_mask(HyperbolicDisc(1j, 1.0), grid), path)
+    code, out, _ = run_cli("norm", "--weight", str(path), "--p", "1",
+                           "--basis", "12", "--format", "json")
+    assert code == 0
+    payload = json.loads(out)
+    # a hyperbolic disc attains its bound, up to the grid's resolution
+    assert payload["norm"] == pytest.approx(G_beta(1.0, 1.0), abs=1e-3)
+    assert payload["ratio"] == pytest.approx(1.0, abs=1e-2)
+
+
+def test_cli_symmetrize_monotonicity(tmp_path, run_cli):
     f = random_field(np.random.default_rng(3), n=96, half_width=6.0)
     fpath = tmp_path / "field.csv"
     write_weight_field(f, fpath)
@@ -206,7 +228,7 @@ def test_cli_symmetrize_monotonicity(tmp_path):
     assert json.loads(out2)["norm"] >= json.loads(out1)["norm"] - 1e-6
 
 
-def test_cli_verify_deterministic_and_config(tmp_path):
+def test_cli_verify_deterministic_and_config(tmp_path, run_cli):
     code1, out1, _ = run_cli("verify", "--suite", "rearrange", "--seed", "11")
     code2, out2, _ = run_cli("verify", "--suite", "rearrange", "--seed", "11")
     assert code1 == code2 == 0
@@ -224,7 +246,6 @@ def test_cli_verify_deterministic_and_config(tmp_path):
 
 
 def test_cli_invalid_constraints_exit_usage(capsys, tmp_path):
-    from phasebound import cli
     assert cli.main(["bound", "--p", "0.5", "--A", "1", "--B", "1"]) == cli.EXIT_USAGE
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("error:") and err.count("\n") == 1
@@ -235,6 +256,42 @@ def test_cli_invalid_constraints_exit_usage(capsys, tmp_path):
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("error:") and err.count("\n") == 1
     assert not target.exists()
+
+
+def _write(path, text):
+    path.write_text(text)
+    return path
+
+
+def _field_rows_swapped(tmp_path):
+    path = tmp_path / "field.csv"
+    write_weight_field(random_field(np.random.default_rng(4), n=8, half_width=6.0), path)
+    lines = path.read_text().splitlines()
+    lines[2], lines[3] = lines[3], lines[2]
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+def _halfplane_uneven(tmp_path):
+    path = tmp_path / "hp.csv"
+    rows = ["x,y,re,im"] + [f"{x!r},{y!r},1.0,0.0"
+                            for x in (-1.0, 0.0, 2.0) for y in (0.5, 1.0, 2.0)]
+    path.write_text("\n".join(rows) + "\n")
+    return path
+
+
+@pytest.mark.parametrize("make", [
+    lambda tmp: _write(tmp / "r.csv", "r,value\n0.5,1.0,7\n1.0,0.5,9\n"),
+    _field_rows_swapped,
+    _halfplane_uneven,
+    lambda tmp: _write(tmp / "hp1.csv", "x,y,re,im\n0.0,1.0,1.0,0.0\n"),
+], ids=["extra-column", "field-rows-out-of-order", "halfplane-uneven-x",
+        "halfplane-one-row"])
+def test_cli_norm_rejects_malformed_file(tmp_path, capsys, make):
+    path = make(tmp_path)
+    assert cli.main(["norm", "--weight", str(path), "--p", "2", "--basis", "8"]) == cli.EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error:") and err.count("\n") == 1
 
 
 def test_cli_import_leaves_scipy_integrate_unloaded():

@@ -267,6 +267,12 @@ def test_nu_distribution_bound_equality_radial():
         for p in (1.0, 2.0):
             c = ConstraintSet(p, sym.ess_sup(), sym.lp_norm(p), "wavelet", beta=beta)
             assert lam0 <= wavelet_bound(c).bound + 2e-3
+    # analytic symbols take the quadrature path of the distribution bound
+    for sym in (DiscProfile.indicator(1.3, 2.0), DiscProfile.power(0.7, 3.0),
+                DiscProfile.truncated_power(2.0, 3.0, 1.1)):
+        for beta in (0.5, 1.0, 2.0):
+            lam0 = bergman_radial_eigenvalues(sym, beta, 1).eigenvalues[0]
+            assert lam0 == pytest.approx(distribution_norm_bound_nu(sym, beta), rel=1e-10)
 
 
 def test_norm_bound_random_halfplane_fields():

@@ -3,7 +3,11 @@
 A real radial weight diagonalizes in the Hermite basis; the k-th eigenvalue
 is the profile averaged against the Gamma(k+1) density in the area
 coordinate s = pi r^2.  Assembly by 2-d quadrature provides the independent
-route to the same spectra and handles arbitrary gridded weights.
+route to the same spectra and handles arbitrary gridded weights; it is a
+Gram product of phase-free basis stacks (``gram_operator``), which the
+half-plane assembly in ``wavelet`` shares.  The STFT of a signal given by
+Hermite coefficients or as a Gaussian pulse is evaluated in closed form;
+time quadrature serves sampled signals and is the oracle for the others.
 """
 from __future__ import annotations
 
@@ -24,6 +28,8 @@ __all__ = [
     "hermite_function",
     "stft",
     "hermite_phase_basis",
+    "basis_recurrence",
+    "gram_operator",
     "assemble_operator",
     "radial_eigenvalues",
     "operator_norm",
@@ -42,6 +48,12 @@ def eigh(a, **kwargs):
     """
     from scipy.linalg import eigh as scipy_eigh
     return scipy_eigh(a, **kwargs)
+
+
+def zherk(alpha, a, **kwargs):
+    """``scipy.linalg.blas.zherk``, imported on the first call (as ``eigh``)."""
+    from scipy.linalg.blas import zherk as blas_zherk
+    return blas_zherk(alpha, a, **kwargs)
 
 
 DEFAULT_TIME_HALF_SPAN = 8.0
@@ -156,23 +168,44 @@ def stft(f: Signal, half_width: float = 6.0, n: int = 128,
          time_samples: int = DEFAULT_TIME_SAMPLES) -> WeightField:
     """Short-time Fourier transform with Gaussian window, on a square grid.
 
-    Vf(x, omega) = int e^{-2 pi i y omega} f(y) window(x - y) dy, evaluated
-    by midpoint quadrature in y (geometrically convergent for these
-    integrands).  Raises when the time grid cannot support the requested
-    frequency range.
+    Vf(x, omega) = int e^{-2 pi i y omega} f(y) window(x - y) dy.  Signals
+    from ``from_hermite`` and ``gaussian_pulse`` are evaluated in closed
+    form: sum_k c_k V h_k along the basis recurrence, and
+    c e^{-2 pi i x0 (omega - omega0)} V window(z - z0) for a pulse.  Sampled
+    signals take midpoint quadrature in y (geometrically convergent for
+    these integrands), which is also the oracle for the closed forms.  The
+    time grid (the signal's own, or time_half_span and time_samples) must
+    support the requested frequency range, or AliasingError is raised.
     """
-    t, v = f.time_samples(time_half_span, time_samples)
-    dt = t[1] - t[0]
+    if f.times is not None:
+        span = f.times[-1] - f.times[0]
+        dt = f.times[1] - f.times[0]
+    elif time_samples < 2:
+        raise InvalidInputError("need at least 2 time samples")
+    else:
+        span = 2.0 * time_half_span
+        dt = span / (time_samples - 1)
     # window frequency content is dead beyond ~4, so Nyquist must cover hw + 4
     if 1.0 / (2.0 * dt) < half_width + 4.0:
         raise AliasingError(
             f"time step {dt:.4g} cannot resolve frequencies up to {half_width}; "
-            f"need at least {int(2 * (half_width + 4) * (t[-1] - t[0]))} samples"
+            f"need at least {int(2 * (half_width + 4) * span)} samples"
         )
     ax = -half_width + (np.arange(n) + 0.5) * (2.0 * half_width / n)
-    kernel = np.exp(-2j * math.pi * np.outer(t, ax))   # (n_t, n_omega)
-    window = gaussian_window(ax[:, None] - t[None, :])  # (n_x, n_t)
-    values = (window * v[None, :] * dt) @ kernel
+    if f.times is not None:
+        t, v = f.times, f.values
+        kernel = np.exp(-2j * math.pi * np.outer(t, ax))   # (n_t, n_omega)
+        window = gaussian_window(ax[:, None] - t[None, :])  # (n_x, n_t)
+        values = (window * v[None, :] * dt) @ kernel
+    elif f.pulse is not None:
+        x0, w0, c = f.pulse
+        dx = (ax - x0)[:, None]
+        dw = (ax - w0)[None, :]
+        values = c * np.exp(-1j * math.pi * (2.0 * x0 + dx) * dw
+                            - 0.5 * math.pi * (dx * dx + dw * dw))
+    else:
+        X, W = np.meshgrid(ax, ax, indexing="ij")
+        values = _phase_basis_stack(f.coeffs.size, X, W, f.coeffs)
     return WeightField(half_width, n, values)
 
 
@@ -190,15 +223,89 @@ def hermite_phase_basis(k: int, x, omega):
     return _phase_basis_stack(k + 1, x.ravel(), omega.ravel())[k].reshape(x.shape)
 
 
-def _phase_basis_stack(K: int, x: np.ndarray, omega: np.ndarray) -> np.ndarray:
-    """V h_0 .. V h_{K-1} at the given points, shape (K, npts)."""
-    z2 = x * x + omega * omega
-    out = np.empty((K, x.size), dtype=complex)
-    out[0] = np.exp(-1j * math.pi * x * omega - math.pi * z2 / 2.0)
-    zbar = x - 1j * omega
-    for k in range(1, K):
-        out[k] = out[k - 1] * zbar * math.sqrt(math.pi / k)
+def _phase_basis_stack(K: int, x, omega, coeffs=None):
+    """V h_0 .. V h_{K-1} at the given points, shape (K,) + x.shape, or
+    sum_k coeffs[k] V h_k."""
+    row0 = np.exp(-1j * math.pi * x * omega - 0.5 * math.pi * (x * x + omega * omega))
+    return basis_recurrence(row0, x - 1j * omega, _hermite_ratios(K), coeffs)
+
+
+def _hermite_ratios(K: int) -> np.ndarray:
+    """V h_k = V h_{k-1} (x - i omega) sqrt(pi / k), k = 1 .. K-1."""
+    return np.sqrt(math.pi / np.arange(1.0, K))
+
+
+# ---------------------------------------------------------------------------
+# basis recurrences and the Gram product
+# ---------------------------------------------------------------------------
+
+GRAM_BLOCK = 4096  # nodes per block: bounds the stack held at once to K x 4096
+
+
+def basis_recurrence(row0, step, ratios, coeffs=None):
+    """phi_0 = row0, phi_k = phi_{k-1} step ratios[k-1], elementwise.
+
+    Returns the stack phi_0 .. phi_n (n = len(ratios)), shape
+    (n + 1,) + row0.shape, or, given coefficients, sum_k coeffs[k] phi_k
+    without holding the stack.
+    """
+    if coeffs is not None:
+        phi = np.asarray(row0, dtype=complex)
+        acc = coeffs[0] * phi
+        for c, r in zip(coeffs[1:], ratios):
+            phi = phi * step * r
+            acc += c * phi
+        return acc
+    out = np.empty((len(ratios) + 1,) + np.shape(row0), dtype=complex)
+    out[0] = row0
+    for k, r in enumerate(ratios, 1):
+        np.multiply(out[k - 1], step, out=out[k])
+        out[k] *= r
     return out
+
+
+def gram_operator(row0, step, ratios, wf) -> np.ndarray:
+    """M_jk = sum_i wf_i phi_j(z_i) conj(phi_k(z_i)) over quadrature nodes z_i.
+
+    All arguments but ``ratios`` are 1-d arrays over the nodes; wf is the
+    quadrature weight times the symbol and must be finite.  The basis
+    comes from ``basis_recurrence(row0, step, ratios)``.  A
+    factor common to every phi_k at a node cancels in the product, so
+    ``row0`` is the modulus |phi_0| (real, nonnegative); the phase of the
+    first row never enters.  The stack is built in node blocks as
+    conj(phi_k), with row 0 scaled by sqrt|wf| so the recurrence carries the
+    weight into every row.  Real wf takes Hermitian rank-k updates (zherk),
+    +1 over the nodes where wf > 0 and -1 where wf < 0, and returns a matrix
+    that is exactly Hermitian; complex wf takes the general product.
+    """
+    K = len(ratios) + 1
+    wf = np.asarray(wf)
+    if not (np.all(np.isfinite(wf.real)) and np.all(np.isfinite(wf.imag))):
+        raise InvalidInputError("the weight must be finite at every quadrature node")
+    cstep = np.conj(step)
+    if np.iscomplexobj(wf) and np.any(wf.imag != 0.0):
+        M = np.zeros((K, K), dtype=complex)
+        for start in range(0, wf.size, GRAM_BLOCK):
+            sl = slice(start, start + GRAM_BLOCK)
+            S = basis_recurrence(row0[sl], cstep[sl], ratios)
+            M += (S.conj() * wf[sl]) @ S.T
+        return M
+
+    wf = wf.real
+    M = np.zeros((K, K), dtype=complex, order="F")
+    for sign in (1.0, -1.0):
+        nodes = sign * wf > 0.0
+        scaled = row0[nodes] * np.sqrt(sign * wf[nodes])
+        sstep = cstep[nodes]
+        for start in range(0, scaled.size, GRAM_BLOCK):
+            sl = slice(start, start + GRAM_BLOCK)
+            S = basis_recurrence(scaled[sl], sstep[sl], ratios)
+            # S.T is a Fortran-ordered (nodes, K) view, passed without a copy;
+            # trans=2 adds sign * conj(S) @ S.T, i.e. phi_j conj(phi_k), to
+            # the upper triangle
+            M = zherk(sign, S.T, beta=1.0, c=M, trans=2, overwrite_c=1)
+    M = np.triu(M)
+    return M + np.triu(M, 1).conj().T
 
 
 # ---------------------------------------------------------------------------
@@ -214,18 +321,10 @@ def _check_truncation(K: int, half_width: float):
             f"use half_width >= {need:.2f}", need)
 
 
-def _accumulate(K: int, xs, ws_axis, weights, fvals, hermitize: bool) -> np.ndarray:
-    """Sum w_i F_i Vh_j(z_i) conj(Vh_k(z_i)) in node blocks."""
-    M = np.zeros((K, K), dtype=complex)
-    block = max(1, 2_000_000 // K)
-    wf = weights * fvals
-    for start in range(0, xs.size, block):
-        sl = slice(start, start + block)
-        phi = _phase_basis_stack(K, xs[sl], ws_axis[sl])
-        M += (phi * wf[sl]) @ phi.conj().T
-    if hermitize:
-        M = 0.5 * (M + M.conj().T)
-    return M
+def _accumulate(K: int, xs, ys, weights, fvals) -> np.ndarray:
+    """Sum w_i F_i Vh_j(z_i) conj(Vh_k(z_i)) as a Gram product."""
+    return gram_operator(np.exp(-0.5 * math.pi * (xs * xs + ys * ys)), xs - 1j * ys,
+                         _hermite_ratios(K), weights * fvals)
 
 
 def assemble_operator(F, K: int, *, points_per_cell: int = 2,
@@ -235,7 +334,9 @@ def assemble_operator(F, K: int, *, points_per_cell: int = 2,
     Entries are int F(z) Vh_j(z) conj(Vh_k(z)) dz.  Gridded weights use
     tensor Gauss-Legendre points per cell (piecewise-constant F); radial
     profiles use a polar rule around their center, whose uniform angular
-    grid resolves every harmonic below K exactly.
+    grid resolves every harmonic below K exactly.  The nodes are summed as
+    a Gram product of the phase-free Hermite stack (``gram_operator``):
+    Hermitian rank-k updates for real F, exactly Hermitian output.
     """
     if K < 1:
         raise InvalidInputError("K must be >= 1")
@@ -254,9 +355,8 @@ def assemble_operator(F, K: int, *, points_per_cell: int = 2,
                                                       F.n * points_per_cell)
         fvals = np.repeat(np.repeat(F.values, points_per_cell, axis=0),
                           points_per_cell, axis=1)
-        real_f = np.all(F.values.imag == 0.0)
         return _accumulate(K, nodes_x.ravel(), nodes_y.ravel(),
-                           weights.ravel(), fvals.ravel(), real_f)
+                           weights.ravel(), fvals.ravel())
 
     if not isinstance(F, RadialProfile):
         raise InvalidInputError(f"cannot assemble from {type(F).__name__}")
@@ -298,7 +398,7 @@ def assemble_operator(F, K: int, *, points_per_cell: int = 2,
     ys = (y0 + np.outer(r, np.sin(theta))).ravel()
     weights = np.outer(rw * r, np.full(ntheta, 2.0 * math.pi / ntheta)).ravel()
     fvals = np.repeat(F(r), ntheta)
-    return _accumulate(K, xs, ys, weights, fvals, hermitize=True)
+    return _accumulate(K, xs, ys, weights, fvals)
 
 
 # ---------------------------------------------------------------------------

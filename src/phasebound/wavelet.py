@@ -25,7 +25,8 @@ from .bounds import G_beta
 from .core import GridField, MeasureProfile, distribution_bound, lp_norm
 from .errors import (DivergenceError, InvalidInputError, NormalizationError,
                      RegimeError)
-from .gabor import OperatorSpectrum, _tail_estimate
+from .gabor import (OperatorSpectrum, _tail_estimate, basis_recurrence,
+                    gram_operator)
 
 __all__ = [
     "cauchy_norm_const",
@@ -162,10 +163,28 @@ def disc_basis_frequency(k: int, beta: float, omegas) -> np.ndarray:
 
 @dataclass(frozen=True)
 class HalfPlaneGrid:
-    """Cells uniform in x and logarithmic in y, with exact hyperbolic masses."""
+    """Cells uniform in x and logarithmic in y, with exact hyperbolic masses.
+
+    Any finite, strictly increasing edges with y_edges[0] > 0 are accepted,
+    so every cell mass is finite and positive.
+    """
 
     x_edges: np.ndarray
     y_edges: np.ndarray
+
+    def __post_init__(self):
+        for name in ("x_edges", "y_edges"):
+            e = np.asarray(getattr(self, name), dtype=float)
+            if e.ndim != 1 or e.size < 2:
+                raise InvalidInputError(f"{name} must be a 1-d array of at least 2 edges")
+            if not np.all(np.isfinite(e)):
+                raise InvalidInputError(f"{name} must be finite")
+            if np.any(np.diff(e) <= 0):
+                raise InvalidInputError(f"{name} must increase strictly")
+            object.__setattr__(self, name, e)
+        # below the smallest normal float, 1 / y and the cell masses overflow
+        if not self.y_edges[0] >= np.finfo(float).tiny:
+            raise InvalidInputError("grid must stay strictly inside y > 0")
 
     @classmethod
     def logarithmic(cls, x_min: float, x_max: float, nx: int,
@@ -200,6 +219,8 @@ class HalfPlaneField(GridField):
         want = (self.grid.x.size, self.grid.y.size)
         if v.shape != want:
             raise InvalidInputError(f"values must have shape {want}")
+        if not (np.all(np.isfinite(v.real)) and np.all(np.isfinite(v.imag))):
+            raise InvalidInputError("half-plane field values must be finite")
         object.__setattr__(self, "values", v)
 
     def cell_masses(self) -> np.ndarray:
@@ -244,6 +265,15 @@ def bergman_basis(K: int, beta: float, x, y, center: complex = 1j) -> np.ndarray
     multiplies by the Cayley coordinate w(z).  Recentring uses the unitary
     dilation-translation covariance of the transform.
     """
+    xc, yc, w, c0 = _bergman_coordinates(beta, x, y, center)
+    q2 = 0.5 * (1.0 - 1j * (xc + 1j * yc))   # Re > 0: principal powers are safe
+    row0 = yc ** (beta + 0.5) * c0 * q2 ** (-(2 * beta + 1))
+    return basis_recurrence(row0, w, _bergman_ratios(K, beta))
+
+
+def _bergman_coordinates(beta: float, x, y, center: complex):
+    """Recentred coordinates (xc, yc), the Cayley coordinate w and the
+    constant c0 of |W e_0| = c0 (1 - |w|^2)^{beta + 1/2}."""
     x = np.asarray(x, float).ravel()
     y = np.asarray(y, float).ravel()
     if np.any(y <= 0):
@@ -254,16 +284,17 @@ def bergman_basis(K: int, beta: float, x, y, center: complex = 1j) -> np.ndarray
     xc = (x - x0) / y0
     yc = y / y0
     z = xc + 1j * yc
-    q2 = 0.5 * (1.0 - 1j * z)           # Re > 0: principal powers are safe
     w = (z - 1j) / (z + 1j)
     cb = cauchy_norm_const(beta)
     n0 = math.exp(0.5 * ((2 * beta + 1) * math.log(2.0) - gammaln(2 * beta + 1)))
     c0 = n0 * math.exp(gammaln(2 * beta + 1) - (2 * beta + 1) * math.log(2.0)) / cb
-    out = np.empty((K, x.size), dtype=complex)
-    out[0] = yc ** (beta + 0.5) * c0 * q2 ** (-(2 * beta + 1))
-    for k in range(1, K):
-        out[k] = out[k - 1] * w * math.sqrt((2 * beta + k) / k)
-    return out
+    return xc, yc, w, c0
+
+
+def _bergman_ratios(K: int, beta: float) -> np.ndarray:
+    """W e_k = W e_{k-1} w sqrt((2 beta + k) / k), k = 1 .. K-1."""
+    k = np.arange(1.0, K)
+    return np.sqrt((2 * beta + k) / k)
 
 
 # ---------------------------------------------------------------------------
@@ -463,18 +494,19 @@ def assemble_wavelet_operator(F: HalfPlaneField, beta: float, K: int,
     """K x K matrix of L_{F, beta} by hyperbolic quadrature on the grid.
 
     Entries are int F W e_j conj(W e_k) d nu against the basis recentered at
-    ``center`` (covariance makes the recentered family orthonormal too).
+    ``center`` (covariance makes the recentered family orthonormal too),
+    summed over the cell centers as a Gram product of the basis stack
+    (``gabor.gram_operator``, shared with the plane): row 0 is the modulus
+    c0 (1 - |w|^2)^{beta + 1/2}, since the phase of W e_0 cancels.
     """
     if K < 1:
         raise InvalidInputError("K must be >= 1")
     X, Y = np.meshgrid(F.grid.x, F.grid.y, indexing="ij")
-    masses = F.grid.cell_masses().ravel()
-    fvals = F.values.ravel()
-    phi = bergman_basis(K, beta, X.ravel(), Y.ravel(), center=center)
-    M = (phi * (masses * fvals)) @ phi.conj().T
-    if np.all(F.values.imag == 0.0):
-        M = 0.5 * (M + M.conj().T)
-    return M
+    xc, yc, w, c0 = _bergman_coordinates(beta, X, Y, center)
+    # 1 - |w|^2 = 4 yc / |z + i|^2, without the cancellation near the boundary
+    row0 = c0 * (4.0 * yc / (xc * xc + (1.0 + yc) ** 2)) ** (beta + 0.5)
+    return gram_operator(row0, w, _bergman_ratios(K, beta),
+                         F.grid.cell_masses().ravel() * F.values.ravel())
 
 
 def nu_window_integral(fun, x_span=(-20.0, 20.0), y_span=(5e-3, 100.0),

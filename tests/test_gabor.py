@@ -8,6 +8,7 @@ from phasebound.bounds import gabor_bound
 from phasebound.core import ConstraintSet, RadialProfile, WeightField, lp_norm, schwarz_symmetrize
 from phasebound.errors import (AliasingError, BasisTruncationError,
                                InvalidInputError, RegimeError)
+from phasebound.extremals import extremal_weight_gabor
 from phasebound.gabor import (OperatorSpectrum, Signal, assemble_operator,
                               ball_mask, concentration, expectation,
                               gaussian_window, hermite_function,
@@ -68,6 +69,26 @@ def test_phase_basis_matches_stft_quadrature():
         assert np.max(np.abs(field.values - want)) < 1e-12
 
 
+def test_phase_basis_matches_stft_time_quadrature():
+    # the same signals as samples take the midpoint time quadrature, the
+    # oracle of the closed form
+    for k in range(9):
+        f = Signal.from_hermite(np.eye(9)[k])
+        field = stft(Signal.from_samples(*f.time_samples()), 4.0, 24)
+        ax = field.axis
+        X, W = np.meshgrid(ax, ax, indexing="ij")
+        want = hermite_phase_basis(k, X, W)
+        assert np.max(np.abs(field.values - want)) < 1e-12
+
+
+def test_pulse_stft_matches_time_quadrature():
+    for x0, w0, phase in ((0.0, 0.0, 1.0), (1.0, -0.5, 1j), (-2.3, 1.7, np.exp(0.4j))):
+        f = Signal.gaussian_pulse(x0, w0, phase)
+        closed = stft(f, 6.0, 128).values
+        quad = stft(Signal.from_samples(*f.time_samples()), 6.0, 128).values
+        assert np.max(np.abs(closed - quad)) < 1e-12
+
+
 def test_phase_basis_identities():
     # |V h_k|^2 is the Gamma(k+1) density in s = pi |z|^2, which integrates
     # to one; distinct orders are orthogonal in phase space
@@ -109,6 +130,42 @@ def test_assemble_hermitian_for_real_weights():
     f = random_field(np.random.default_rng(0), n=64)
     M = assemble_operator(f, 12)
     assert np.array_equal(M, M.conj().T)
+
+
+def _reference_operator(F: WeightField, K: int) -> np.ndarray:
+    """assemble_operator at one point per cell, summed term by term from the
+    phase-bearing basis: each cell center carries the cell area."""
+    X, W = np.meshgrid(F.axis, F.axis, indexing="ij")
+    phi = np.array([hermite_phase_basis(k, X, W).ravel() for k in range(K)])
+    return (phi * (F.values.ravel() * F.cell_area)) @ phi.conj().T
+
+
+@pytest.mark.parametrize("kind", ["nonnegative", "signed", "complex"])
+def test_gram_assembly_matches_reference_sum(kind):
+    # n = 96 puts 9216 nodes in several Gram blocks; a signed field takes the
+    # -1 rank-k update, a complex one the general product
+    rng = np.random.default_rng(11)
+    values = random_field(rng, n=96).values
+    if kind == "signed":
+        values = values - 0.5 * random_field(rng, n=96).values
+        assert values.real.min() < 0 < values.real.max()
+    elif kind == "complex":
+        values = values + 0.7j * random_field(rng, n=96).values
+    F = WeightField(6.0, 96, values)
+    M = assemble_operator(F, 24, points_per_cell=1)
+    R = _reference_operator(F, 24)
+    assert np.max(np.abs(M - R)) <= 1e-13 * np.max(np.abs(R))
+    if kind != "complex":
+        assert np.array_equal(M, M.conj().T)
+
+
+def test_assemble_rejects_non_finite_weight():
+    # near p = 1 the extremal's peak level overflows to inf and its samples
+    # hold inf * 0 = NaN; they used to assemble into a NaN matrix
+    w = extremal_weight_gabor(ConstraintSet(1.001, 1.0, 2.0, "gabor", d=1))
+    with np.errstate(invalid="ignore", over="ignore"):
+        with pytest.raises(InvalidInputError):
+            assemble_operator(w, 8)
 
 
 def test_assemble_truncation_guard():

@@ -8,8 +8,9 @@ from phasebound.bounds import G_beta, wavelet_bound
 from phasebound.core import ConstraintSet
 from phasebound.errors import (DivergenceError, InvalidInputError,
                                NormalizationError, RegimeError)
-from phasebound.wavelet import (DiscProfile, HalfPlaneGrid, HardySignal,
-                                HyperbolicDisc, assemble_wavelet_operator,
+from phasebound.wavelet import (DiscProfile, HalfPlaneField, HalfPlaneGrid,
+                                HardySignal, HyperbolicDisc,
+                                assemble_wavelet_operator,
                                 bergman_basis, bergman_radial_eigenvalues,
                                 cauchy_norm_const, cauchy_wavelet,
                                 disc_basis_frequency,
@@ -73,6 +74,27 @@ def test_transform_grid_rejects_boundary():
         wavelet_transform_grid(f, 1.0, np.array([0.0]), np.array([0.0]))
     with pytest.raises(InvalidInputError):
         HalfPlaneGrid.logarithmic(-1, 1, 8, 0.0, 2.0, 8)
+
+
+def test_halfplane_grid_rejects_bad_edges():
+    # out of order x edges used to give negative cell masses
+    with pytest.raises(InvalidInputError):
+        HalfPlaneGrid(np.array([0.0, 1.0, 0.5]), np.array([1.0, 2.0]))
+    for y_edges in ([0.0, 1.0], [-1.0, 1.0], [1.0, np.inf], [1.0, np.nan], [2.0, 1.0]):
+        with pytest.raises(InvalidInputError):
+            HalfPlaneGrid(np.array([0.0, 1.0]), np.array(y_edges))
+    with pytest.raises(InvalidInputError):
+        HalfPlaneGrid(np.array([0.0]), np.array([1.0, 2.0]))
+    grid = HalfPlaneGrid(np.array([-1.0, 0.0, 2.0]), np.array([0.5, 1.0]))
+    assert np.all(grid.cell_masses() > 0)
+
+
+def test_halfplane_field_rejects_non_finite_values():
+    # a NaN entry used to make lp_norm_nu and ess_sup NaN
+    grid = HalfPlaneGrid.logarithmic(-1, 1, 2, 0.5, 2.0, 2)
+    for bad in (np.nan, np.inf, complex(0.0, np.nan)):
+        with pytest.raises(InvalidInputError):
+            HalfPlaneField(grid, np.array([[1.0, bad], [0.0, 1.0]]))
 
 
 def test_transform_isometry_windowed():
@@ -237,6 +259,27 @@ def test_assembly_disc_indicator():
     assert np.max(np.abs(M - np.diag(np.diag(M)))) < 1e-4
 
 
+@pytest.mark.parametrize("kind", ["nonnegative", "signed", "complex"])
+def test_gram_assembly_matches_reference_sum_halfplane(kind):
+    # term-by-term sum of the phase-bearing, recentred basis over the cell
+    # centers with their nu masses; 96^2 nodes span several Gram blocks
+    z0, beta, K = 0.3 + 1.4j, 1.5, 12
+    grid = HalfPlaneGrid.logarithmic(-4, 4, 96, 0.1, 8.0, 96)
+    X, Y = np.meshgrid(grid.x, grid.y, indexing="ij")
+    values = np.exp(-((X - 0.5) ** 2 + (Y - 1.2) ** 2))
+    if kind == "signed":
+        values = values - 0.6 * np.exp(-((X + 1.0) ** 2 + (Y - 2.0) ** 2) / 2)
+    elif kind == "complex":
+        values = values * np.exp(1j * X)
+    F = HalfPlaneField(grid, values)
+    M = assemble_wavelet_operator(F, beta, K, center=z0)
+    phi = bergman_basis(K, beta, X.ravel(), Y.ravel(), center=z0)
+    R = (phi * (grid.cell_masses().ravel() * F.values.ravel())) @ phi.conj().T
+    assert np.max(np.abs(M - R)) <= 1e-13 * np.max(np.abs(R))
+    if kind != "complex":
+        assert np.array_equal(M, M.conj().T)
+
+
 def test_moebius_recentering():
     z0 = 0.4 + 1.6j
     disc = HyperbolicDisc(z0, 1.0)
@@ -279,7 +322,6 @@ def test_norm_bound_random_halfplane_fields():
     rng = np.random.default_rng(8)
     grid = HalfPlaneGrid.logarithmic(-4, 4, 96, 0.1, 8.0, 96)
     X, Y = np.meshgrid(grid.x, grid.y, indexing="ij")
-    from phasebound.wavelet import HalfPlaneField
     for _ in range(3):
         vals = np.zeros_like(X)
         for _ in range(3):

@@ -5,49 +5,117 @@ Three extremal families compete: a ball indicator (p = 1), a Gaussian
 compares (B/A)^p against kappa^d (time-frequency) or 4 pi sigma (wavelet);
 ties are classified as gaussian, where the two formulas coincide.
 
-Every bound is a closed form.  In the time-frequency supercritical regime
-the level of the truncated Gaussian solves a polynomial equation in
-x = p log(lam/A), for every d.  The quadratures of the moment and of the
-bound integral (``_moment_gabor``, ``_truncated_gabor_bound_quad``) stay as
-independent oracles for ``verify`` and the tests.
+Every bound is a closed form in numpy and ``math`` alone; this module loads
+no scipy.  The concentration ceilings G and G_beta are elementary: G is a
+Poisson sum for integer d, with a series for small volumes.  In the
+time-frequency supercritical regime the level of the truncated Gaussian
+solves a polynomial equation in x = p log(lam/A), for every d.  The
+quadratures of the moment and of the bound integral (``_moment_gabor``,
+``_truncated_gabor_bound_quad``) stay as independent oracles for ``verify``
+and the tests.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
-from scipy.special import gammainc
 
 from .core import ConstraintSet, expm1_poly, quad
 from .errors import InvalidInputError, RegimeError
 
 __all__ = ["G", "G_beta", "BoundReport", "gabor_bound", "wavelet_bound", "lambda_root"]
 
+# d! stays in float range up to d = 170
+MAX_DIM = 170
+
+
+@lru_cache(maxsize=None)
+def _series_length(d: int) -> int:
+    """Terms of sum_{j >= 1} d! x^j / (d + j)! that ``_p_series`` keeps.
+
+    At x < d the j-th term is below t_j = prod_{i <= j} d / (d + i), and the
+    terms after it add at most t_j d / (j + 1); stop once that is below
+    2^-53 of the sum, which is at least 1.
+    """
+    n, term = 0, 1.0
+    while term * d > 2.0 ** -53 * (n + 1):
+        n += 1
+        term *= d / (d + n)
+    return n
+
+
+def _p_series(s, x, d: int, exp):
+    """P(d, x) for x < d: e^{-x} sum_{i >= d} x^i / i!, factored as
+    s e^{-x} sum_{j >= 0} d! x^j / (d + j)! with s = x^d / d! (Horner).
+
+    Every term is positive and s enters exactly, so a small volume keeps
+    its relative precision.
+    """
+    acc = 0.0
+    for i in range(d + _series_length(d), d, -1):
+        acc = x / i * (1.0 + acc)
+    return s * exp(-x) * (1.0 + acc)
+
+
+def _p_poisson(x, x_capped, d: int, exp):
+    """P(d, x) for x >= d: 1 - e^{-x} e_{d-1}(x), the Poisson sum.
+
+    e^{-x} e_{d-1}(x) is below 1/2 for x >= d, so the subtraction loses
+    nothing.  e_{d-1} takes x capped at 709, where it cannot overflow;
+    beyond the cap e^{-x} e_{d-1}(709) < 1e-100 for every d <= 170, so the
+    result is 1.
+    """
+    return 1.0 - exp(-x) * (1.0 + expm1_poly(d - 1, x_capped))
+
 
 def G(s, d: int = 1):
     """Concentration ceiling for phase-space sets of volume s in R^{2d}.
 
-    Equals 1 - e^{-s} for d = 1; in general it is the regularized lower
-    incomplete gamma P(d, (d! s)^{1/d}), strictly increasing and concave
-    with G(s) <= s and limit 1.
+    G(s) = P(d, x), the regularized lower incomplete gamma at
+    x = (d! s)^{1/d}: strictly increasing and concave, with G(s) <= s and
+    limit 1 (G(inf) = 1).  It is evaluated in closed form: -expm1(-s) for
+    d = 1; otherwise the series e^{-x} sum_{i >= d} x^i / i! for x < d,
+    which keeps small volumes to full relative precision, and
+    1 - e^{-x} e_{d-1}(x) for x >= d.  s may be a scalar (float result) or
+    an array; d is an integer in [1, 170], where d! stays in float range.
     """
+    if not isinstance(d, (int, np.integer)) or not 1 <= d <= MAX_DIM:
+        raise InvalidInputError(f"dimension must be an integer in [1, {MAX_DIM}], got {d!r}")
+    d = int(d)
     s = np.asarray(s, dtype=float)
-    if np.any(s < 0):
-        raise InvalidInputError("G is defined for s >= 0")
-    if d < 1:
-        raise InvalidInputError("dimension must be a positive integer")
-    x = (math.factorial(d) * s) ** (1.0 / d)
-    out = gammainc(d, x)
-    return out if out.ndim else float(out)
+    if s.ndim == 0:
+        s = float(s)
+        if not s >= 0.0:
+            raise InvalidInputError("G is defined for s >= 0 (NaN is not a volume)")
+        if d == 1:
+            return -math.expm1(-s)
+        x = (math.factorial(d) * s) ** (1.0 / d)
+        if x < d:
+            return _p_series(s, x, d, math.exp)
+        return _p_poisson(x, min(x, 709.0), d, math.exp)
+    if not (s >= 0.0).all():
+        raise InvalidInputError("G is defined for s >= 0 (NaN is not a volume)")
+    if d == 1:
+        return -np.expm1(-s)
+    with np.errstate(over="ignore"):
+        # d! s overflows only for s near float max, where x = inf and G = 1
+        x = (math.factorial(d) * s) ** (1.0 / d)
+    low = x < d
+    out = np.empty_like(x)
+    out[low] = _p_series(s[low], x[low], d, np.exp)
+    high = x[~low]
+    out[~low] = _p_poisson(high, np.minimum(high, 709.0), d, np.exp)
+    return out
 
 
 def G_beta(s, beta: float):
     """Wavelet analogue: G_beta(s) = 1 - (1 + s/(4 pi))^{-2 beta}."""
     s = np.asarray(s, dtype=float)
-    if np.any(s < 0):
-        raise InvalidInputError("G_beta is defined for s >= 0")
-    if beta <= 0:
+    if not (s >= 0.0).all():
+        raise InvalidInputError("G_beta is defined for s >= 0 (NaN is not a measure)")
+    if not beta > 0:
         raise InvalidInputError("beta must be positive")
     out = 1.0 - (1.0 + s / (4.0 * math.pi)) ** (-2.0 * beta)
     return out if out.ndim else float(out)
@@ -150,13 +218,12 @@ def _truncated_gabor_bound_quad(c: ConstraintSet, lam: float) -> float:
     return val
 
 
-def lambda_root(c: ConstraintSet, rtol: float = 1e-12) -> float:
+def lambda_root(c: ConstraintSet) -> float:
     """Peak level of the supercritical extremal, from the saturation equation.
 
     lam = A exp(x / p), where x is the root of the polynomial equation
-    e_d(x) = (B/A)^p / kappa^d that ``gabor_bound`` solves; inf when lam
-    leaves float range.  The root is solved to double precision, so rtol
-    (kept for compatibility) always holds.
+    e_d(x) = (B/A)^p / kappa^d that ``gabor_bound`` solves to double
+    precision; inf when lam leaves float range.
     """
     if c.transform != "gabor":
         raise RegimeError("lambda_root handles the time-frequency case")

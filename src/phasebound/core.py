@@ -22,6 +22,7 @@ pi r^2, a power of 1 - x) and its spectral CDF (regularized Gamma or Beta).
 """
 from __future__ import annotations
 
+import importlib
 import math
 from dataclasses import dataclass
 
@@ -56,6 +57,25 @@ def quad(func, a, b, **kwargs):
     """
     from scipy.integrate import quad as scipy_quad
     return scipy_quad(func, a, b, **kwargs)
+
+
+def first_use(namespace: dict, module: str, *names: str) -> list:
+    """Stand-ins for ``names`` of ``module`` that import it on their first call.
+
+    A stand-in's first call imports ``module`` and rebinds its own name in
+    ``namespace`` (the caller's ``globals()``) to the real object, so every
+    later call looks the real one up directly and pays nothing per call,
+    unlike a wrapper that calls through.  Keep a call-through wrapper for a
+    name that is replaced from outside, as ``quad`` is by the benchmark's
+    tracer: a rebind would overwrite the replacement.
+    """
+    def stand_in(name):
+        def load(*args, **kwargs):
+            namespace[name] = getattr(importlib.import_module(module), name)
+            return namespace[name](*args, **kwargs)
+        load.__name__ = load.__qualname__ = name
+        return load
+    return [stand_in(name) for name in names]
 
 
 def expm1_poly(n: int, x):

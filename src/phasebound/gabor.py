@@ -15,9 +15,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammainc, gammaincc, gammainccinv, gammaln
 
-from .core import RadialProfile, WeightField, lp_norm, quad
+from .core import RadialProfile, WeightField, first_use, lp_norm, quad
 from .errors import (AliasingError, BasisTruncationError, InvalidInputError,
                      RegimeError)
 
@@ -54,6 +53,11 @@ def zherk(alpha, a, **kwargs):
     """``scipy.linalg.blas.zherk``, imported on the first call (as ``eigh``)."""
     from scipy.linalg.blas import zherk as blas_zherk
     return blas_zherk(alpha, a, **kwargs)
+
+
+# spectra, truncation checks and oracles load scipy.special on first use
+gammainc, gammaincc, gammainccinv, gammaln = first_use(
+    globals(), "scipy.special", "gammainc", "gammaincc", "gammainccinv", "gammaln")
 
 
 DEFAULT_TIME_HALF_SPAN = 8.0

@@ -7,6 +7,7 @@ same functions.  All randomness flows through a seeded generator.
 from __future__ import annotations
 
 import math
+from functools import partial
 
 import numpy as np
 
@@ -24,8 +25,8 @@ from .wavelet import (DiscProfile, HalfPlaneGrid, HardySignal,
                       HyperbolicDisc, assemble_wavelet_operator, bergman_basis,
                       bergman_radial_eigenvalues, cauchy_norm_const,
                       cauchy_wavelet, disc_basis_frequency,
-                      distribution_norm_bound_nu, hyperbolic_disc_mask,
-                      nu_window_integral, wavelet_transform_grid)
+                      hyperbolic_disc_mask, nu_window_integral,
+                      wavelet_transform_grid)
 
 SUITES = ("bounds", "rearrange", "varprob", "gabor", "wavelet")
 
@@ -54,11 +55,6 @@ class _Recorder:
 # ---------------------------------------------------------------------------
 # helpers shared with tests
 # ---------------------------------------------------------------------------
-
-def distribution_norm_bound(w, d: int = 1) -> float:
-    """int_0^inf G(mu(t), d) dt for a phase-plane field or radial profile."""
-    return distribution_bound(w, lambda s: bd.G(s, d))
-
 
 def random_feasible_competitor(rng, c: ConstraintSet, n_steps: int = 40):
     """A random nonincreasing step function with the constraint saturated.
@@ -391,7 +387,7 @@ def verify_gabor(seed: int = 0, basis: int = 48, n_fields: int = 5) -> dict:
     for _ in range(n_fields):
         f = random_field(rng)
         nm = operator_norm(assemble_operator(f, K))
-        worst_db = max(worst_db, nm - distribution_norm_bound(f))
+        worst_db = max(worst_db, nm - distribution_bound(f, bd.G))
         star_top = radial_eigenvalues(schwarz_symmetrize(f), 1).eigenvalues[0]
         worst_sym = max(worst_sym, nm - star_top)
         for p in (1.0, 2.0, 3.0):
@@ -405,7 +401,7 @@ def verify_gabor(seed: int = 0, basis: int = 48, n_fields: int = 5) -> dict:
     for prof2 in (RadialProfile.ball(1.0, 2.0), RadialProfile.gaussian(1.1, 0.8),
                   random_radial(rng)):
         lam_top = radial_eigenvalues(prof2, 1).eigenvalues[0]
-        worst = max(worst, abs(lam_top - distribution_norm_bound(prof2)))
+        worst = max(worst, abs(lam_top - distribution_bound(prof2, bd.G)))
     rec.check("distribution bound equality (radial)", worst, 1e-4)
 
     # basis-size convergence within the tail estimate (assembled route)
@@ -561,7 +557,8 @@ def verify_wavelet(seed: int = 0, basis: int = 48, n_isometry: int = 3) -> dict:
         sym = DiscProfile.sampled(xk, vk)
         beta3 = float(rng.uniform(0.5, 2.0))
         lam0 = bergman_radial_eigenvalues(sym, beta3, 1).eigenvalues[0]
-        worst_eq = max(worst_eq, abs(lam0 - distribution_norm_bound_nu(sym, beta3)))
+        ceiling = partial(bd.G_beta, beta=beta3)
+        worst_eq = max(worst_eq, abs(lam0 - distribution_bound(sym, ceiling)))
         for p in (1.0, 2.0):
             c = ConstraintSet(p, sym.ess_sup(), sym.lp_norm(p), "wavelet", beta=beta3)
             worst_bd = max(worst_bd, lam0 - bd.wavelet_bound(c).bound)

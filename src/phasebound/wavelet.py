@@ -19,10 +19,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import betainc, betaln, eval_genlaguerre, gammaln
 
 from .bounds import G_beta
-from .core import GridField, MeasureProfile, distribution_bound, lp_norm
+from .core import GridField, MeasureProfile, first_use, lp_norm
 from .errors import (DivergenceError, InvalidInputError, NormalizationError,
                      RegimeError)
 from .gabor import (OperatorSpectrum, _tail_estimate, basis_recurrence,
@@ -45,10 +44,13 @@ __all__ = [
     "assemble_wavelet_operator",
     "lp_norm_nu",
     "nu_window_integral",
-    "distribution_norm_bound_nu",
 ]
 
 FOUR_PI = 4.0 * math.pi
+
+# spectra, the Hardy basis and its normalizations load scipy.special on first use
+betainc, betaln, eval_genlaguerre, gammaln = first_use(
+    globals(), "scipy.special", "betainc", "betaln", "eval_genlaguerre", "gammaln")
 
 
 def cauchy_norm_const(beta: float) -> float:
@@ -535,7 +537,3 @@ def nu_window_integral(fun, x_span=(-20.0, 20.0), y_span=(5e-3, 100.0),
     # d nu = y^{-2} dx dy = e^{-s} dx ds
     return float(np.einsum("i,j,ij->", xw, sw / ys, vals))
 
-
-def distribution_norm_bound_nu(w, beta: float) -> float:
-    """int_0^inf G_beta(mu(t)) dt for a half-plane field or a disc profile."""
-    return distribution_bound(w, lambda s: G_beta(s, beta))

@@ -13,13 +13,13 @@ from scipy.integrate import quad
 
 from phasebound.bounds import (G, G_beta, _truncated_gabor_bound_quad,
                                gabor_bound, lambda_root, wavelet_bound)
-from phasebound.core import ConstraintSet, RadialProfile, schwarz_symmetrize
+from phasebound.core import (ConstraintSet, RadialProfile, distribution_bound,
+                            schwarz_symmetrize)
 from phasebound.extremals import extremal_weight_gabor, extremal_weight_wavelet
 from phasebound.gabor import (Signal, assemble_operator, lieb_quotient,
                               operator_norm, radial_eigenvalues)
 from phasebound.varprob import solve_closed_form, solve_kkt_oracle
-from phasebound.verify import (distribution_norm_bound, random_feasible_competitor,
-                               random_field)
+from phasebound.verify import random_feasible_competitor, random_field
 from phasebound.wavelet import (DiscProfile, HalfPlaneGrid, HyperbolicDisc,
                                 assemble_wavelet_operator,
                                 bergman_radial_eigenvalues, hyperbolic_disc_mask)
@@ -150,7 +150,7 @@ def test_criterion_6_distribution_bound_and_symmetrization():
     for _ in range(25):
         f = random_field(rng, half_width=6.0, n=128)
         norm = operator_norm(assemble_operator(f, 48))
-        worst_db = max(worst_db, norm - distribution_norm_bound(f))
+        worst_db = max(worst_db, norm - distribution_bound(f, G))
         star_top = radial_eigenvalues(schwarz_symmetrize(f), 1).eigenvalues[0]
         worst_sym = max(worst_sym, norm - star_top)
     # equality case: radial nonincreasing weights, two independent routes
@@ -159,7 +159,7 @@ def test_criterion_6_distribution_bound_and_symmetrization():
                  RadialProfile.gaussian(1.2, 0.9),
                  RadialProfile.truncated_gaussian(1.8, 1.1, 1.2)):
         norm = operator_norm(assemble_operator(prof, 48))
-        worst_eq = max(worst_eq, abs(norm - distribution_norm_bound(prof)))
+        worst_eq = max(worst_eq, abs(norm - distribution_bound(prof, G)))
     elapsed = time.perf_counter() - t0
     report("6a norm <= distribution bound (25 random 128^2 fields, K=48)",
            max(worst_db, 0.0), 1e-6)

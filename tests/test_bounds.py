@@ -1,6 +1,7 @@
 """Bound formulas, regime classification and the supercritical level."""
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -31,6 +32,62 @@ def test_G_values_and_domain():
         G(-0.1, 1)
     with pytest.raises(InvalidInputError):
         G(1.0, 0)
+
+
+def test_G_and_G_beta_domain_edges():
+    # a float d used to raise a bare TypeError from math.factorial, d = 171
+    # an OverflowError, and a NaN volume came back as NaN
+    for d in (2.5, 2.0, 0, 171):
+        with pytest.raises(InvalidInputError):
+            G(1.0, d)
+    for s in (math.nan, np.array([1.0, math.nan])):
+        with pytest.raises(InvalidInputError):
+            G(s, 2)
+        with pytest.raises(InvalidInputError):
+            G_beta(s, 1.0)
+    with pytest.raises(InvalidInputError):
+        G_beta(1.0, math.nan)
+    assert G(np.int64(2), np.int64(2)) == pytest.approx(G_2_2, abs=1e-14)
+    # the limit holds at s = inf; scalars give floats, arrays give arrays
+    for d in (1, 2, 8, 170):
+        assert G(math.inf, d) == 1.0 and type(G(math.inf, d)) is float
+        g = G(np.array([0.0, 1.0, math.inf, 1e308]), d)
+        assert isinstance(g, np.ndarray) and g.shape == (4,)
+        assert g[0] == 0.0 and g[2] == g[3] == 1.0
+    assert G_beta(math.inf, 1.0) == 1.0 and type(G_beta(2.0, 1.0)) is float
+    assert type(G(np.float64(2.0), 2)) is float
+    assert isinstance(G_beta(np.array([1.0]), 1.0), np.ndarray)
+
+
+@st.composite
+def _dims_and_volumes(draw):
+    # s in {0} u [1e-300, 1e6], log-uniform, plus volumes around x = d,
+    # where G switches from its series to the Poisson sum
+    d = draw(st.integers(1, 8))
+    switch = d ** d / math.factorial(d)
+    volume = st.one_of(st.just(0.0),
+                       st.floats(-300.0, 6.0).map(lambda e: 10.0 ** e),
+                       st.floats(-1.0, 1.0).map(lambda u: switch * math.exp(u)))
+    return d, draw(st.lists(volume, min_size=1, max_size=6))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_dims_and_volumes())
+def test_G_matches_mpmath(case):
+    # G(s, d) = P(d, (d! s)^{1/d}) against 40-digit arithmetic, for array
+    # and scalar input
+    d, volumes = case
+    s = np.array(volumes)
+    g = G(s, d)
+    for si, gi in zip(s, g):
+        with mpmath.workdps(40):
+            x = (math.factorial(d) * mpmath.mpf(float(si))) ** (mpmath.mpf(1) / d)
+            ref = float(mpmath.gammainc(d, 0, x, regularized=True))
+        for val in (gi, G(float(si), d)):
+            if ref == 0.0:
+                assert val == 0.0
+            else:
+                assert abs(val - ref) <= 3e-13 * ref
 
 
 def test_G_matches_defining_integral():

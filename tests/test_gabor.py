@@ -4,8 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from phasebound.bounds import gabor_bound
-from phasebound.core import ConstraintSet, RadialProfile, WeightField, lp_norm, schwarz_symmetrize
+from phasebound.bounds import G, gabor_bound
+from phasebound.core import (ConstraintSet, RadialProfile, WeightField, distribution_bound,
+                             lp_norm, schwarz_symmetrize)
 from phasebound.errors import (AliasingError, BasisTruncationError,
                                InvalidInputError, RegimeError)
 from phasebound.extremals import extremal_weight_gabor
@@ -14,7 +15,7 @@ from phasebound.gabor import (OperatorSpectrum, Signal, assemble_operator,
                               gaussian_window, hermite_function,
                               hermite_phase_basis, lieb_quotient, operator_norm,
                               radial_eigenvalues, spectrum_from_matrix, stft)
-from phasebound.verify import distribution_norm_bound, random_field
+from phasebound.verify import random_field
 
 
 # ---------------------------------------------------------------------------
@@ -264,7 +265,7 @@ def test_norm_below_bounds_for_random_fields():
         for p in (1.0, 2.0, 3.0):
             c = ConstraintSet(p, f.ess_sup(), lp_norm(f, p), "gabor", d=1)
             assert nm <= gabor_bound(c).bound + 1e-6
-        assert nm <= distribution_norm_bound(f) + 1e-6
+        assert nm <= distribution_bound(f, G) + 1e-6
         star_top = radial_eigenvalues(schwarz_symmetrize(f), 1).eigenvalues[0]
         assert nm <= star_top + 1e-6
 
@@ -298,7 +299,6 @@ def test_concentration_square_strictly_below():
 def test_concentration_empty_and_ceiling():
     phi = Signal.gaussian_pulse(0.0, 0.0)
     assert concentration(phi, np.zeros((64, 64), bool)) == 0.0
-    from phasebound.bounds import G
     rng = np.random.default_rng(1)
     mask = rng.uniform(size=(128, 128)) < 0.05
     area = float(np.count_nonzero(mask)) * (12.0 / 128) ** 2

@@ -294,10 +294,49 @@ def test_cli_norm_rejects_malformed_file(tmp_path, capsys, make):
     assert out == "" and err.startswith("error:") and err.count("\n") == 1
 
 
+SCIPY_LOADED = "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')"
+
+
 def test_cli_import_leaves_scipy_integrate_unloaded():
-    # quadrature oracles and assembled spectra load these on first use
-    code = ("import sys, phasebound.cli; "
-            "print([m for m in ('scipy.integrate', 'scipy.linalg') if m in sys.modules])")
+    # no phasebound module loads scipy at import: quadrature oracles,
+    # special functions and assembled spectra load it on first use
+    code = ("import sys, phasebound; before = " + SCIPY_LOADED + "; "
+            "import phasebound.cli; print(before + " + SCIPY_LOADED + ")")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, check=True)
     assert proc.stdout.strip() == "[]"
+
+
+def test_numpy_only_commands_leave_scipy_unloaded(tmp_path):
+    # bound, extremal and symmetrize run on numpy alone; one child runs them
+    # all through cli.main and reports the scipy modules loaded after each
+    field = tmp_path / "field.csv"
+    write_weight_field(random_field(np.random.default_rng(5), n=16, half_width=2.0), field)
+    bound = ["bound", "--format", "json", "--A", "1"]
+    commands = [
+        bound + ["--p", "2", "--B", "1.5"],
+        bound + ["--p", "2.5", "--B", "3", "--d", "3"],
+        bound + ["--p", "1", "--B", "2", "--d", "2"],
+        bound + ["--transform", "wavelet", "--p", "2", "--B", "2", "--beta", "1.5"],
+        ["extremal", "--p", "2", "--A", "1", "--B", "2", "--out", str(tmp_path / "g.csv")],
+        ["extremal", "--transform", "wavelet", "--p", "2", "--A", "1", "--B", "2",
+         "--out", str(tmp_path / "w.csv")],
+        ["symmetrize", "--weight", str(field), "--out", str(tmp_path / "s.csv")],
+    ]
+    code = ("import contextlib, io, json, sys\n"
+            "from phasebound.cli import main\n"
+            "report = []\n"
+            "for argv in json.loads(sys.argv[1]):\n"
+            "    with contextlib.redirect_stdout(io.StringIO()) as out:\n"
+            "        status = main(argv)\n"
+            "    report.append([status, out.getvalue(), " + SCIPY_LOADED + "])\n"
+            "print(json.dumps(report))\n")
+    proc = subprocess.run([sys.executable, "-c", code, json.dumps(commands)],
+                          capture_output=True, text=True, check=True)
+    report = json.loads(proc.stdout)
+    assert len(report) == len(commands)
+    for argv, (status, _, loaded) in zip(commands, report):
+        assert status == 0 and loaded == [], argv
+    # the bound commands cover d = 1, the truncated d = 3 level, the d = 2 ball
+    assert [json.loads(out)["regime"] for _, out, _ in report[:3]] == [
+        "truncated", "truncated", "ball"]

@@ -1,11 +1,12 @@
 """Cauchy wavelet transform, hyperbolic geometry, Bergman spectra."""
 import math
+from functools import partial
 
 import numpy as np
 import pytest
 
 from phasebound.bounds import G_beta, wavelet_bound
-from phasebound.core import ConstraintSet
+from phasebound.core import ConstraintSet, distribution_bound
 from phasebound.errors import (DivergenceError, InvalidInputError,
                                NormalizationError, RegimeError)
 from phasebound.wavelet import (DiscProfile, HalfPlaneField, HalfPlaneGrid,
@@ -14,7 +15,6 @@ from phasebound.wavelet import (DiscProfile, HalfPlaneField, HalfPlaneGrid,
                                 bergman_basis, bergman_radial_eigenvalues,
                                 cauchy_norm_const, cauchy_wavelet,
                                 disc_basis_frequency,
-                                distribution_norm_bound_nu,
                                 hyperbolic_disc_mask, lp_norm_nu,
                                 nu_window_integral, wavelet_transform,
                                 wavelet_transform_grid)
@@ -306,7 +306,8 @@ def test_nu_distribution_bound_equality_radial():
         sym = DiscProfile.sampled(xk, vk)
         beta = float(rng.uniform(0.5, 2.0))
         lam0 = bergman_radial_eigenvalues(sym, beta, 1).eigenvalues[0]
-        assert lam0 == pytest.approx(distribution_norm_bound_nu(sym, beta), abs=1e-12)
+        bound = distribution_bound(sym, partial(G_beta, beta=beta))
+        assert lam0 == pytest.approx(bound, abs=1e-12)
         for p in (1.0, 2.0):
             c = ConstraintSet(p, sym.ess_sup(), sym.lp_norm(p), "wavelet", beta=beta)
             assert lam0 <= wavelet_bound(c).bound + 2e-3
@@ -315,7 +316,8 @@ def test_nu_distribution_bound_equality_radial():
                 DiscProfile.truncated_power(2.0, 3.0, 1.1)):
         for beta in (0.5, 1.0, 2.0):
             lam0 = bergman_radial_eigenvalues(sym, beta, 1).eigenvalues[0]
-            assert lam0 == pytest.approx(distribution_norm_bound_nu(sym, beta), rel=1e-10)
+            bound = distribution_bound(sym, partial(G_beta, beta=beta))
+            assert lam0 == pytest.approx(bound, rel=1e-10)
 
 
 def test_norm_bound_random_halfplane_fields():
@@ -332,7 +334,7 @@ def test_norm_bound_random_halfplane_fields():
         field = HalfPlaneField(grid, vals.astype(complex))
         norm = float(np.sort(np.linalg.eigvalsh(
             assemble_wavelet_operator(field, 1.0, 16)))[-1])
-        assert norm <= distribution_norm_bound_nu(field, 1.0) + 2e-3
+        assert norm <= distribution_bound(field, partial(G_beta, beta=1.0)) + 2e-3
         for p in (1.0, 2.0):
             c = ConstraintSet(p, field.ess_sup(), lp_norm_nu(field, p), "wavelet", beta=1.0)
             assert norm <= wavelet_bound(c).bound + 2e-3

@@ -19,7 +19,7 @@ from phasebound.extremals import extremal_weight_gabor, extremal_weight_wavelet
 from phasebound.gabor import (Signal, assemble_operator, lieb_quotient,
                               operator_norm, radial_eigenvalues)
 from phasebound.varprob import solve_closed_form, solve_kkt_oracle
-from phasebound.verify import random_feasible_competitor, random_field
+from phasebound.verify import random_feasible_competitor, random_field, run_suite
 from phasebound.wavelet import (DiscProfile, HalfPlaneGrid, HyperbolicDisc,
                                 assemble_wavelet_operator,
                                 bergman_radial_eigenvalues, hyperbolic_disc_mask)
@@ -221,3 +221,10 @@ def test_criterion_9_general_dimension():
                   epsabs=1e-13)
     report("9c bound integral re-derived at the analytic root",
            abs(val - BOUND_D2), 1e-10)
+
+
+def test_verify_suite_all_passes():
+    # the whole trust check, as `phasebound verify --suite all --seed 0` runs it
+    summaries = run_suite("all", seed=0, basis=48)
+    failed = [(s["suite"], d["name"]) for s in summaries for d in s["details"] if not d["ok"]]
+    assert not failed, failed

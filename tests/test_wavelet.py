@@ -4,6 +4,8 @@ from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from phasebound.bounds import G_beta, wavelet_bound
 from phasebound.core import ConstraintSet, distribution_bound
@@ -74,6 +76,30 @@ def test_transform_grid_rejects_boundary():
         wavelet_transform_grid(f, 1.0, np.array([0.0]), np.array([0.0]))
     with pytest.raises(InvalidInputError):
         HalfPlaneGrid.logarithmic(-1, 1, 8, 0.0, 2.0, 8)
+    # NaN or inf points used to come back as NaN entries without complaint
+    good_x, good_y = np.array([0.0, 1.0]), np.array([0.5, 2.0])
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(InvalidInputError):
+            wavelet_transform_grid(f, 1.0, np.array([0.0, bad]), good_y)
+        with pytest.raises(InvalidInputError):
+            wavelet_transform_grid(f, 1.0, good_x, np.array([0.5, bad]))
+    # (y omega)^beta overflows while e^{-y omega} underflows: the row sum is NaN
+    with pytest.raises(InvalidInputError):
+        wavelet_transform_grid(f, 2.0, good_x, np.array([0.5, 1e300]))
+
+
+def test_hardy_signal_rejects_non_finite_samples():
+    # a NaN omega or an inf weight used to be accepted, and l2_norm gave inf
+    om, v, w = np.array([1.0, 2.0]), np.array([1.0, 0.5j]), np.array([0.5, 0.5])
+    for bad in (np.nan, np.inf):
+        with pytest.raises(InvalidInputError):
+            HardySignal(np.array([1.0, bad]), v, w)
+        with pytest.raises(InvalidInputError):
+            HardySignal(om, np.array([1.0, bad]), w)
+        with pytest.raises(InvalidInputError):
+            HardySignal(om, np.array([1.0, complex(0.0, bad)]), w)
+        with pytest.raises(InvalidInputError):
+            HardySignal(om, v, np.array([0.5, bad]))
 
 
 def test_halfplane_grid_rejects_bad_edges():
@@ -116,6 +142,65 @@ def test_transform_isometry_windowed():
             lambda xs, ys: np.abs(wavelet_transform_grid(f, beta, xs, ys)) ** 2)
         exact = float(np.sum(np.abs(co) ** 2))
         assert got == pytest.approx(exact, rel=1e-4)
+
+
+def _window_nodes():
+    nodes = []
+
+    def capture(xs, ys):
+        nodes.append((xs, ys))
+        return np.zeros((xs.size, ys.size))
+
+    nu_window_integral(capture)
+    return nodes[0]
+
+
+_WINDOW_XS, _WINDOW_YS = _window_nodes()
+
+
+@st.composite
+def _transform_cases(draw):
+    beta = draw(st.sampled_from([0.5, 2.0]))
+    co = np.array(draw(st.lists(st.complex_numbers(max_magnitude=2.0, allow_nan=False,
+                                                   allow_infinity=False),
+                                min_size=1, max_size=5)))
+    kind = draw(st.sampled_from(["laguerre", "uniform"]))
+    if kind == "laguerre":
+        f = HardySignal.from_disc_coeffs(co, beta)
+    else:
+        # spacing 0.15: at y = 1e4 every e^{-y omega} underflows to 0
+        f = HardySignal.on_uniform_grid(
+            lambda om: sum(c * disc_basis_frequency(k, beta, om) for k, c in enumerate(co)),
+            60.0, 400)
+    if draw(st.booleans()):
+        perm = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).permutation(f.omegas.size)
+        f = HardySignal(f.omegas[perm], f.values[perm], f.weights[perm])
+    point = st.floats(-30.0, 30.0, allow_nan=False)
+    xs = draw(st.one_of(st.just(_WINDOW_XS),
+                        st.lists(st.one_of(point, st.sampled_from([0.0, -0.0, 1.5, -1.5])),
+                                 min_size=1, max_size=12).map(np.array)))
+    ys = draw(st.one_of(st.just(_WINDOW_YS),
+                        st.lists(st.floats(-3.0, 3.0).map(lambda e: 10.0 ** e),
+                                 min_size=1, max_size=8).map(np.array)))
+    return f, kind, beta, xs, np.append(ys, 1e4)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_transform_cases())
+def test_transform_matches_reference_sum(case):
+    # the direct formula, one complex exponential per (x, omega) and one
+    # complex product over all frequencies, within 1e-14 of each row's sum |B|
+    f, kind, beta, xs, ys = case
+    om = f.omegas
+    radial = np.sqrt(ys)[:, None] * (ys[:, None] * om) ** beta * np.exp(-ys[:, None] * om)
+    B = radial * (f.weights * f.values / cauchy_norm_const(beta))
+    want = np.exp(1j * np.outer(xs, om)) @ B.T
+    row_sum = np.sum(np.abs(B), axis=1)
+    got = wavelet_transform_grid(f, beta, xs, ys)
+    assert got.shape == want.shape
+    assert np.all(np.abs(got - want) <= 1e-14 * row_sum)
+    if kind == "uniform":
+        assert row_sum[-1] == 0.0 and np.all(got[:, -1] == 0.0)
 
 
 def test_reproducing_peak_location():

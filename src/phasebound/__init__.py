@@ -6,8 +6,8 @@ from .core import (ConstraintSet, DistributionFunction, RadialProfile,
                    WeightField, decreasing_rearrangement, distribution_function,
                    lp_norm, schwarz_symmetrize)
 from .errors import (AliasingError, BasisTruncationError, DivergenceError,
-                     InvalidInputError, NormalizationError, PhaseboundError,
-                     RegimeError, UnattainedBoundError)
+                     InvalidInputError, PhaseboundError, RegimeError,
+                     UnattainedBoundError)
 from .extremals import (extremal_signal, extremal_signal_wavelet,
                         extremal_weight_gabor, extremal_weight_wavelet)
 from .gabor import (OperatorSpectrum, Signal, assemble_operator, concentration,
@@ -29,7 +29,7 @@ __all__ = [
     "schwarz_symmetrize",
     "PhaseboundError", "InvalidInputError", "DivergenceError",
     "UnattainedBoundError", "RegimeError", "AliasingError",
-    "NormalizationError", "BasisTruncationError",
+    "BasisTruncationError",
     "extremal_signal", "extremal_signal_wavelet", "extremal_weight_gabor",
     "extremal_weight_wavelet",
     "OperatorSpectrum", "Signal", "assemble_operator", "concentration",

@@ -442,7 +442,7 @@ def distribution_bound(w, G) -> float:
     elif isinstance(w, MeasureProfile):
         pts = [w.cap * (1.0 - 1e-12)] if w.kind == w._TRUNCATED else None
         val, _ = quad(lambda t: float(G(float(w.mu(np.atleast_1d(t))[0]))),
-                      0.0, w.ess_sup(), points=pts, epsabs=1e-12, epsrel=1e-11, limit=300)
+                      0.0, w.ess_sup(), points=pts, epsabs=1e-12, epsrel=1e-12, limit=300)
         return val
     else:
         raise InvalidInputError(f"unsupported weight type {type(w).__name__}")

@@ -35,10 +35,6 @@ class AliasingError(PhaseboundError):
     """Time sampling too coarse for the requested frequency range."""
 
 
-class NormalizationError(PhaseboundError):
-    """A mandatory analytic self-check failed; indicates an implementation bug."""
-
-
 class BasisTruncationError(PhaseboundError):
     """Requested basis size leaks mass outside the truncation box."""
 

@@ -31,12 +31,14 @@ def extremal_weight_gabor(c: ConstraintSet, center=(0.0, 0.0)) -> RadialProfile:
 
     Ball regime: amplitude-A indicator of the ball of volume B/A; subcritical:
     the Gaussian lam e^{-pi r^2/(p-1)}; supercritical: the same Gaussian
-    capped at A.  The global phase is fixed to zero (norm-invariant).
+    capped at A.  At the regime tie a supercritical lam may round to at most
+    A; the cap then changes nothing and the uncapped Gaussian is returned.
+    The global phase is fixed to zero (norm-invariant).
     """
     report = gabor_bound(c)
     if report.regime == "ball":
         return RadialProfile.ball(c.A, c.B / c.A, center=center, dim=c.d)
-    if report.regime == "gaussian":
+    if report.regime == "gaussian" or report.lam <= c.A:
         return RadialProfile.gaussian(report.lam, c.p - 1.0, center=center, dim=c.d)
     return RadialProfile.truncated_gaussian(report.lam, c.p - 1.0, c.A,
                                             center=center, dim=c.d)
@@ -46,14 +48,15 @@ def extremal_weight_wavelet(c: ConstraintSet, center: complex = 1j) -> DiscProfi
     """The symbol attaining the sharp wavelet bound, radial in the disc model.
 
     Ball regime: indicator of the hyperbolic disc of measure B/A; otherwise
-    lam (1 - x)^{1/alpha}, capped at A in the supercritical regime.  The
-    exponent 1/alpha is forced by the maximizer's distribution function
+    lam (1 - x)^{1/alpha}, capped at A in the supercritical regime (uncapped
+    when lam rounds to at most A, as for the Gaussian).  The exponent
+    1/alpha is forced by the maximizer's distribution function
     4 pi ((t/lam)^{-alpha} - 1) and by the L^p saturation checks.
     """
     report = wavelet_bound(c)
     if report.regime == "ball":
         return DiscProfile.indicator(c.A, c.B / c.A, center=center)
-    if report.regime == "gaussian":
+    if report.regime == "gaussian" or report.lam <= c.A:
         return DiscProfile.power(report.lam, 1.0 / c.alpha, center=center)
     return DiscProfile.truncated_power(report.lam, 1.0 / c.alpha, c.A, center=center)
 

@@ -31,6 +31,7 @@ __all__ = [
     "gram_operator",
     "assemble_operator",
     "radial_eigenvalues",
+    "radial_eigenvalues_quad",
     "operator_norm",
     "expectation",
     "concentration",
@@ -331,8 +332,7 @@ def _accumulate(K: int, xs, ys, weights, fvals) -> np.ndarray:
                          _hermite_ratios(K), weights * fvals)
 
 
-def assemble_operator(F, K: int, *, points_per_cell: int = 2,
-                      n_theta: int | None = None) -> np.ndarray:
+def assemble_operator(F, K: int, *, points_per_cell: int = 2) -> np.ndarray:
     """K x K matrix of the localization operator in the Hermite basis.
 
     Entries are int F(z) Vh_j(z) conj(Vh_k(z)) dz.  Gridded weights use
@@ -368,7 +368,7 @@ def assemble_operator(F, K: int, *, points_per_cell: int = 2,
         raise RegimeError("spectral computation is restricted to d = 1")
 
     # polar rule: radial Gauss-Legendre panels split at profile breakpoints,
-    # uniform angles (trapezoid is exact for harmonics below n_theta)
+    # uniform angles (trapezoid is exact for harmonics below ntheta)
     r_max = math.sqrt(gammainccinv(K, 1e-14) / math.pi)
     breakpoints = []
     if F.kind == "ball_indicator":
@@ -395,7 +395,7 @@ def assemble_operator(F, K: int, *, points_per_cell: int = 2,
     r = ((lo + half)[:, None] + half[:, None] * g[None, :]).ravel()
     rw = (half[:, None] * gw[None, :]).ravel()
 
-    ntheta = n_theta if n_theta is not None else max(4 * K, 16)
+    ntheta = max(4 * K, 16)
     theta = 2.0 * math.pi * np.arange(ntheta) / ntheta
     x0, y0 = F.center
     xs = (x0 + np.outer(r, np.cos(theta))).ravel()
@@ -434,35 +434,38 @@ def spectrum_from_matrix(M: np.ndarray) -> OperatorSpectrum:
     return OperatorSpectrum(eigs, M.shape[0], _tail_estimate(eigs))
 
 
-def radial_eigenvalues(rho: RadialProfile, K: int, method: str = "auto") -> OperatorSpectrum:
-    """Spectrum of the operator with radial weight rho, centered at the origin.
-
-    lambda_k = (1/k!) int_0^inf rho(sqrt(s/pi)) s^k e^{-s} ds.  'auto' uses
-    the closed form of each kind (incomplete-gamma algebra; exact step sums
-    for sampled profiles); 'quadrature' integrates the Gamma densities
-    adaptively and is the independent cross-check.
-    """
+def _radial_ks(rho: RadialProfile, K: int) -> np.ndarray:
     if rho.center != (0.0, 0.0):
         raise RegimeError("radial eigenvalues require a profile centered at the origin")
     if rho.dim != 1:
         raise RegimeError("spectral computation is restricted to d = 1")
     if K < 1:
         raise InvalidInputError("K must be >= 1")
-    ks = np.arange(K)
+    return np.arange(K)
 
-    if method == "quadrature":
-        lam = np.empty(K)
-        pts = _profile_breaks_s(rho)
-        for k in ks:
-            lam[k] = _gamma_average_quad(rho, k, pts)
-    elif method == "auto":
-        lam = _radial_eigs_closed(rho, ks)
-    else:
-        raise InvalidInputError(f"unknown method {method!r}")
 
-    order = np.argsort(lam)[::-1]
-    lam = lam[order]
-    return OperatorSpectrum(lam, K, _tail_estimate(lam))
+def _sorted_spectrum(lam: np.ndarray) -> OperatorSpectrum:
+    lam = np.sort(lam)[::-1]
+    return OperatorSpectrum(lam, lam.size, _tail_estimate(lam))
+
+
+def radial_eigenvalues(rho: RadialProfile, K: int) -> OperatorSpectrum:
+    """Spectrum of the operator with radial weight rho, centered at the origin.
+
+    lambda_k = (1/k!) int_0^inf rho(sqrt(s/pi)) s^k e^{-s} ds, in the
+    closed form of each kind: incomplete-gamma algebra, and exact step sums
+    for sampled profiles.  ``radial_eigenvalues_quad`` is the independent
+    cross-check.
+    """
+    return _sorted_spectrum(_radial_eigs_closed(rho, _radial_ks(rho, K)))
+
+
+def radial_eigenvalues_quad(rho: RadialProfile, K: int) -> OperatorSpectrum:
+    """Oracle for ``radial_eigenvalues``: each Gamma(k+1) average of rho by
+    adaptive quadrature, split at the profile's breakpoints in s."""
+    ks = _radial_ks(rho, K)
+    pts = _profile_breaks_s(rho)
+    return _sorted_spectrum(np.array([_gamma_average_quad(rho, k, pts) for k in ks]))
 
 
 def _gamma_cdf(k, s):

@@ -5,6 +5,10 @@ p int_0^A t^{p-1} u(t) dt <= B^p.  The maximizer saturates the constraint
 and satisfies the stationarity relation G'(u(t)) = c t^{p-1}; inverting G'
 gives the closed forms, and bisecting on the multiplier c gives an
 independent numerical solver used as an optimality oracle.
+
+The closed-form maximizer is the distribution function mu of the extremal
+weight (Nicola-Tilli, arXiv 2207.08624): u = w.mu, so the sharp bound
+int_0^A G(u) dt is the weight's own distribution bound.
 """
 from __future__ import annotations
 
@@ -15,8 +19,9 @@ from typing import Callable
 import numpy as np
 
 from .bounds import G, G_beta, gabor_bound, wavelet_bound
-from .core import ConstraintSet, quad
+from .core import ConstraintSet, distribution_bound, quad
 from .errors import InvalidInputError, RegimeError
+from .extremals import extremal_weight_gabor, extremal_weight_wavelet
 
 __all__ = [
     "GaborKernel",
@@ -96,16 +101,15 @@ class SampledFunction:
         return float(np.sum(self.weights * vals))
 
 
-def geometric_grid(upper: float, n_nodes: int, span: float = 1e-13, order: int = 4):
+def geometric_grid(upper: float):
     """Gauss-Legendre nodes/weights on geometric panels of (0, upper).
 
-    Panels shrink geometrically toward t = 0, where t^{p-1} u(t) can
-    concentrate for p near 1; the untouched sliver (0, upper * span) is
-    negligible for every integrand used here.
+    2500 panels of 4 nodes shrink geometrically toward t = 0, where
+    t^{p-1} u(t) can concentrate for p near 1; the untouched sliver
+    (0, upper * 1e-13) is negligible for every integrand used here.
     """
-    n_panels = max(n_nodes // order, 8)
-    edges = np.geomspace(upper * span, upper, n_panels + 1)
-    x, w = np.polynomial.legendre.leggauss(order)
+    edges = np.geomspace(upper * 1e-13, upper, 2501)
+    x, w = np.polynomial.legendre.leggauss(4)
     lo, hi = edges[:-1], edges[1:]
     half = 0.5 * (hi - lo)
     nodes = (lo + half)[:, None] + half[:, None] * x[None, :]
@@ -132,9 +136,9 @@ def _at(u: Callable, t: float) -> float:
     return float(np.asarray(u(np.atleast_1d(t)))[0])
 
 
-def objective(u, c: ConstraintSet, kernel=None, *, breaks=()) -> float:
+def objective(u, c: ConstraintSet, *, breaks=()) -> float:
     """I(u) = int_0^A G(u(t)) dt by quadrature (kernel chosen from c)."""
-    kern = kernel if kernel is not None else kernel_for(c)
+    kern = kernel_for(c)
     if isinstance(u, SampledFunction):
         return u.integral(kern.g)
     upper = _support_end(u, c.A)
@@ -151,7 +155,7 @@ def constraint_moment(u, p: float, A: float, *, breaks=()) -> float:
     upper = _support_end(u, A)
     pts = [b for b in breaks if 0.0 < b < upper]
     val, _ = quad(lambda t: p * t ** (p - 1.0) * _at(u, t), 0.0, upper,
-                  points=pts or None, epsabs=1e-13, epsrel=1e-12, limit=300)
+                  points=pts or None, epsabs=0.0, epsrel=1e-13, limit=300)
     return val
 
 
@@ -177,50 +181,24 @@ class VariationalSolution:
     samples: SampledFunction | None = None
 
 
-def _closed_form_u(c: ConstraintSet, lam: float) -> Callable:
-    p = c.p
-    if c.transform == "gabor":
-        d = c.d
+def solve_closed_form(c: ConstraintSet) -> VariationalSolution:
+    """The unique maximizer: u = mu of the extremal weight of c.
 
-        def u(t):
-            t = np.asarray(t, dtype=float)
-            return ((p - 1.0) * np.maximum(np.log(lam / t), 0.0)) ** d / math.factorial(d)
-    else:
-        alpha = c.alpha
-
-        def u(t):
-            t = np.asarray(t, dtype=float)
-            return 4.0 * math.pi * np.maximum((t / lam) ** (-alpha) - 1.0, 0.0)
-    return u
-
-
-def solve_closed_form(c: ConstraintSet, kernel=None) -> VariationalSolution:
-    """The unique maximizer: constant (p=1), Gaussian-type, or truncated.
-
-    The objective and constraint values are recomputed by quadrature rather
-    than read off the bound formulas, so the two can be compared.
+    That is the constant B/A (p = 1), the Gaussian-type distribution, or the
+    same capped at A.  The objective and constraint values are quadratures
+    of mu (``distribution_bound`` and ``constraint_moment``) rather than
+    read off the bound formulas, so the two can be compared.
     """
-    kern = kernel if kernel is not None else kernel_for(c)
-    report = gabor_bound(c) if c.transform == "gabor" else wavelet_bound(c)
-
-    if c.p == 1:
-        level = c.B / c.A
-
-        def u(t):
-            t = np.asarray(t, dtype=float)
-            return np.where(t < c.A, level, 0.0)
-
-        return VariationalSolution(u, None, c.A * float(kern.g(level)), c.B,
-                                   report.regime)
-
-    lam = report.lam
-    u = _closed_form_u(c, lam)
-    obj = objective(u, c, kern, breaks=(lam,))
-    mom = constraint_moment(u, c.p, c.A, breaks=(lam,))
-    return VariationalSolution(u, lam, obj, mom, report.regime)
+    if c.transform == "gabor":
+        report, w = gabor_bound(c), extremal_weight_gabor(c)
+    else:
+        report, w = wavelet_bound(c), extremal_weight_wavelet(c)
+    obj = distribution_bound(w, kernel_for(c).g)
+    mom = constraint_moment(w.mu, c.p, c.A, breaks=(w.ess_sup(),))
+    return VariationalSolution(w.mu, report.lam, obj, mom, report.regime)
 
 
-def solve_kkt_oracle(c: ConstraintSet, kernel=None, n_grid: int = 10000) -> VariationalSolution:
+def solve_kkt_oracle(c: ConstraintSet) -> VariationalSolution:
     """Independent maximizer: invert the stationarity relation and bisect on
     the multiplier until the sampled constraint moment equals B^p.
 
@@ -231,7 +209,7 @@ def solve_kkt_oracle(c: ConstraintSet, kernel=None, n_grid: int = 10000) -> Vari
     """
     if c.p == 1:
         raise RegimeError("the multiplier oracle requires p > 1")
-    kern = kernel if kernel is not None else kernel_for(c)
+    kern = kernel_for(c)
     p, A = c.p, c.A
     target = c.B ** p
 
@@ -241,12 +219,11 @@ def solve_kkt_oracle(c: ConstraintSet, kernel=None, n_grid: int = 10000) -> Vari
 
     def sampled(cm: float) -> SampledFunction:
         upper = min(A, t_zero(cm))
-        nodes, weights = geometric_grid(upper, n_grid)
+        nodes, weights = geometric_grid(upper)
         return SampledFunction(nodes, kern.gprime_inv(cm * nodes ** (p - 1.0)), weights)
 
     def moment(cm: float) -> float:
-        s = sampled(cm)
-        return float(np.sum(s.weights * p * s.nodes ** (p - 1.0) * s.values))
+        return constraint_moment(sampled(cm), p, A)
 
     # moment(cm) is strictly decreasing; expand to a sign-changing bracket
     scale = kern.multiplier_scale() * (A if math.isfinite(A) else 1.0) ** (1.0 - p)
@@ -270,7 +247,7 @@ def solve_kkt_oracle(c: ConstraintSet, kernel=None, n_grid: int = 10000) -> Vari
             break
     cm = math.sqrt(lo * hi)
     s = sampled(cm)
-    mom = float(np.sum(s.weights * p * s.nodes ** (p - 1.0) * s.values))
+    mom = constraint_moment(s, p, A)
     obj = s.integral(kern.g)
     lam = t_zero(cm)
     regime = "truncated" if (math.isfinite(A) and lam > A) else "gaussian"

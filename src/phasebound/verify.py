@@ -20,7 +20,8 @@ from .extremals import (extremal_signal, extremal_weight_gabor,
                         extremal_weight_wavelet, wavelet_disc_coefficients)
 from .gabor import (Signal, assemble_operator, ball_mask, concentration,
                     expectation, lieb_quotient, operator_norm,
-                    radial_eigenvalues, spectrum_from_matrix, stft)
+                    radial_eigenvalues, radial_eigenvalues_quad,
+                    spectrum_from_matrix, stft)
 from .wavelet import (DiscProfile, HalfPlaneGrid, HardySignal,
                       HyperbolicDisc, assemble_wavelet_operator, bergman_basis,
                       bergman_radial_eigenvalues, cauchy_norm_const,
@@ -138,7 +139,9 @@ def verify_bounds(seed: int = 0, basis: int = 48) -> dict:
         for d in (1, 2, 3):
             c = ConstraintSet(p, 1.0, 0.0 + ((p - 1) / p) ** (d / p), "gabor", d=d)
             gaussian = c.kappa ** (d * c.kappa) * c.B
-            truncated = bd._truncated_gabor_bound_quad(c, c.A)
+            # the truncated extremal at lam = A is the uncapped Gaussian
+            truncated = distribution_bound(RadialProfile.gaussian(c.A, p - 1.0, dim=d),
+                                           partial(bd.G, d=d))
             worst = max(worst, abs(gaussian - truncated))
             if d == 1:
                 worst = max(worst, abs(gaussian - c.A * c.kappa))
@@ -156,15 +159,16 @@ def verify_bounds(seed: int = 0, basis: int = 48) -> dict:
                         abs(gaussian - 2 * beta * c.sigma * c.A))
     rec.check("wavelet regime continuity", worst, 1e-12)
 
-    # d=1 truncated closed form against the quadrature oracles: the bound
-    # integral and the relative saturation residual of the moment
+    # d=1 truncated closed form against the quadratures of the maximizer:
+    # the bound integral and the relative saturation residual of the moment
     worst = 0.0
     for (p, A, B) in ((2.0, 1.0, 1.0), (1.5, 0.7, 1.1), (3.0, 1.2, 1.9)):
         c = ConstraintSet(p, A, B, "gabor", d=1)
         rep = bd.gabor_bound(c)
         if rep.regime == "truncated":
-            worst = max(worst, abs(rep.bound - bd._truncated_gabor_bound_quad(c, rep.lam)))
-            worst = max(worst, abs(bd._moment_gabor(rep.lam, c) - B ** p) / B ** p)
+            sol = vp.solve_closed_form(c)
+            worst = max(worst, abs(rep.bound - sol.objective_value),
+                        abs(sol.constraint_value - B ** p) / B ** p)
     rec.check("d=1 closed form vs quadrature", worst, 1e-10)
 
     # lambda boundary: threshold constraints give lam = A through formulas
@@ -266,8 +270,7 @@ def verify_rearrange(seed: int = 0, basis: int = 48) -> dict:
     return rec.summary()
 
 
-def verify_varprob(seed: int = 0, basis: int = 48, n_cases: int = 8,
-                   n_competitors: int = 20) -> dict:
+def verify_varprob(seed: int = 0, basis: int = 48) -> dict:
     rec = _Recorder("varprob")
     rng = np.random.default_rng(seed)
 
@@ -280,11 +283,11 @@ def verify_varprob(seed: int = 0, basis: int = 48, n_cases: int = 8,
         ConstraintSet(2.0, math.inf, 1.0, "wavelet", beta=1.0),
         ConstraintSet(2.0, 1.0, 2.0, "wavelet", beta=1.0),
         ConstraintSet(3.0, 1.5, 1.0, "wavelet", beta=0.5),
-    ][:n_cases]
+    ]
 
+    sols = [vp.solve_closed_form(c) for c in cases]
     worst_pw = worst_obj = worst_sat = worst_bound = 0.0
-    for c in cases:
-        sol = vp.solve_closed_form(c)
+    for c, sol in zip(cases, sols):
         orc = vp.solve_kkt_oracle(c)
         upper = min(c.A, sol.lam) if sol.lam else c.A
         ts = np.geomspace(upper * 1e-6, upper * (1 - 1e-9), 500)
@@ -302,9 +305,8 @@ def verify_varprob(seed: int = 0, basis: int = 48, n_cases: int = 8,
     # random rearranged competitors score strictly lower
     ok = True
     margin = math.inf
-    for c in cases:
-        sol = vp.solve_closed_form(c)
-        for _ in range(n_competitors):
+    for c, sol in zip(cases, sols):
+        for _ in range(20):
             _, obj = random_feasible_competitor(rng, c)
             margin = min(margin, sol.objective_value - obj)
             ok = ok and obj < sol.objective_value
@@ -330,8 +332,7 @@ def verify_varprob(seed: int = 0, basis: int = 48, n_cases: int = 8,
 
     # pointwise bound u(t) <= B^p / t^p
     ok = True
-    for c in cases:
-        sol = vp.solve_closed_form(c)
+    for c, sol in zip(cases, sols):
         upper = min(c.A, sol.lam) if sol.lam else c.A
         ts = np.geomspace(upper * 1e-5, upper * (1 - 1e-9), 300)
         ok = ok and bool(np.all(sol.u(ts) <= c.B ** c.p / ts ** c.p + 1e-9))
@@ -340,7 +341,7 @@ def verify_varprob(seed: int = 0, basis: int = 48, n_cases: int = 8,
     return rec.summary()
 
 
-def verify_gabor(seed: int = 0, basis: int = 48, n_fields: int = 5) -> dict:
+def verify_gabor(seed: int = 0, basis: int = 48) -> dict:
     rec = _Recorder("gabor")
     rng = np.random.default_rng(seed)
     K = basis
@@ -362,7 +363,7 @@ def verify_gabor(seed: int = 0, basis: int = 48, n_fields: int = 5) -> dict:
     c = ConstraintSet(2.0, 1.0, 1.0, "gabor", d=1)
     w = extremal_weight_gabor(c)
     lam0 = radial_eigenvalues(w, 8).eigenvalues[0]
-    lam0q = radial_eigenvalues(w, 8, method="quadrature").eigenvalues[0]
+    lam0q = radial_eigenvalues_quad(w, 8).eigenvalues[0]
     target = bd.gabor_bound(c).bound
     rec.check("truncated extremal saturation", abs(lam0 - target), 1e-12)
     rec.check("truncated quadrature eigenvalues", abs(lam0q - target), 1e-8)
@@ -384,7 +385,7 @@ def verify_gabor(seed: int = 0, basis: int = 48, n_fields: int = 5) -> dict:
 
     # random fields: distribution bound and symmetrization monotonicity
     worst_db = worst_sym = -math.inf
-    for _ in range(n_fields):
+    for _ in range(5):
         f = random_field(rng)
         nm = operator_norm(assemble_operator(f, K))
         worst_db = max(worst_db, nm - distribution_bound(f, bd.G))
@@ -459,7 +460,7 @@ def verify_gabor(seed: int = 0, basis: int = 48, n_fields: int = 5) -> dict:
     return rec.summary()
 
 
-def verify_wavelet(seed: int = 0, basis: int = 48, n_isometry: int = 3) -> dict:
+def verify_wavelet(seed: int = 0, basis: int = 48) -> dict:
     rec = _Recorder("wavelet")
     rng = np.random.default_rng(seed)
 
@@ -499,7 +500,7 @@ def verify_wavelet(seed: int = 0, basis: int = 48, n_isometry: int = 3) -> dict:
     # windowed isometry at beta = 2
     beta = 2.0
     worst = 0.0
-    for _ in range(n_isometry):
+    for _ in range(3):
         co = rng.normal(size=4) + 1j * rng.normal(size=4)
 
         def fhat(om):

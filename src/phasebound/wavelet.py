@@ -20,10 +20,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .bounds import G_beta
 from .core import GridField, MeasureProfile, first_use, lp_norm
-from .errors import (DivergenceError, InvalidInputError, NormalizationError,
-                     RegimeError)
+from .errors import DivergenceError, InvalidInputError, RegimeError
 from .gabor import (OperatorSpectrum, _tail_estimate, basis_recurrence,
                     gram_operator)
 
@@ -494,25 +492,10 @@ def _beta_cdf(k, s, beta: float):
     return betainc(k + 1, 2 * beta, s / (s + FOUR_PI))
 
 
-def _self_check(beta: float):
-    # disc indicator of measure s must reproduce G_beta(s) through the Beta
-    # integral; any drift here is an implementation bug, not tolerable noise
-    for s in (0.25, 1.0, 7.0):
-        xs = s / (s + FOUR_PI)
-        lam0 = betainc(1.0, 2.0 * beta, xs)
-        ref = 1.0 - (1.0 - xs) ** (2.0 * beta)
-        if abs(lam0 - ref) > 1e-12 or abs(ref - G_beta(s, beta)) > 1e-12:
-            raise NormalizationError(
-                f"disc-indicator identity violated at beta={beta}, s={s}: "
-                f"{lam0} vs {ref}")
-
-
 def bergman_radial_eigenvalues(rho: DiscProfile, beta: float, K: int) -> OperatorSpectrum:
     """Spectrum of a nu-radial symbol about i, by Beta-density averages.
 
     lambda_k = int_0^1 rho(x) x^k (1-x)^{2 beta - 1} dx / B(k+1, 2 beta).
-    The disc-indicator identity lambda_0 = G_beta(s) is checked on every
-    call and aborts on failure.
     """
     if beta <= 0:
         raise InvalidInputError("beta must be positive")
@@ -521,7 +504,6 @@ def bergman_radial_eigenvalues(rho: DiscProfile, beta: float, K: int) -> Operato
     if rho.center != 1j:
         raise RegimeError("eigenvalues require the symbol centered at i; "
                           "recenter via the Moebius covariance first")
-    _self_check(beta)
     ks = np.arange(K, dtype=float)
 
     if rho.kind == "power":

@@ -11,13 +11,13 @@ import time
 import numpy as np
 from scipy.integrate import quad
 
-from phasebound.bounds import (G, G_beta, _truncated_gabor_bound_quad,
-                               gabor_bound, lambda_root, wavelet_bound)
+from phasebound.bounds import G, G_beta, gabor_bound, lambda_root, wavelet_bound
 from phasebound.core import (ConstraintSet, RadialProfile, distribution_bound,
                             schwarz_symmetrize)
 from phasebound.extremals import extremal_weight_gabor, extremal_weight_wavelet
 from phasebound.gabor import (Signal, assemble_operator, lieb_quotient,
-                              operator_norm, radial_eigenvalues)
+                              operator_norm, radial_eigenvalues,
+                              radial_eigenvalues_quad)
 from phasebound.varprob import solve_closed_form, solve_kkt_oracle
 from phasebound.verify import random_feasible_competitor, random_field, run_suite
 from phasebound.wavelet import (DiscProfile, HalfPlaneGrid, HyperbolicDisc,
@@ -77,7 +77,7 @@ def test_criterion_3_truncated_sharpness():
         c = ConstraintSet(p, A, B, "gabor")
         assert gabor_bound(c).regime == "truncated"
         w = extremal_weight_gabor(c)
-        lam0 = radial_eigenvalues(w, 4, method="quadrature").eigenvalues[0]
+        lam0 = radial_eigenvalues_quad(w, 4).eigenvalues[0]
         worst = max(worst, abs(lam0 - gabor_bound(c).bound))
     report("3b ten random supercritical triples (quadrature eigenvalues)",
            worst, 1e-6)
@@ -90,8 +90,10 @@ def test_criterion_4_regime_continuity():
         for d in (1, 2, 3):
             kappa = (p - 1) / p
             gaussian = kappa ** (d * kappa) * kappa ** (d / p)
-            c = ConstraintSet(p, 1.0, kappa ** (d / p), "gabor", d=d)
-            worst = max(worst, abs(gaussian - _truncated_gabor_bound_quad(c, 1.0)))
+            # at lam = A the truncated extremal is the uncapped Gaussian
+            truncated = distribution_bound(RadialProfile.gaussian(1.0, p - 1.0, dim=d),
+                                           lambda s: G(s, d))
+            worst = max(worst, abs(gaussian - truncated))
         for beta in (0.5, 1.0, 2.0, 5.0):
             sigma = (p - 1) / (2 * beta * p + 1)
             alpha = (p - 1) / (2 * beta + 1)

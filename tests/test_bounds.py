@@ -8,12 +8,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from phasebound.bounds import (G, G_beta, _moment_gabor,
-                               _truncated_gabor_bound_quad, gabor_bound,
-                               lambda_root, wavelet_bound)
-from phasebound.core import ConstraintSet
+from phasebound.bounds import G, G_beta, gabor_bound, lambda_root, wavelet_bound
+from phasebound.core import ConstraintSet, RadialProfile, distribution_bound
 from phasebound.errors import (InvalidInputError, RegimeError,
                                UnattainedBoundError)
+from phasebound.varprob import solve_closed_form
 
 # pinned before the build with 40-digit arithmetic
 G_2_2 = 0.5939941502901619
@@ -222,7 +221,9 @@ def test_regime_continuity_gabor():
             kappa = (p - 1) / p
             c = ConstraintSet(p, 1.0, kappa ** (d / p), "gabor", d=d)
             gaussian = kappa ** (d * kappa) * c.B
-            truncated = _truncated_gabor_bound_quad(c, c.A)
+            # at lam = A the truncated extremal is the uncapped Gaussian
+            truncated = distribution_bound(RadialProfile.gaussian(c.A, p - 1.0, dim=d),
+                                           lambda s: G(s, d))
             assert abs(gaussian - truncated) < 1e-12
             if d == 1:
                 assert abs(gaussian - kappa) < 1e-12
@@ -252,7 +253,7 @@ def test_d1_truncated_closed_form_vs_quadrature():
         r = gabor_bound(c)
         if r.regime != "truncated":
             continue
-        assert r.bound == pytest.approx(_truncated_gabor_bound_quad(c, r.lam), abs=1e-10)
+        assert r.bound == pytest.approx(solve_closed_form(c).objective_value, abs=1e-10)
         assert r.lam == pytest.approx(lambda_root(c), rel=1e-10)
 
 
@@ -348,5 +349,6 @@ def test_closed_form_matches_quadrature_oracles(d, p, log_ratio, A):
     c = ConstraintSet(p, A, B, "gabor", d=d)
     r = gabor_bound(c)
     assume(r.regime == "truncated" and math.log(r.lam) < 700.0)
-    assert abs(_moment_gabor(r.lam, c) - B ** p) / B ** p <= 1e-10
-    assert abs(r.bound - _truncated_gabor_bound_quad(c, r.lam)) <= 1e-10
+    sol = solve_closed_form(c)
+    assert abs(sol.constraint_value - B ** p) / B ** p <= 1e-10
+    assert abs(r.bound - sol.objective_value) <= 1e-10

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from phasebound import cli
 from phasebound.bounds import gabor_bound, wavelet_bound
 from phasebound.core import ConstraintSet, distribution_function, lp_norm
 from phasebound.errors import InvalidInputError, UnattainedBoundError
@@ -13,7 +14,7 @@ from phasebound.extremals import (extremal_signal, extremal_signal_wavelet,
                                   extremal_weight_wavelet,
                                   wavelet_disc_coefficients)
 from phasebound.gabor import assemble_operator, expectation, radial_eigenvalues
-from phasebound.varprob import solve_closed_form
+from phasebound.varprob import solve_kkt_oracle
 from phasebound.wavelet import bergman_radial_eigenvalues
 
 GABOR_CASES = [
@@ -74,13 +75,21 @@ def test_gabor_weight_norm_with_peak_power_beyond_float_range():
     assert lp_norm(w, c.p) == pytest.approx(10.0, rel=1e-10)
 
 
+def _maximizer(c):
+    """The variational maximizer, computed without the extremal weight: the
+    constant B/A at p = 1, the multiplier oracle otherwise."""
+    if c.p == 1:
+        return lambda t: np.full_like(t, c.B / c.A)
+    return solve_kkt_oracle(c).u
+
+
 def test_gabor_weight_distribution_matches_maximizer():
     for c in GABOR_CASES:
         w = extremal_weight_gabor(c)
-        sol = solve_closed_form(c)
         mu = distribution_function(w, 400)
         good = mu.breakpoints < w.ess_sup() * (1 - 1e-12)
-        assert np.max(np.abs(mu.masses[good] - sol.u(mu.breakpoints[good]))) < 1e-8, c
+        u = _maximizer(c)
+        assert np.max(np.abs(mu.masses[good] - u(mu.breakpoints[good]))) < 1e-8, c
 
 
 def test_gabor_weight_spectral_saturation():
@@ -98,10 +107,32 @@ def test_gabor_weight_higher_dimension():
         w = extremal_weight_gabor(c)
         assert w.dim == c.d
         assert lp_norm(w, c.p) == pytest.approx(c.B, abs=1e-8), c
-        sol = solve_closed_form(c)
         mu = distribution_function(w, 300)
         good = mu.breakpoints < w.ess_sup() * (1 - 1e-12)
-        assert np.max(np.abs(mu.masses[good] - sol.u(mu.breakpoints[good]))) < 1e-8, c
+        u = _maximizer(c)
+        assert np.max(np.abs(mu.masses[good] - u(mu.breakpoints[good]))) < 1e-8, c
+
+
+# at the regime tie the bounds report a truncated regime with lam at most A:
+# lam == A for gabor (verify's "boundary lambda = A"), A (1 - 2e-16) for wavelet
+TIE_CASES = [
+    (ConstraintSet(2.0, 1.0, 0.7071067811865476, "gabor"), extremal_weight_gabor,
+     ["--p", "2", "--A", "1", "--B", "0.7071067811865476"]),
+    (ConstraintSet(2.0, 1.0, 1.5853309190424048, "wavelet", beta=1.0), extremal_weight_wavelet,
+     ["--transform", "wavelet", "--p", "2", "--beta", "1", "--A", "1",
+      "--B", "1.5853309190424048"]),
+]
+
+
+@pytest.mark.parametrize("c, extremal, argv", TIE_CASES)
+def test_extremal_weight_at_regime_tie(c, extremal, argv, tmp_path, capsys):
+    report = (gabor_bound if c.transform == "gabor" else wavelet_bound)(c)
+    assert report.regime == "truncated" and report.lam <= c.A
+    w = extremal(c)
+    assert w.ess_sup() <= c.A
+    assert abs(lp_norm(w, c.p) - c.B) <= 1e-12
+    assert cli.main(["extremal", *argv, "--out", str(tmp_path / "w.csv")]) == 0
+    capsys.readouterr()
 
 
 def test_wavelet_weight_shapes_and_saturation():

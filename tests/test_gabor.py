@@ -14,7 +14,8 @@ from phasebound.gabor import (OperatorSpectrum, Signal, assemble_operator,
                               ball_mask, concentration, expectation,
                               gaussian_window, hermite_function,
                               hermite_phase_basis, lieb_quotient, operator_norm,
-                              radial_eigenvalues, spectrum_from_matrix, stft)
+                              radial_eigenvalues, radial_eigenvalues_quad,
+                              spectrum_from_matrix, stft)
 from phasebound.verify import random_field
 
 
@@ -219,7 +220,7 @@ def test_radial_eigenvalues_quadrature_route():
                  RadialProfile.truncated_gaussian(1.7, 1.1, 1.0),
                  RadialProfile.gaussian(0.8, 2.0)):
         closed = radial_eigenvalues(prof, 10).eigenvalues
-        quad = radial_eigenvalues(prof, 10, method="quadrature").eigenvalues
+        quad = radial_eigenvalues_quad(prof, 10).eigenvalues
         assert np.max(np.abs(closed - quad)) < 1e-10
 
 

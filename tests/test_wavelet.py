@@ -9,8 +9,7 @@ from hypothesis import strategies as st
 
 from phasebound.bounds import G_beta, wavelet_bound
 from phasebound.core import ConstraintSet, distribution_bound
-from phasebound.errors import (DivergenceError, InvalidInputError,
-                               NormalizationError, RegimeError)
+from phasebound.errors import DivergenceError, InvalidInputError, RegimeError
 from phasebound.wavelet import (DiscProfile, HalfPlaneField, HalfPlaneGrid,
                                 HardySignal, HyperbolicDisc,
                                 assemble_wavelet_operator,
@@ -280,13 +279,6 @@ def test_extremal_profile_saturates():
     lam0 = bergman_radial_eigenvalues(rho, 1.0, 8).eigenvalues[0]
     assert lam0 == pytest.approx(W_SUBCRIT_P2_B1, abs=1e-12)
     assert rho.lp_norm(2.0) == pytest.approx(1.0, abs=1e-12)
-
-
-def test_self_check_aborts_on_bad_normalization(monkeypatch):
-    import phasebound.wavelet as wv
-    monkeypatch.setattr(wv, "betainc", lambda *a: np.asarray(0.123))
-    with pytest.raises(NormalizationError):
-        bergman_radial_eigenvalues(DiscProfile.indicator(1.0, 1.0), 1.0, 2)
 
 
 def test_eigenvalues_require_centered_symbol():

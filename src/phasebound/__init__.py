@@ -2,9 +2,8 @@
 wavelet localization operators."""
 
 from .bounds import BoundReport, G, G_beta, gabor_bound, lambda_root, wavelet_bound
-from .core import (ConstraintSet, DistributionFunction, RadialProfile,
-                   WeightField, decreasing_rearrangement, distribution_function,
-                   lp_norm, schwarz_symmetrize)
+from .core import (ConstraintSet, RadialProfile, WeightField,
+                   decreasing_rearrangement, lp_norm, schwarz_symmetrize)
 from .errors import (AliasingError, BasisTruncationError, DivergenceError,
                      InvalidInputError, PhaseboundError, RegimeError,
                      UnattainedBoundError)
@@ -13,7 +12,7 @@ from .extremals import (extremal_signal, extremal_signal_wavelet,
 from .gabor import (OperatorSpectrum, Signal, assemble_operator, concentration,
                     hermite_phase_basis, lieb_quotient, operator_norm,
                     radial_eigenvalues, stft)
-from .varprob import (VariationalSolution, constraint_moment, objective,
+from .varprob import (VariationalSolution, constraint_moment,
                       solve_closed_form, solve_kkt_oracle)
 from .wavelet import (DiscProfile, HalfPlaneField, HalfPlaneGrid, HardySignal,
                       HyperbolicDisc, assemble_wavelet_operator,
@@ -24,9 +23,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BoundReport", "G", "G_beta", "gabor_bound", "lambda_root", "wavelet_bound",
-    "ConstraintSet", "DistributionFunction", "RadialProfile", "WeightField",
-    "decreasing_rearrangement", "distribution_function", "lp_norm",
-    "schwarz_symmetrize",
+    "ConstraintSet", "RadialProfile", "WeightField",
+    "decreasing_rearrangement", "lp_norm", "schwarz_symmetrize",
     "PhaseboundError", "InvalidInputError", "DivergenceError",
     "UnattainedBoundError", "RegimeError", "AliasingError",
     "BasisTruncationError",
@@ -35,7 +33,7 @@ __all__ = [
     "OperatorSpectrum", "Signal", "assemble_operator", "concentration",
     "hermite_phase_basis", "lieb_quotient", "operator_norm",
     "radial_eigenvalues", "stft",
-    "VariationalSolution", "constraint_moment", "objective",
+    "VariationalSolution", "constraint_moment",
     "solve_closed_form", "solve_kkt_oracle",
     "DiscProfile", "HalfPlaneField", "HalfPlaneGrid", "HardySignal",
     "HyperbolicDisc", "assemble_wavelet_operator",

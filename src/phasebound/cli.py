@@ -215,11 +215,14 @@ def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = _build_parser()
 
-    # config presets: prescan for --config, load defaults, flags still win;
-    # a preset also satisfies a required flag
-    if "--config" in argv:
-        path = argv[argv.index("--config") + 1] if argv.index("--config") + 1 < len(argv) else ""
-        presets = _load_config(path)
+    # config presets: a pre-parser reads --config in every spelling argparse
+    # accepts (--config FILE, --config=FILE, abbreviations) and loads its
+    # defaults; flags still win, and a preset also satisfies a required flag
+    pre = _Parser(prog="phasebound", add_help=False)
+    pre.add_argument("--config")
+    config = pre.parse_known_args(argv)[0].config
+    if config is not None:
+        presets = _load_config(config)
         for sub in parser._subparsers._group_actions[0].choices.values():
             known = {a.dest: a for a in sub._actions}
             applied = {k: _coerce(sub, k, v) for k, v in presets.items() if k in known}

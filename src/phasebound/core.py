@@ -9,7 +9,8 @@ hyperbolic measure of {|w|^2 < x}.  Everything that does not depend on the
 geometry is written once, in s:
 
   GridField       complex values on cells of known mass (``WeightField``
-                  here, ``HalfPlaneField`` in ``wavelet``);
+                  here, ``HalfPlaneField`` in ``wavelet``), with the exact
+                  step distribution function mu(t) of their cell values;
   MeasureProfile  nonincreasing radial profiles (``RadialProfile`` here,
                   ``DiscProfile`` in ``wavelet``): knot validation, step
                   evaluation, ess_sup, and the indicator, sampled and
@@ -17,7 +18,9 @@ geometry is written once, in s:
                   radial spectra;
   distribution_bound  int_0^inf G(mu(t)) dt for the ceiling G of a setting.
 
-A setting supplies its coordinate map, its analytic family (a Gaussian in
+Every weight, gridded or radial, answers the same exact mu(t), the measure
+of {|w| > t}, and the bounds read nothing else of it.  A setting supplies
+its coordinate map, its analytic family (a Gaussian in
 pi r^2, a power of 1 - x) and its spectral CDF (regularized Gamma or Beta).
 """
 from __future__ import annotations
@@ -35,9 +38,7 @@ __all__ = [
     "WeightField",
     "MeasureProfile",
     "RadialProfile",
-    "DistributionFunction",
     "ConstraintSet",
-    "distribution_function",
     "distribution_bound",
     "decreasing_rearrangement",
     "schwarz_symmetrize",
@@ -90,6 +91,12 @@ def expm1_poly(n: int, x):
     return out
 
 
+def _check_exponent(p: float):
+    """The paper's exponent domain 1 <= p < inf; NaN is rejected too."""
+    if not 1 <= p < math.inf:
+        raise InvalidInputError(f"p must satisfy 1 <= p < inf, got {p}")
+
+
 def _step_mu(levels: np.ndarray, measures: np.ndarray, t) -> np.ndarray:
     """mu(t) of a step distribution: measures[i] is the measure of the set
     where the weight is at least levels[i], with levels nonincreasing."""
@@ -114,6 +121,10 @@ class GridField:
         masses = self.cell_masses().ravel()
         order = np.argsort(vals)[::-1]
         return vals[order], np.cumsum(masses[order])
+
+    def mu(self, t) -> np.ndarray:
+        """Mass of the cells where |value| > t, elementwise in t."""
+        return _step_mu(*self.levels(), np.asarray(t, dtype=float))
 
 
 @dataclass(frozen=True)
@@ -230,8 +241,7 @@ class MeasureProfile:
 
     def lp_norm(self, p: float) -> float:
         """(int rho^p ds)^{1/p}, the L^p norm against the setting's measure."""
-        if p < 1:
-            raise InvalidInputError("p must be >= 1")
+        _check_exponent(p)
         kind = self.kind
         if kind == "sampled":
             steps = np.diff(self.measure(self.knots), prepend=0.0)
@@ -367,65 +377,8 @@ class RadialProfile(MeasureProfile):
 
 
 # ---------------------------------------------------------------------------
-# distribution functions
+# distribution bound
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class DistributionFunction:
-    """Right-continuous nonincreasing mu(t) = measure of {|F| > t}.
-
-    Values are sampled at ``breakpoints``; by convention mu equals masses[i]
-    on [breakpoints[i], breakpoints[i+1]), masses[0] below the first
-    breakpoint, and 0 at and above ``essential_sup``.
-    """
-
-    breakpoints: np.ndarray
-    masses: np.ndarray
-    essential_sup: float
-
-    def __post_init__(self):
-        t = np.asarray(self.breakpoints, dtype=float)
-        m = np.asarray(self.masses, dtype=float)
-        if t.shape != m.shape or t.ndim != 1:
-            raise InvalidInputError("breakpoints and masses must be matching 1-d arrays")
-        if t.size > 1 and np.any(np.diff(t) <= 0):
-            raise InvalidInputError("breakpoints must be strictly increasing")
-        if np.any(m < -1e-12) or np.any(np.diff(m) > 1e-12):
-            raise InvalidInputError("masses must be nonnegative and nonincreasing")
-        object.__setattr__(self, "breakpoints", t)
-        object.__setattr__(self, "masses", np.maximum(m, 0.0))
-
-    def __call__(self, t):
-        t = np.asarray(t, dtype=float)
-        idx = np.searchsorted(self.breakpoints, t, side="right") - 1
-        out = self.masses[np.clip(idx, 0, self.masses.size - 1)]
-        out = np.where(t >= self.essential_sup, 0.0, out)
-        return out if out.ndim else float(out)
-
-    @classmethod
-    def zero(cls) -> "DistributionFunction":
-        return cls(np.array([0.0]), np.array([0.0]), 0.0)
-
-
-def distribution_function(w, n_levels: int = 256) -> DistributionFunction:
-    """Distribution function of |w| sampled at geometric thresholds.
-
-    Thresholds span (ess_sup * 1e-6, ess_sup]; this resolves both Gaussian
-    tails and indicator jumps.  Grid fields count cell masses; profiles
-    are inverted in the measure coordinate.
-    """
-    if n_levels < 2:
-        raise InvalidInputError("need at least 2 levels")
-    ess = w.ess_sup()
-    if ess == 0.0:
-        return DistributionFunction.zero()
-    ts = np.geomspace(ess * 1e-6, ess, n_levels)
-    if isinstance(w, GridField):
-        return DistributionFunction(ts, _step_mu(*w.levels(), ts), ess)
-    if isinstance(w, MeasureProfile):
-        return DistributionFunction(ts, w.mu(ts), ess)
-    raise InvalidInputError(f"unsupported weight type {type(w).__name__}")
-
 
 def distribution_bound(w, G) -> float:
     """int_0^inf G(mu(t)) dt, the distribution-function norm bound.
@@ -499,11 +452,10 @@ def lp_norm(w, p: float) -> float:
     """L^p norm of a weight: grid fields sum |value|^p over their cell
     masses, profiles integrate in their measure coordinate (closed forms
     for the analytic kinds)."""
-    if p < 1:
-        raise InvalidInputError("p must be >= 1")
     if isinstance(w, MeasureProfile):
         return w.lp_norm(p)
     if isinstance(w, GridField):
+        _check_exponent(p)
         return float(np.sum(np.abs(w.values) ** p * w.cell_masses()) ** (1.0 / p))
     raise InvalidInputError(f"unsupported weight type {type(w).__name__}")
 
@@ -528,8 +480,7 @@ class ConstraintSet:
     beta: float = 1.0
 
     def __post_init__(self):
-        if self.p < 1:
-            raise InvalidInputError("p must be >= 1")
+        _check_exponent(self.p)
         if not (self.A > 0):
             raise InvalidInputError("A must be positive (possibly inf)")
         if not (0 < self.B < math.inf):
@@ -542,8 +493,8 @@ class ConstraintSet:
             if not (isinstance(self.d, int) and self.d >= 1):
                 raise InvalidInputError("gabor constraints need integer d >= 1")
         else:
-            if not (self.beta > 0):
-                raise InvalidInputError("wavelet constraints need beta > 0")
+            if not 0 < self.beta < math.inf:
+                raise InvalidInputError("wavelet constraints need 0 < beta < inf")
 
     @property
     def kappa(self) -> float:

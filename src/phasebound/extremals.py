@@ -14,8 +14,7 @@ from .bounds import gabor_bound, wavelet_bound
 from .core import ConstraintSet, RadialProfile
 from .errors import InvalidInputError
 from .gabor import Signal
-from .wavelet import (DiscProfile, HardySignal, _frequency_rule,
-                      bergman_basis, cauchy_norm_const)
+from .wavelet import DiscProfile, HardySignal, bergman_basis, cauchy_norm_const
 
 __all__ = [
     "extremal_weight_gabor",
@@ -67,26 +66,23 @@ def extremal_signal(x0: float, omega0: float, phase: complex = 1.0) -> Signal:
 
 
 def extremal_signal_wavelet(x0: float, y0: float, beta: float,
-                            phase: complex | None = None,
-                            n_freq: int = 160) -> HardySignal:
+                            phase: complex | None = None) -> HardySignal:
     """Unit-norm translated-dilated analyzing wavelet centered at x0 + i y0.
 
     f(t) = (c / sqrt(y0)) psi((t - x0)/y0) with |c|^2 = 2 pi / beta, which
     makes ||f|| = 1; in frequency, f-hat = c sqrt(y0) e^{-i omega x0}
     psi-hat(y0 omega).
     """
-    if y0 <= 0:
+    if not y0 > 0:
         raise InvalidInputError("the center must satisfy y0 > 0")
-    if beta <= 0:
+    if not beta > 0:
         raise InvalidInputError("beta must be positive")
     c = math.sqrt(2.0 * math.pi / beta) if phase is None else complex(phase)
     if abs(abs(c) - math.sqrt(2.0 * math.pi / beta)) > 1e-10:
         raise InvalidInputError("|phase|^2 must equal 2 pi / beta")
     cb = cauchy_norm_const(beta)
-    om, w = _frequency_rule(n_freq)
-    vals = (c * math.sqrt(y0) * np.exp(-1j * om * x0)
-            * (y0 * om) ** beta * np.exp(-y0 * om) / cb)
-    return HardySignal(om, vals, w)
+    return HardySignal.from_function(lambda om: c * math.sqrt(y0) * np.exp(-1j * om * x0)
+                                     * (y0 * om) ** beta * np.exp(-y0 * om) / cb)
 
 
 def wavelet_disc_coefficients(x0: float, y0: float, beta: float, K: int,

@@ -130,11 +130,12 @@ class Signal:
         return cls(pulse=(float(x0), float(omega0), complex(phase)))
 
     # -- representations ---------------------------------------------------
-    def time_samples(self, half_span: float = DEFAULT_TIME_HALF_SPAN,
-                     n: int = DEFAULT_TIME_SAMPLES):
+    def time_samples(self):
+        """(times, values): a sampled signal's own, any other signal on the
+        default time grid of ``stft``."""
         if self.times is not None:
             return self.times, self.values
-        t = np.linspace(-half_span, half_span, n)
+        t = np.linspace(-DEFAULT_TIME_HALF_SPAN, DEFAULT_TIME_HALF_SPAN, DEFAULT_TIME_SAMPLES)
         if self.pulse is not None:
             x0, w0, c = self.pulse
             vals = c * np.exp(2j * math.pi * t * w0) * gaussian_window(t - x0)
@@ -420,18 +421,25 @@ class OperatorSpectrum:
     def norm(self) -> float:
         return float(np.max(np.abs(self.eigenvalues)))
 
+    @classmethod
+    def from_eigenvalues(cls, eigs) -> "OperatorSpectrum":
+        """The K = len(eigs) leading eigenvalues, sorted descending.
 
-def _tail_estimate(eigs_sorted_desc: np.ndarray) -> float:
-    a = np.abs(eigs_sorted_desc)
-    if a.size < 2 or a[-1] == 0.0:
-        return float(a[-1]) if a.size else 0.0
-    ratio = min(a[-1] / max(a[-2], 1e-300), 0.9)
-    return float(a[-1] * ratio / (1.0 - ratio))
+        The tail is extrapolated geometrically from the last two
+        eigenvalues: an estimate, not a bound.
+        """
+        eigs = np.sort(eigs)[::-1]
+        a = np.abs(eigs)
+        if a.size < 2 or a[-1] == 0.0:
+            tail = float(a[-1]) if a.size else 0.0
+        else:
+            ratio = min(a[-1] / max(a[-2], 1e-300), 0.9)
+            tail = float(a[-1] * ratio / (1.0 - ratio))
+        return cls(eigs, eigs.size, tail)
 
 
 def spectrum_from_matrix(M: np.ndarray) -> OperatorSpectrum:
-    eigs = np.sort(eigh(_checked_hermitian(M), eigvals_only=True))[::-1]
-    return OperatorSpectrum(eigs, M.shape[0], _tail_estimate(eigs))
+    return OperatorSpectrum.from_eigenvalues(eigh(_checked_hermitian(M), eigvals_only=True))
 
 
 def _radial_ks(rho: RadialProfile, K: int) -> np.ndarray:
@@ -444,11 +452,6 @@ def _radial_ks(rho: RadialProfile, K: int) -> np.ndarray:
     return np.arange(K)
 
 
-def _sorted_spectrum(lam: np.ndarray) -> OperatorSpectrum:
-    lam = np.sort(lam)[::-1]
-    return OperatorSpectrum(lam, lam.size, _tail_estimate(lam))
-
-
 def radial_eigenvalues(rho: RadialProfile, K: int) -> OperatorSpectrum:
     """Spectrum of the operator with radial weight rho, centered at the origin.
 
@@ -457,7 +460,7 @@ def radial_eigenvalues(rho: RadialProfile, K: int) -> OperatorSpectrum:
     for sampled profiles.  ``radial_eigenvalues_quad`` is the independent
     cross-check.
     """
-    return _sorted_spectrum(_radial_eigs_closed(rho, _radial_ks(rho, K)))
+    return OperatorSpectrum.from_eigenvalues(_radial_eigs_closed(rho, _radial_ks(rho, K)))
 
 
 def radial_eigenvalues_quad(rho: RadialProfile, K: int) -> OperatorSpectrum:
@@ -465,7 +468,7 @@ def radial_eigenvalues_quad(rho: RadialProfile, K: int) -> OperatorSpectrum:
     adaptive quadrature, split at the profile's breakpoints in s."""
     ks = _radial_ks(rho, K)
     pts = _profile_breaks_s(rho)
-    return _sorted_spectrum(np.array([_gamma_average_quad(rho, k, pts) for k in ks]))
+    return OperatorSpectrum.from_eigenvalues([_gamma_average_quad(rho, k, pts) for k in ks])
 
 
 def _gamma_cdf(k, s):

@@ -93,14 +93,13 @@ def read_weight_field(path) -> WeightField:
     return field
 
 
-def write_radial_profile(profile: RadialProfile, path, n_samples: int = 512,
-                         r_max: float | None = None):
-    """Sample the profile on a uniform radius grid and write r,value rows."""
-    if profile.kind == "sampled" and r_max is None:
+def write_radial_profile(profile: RadialProfile, path, n_samples: int = 512):
+    """Write r,value rows: a sampled profile's knots, any other kind sampled
+    on a uniform radius grid out to its extent."""
+    if profile.kind == "sampled":
         rs, vals = profile.knots, profile.knot_values
     else:
-        if r_max is None:
-            r_max = _profile_extent(profile)
+        r_max = _profile_extent(profile)
         rs = np.linspace(r_max / n_samples, r_max, n_samples)
         vals = profile(rs)
     _write_rows(path, ["r", "value"], rs, vals)
@@ -112,8 +111,6 @@ def _profile_extent(profile: RadialProfile) -> float:
     if profile.kind in ("gaussian", "truncated_gaussian"):
         # radius where the Gaussian factor has decayed to 1e-12
         return math.sqrt(profile.scale * 12.0 * math.log(10.0) / math.pi)
-    if profile.kind == "sampled":
-        return float(profile.knots[-1])
     raise InvalidInputError(f"cannot choose an extent for kind {profile.kind!r}")
 
 

@@ -29,7 +29,6 @@ __all__ = [
     "kernel_for",
     "SampledFunction",
     "VariationalSolution",
-    "objective",
     "constraint_moment",
     "solve_closed_form",
     "solve_kkt_oracle",
@@ -118,7 +117,7 @@ def geometric_grid(upper: float):
 
 
 # ---------------------------------------------------------------------------
-# objective and constraint
+# the constraint
 # ---------------------------------------------------------------------------
 
 def _support_end(u: Callable, A: float) -> float:
@@ -128,24 +127,12 @@ def _support_end(u: Callable, A: float) -> float:
     while u(np.array([t]))[0] > 0.0:
         t *= 2.0
         if t > 1e9:
-            raise InvalidInputError("u does not vanish; objective diverges for A = inf")
+            raise InvalidInputError("u does not vanish; the moment diverges for A = inf")
     return t
 
 
 def _at(u: Callable, t: float) -> float:
     return float(np.asarray(u(np.atleast_1d(t)))[0])
-
-
-def objective(u, c: ConstraintSet, *, breaks=()) -> float:
-    """I(u) = int_0^A G(u(t)) dt by quadrature (kernel chosen from c)."""
-    kern = kernel_for(c)
-    if isinstance(u, SampledFunction):
-        return u.integral(kern.g)
-    upper = _support_end(u, c.A)
-    pts = [b for b in breaks if 0.0 < b < upper]
-    val, _ = quad(lambda t: float(kern.g(_at(u, t))), 0.0, upper,
-                  points=pts or None, epsabs=1e-13, epsrel=1e-12, limit=300)
-    return val
 
 
 def constraint_moment(u, p: float, A: float, *, breaks=()) -> float:

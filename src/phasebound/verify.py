@@ -14,8 +14,8 @@ import numpy as np
 from . import bounds as bd
 from . import varprob as vp
 from .core import (ConstraintSet, RadialProfile, WeightField,
-                   decreasing_rearrangement, distribution_bound,
-                   distribution_function, lp_norm, schwarz_symmetrize)
+                   decreasing_rearrangement, distribution_bound, lp_norm,
+                   schwarz_symmetrize)
 from .extremals import (extremal_signal, extremal_weight_gabor,
                         extremal_weight_wavelet, wavelet_disc_coefficients)
 from .gabor import (Signal, assemble_operator, ball_mask, concentration,
@@ -57,18 +57,18 @@ class _Recorder:
 # helpers shared with tests
 # ---------------------------------------------------------------------------
 
-def random_feasible_competitor(rng, c: ConstraintSet, n_steps: int = 40):
+def random_feasible_competitor(rng, c: ConstraintSet):
     """A random nonincreasing step function with the constraint saturated.
 
-    Steps on (0, T): random positive levels, sorted decreasing, then scaled
-    so the exact moment equals B^p (the moment is linear in u).
+    40 steps on (0, T): random positive levels, sorted decreasing, then
+    scaled so the exact moment equals B^p (the moment is linear in u).
     """
+    n_steps = 40
     T = c.A if math.isfinite(c.A) else float(rng.uniform(0.5, 4.0))
     edges = np.sort(rng.uniform(0.0, T, n_steps - 1))
     edges = np.concatenate([[0.0], edges, [T]])
     levels = np.sort(rng.exponential(1.0, n_steps))[::-1]
-    moment = float(np.sum(levels * (edges[1:] ** c.p - edges[:-1] ** c.p)))
-    levels *= c.B ** c.p / moment
+    levels *= c.B ** c.p / step_moment(edges, levels, c.p)
 
     def u(t):
         t = np.asarray(t, float)
@@ -81,23 +81,31 @@ def random_feasible_competitor(rng, c: ConstraintSet, n_steps: int = 40):
     return u, objective
 
 
+def thresholds(w, n: int) -> np.ndarray:
+    """n geometric thresholds on [ess_sup * 1e-6, ess_sup], which resolve
+    both Gaussian tails and indicator jumps of mu."""
+    ess = w.ess_sup()
+    return np.geomspace(ess * 1e-6, ess, n)
+
+
 def step_moment(edges: np.ndarray, levels: np.ndarray, p: float) -> float:
     """Exact p-moment of a step function: p int t^{p-1} u dt summed per step."""
     return float(np.sum(levels * (edges[1:] ** p - edges[:-1] ** p)))
 
 
-def random_radial(rng, n_steps: int = 60, r_max: float = 3.0) -> RadialProfile:
-    radii = np.sort(rng.uniform(0.05, r_max, n_steps))
-    values = np.sort(rng.exponential(1.0, n_steps))[::-1]
+def random_radial(rng) -> RadialProfile:
+    """60 random nonincreasing steps on radii in (0.05, 3)."""
+    radii = np.sort(rng.uniform(0.05, 3.0, 60))
+    values = np.sort(rng.exponential(1.0, 60))[::-1]
     return RadialProfile.sampled(radii, values)
 
 
-def random_field(rng, half_width: float = 6.0, n: int = 128,
-                 n_bumps: int = 4) -> WeightField:
+def random_field(rng, half_width: float = 6.0, n: int = 128) -> WeightField:
+    """Four random Gaussian bumps centered in [-2.5, 2.5]^2, on an n x n grid."""
     ax = -half_width + (np.arange(n) + 0.5) * (2 * half_width / n)
     X, Y = np.meshgrid(ax, ax, indexing="ij")
     f = np.zeros((n, n))
-    for _ in range(n_bumps):
+    for _ in range(4):
         cx, cy = rng.uniform(-2.5, 2.5, 2)
         s = rng.uniform(0.3, 1.5)
         f += rng.uniform(0.2, 1.0) * np.exp(-((X - cx) ** 2 + (Y - cy) ** 2) / (2 * s * s))
@@ -237,19 +245,19 @@ def verify_rearrange(seed: int = 0, basis: int = 48) -> dict:
     rec.check("square -> ball radius", abs(r_last - 1.0 / math.sqrt(math.pi)),
               2 * field.cell)
 
-    # distribution match between field and its symmetrization
+    # distribution match between field and its symmetrization, at
+    # geometric thresholds below the common ess sup
     f = random_field(rng, n=64)
-    mu_f = distribution_function(f, 64)
-    mu_s = distribution_function(schwarz_symmetrize(f), 64)
-    worst = float(np.max(np.abs(mu_f.masses - mu_s(mu_f.breakpoints))))
+    ts = thresholds(f, 64)
+    worst = float(np.max(np.abs(f.mu(ts) - schwarz_symmetrize(f).mu(ts))))
     rec.check("symmetrization preserves distribution", worst, f.cell_area + 1e-12)
 
     # distribution function vs sort-based oracle on a random grid (exact)
     f = WeightField(3.0, 64, rng.uniform(0, 1, (64, 64)).astype(complex))
-    mu = distribution_function(f, 128)
+    ts = thresholds(f, 128)
     vals = np.sort(np.abs(f.values).ravel())[::-1]
-    oracle = np.array([np.sum(vals > t) * f.cell_area for t in mu.breakpoints])
-    rec.check("distribution vs sort oracle", float(np.max(np.abs(mu.masses - oracle))), 0.0)
+    oracle = np.array([np.sum(vals > t) * f.cell_area for t in ts])
+    rec.check("distribution vs sort oracle", float(np.max(np.abs(f.mu(ts) - oracle))), 0.0)
 
     # lp_norm closed forms
     ball = RadialProfile.ball(2.0, 1.5)
@@ -259,12 +267,12 @@ def verify_rearrange(seed: int = 0, basis: int = 48) -> dict:
     tr = RadialProfile.truncated_gaussian(math.exp(0.5), 1.0, 1.0)
     rec.check("extremal truncated L2 = B", abs(lp_norm(tr, 2.0) - 1.0), 1e-12)
 
-    # analytic distribution of the Gaussian profile, at the sampled thresholds
+    # analytic distribution of the Gaussian profile, at geometric thresholds
     lam, p = 1.7, 2.0
     gp = RadialProfile.gaussian(lam, p - 1.0)
-    mu2 = distribution_function(gp, 400)
-    worst = float(np.max(np.abs(mu2.masses - np.where(
-        mu2.breakpoints < lam, -(np.log((mu2.breakpoints / lam) ** (p - 1.0))), 0.0))))
+    ts = thresholds(gp, 400)
+    worst = float(np.max(np.abs(gp.mu(ts) - np.where(
+        ts < lam, -(np.log((ts / lam) ** (p - 1.0))), 0.0))))
     rec.check("gaussian distribution closed form", worst, 1e-12)
 
     return rec.summary()

@@ -22,8 +22,7 @@ import numpy as np
 
 from .core import GridField, MeasureProfile, first_use, lp_norm
 from .errors import DivergenceError, InvalidInputError, RegimeError
-from .gabor import (OperatorSpectrum, _tail_estimate, basis_recurrence,
-                    gram_operator)
+from .gabor import OperatorSpectrum, basis_recurrence, gram_operator
 
 __all__ = [
     "cauchy_norm_const",
@@ -59,21 +58,26 @@ betainc, betaln, eval_genlaguerre, gammaln = first_use(
 
 def cauchy_norm_const(beta: float) -> float:
     """c_beta with c_beta^2 = 2 pi 2^{-2 beta} Gamma(2 beta)."""
-    if beta <= 0:
+    if not beta > 0:
         raise InvalidInputError("beta must be positive")
     return math.sqrt(2.0 * math.pi * math.exp(-2.0 * beta * math.log(2.0)
                                               + gammaln(2.0 * beta)))
 
 
-@lru_cache(maxsize=8)
-def _frequency_rule(n: int):
-    """Gauss-Laguerre nodes with weights converted for plain int_0^inf dω.
+# Gauss-Laguerre nodes of ``from_function`` and ``from_disc_coeffs`` signals
+_N_FREQ = 160
+
+
+@lru_cache(maxsize=1)
+def _frequency_rule():
+    """_N_FREQ Gauss-Laguerre nodes with weights converted for plain
+    int_0^inf dω, computed on first use (not at import).
 
     Beyond ~180 nodes the raw weights underflow; those far nodes carry
     e^{-omega} factors below double precision for every integrand here, so
     their converted weights are set to zero.
     """
-    om, w = np.polynomial.laguerre.laggauss(n)
+    om, w = np.polynomial.laguerre.laggauss(_N_FREQ)
     with np.errstate(divide="ignore"):
         logw = np.log(w)
     return om, np.where(np.isfinite(logw), np.exp(logw + om), 0.0)
@@ -110,26 +114,26 @@ class HardySignal:
         object.__setattr__(self, "weights", w)
 
     @classmethod
-    def from_function(cls, fhat, n_freq: int = 160) -> "HardySignal":
-        om, w = _frequency_rule(n_freq)
+    def from_function(cls, fhat) -> "HardySignal":
+        om, w = _frequency_rule()
         return cls(om, np.asarray(fhat(om), complex), w)
 
     @classmethod
-    def on_uniform_grid(cls, fhat, omega_max: float = 60.0, n_freq: int = 6000) -> "HardySignal":
-        """Uniform grid with midpoint weights.
+    def on_uniform_grid(cls, fhat, omega_max: float, n: int) -> "HardySignal":
+        """n midpoints of a uniform grid on (0, omega_max), with their weights.
 
         Denser near zero than Gauss-Laguerre; the transform then stays
         accurate out to |x| of order pi / spacing, which windowed-quadrature
         oracles need.
         """
-        dw = omega_max / n_freq
-        om = (np.arange(n_freq) + 0.5) * dw
-        return cls(om, np.asarray(fhat(om), complex), np.full(n_freq, dw))
+        dw = omega_max / n
+        om = (np.arange(n) + 0.5) * dw
+        return cls(om, np.asarray(fhat(om), complex), np.full(n, dw))
 
     @classmethod
-    def from_disc_coeffs(cls, coeffs, beta: float, n_freq: int = 160) -> "HardySignal":
+    def from_disc_coeffs(cls, coeffs, beta: float) -> "HardySignal":
         coeffs = np.asarray(coeffs, complex)
-        om, w = _frequency_rule(n_freq)
+        om, w = _frequency_rule()
         vals = np.zeros(om.size, dtype=complex)
         for k, c in enumerate(coeffs):
             if c != 0:
@@ -139,18 +143,11 @@ class HardySignal:
     def l2_norm(self) -> float:
         return float(math.sqrt(np.sum(self.weights * np.abs(self.values) ** 2)))
 
-    def disc_coefficients(self, beta: float, K: int) -> np.ndarray:
-        out = np.empty(K, dtype=complex)
-        for k in range(K):
-            ek = disc_basis_frequency(k, beta, self.omegas)
-            out[k] = np.sum(self.weights * self.values * ek)
-        return out
 
-
-def cauchy_wavelet(beta: float, n_freq: int = 160) -> HardySignal:
+def cauchy_wavelet(beta: float) -> HardySignal:
     """The analyzing wavelet: f-hat = omega^beta e^{-omega} / c_beta."""
     cb = cauchy_norm_const(beta)
-    return HardySignal.from_function(lambda om: om ** beta * np.exp(-om) / cb, n_freq)
+    return HardySignal.from_function(lambda om: om ** beta * np.exp(-om) / cb)
 
 
 def disc_basis_frequency(k: int, beta: float, omegas) -> np.ndarray:
@@ -497,7 +494,7 @@ def bergman_radial_eigenvalues(rho: DiscProfile, beta: float, K: int) -> Operato
 
     lambda_k = int_0^1 rho(x) x^k (1-x)^{2 beta - 1} dx / B(k+1, 2 beta).
     """
-    if beta <= 0:
+    if not beta > 0:
         raise InvalidInputError("beta must be positive")
     if K < 1:
         raise InvalidInputError("K must be >= 1")
@@ -519,8 +516,7 @@ def bergman_radial_eigenvalues(rho: DiscProfile, beta: float, K: int) -> Operato
     else:
         lam = rho.step_eigenvalues(ks, _beta_cdf, beta)
 
-    lam = np.sort(lam)[::-1]
-    return OperatorSpectrum(lam, K, _tail_estimate(lam))
+    return OperatorSpectrum.from_eigenvalues(lam)
 
 
 def assemble_wavelet_operator(F: HalfPlaneField, beta: float, K: int,
@@ -543,15 +539,19 @@ def assemble_wavelet_operator(F: HalfPlaneField, beta: float, K: int,
                          F.grid.cell_masses().ravel() * F.values.ravel())
 
 
-def nu_window_integral(fun, x_span=(-20.0, 20.0), y_span=(5e-3, 100.0),
-                       nx_panels: int = 160, ny_panels: int = 96, order: int = 3) -> float:
-    """int fun dnu over a window, by Gauss-Legendre panels in (x, log y).
+_WINDOW_X, _WINDOW_Y = (-20.0, 20.0), (5e-3, 100.0)
+_WINDOW_PANELS_X, _WINDOW_PANELS_Y, _WINDOW_ORDER = 160, 96, 3
+
+
+def nu_window_integral(fun) -> float:
+    """int fun dnu over the window [-20, 20] x [5e-3, 100], by Gauss-Legendre
+    panels in (x, log y).
 
     ``fun`` receives the separable node arrays (xs, ys) and must return
     values of shape (len(xs), len(ys)); the y^{-2} density is absorbed into
     the log-coordinate weights.
     """
-    g, gw = np.polynomial.legendre.leggauss(order)
+    g, gw = np.polynomial.legendre.leggauss(_WINDOW_ORDER)
 
     def panel_nodes(a, b, n):
         edges = np.linspace(a, b, n + 1)
@@ -560,8 +560,8 @@ def nu_window_integral(fun, x_span=(-20.0, 20.0), y_span=(5e-3, 100.0),
         return (mid[:, None] + half[:, None] * g[None, :]).ravel(), \
                (half[:, None] * gw[None, :]).ravel()
 
-    xs, xw = panel_nodes(x_span[0], x_span[1], nx_panels)
-    ss, sw = panel_nodes(math.log(y_span[0]), math.log(y_span[1]), ny_panels)
+    xs, xw = panel_nodes(*_WINDOW_X, _WINDOW_PANELS_X)
+    ss, sw = panel_nodes(math.log(_WINDOW_Y[0]), math.log(_WINDOW_Y[1]), _WINDOW_PANELS_Y)
     ys = np.exp(ss)
     vals = np.asarray(fun(xs, ys), float)
     if vals.shape != (xs.size, ys.size):

@@ -4,11 +4,11 @@ import math
 import numpy as np
 import pytest
 
-from phasebound.core import (ConstraintSet, DistributionFunction, RadialProfile,
-                             WeightField, decreasing_rearrangement,
-                             distribution_function, lp_norm, schwarz_symmetrize)
+from phasebound.core import (ConstraintSet, RadialProfile, WeightField,
+                             decreasing_rearrangement, lp_norm, schwarz_symmetrize)
 from phasebound.errors import (DivergenceError, InvalidInputError,
                                UnattainedBoundError)
+from phasebound.verify import thresholds
 
 
 def make_field(n=64, half_width=4.0, seed=0):
@@ -68,54 +68,44 @@ def test_constraint_set_validation():
 def test_distribution_ball_indicator():
     # indicator level sets: mu = area below the amplitude, 0 at and above
     prof = RadialProfile.ball(1.0, 1.7)
-    mu = distribution_function(prof, 64)
-    ts = mu.breakpoints
-    assert mu.masses[ts < 1.0] == pytest.approx(1.7)
-    assert mu(1.0) == 0.0
-    assert mu(2.0) == 0.0
+    ts = thresholds(prof, 64)
+    assert prof.mu(ts[ts < 1.0]) == pytest.approx(1.7)
+    assert prof.mu(1.0) == 0.0
+    assert prof.mu(2.0) == 0.0
 
 
 def test_distribution_gaussian_closed_form():
     # mu(t) = -log (t/lam)^{p-1} for the profile lam e^{-pi r^2/(p-1)}
     lam, p = 1.6, 2.5
     prof = RadialProfile.gaussian(lam, p - 1.0)
-    mu = distribution_function(prof, 256)
-    want = np.where(mu.breakpoints < lam,
-                    -np.log((mu.breakpoints / lam) ** (p - 1.0)), 0.0)
-    assert mu.masses == pytest.approx(want, abs=1e-12)
+    ts = thresholds(prof, 256)
+    want = np.where(ts < lam, -np.log((ts / lam) ** (p - 1.0)), 0.0)
+    assert prof.mu(ts) == pytest.approx(want, abs=1e-12)
 
 
 def test_distribution_matches_sort_oracle():
     # grid counting must agree exactly with the sort-based construction
     f = make_field()
-    mu = distribution_function(f, 128)
+    ts = thresholds(f, 128)
     vals = np.sort(np.abs(f.values).ravel())[::-1]
-    oracle = np.array([np.count_nonzero(vals > t) * f.cell_area
-                       for t in mu.breakpoints])
-    assert mu.masses == pytest.approx(oracle, abs=0.0)
+    oracle = np.array([np.count_nonzero(vals > t) * f.cell_area for t in ts])
+    assert f.mu(ts) == pytest.approx(oracle, abs=0.0)
 
 
 def test_distribution_zero_field_and_monotone():
-    z = distribution_function(WeightField(1.0, 4, np.zeros((4, 4), complex)))
-    assert z.essential_sup == 0.0 and np.all(z.masses == 0.0)
+    z = WeightField(1.0, 4, np.zeros((4, 4), complex))
+    assert z.ess_sup() == 0.0 and np.all(z.mu([0.0, 1.0]) == 0.0)
     for w in (make_field(seed=3), RadialProfile.gaussian(1.0, 1.0),
               RadialProfile.truncated_gaussian(2.0, 0.7, 1.1)):
-        mu = distribution_function(w, 128)
-        assert np.all(np.diff(mu.masses) <= 1e-12)
-        assert mu(mu.essential_sup) == 0.0
-        assert mu(mu.essential_sup * 2) == 0.0
+        mu = w.mu(thresholds(w, 128))
+        assert np.all(np.diff(mu) <= 1e-12)
+        assert w.mu(w.ess_sup()) == 0.0
+        assert w.mu(w.ess_sup() * 2) == 0.0
 
 
 def test_distribution_constant_diverges():
     with pytest.raises(DivergenceError):
-        distribution_function(RadialProfile.constant(1.0), 16)
-
-
-def test_distribution_function_type_invariants():
-    with pytest.raises(InvalidInputError):
-        DistributionFunction(np.array([1.0, 0.5]), np.array([1.0, 0.5]), 1.0)
-    with pytest.raises(InvalidInputError):
-        DistributionFunction(np.array([0.5, 1.0]), np.array([0.5, 1.0]), 1.0)
+        RadialProfile.constant(1.0).mu(0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -171,10 +161,9 @@ def test_schwarz_radial_fixed_point():
 
 def test_schwarz_preserves_distribution():
     f = make_field(seed=5)
-    mu_f = distribution_function(f, 96)
     star = schwarz_symmetrize(f)
-    mu_s = distribution_function(star, 96)
-    assert np.max(np.abs(mu_f.masses - mu_s(mu_f.breakpoints))) <= f.cell_area + 1e-12
+    ts = thresholds(f, 96)
+    assert np.max(np.abs(f.mu(ts) - star.mu(ts))) <= f.cell_area + 1e-12
     assert np.all(np.diff(star.knot_values) <= 0.0)
 
 

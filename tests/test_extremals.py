@@ -7,7 +7,7 @@ from scipy.integrate import quad
 
 from phasebound import cli
 from phasebound.bounds import gabor_bound, wavelet_bound
-from phasebound.core import ConstraintSet, distribution_function, lp_norm
+from phasebound.core import ConstraintSet, lp_norm
 from phasebound.errors import InvalidInputError, UnattainedBoundError
 from phasebound.extremals import (extremal_signal, extremal_signal_wavelet,
                                   extremal_weight_gabor,
@@ -15,6 +15,7 @@ from phasebound.extremals import (extremal_signal, extremal_signal_wavelet,
                                   wavelet_disc_coefficients)
 from phasebound.gabor import assemble_operator, expectation, radial_eigenvalues
 from phasebound.varprob import solve_kkt_oracle
+from phasebound.verify import thresholds
 from phasebound.wavelet import bergman_radial_eigenvalues
 
 GABOR_CASES = [
@@ -86,10 +87,9 @@ def _maximizer(c):
 def test_gabor_weight_distribution_matches_maximizer():
     for c in GABOR_CASES:
         w = extremal_weight_gabor(c)
-        mu = distribution_function(w, 400)
-        good = mu.breakpoints < w.ess_sup() * (1 - 1e-12)
-        u = _maximizer(c)
-        assert np.max(np.abs(mu.masses[good] - u(mu.breakpoints[good]))) < 1e-8, c
+        ts = thresholds(w, 400)
+        ts = ts[ts < w.ess_sup() * (1 - 1e-12)]
+        assert np.max(np.abs(w.mu(ts) - _maximizer(c)(ts))) < 1e-8, c
 
 
 def test_gabor_weight_spectral_saturation():
@@ -107,10 +107,9 @@ def test_gabor_weight_higher_dimension():
         w = extremal_weight_gabor(c)
         assert w.dim == c.d
         assert lp_norm(w, c.p) == pytest.approx(c.B, abs=1e-8), c
-        mu = distribution_function(w, 300)
-        good = mu.breakpoints < w.ess_sup() * (1 - 1e-12)
-        u = _maximizer(c)
-        assert np.max(np.abs(mu.masses[good] - u(mu.breakpoints[good]))) < 1e-8, c
+        ts = thresholds(w, 300)
+        ts = ts[ts < w.ess_sup() * (1 - 1e-12)]
+        assert np.max(np.abs(w.mu(ts) - _maximizer(c)(ts))) < 1e-8, c
 
 
 # at the regime tie the bounds report a truncated regime with lam at most A:

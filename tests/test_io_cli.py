@@ -8,15 +8,17 @@ import numpy as np
 import pytest
 
 from phasebound import cli
-from phasebound.core import RadialProfile, WeightField
+from phasebound.core import ConstraintSet, RadialProfile, WeightField, lp_norm
 from phasebound.errors import InvalidInputError
+from phasebound.extremals import extremal_signal_wavelet
 from phasebound.io import (read_disc_profile, read_halfplane_field,
                            read_radial_profile, read_weight_field,
                            sniff_weight_file, write_disc_profile,
                            write_halfplane_field, write_radial_profile,
                            write_spectrum, write_weight_field)
 from phasebound.verify import random_field
-from phasebound.wavelet import DiscProfile, HalfPlaneGrid, HalfPlaneField
+from phasebound.wavelet import (DiscProfile, HalfPlaneGrid, HalfPlaneField,
+                                bergman_radial_eigenvalues, cauchy_norm_const)
 
 
 @pytest.fixture
@@ -239,10 +241,50 @@ def test_cli_verify_deterministic_and_config(tmp_path, run_cli):
 
     cfg = tmp_path / "pb.cfg"
     cfg.write_text("format = json\nB = 1.0\n")
-    code, out, _ = run_cli("--config", str(cfg), "bound", "--transform", "gabor",
-                           "--p", "2", "--A", "1")
-    assert code == 0
-    assert json.loads(out)["bound"] == pytest.approx(0.6967347, abs=1e-6)
+    for spelling in (["--config", str(cfg)], [f"--config={cfg}"]):
+        code, out, _ = run_cli(*spelling, "bound", "--transform", "gabor",
+                               "--p", "2", "--A", "1")
+        assert code == 0, spelling
+        assert json.loads(out)["bound"] == pytest.approx(0.6967347, abs=1e-6)
+
+
+def test_nan_and_infinite_parameters_rejected(tmp_path, run_cli):
+    # the paper's domain is 1 <= p < inf and 0 < beta < inf; NaN fails every
+    # comparison, so each check must be written to reject it
+    weight = tmp_path / "extremal.csv"
+    write_radial_profile(RadialProfile.gaussian(1.0, 1.0), weight)
+    target = tmp_path / "out.csv"
+    for args in (["bound", "--p", "nan", "--A", "1", "--B", "1"],
+                 ["bound", "--p", "inf", "--A", "1", "--B", "1"],
+                 ["bound", "--p", "nan", "--A", "1", "--B", "1", "--transform", "wavelet"],
+                 ["extremal", "--p", "nan", "--A", "1", "--B", "1", "--out", str(target)],
+                 ["norm", "--weight", str(weight), "--p", "inf"],
+                 ["norm", "--weight", str(weight), "--p", "nan"]):
+        code, out, err = run_cli(*args)
+        assert code == cli.EXIT_USAGE and out == "", args
+        assert err.startswith("error: p must satisfy") and err.count("\n") == 1, (args, err)
+    assert not target.exists()
+
+    field = random_field(np.random.default_rng(0), n=8)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(InvalidInputError):
+            ConstraintSet(bad, 1.0, 1.0)
+        with pytest.raises(InvalidInputError):
+            lp_norm(field, bad)
+        with pytest.raises(InvalidInputError):
+            RadialProfile.gaussian(1.0, 1.0).lp_norm(bad)
+        with pytest.raises(InvalidInputError):
+            lp_norm(DiscProfile.power(1.0, 2.0), bad)
+        with pytest.raises(InvalidInputError):
+            ConstraintSet(2.0, 1.0, 1.0, "wavelet", beta=bad)
+    with pytest.raises(InvalidInputError):
+        cauchy_norm_const(math.nan)
+    with pytest.raises(InvalidInputError):
+        bergman_radial_eigenvalues(DiscProfile.power(1.0, 2.0), math.nan, 3)
+    with pytest.raises(InvalidInputError):
+        extremal_signal_wavelet(0.0, 1.0, math.nan)
+    with pytest.raises(InvalidInputError):
+        extremal_signal_wavelet(0.0, math.nan, 1.0)
 
 
 def test_cli_invalid_constraints_exit_usage(capsys, tmp_path):

@@ -8,8 +8,7 @@ from phasebound.bounds import gabor_bound, wavelet_bound
 from phasebound.core import ConstraintSet
 from phasebound.errors import RegimeError
 from phasebound.varprob import (GaborKernel, WaveletKernel, constraint_moment,
-                                kernel_for, objective, solve_closed_form,
-                                solve_kkt_oracle)
+                                kernel_for, solve_closed_form, solve_kkt_oracle)
 from phasebound.verify import random_feasible_competitor
 
 CASES = [
@@ -26,7 +25,6 @@ CASES = [
 
 def test_objective_examples():
     c = ConstraintSet(1.0, 2.0, 1.0, "gabor")
-    assert objective(lambda t: np.zeros_like(np.asarray(t, float)), c) == pytest.approx(0.0, abs=1e-12)
     sol = solve_closed_form(c)
     assert sol.objective_value == pytest.approx(2 * (1 - math.exp(-0.5)), abs=1e-12)
     # the subcritical maximizer at p=2, B=1 scores kappa^kappa = 2^{-1/2}
@@ -133,6 +131,5 @@ def test_kernel_for_dispatch():
 def test_objective_and_moment_accept_sampled_solutions():
     c = ConstraintSet(2.0, 1.0, 1.0, "gabor")
     orc = solve_kkt_oracle(c)
-    assert objective(orc.samples, c) == pytest.approx(orc.objective_value, abs=0.0)
     assert constraint_moment(orc.samples, c.p, c.A) == pytest.approx(
         orc.constraint_value, abs=0.0)

@@ -14,6 +14,7 @@ solves a polynomial equation in x = p log(lam/A), for every d.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -51,10 +52,15 @@ def _p_series(s, x, d: int, exp):
     Every term is positive and s enters exactly, so a small volume keeps
     its relative precision.
     """
+    return s * exp(-x) * _series_sum(x, d)
+
+
+def _series_sum(x, d: int):
+    """sum_{j >= 0} d! x^j / (d + j)! for x < d, by Horner."""
     acc = 0.0
     for i in range(d + _series_length(d), d, -1):
         acc = x / i * (1.0 + acc)
-    return s * exp(-x) * (1.0 + acc)
+    return 1.0 + acc
 
 
 def _p_poisson(x, x_capped, d: int, exp):
@@ -158,8 +164,10 @@ def _log_exp_poly(n: int, y: float) -> float:
     """log e_n(e^y), where e_n(x) = sum_{i <= n} x^i / i!, for any real y.
 
     For x <= 1 through log1p, which keeps small x exact; for x > 1 from the
-    top term, log(x^n / n!) + log sum_k n!/(n-k)! x^{-k}, which cannot
-    overflow.
+    top term, log(x^n / n!) + log sum_k n!/(n-k)! x^{-k}.  That sum is at
+    most n + 1 for x >= n + 1 but near e^x n! / x^n below; where it
+    overflows, e_n(x) = e^x (1 - P(n + 1, x)) with P(n + 1, x) < 0.6 from
+    its positive series.
     """
     if y <= 0.0:
         return math.log1p(expm1_poly(n, math.exp(y)))
@@ -167,6 +175,10 @@ def _log_exp_poly(n: int, y: float) -> float:
     tail = 1.0
     for i in range(1, n + 1):
         tail = 1.0 + i * z * tail
+    if tail == math.inf:
+        x = math.exp(y)
+        log_p = (n + 1) * y - math.lgamma(n + 2) - x + math.log(_series_sum(x, n + 1))
+        return x + math.log1p(-math.exp(log_p))
     return n * y - math.lgamma(n + 1) + math.log(tail)
 
 
@@ -217,7 +229,8 @@ def gabor_bound(c: ConstraintSet) -> BoundReport:
     of peak lam = B kappa^{-d/p}.
     Supercritical: the Gaussian capped at A, with peak lam = A e^{x/p} where
     e_d(x) = (B/A)^p / kappa^d; the bound int_0^A G(u_lam) dt integrates to
-    A [1 - e^{-kappa x} / p * sum_{j<d} kappa^j e_j(x)].
+    A [1 - e^{-kappa x} / p * sum_{j<d} kappa^j e_j(x)].  Where that falls
+    below the normal doubles (large d), InvalidInputError is raised.
     """
     if c.transform != "gabor":
         raise InvalidInputError("constraint set is not tagged gabor")
@@ -235,16 +248,24 @@ def gabor_bound(c: ConstraintSet) -> BoundReport:
         lam = B * kappa ** (-d / p)
         return BoundReport("gaussian", kappa ** (d * kappa) * B, lam, ratio, c)
 
-    # beyond x = e^700, lam is inf and the correction below is 0 in double
+    # beyond x = e^700, lam is inf and the bracket below is 1 in double
     # precision even for kappa near machine epsilon: the cap changes nothing
     y = min(_saturation_root(d, log_ratio), 700.0)
     x = math.exp(y)
     lam = A * _exp_or_inf(x / p)
-    # with 1/p = (1 - kappa) and sum_{j<d} kappa^j (1 - kappa) = 1 - kappa^d,
-    # the bracket is kappa^d + (1 - kappa) sum_j kappa^j (1 - e^{-kappa x} e_j(x));
-    # each term is an expm1, so a bound far below A keeps its relative precision
-    terms = sum(kappa ** j * math.expm1(_log_exp_poly(j, y) - kappa * x) for j in range(d))
-    bound = A * (kappa ** d - (1.0 - kappa) * terms)
+    # with 1/p = 1 - kappa, regrouping sum_{j<d} kappa^j e_j(x) by powers of x
+    # gives the bracket P(d, kappa x) + kappa^d e^{-kappa x} e_{d-1}(x): two
+    # positive terms, so the bound keeps its relative precision at every d;
+    # G <= 1 bounds it by A, which their rounded sum can pass by an ulp
+    z, log_kappa = kappa * x, math.log(kappa)
+    if z < d:
+        # the series form of P(d, z), with z^d / d! e^{-z} taken in logs
+        head = math.exp(d * (log_kappa + y) - math.lgamma(d + 1) - z) * _series_sum(z, d)
+    else:
+        head = _p_poisson(z, min(z, 709.0), d, math.exp)
+    bound = A * min(1.0, head + math.exp(d * log_kappa - z + _log_exp_poly(d - 1, y)))
+    if bound < sys.float_info.min:
+        raise InvalidInputError(f"the bound at d = {d} is below the smallest normal double")
     return BoundReport("truncated", bound, lam, ratio, c)
 
 
@@ -266,6 +287,8 @@ def wavelet_bound(c: ConstraintSet) -> BoundReport:
         return BoundReport("ball", A * G_beta(B / A, beta), None, math.inf, c)
 
     sigma, alpha = c.sigma, c.alpha
+    if not sigma > 0:
+        raise InvalidInputError("beta is too large: 2 beta p overflows")
     fourpisigma = 4.0 * math.pi * sigma
     ratio = c.b_over_a_pow_p / fourpisigma
     if ratio <= 1.0:
@@ -273,12 +296,16 @@ def wavelet_bound(c: ConstraintSet) -> BoundReport:
         bound = 2.0 * beta / (4.0 * math.pi) ** (1.0 / p) * sigma ** c.kappa * B
         return BoundReport("gaussian", bound, lam, ratio, c)
 
-    # lam = A [(p sigma / alpha) / q]^{-1/alpha} with q = 1 + (B/A)^p / (4 pi);
-    # once (B/A)^p overflows, log q = p log(B/A) - log(4 pi) to double precision
+    # p sigma / alpha = 1 + sigma, so lam = A [(1 + sigma) / q]^{-1/alpha} with
+    # q = 1 + (B/A)^p / (4 pi) > 1 + sigma; once (B/A)^p overflows,
+    # log q = p log(B/A) - log(4 pi) to double precision
     r = c.b_over_a_pow_p
     log_q = (math.log1p(r / (4.0 * math.pi)) if math.isfinite(r)
              else p * (math.log(B) - math.log(A)) - math.log(4.0 * math.pi))
-    lam = A * _exp_or_inf((log_q - math.log(p * sigma / alpha)) / alpha)
-    bound = A * (1.0 - p ** (2.0 * beta) * (sigma / alpha) ** (2.0 * beta + 1.0)
-                 * (1.0 + r / (4.0 * math.pi)) ** (-2.0 * beta))
+    log_base = math.log1p(sigma) - log_q
+    lam = A * _exp_or_inf(-log_base / alpha)
+    # the correction p^{2 beta} (sigma/alpha)^{2 beta + 1} q^{-2 beta}, that is
+    # (sigma/alpha) [(1 + sigma) / q]^{2 beta}, as one exp of its summed logs:
+    # its factors overflow at large beta, and the logs of p and sigma/alpha cancel
+    bound = -A * math.expm1(2.0 * beta * log_base + math.log(sigma / alpha))
     return BoundReport("truncated", bound, lam, ratio, c)

@@ -100,14 +100,15 @@ class SampledFunction:
         return float(np.sum(self.weights * vals))
 
 
-def geometric_grid(upper: float):
-    """Gauss-Legendre nodes/weights on geometric panels of (0, upper).
+def geometric_grid():
+    """Gauss-Legendre nodes/weights on geometric panels of (1e-13, 1).
 
     2500 panels of 4 nodes shrink geometrically toward t = 0, where
-    t^{p-1} u(t) can concentrate for p near 1; the untouched sliver
-    (0, upper * 1e-13) is negligible for every integrand used here.
+    t^{p-1} u(t) can concentrate for p near 1; scaled by ``upper`` they
+    cover (0, upper) but for the sliver (0, upper * 1e-13), which is
+    negligible for every integrand used here.
     """
-    edges = np.geomspace(upper * 1e-13, upper, 2501)
+    edges = np.geomspace(1e-13, 1.0, 2501)
     x, w = np.polynomial.legendre.leggauss(4)
     lo, hi = edges[:-1], edges[1:]
     half = 0.5 * (hi - lo)
@@ -204,13 +205,19 @@ def solve_kkt_oracle(c: ConstraintSet) -> VariationalSolution:
         # largest t with a nonzero inverse: kern.gprime_inv vanishes beyond it
         return (kern.multiplier_scale() / cm) ** (1.0 / (p - 1.0))
 
-    def sampled(cm: float) -> SampledFunction:
-        upper = min(A, t_zero(cm))
-        nodes, weights = geometric_grid(upper)
-        return SampledFunction(nodes, kern.gprime_inv(cm * nodes ** (p - 1.0)), weights)
+    # one unit grid per solve, scaled to (0, upper) as t = upper * T: a
+    # bisection moment is then upper^p sum p W T^{p-1} u, one inverse and one dot
+    T, W = geometric_grid()
+    Tp = T ** (p - 1.0)
+    pWTp = p * W * Tp
+
+    def upper_end(cm: float) -> float:
+        return min(A, t_zero(cm))
 
     def moment(cm: float) -> float:
-        return constraint_moment(sampled(cm), p, A)
+        upper = upper_end(cm)
+        scale = upper ** (p - 1.0)
+        return upper * scale * float(pWTp @ kern.gprime_inv(cm * scale * Tp))
 
     # moment(cm) is strictly decreasing; expand to a sign-changing bracket
     scale = kern.multiplier_scale() * (A if math.isfinite(A) else 1.0) ** (1.0 - p)
@@ -233,7 +240,9 @@ def solve_kkt_oracle(c: ConstraintSet) -> VariationalSolution:
         if hi / lo < 1.0 + 4e-16:
             break
     cm = math.sqrt(lo * hi)
-    s = sampled(cm)
+    upper = upper_end(cm)
+    nodes = upper * T
+    s = SampledFunction(nodes, kern.gprime_inv(cm * nodes ** (p - 1.0)), upper * W)
     mom = constraint_moment(s, p, A)
     obj = s.integral(kern.g)
     lam = t_zero(cm)

@@ -240,13 +240,19 @@ lp_norm_nu = lp_norm
 # the transform
 # ---------------------------------------------------------------------------
 
-def wavelet_transform_grid(f: HardySignal, beta: float, xs, ys) -> np.ndarray:
+def wavelet_transform_grid(f, beta: float, xs, ys) -> np.ndarray:
     """Wf on the tensor grid xs x ys, shape (len(xs), len(ys)).
+
+    ``f`` is one ``HardySignal`` or a sequence of m signals on one frequency
+    grid; a sequence gives shape (m, len(xs), len(ys)), and one signal is the
+    m = 1 case with the signal axis dropped.
 
     Wf(x, y) = sum_omega e^{i x omega} B[y, omega] with the separable row
     B[y, omega] = sqrt(y) (y omega)^beta e^{-y omega} w f-hat / c_beta, so the
     grid is a few real matrix products over the frequency samples, which is
-    what makes windowed quadratures affordable.  Two savings change no value
+    what makes windowed quadratures affordable.  The radial factor, the trig
+    table and the row blocks are shared by all m signals, each block one
+    product whose columns cover every signal.  Two savings change no value
     beyond rounding:
 
     - x -> |x| fold: e^{i x omega} = cos(|x| omega) + i sign(x) sin(|x| omega),
@@ -255,11 +261,19 @@ def wavelet_transform_grid(f: HardySignal, beta: float, xs, ys) -> np.ndarray:
       about 0 costs half the trig calls and half the flops.
     - frequency tail cut: with the frequencies ascending, each y row drops
       its longest trailing suffix whose sum |B| is at most
-      ``_TAIL_RTOL`` = 1e-17 of the row's sum |B|.  Since |e^{i x omega}| = 1
-      the cut moves every Wf(x, y) by at most 1e-17 sum |B|, below the
-      ~1.1e-16 sum |B| rounding bound of the products themselves.  Rows are
-      grouped by kept length in blocks of ``_ROW_BLOCK``, one product each.
+      ``_TAIL_RTOL`` = 1e-17 of the row's sum |B|, with |B| taken as the
+      largest over the m signals, which bounds every signal's tail.  Since
+      |e^{i x omega}| = 1 the cut moves every Wf(x, y) by at most
+      1e-17 sum |B|, below the ~1.1e-16 sum |B| rounding bound of the
+      products themselves.  Rows are grouped by kept length in blocks of
+      ``_ROW_BLOCK``, one product each.
     """
+    single = isinstance(f, HardySignal)
+    fs = [f] if single else list(f)
+    if not fs:
+        raise InvalidInputError("at least one signal is needed")
+    if not all(np.array_equal(g.omegas, fs[0].omegas) for g in fs[1:]):
+        raise InvalidInputError("signals must share one frequency grid")
     xs = np.asarray(xs, float).ravel()
     ys = np.asarray(ys, float).ravel()
     if not (np.all(np.isfinite(xs)) and np.all(np.isfinite(ys))):
@@ -267,37 +281,54 @@ def wavelet_transform_grid(f: HardySignal, beta: float, xs, ys) -> np.ndarray:
     if np.any(ys <= 0):
         raise InvalidInputError("evaluation points must satisfy y > 0")
     cb = cauchy_norm_const(beta)
-    order = np.argsort(f.omegas)
-    om = f.omegas[order]
-    fw = (f.weights * f.values / cb)[order]
-    # B = radial * fw with radial >= 0, so |B| = radial * |fw|
-    yom = ys[:, None] * om[None, :]
+    order = np.argsort(fs[0].omegas)
+    om = fs[0].omegas[order]
+    fw = np.stack([(g.weights * g.values / cb)[order] for g in fs])   # (m, n_om)
+    # B = radial * fw with radial = sqrt(y) (y omega)^beta e^{-y omega} >= 0 of
+    # shape (ny, n_om), built in the buffer of y omega so that at most three
+    # such arrays are alive; |B| <= radial * max_m |fw_m| for every signal
+    radial = ys[:, None] * om[None, :]
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite rows raise below
-        radial = np.sqrt(ys)[:, None] * yom ** beta * np.exp(-yom)   # (ny, n_om)
-        # tail[:, j] = sum_{k >= j} |B[:, k]|, non-increasing along each row
-        tail = radial[:, ::-1] * np.abs(fw[::-1])
+        decay = np.exp(-radial)
+        np.power(radial, beta, out=radial)
+        np.multiply(np.sqrt(ys)[:, None], radial, out=radial)
+        radial *= decay
+        del decay
+        # tail[:, j] = sum_{k >= j} max_m |B_m[:, k]|, non-increasing along each row
+        tail = radial[:, ::-1] * np.abs(fw).max(axis=0)[::-1]
         tail = np.cumsum(tail, axis=1, out=tail)[:, ::-1]
     if not np.all(np.isfinite(tail[:, :1])):
         raise InvalidInputError("transform rows are not finite at these (y, beta)")
     keep = np.count_nonzero(tail > _TAIL_RTOL * tail[:, :1], axis=1)
+    del tail
 
     ax, inv = np.unique(np.abs(xs), return_inverse=True)
-    arg = np.outer(ax, om[:keep.max(initial=0)])
-    trig = np.empty((2 * ax.size, arg.shape[1]))
-    np.cos(arg, out=trig[:ax.size])
-    np.sin(arg, out=trig[ax.size:])
+    k = ax.size
     # rows: cos(|x| omega) then sin(|x| omega), summed against Re B and Im B
-    re = np.empty((2 * ax.size, ys.size))
+    trig = np.empty((2 * k, keep.max(initial=0)))
+    np.multiply.outer(ax, om[:trig.shape[1]], out=trig[:k])
+    np.sin(trig[:k], out=trig[k:])
+    np.cos(trig[:k], out=trig[:k])
+    m = fw.shape[0]
+    re = np.empty((m, 2 * k, ys.size))
     im = np.empty_like(re)
     rows = np.argsort(-keep, kind="stable")
     for start in range(0, rows.size, _ROW_BLOCK):
         blk = rows[start:start + _ROW_BLOCK]
         n = keep[blk[0]]
         rb = radial[blk, :n]
-        prod = trig[:, :n] @ np.concatenate([rb * fw.real[:n], rb * fw.imag[:n]]).T
-        re[:, blk], im[:, blk] = prod[:, :blk.size], prod[:, blk.size:]
-    m, sgn = ax.size, np.sign(xs)[:, None]
-    return (re[:m][inv] - sgn * im[m:][inv]) + 1j * (im[:m][inv] + sgn * re[m:][inv])
+        # columns: Re B of every signal, then Im B of every signal
+        cols = np.empty((2, m, blk.size, n))
+        np.multiply(rb, fw.real[:, None, :n], out=cols[0])
+        np.multiply(rb, fw.imag[:, None, :n], out=cols[1])
+        prod = (trig[:, :n] @ cols.reshape(2 * m * blk.size, n).T).reshape(2 * k, 2, m, blk.size)
+        re[:, :, blk] = prod[:, 0].transpose(1, 0, 2)
+        im[:, :, blk] = prod[:, 1].transpose(1, 0, 2)
+    del radial, trig
+    sgn = np.sign(xs)[:, None]
+    out = ((re[:, :k][:, inv] - sgn * im[:, k:][:, inv])
+           + 1j * (im[:, :k][:, inv] + sgn * re[:, k:][:, inv]))
+    return out[0] if single else out
 
 
 def wavelet_transform(f: HardySignal, beta: float, grid: HalfPlaneGrid) -> HalfPlaneField:
@@ -543,13 +574,14 @@ _WINDOW_X, _WINDOW_Y = (-20.0, 20.0), (5e-3, 100.0)
 _WINDOW_PANELS_X, _WINDOW_PANELS_Y, _WINDOW_ORDER = 160, 96, 3
 
 
-def nu_window_integral(fun) -> float:
+def nu_window_integral(fun):
     """int fun dnu over the window [-20, 20] x [5e-3, 100], by Gauss-Legendre
     panels in (x, log y).
 
     ``fun`` receives the separable node arrays (xs, ys) and must return
-    values of shape (len(xs), len(ys)); the y^{-2} density is absorbed into
-    the log-coordinate weights.
+    values of shape (..., len(xs), len(ys)): a float for one integrand, an
+    array of one integral per leading index for a stack.  The y^{-2}
+    density is absorbed into the log-coordinate weights.
     """
     g, gw = np.polynomial.legendre.leggauss(_WINDOW_ORDER)
 
@@ -564,8 +596,8 @@ def nu_window_integral(fun) -> float:
     ss, sw = panel_nodes(math.log(_WINDOW_Y[0]), math.log(_WINDOW_Y[1]), _WINDOW_PANELS_Y)
     ys = np.exp(ss)
     vals = np.asarray(fun(xs, ys), float)
-    if vals.shape != (xs.size, ys.size):
+    if vals.shape[-2:] != (xs.size, ys.size):
         raise InvalidInputError("fun must return values on the tensor grid")
     # d nu = y^{-2} dx dy = e^{-s} dx ds
-    return float(np.einsum("i,j,ij->", xw, sw / ys, vals))
-
+    out = np.einsum("i,j,...ij->...", xw, sw / ys, vals)
+    return float(out) if vals.ndim == 2 else out

@@ -352,3 +352,100 @@ def test_closed_form_matches_quadrature_oracles(d, p, log_ratio, A):
     sol = solve_closed_form(c)
     assert abs(sol.constraint_value - B ** p) / B ** p <= 1e-10
     assert abs(r.bound - sol.objective_value) <= 1e-10
+
+
+# ---------------------------------------------------------------------------
+# large d and large beta: the truncated closed forms in double precision
+# ---------------------------------------------------------------------------
+
+def _gabor_closed_form_mp(p, A, B, d):
+    """A [1 - e^{-kappa x} / p sum_{j<d} kappa^j e_j(x)] with e_d(x) = (B/A)^p / kappa^d,
+    in mpmath with 50 digits left over after the bracket's cancellation."""
+    with mpmath.workdps(50 + d // 2):
+        p, A, B = mpmath.mpf(p), mpmath.mpf(A), mpmath.mpf(B)
+        kappa = (p - 1) / p
+
+        def partial_sums(x, n):
+            # e_0(x) .. e_n(x)
+            term, sums = mpmath.mpf(1), [mpmath.mpf(1)]
+            for i in range(1, n + 1):
+                term *= x / i
+                sums.append(sums[-1] + term)
+            return sums
+
+        log_target = p * mpmath.log(B / A) - d * mpmath.log(kappa)
+        x = mpmath.findroot(lambda x: mpmath.log(partial_sums(x, d)[-1]) - log_target,
+                            log_target)
+        total = sum(kappa ** j * e for j, e in enumerate(partial_sums(x, d - 1)))
+        return A * (1 - mpmath.exp(-kappa * x) / p * total)
+
+
+# (d, log of the critical ratio (B/A)^p / kappa^d) at p = 2, A = 1; d log 2 is B = A
+@pytest.mark.parametrize("d, log_ratio", [(60, 60 * math.log(2)), (100, 100 * math.log(2)),
+                                          (171, 171 * math.log(2)), (200, 200 * math.log(2)),
+                                          (300, 5.0), (500, 20.0)])
+def test_gabor_bound_large_dimension(d, log_ratio):
+    # the bracket kappa^d - (1 - kappa) sum_j kappa^j expm1(...) cancelled to
+    # noise at B = A (-9.5e-16 at d = 100, -1.2e-15 at d = 171), and log e_d
+    # overflowed into NaN at d = 300 and 500
+    B = math.exp((log_ratio + d * math.log(0.5)) / 2)
+    r = gabor_bound(ConstraintSet(2.0, 1.0, B, "gabor", d=d))
+    assert r.regime == "truncated" and r.bound > 0.0
+    assert r.bound == pytest.approx(float(_gabor_closed_form_mp(2.0, 1.0, B, d)),
+                                    rel=1e-10, abs=0.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(d=st.integers(1, 1000), p=st.floats(1.001, 10.0), log_b=st.floats(-600.0, 600.0))
+def test_gabor_bound_truncated_domain(d, p, log_b):
+    # before the positive bracket, 365 of 2140 grid points over this domain
+    # gave a bound that was NaN or outside (0, A]
+    try:
+        r = gabor_bound(ConstraintSet(p, 1.0, math.exp(log_b), "gabor", d=d))
+    except InvalidInputError:  # below the normal doubles
+        return
+    assume(r.regime == "truncated")
+    assert 0.0 < r.bound <= 1.0
+
+
+def test_gabor_bound_below_normal_doubles_raises():
+    # about 2^-1500 at d = 3000: no double carries it
+    with pytest.raises(InvalidInputError):
+        gabor_bound(ConstraintSet(2.0, 1.0, 1.0, "gabor", d=3000))
+
+
+def _wavelet_closed_form_mp(p, A, B, beta):
+    """A [1 - p^{2 beta} (sigma/alpha)^{2 beta + 1} (1 + (B/A)^p / 4 pi)^{-2 beta}],
+    with enough digits that 1 + sigma is exact."""
+    with mpmath.workdps(50 + int(math.log10(beta))):
+        p, A, B, beta = (mpmath.mpf(v) for v in (p, A, B, beta))
+        sigma = (p - 1) / (2 * beta * p + 1)
+        alpha = (p - 1) / (2 * beta + 1)
+        q = 1 + (B / A) ** p / (4 * mpmath.pi)
+        return A * (1 - p ** (2 * beta) * (sigma / alpha) ** (2 * beta + 1) * q ** (-2 * beta))
+
+
+@pytest.mark.parametrize("beta", [400.0, 1e3, 1e4, 1e300])
+def test_wavelet_bound_large_beta(beta):
+    # p ** (2 beta) overflowed from beta = 1e3 on, a bare OverflowError
+    for p in (1.5, 2.0, 7.0):
+        sigma = ConstraintSet(p, 1.0, 1.0, "wavelet", beta=beta).sigma
+        # (B/A)^p at 1.0001, 2 and 10 times the threshold 4 pi sigma, then B = A
+        for B in [(f * 4 * math.pi * sigma) ** (1 / p) for f in (1.0001, 2.0, 10.0)] + [1.0]:
+            r = wavelet_bound(ConstraintSet(p, 1.0, B, "wavelet", beta=beta))
+            assert r.regime == "truncated" and 0.0 <= r.bound <= 1.0
+            assert r.bound == pytest.approx(float(_wavelet_closed_form_mp(p, 1.0, B, beta)),
+                                            rel=1e-13, abs=0.0)
+    # 2 beta p overflows, so sigma is 0 and the regime test has nothing to divide by
+    with pytest.raises(InvalidInputError):
+        wavelet_bound(ConstraintSet(2.0, 1.0, 1.0, "wavelet", beta=1.7e308))
+
+
+@settings(max_examples=200, deadline=None)
+@given(log10_beta=st.floats(-2.0, 300.0), p=st.floats(1.001, 10.0),
+       log10_b=st.floats(-150.0, 150.0))
+def test_wavelet_bound_domain(log10_beta, p, log10_b):
+    c = ConstraintSet(p, 1.0, 10.0 ** log10_b, "wavelet", beta=10.0 ** log10_beta)
+    r = wavelet_bound(c)
+    assert math.isfinite(r.bound) and r.bound > 0.0
+    assert r.regime == "gaussian" or r.bound <= 1.0

@@ -113,13 +113,15 @@ def test_gabor_weight_higher_dimension():
 
 
 # at the regime tie the bounds report a truncated regime with lam at most A:
-# lam == A for gabor (verify's "boundary lambda = A"), A (1 - 2e-16) for wavelet
+# lam == A for gabor (verify's "boundary lambda = A") and for wavelet, whose B
+# is the smallest double with a truncated regime (one ulp above it, lam is
+# A (1 + 2e-16), its exact value to rounding)
 TIE_CASES = [
     (ConstraintSet(2.0, 1.0, 0.7071067811865476, "gabor"), extremal_weight_gabor,
      ["--p", "2", "--A", "1", "--B", "0.7071067811865476"]),
-    (ConstraintSet(2.0, 1.0, 1.5853309190424048, "wavelet", beta=1.0), extremal_weight_wavelet,
+    (ConstraintSet(2.0, 1.0, 1.5853309190424045, "wavelet", beta=1.0), extremal_weight_wavelet,
      ["--transform", "wavelet", "--p", "2", "--beta", "1", "--A", "1",
-      "--B", "1.5853309190424048"]),
+      "--B", "1.5853309190424045"]),
 ]
 
 

@@ -382,3 +382,22 @@ def test_numpy_only_commands_leave_scipy_unloaded(tmp_path):
     # the bound commands cover d = 1, the truncated d = 3 level, the d = 2 ball
     assert [json.loads(out)["regime"] for _, out, _ in report[:3]] == [
         "truncated", "truncated", "ball"]
+
+
+def test_bound_at_large_beta_and_dimension(run_cli):
+    # --beta 1e300 printed an OverflowError traceback, and --d 400 printed
+    # the cancellation noise 1.65e-14 as the bound
+    def bound_of(out):
+        return float(dict(line.split(None, 1) for line in out.splitlines())["bound"])
+
+    code, out, err = run_cli("bound", "--transform", "wavelet", "--p", "2",
+                             "--A", "1", "--B", "1", "--beta", "1e300")
+    assert code == 0 and err == "" and bound_of(out) == 1.0
+    code, out, err = run_cli("bound", "--p", "2", "--A", "1", "--B", "1", "--d", "400")
+    # the closed form at d = 400 in 120-digit mpmath: 6.2230152778580615095e-61
+    assert code == 0 and err == ""
+    assert bound_of(out) == pytest.approx(6.2230152778580615e-61, rel=1e-10, abs=0.0)
+    # 2 beta p overflows, or the bound is below the normal doubles: a one-line error, exit 1
+    for args in (["--transform", "wavelet", "--beta", "1.7e308"], ["--d", "3000"]):
+        code, out, err = run_cli("bound", "--p", "2", "--A", "1", "--B", "1", *args)
+        assert code == cli.EXIT_USAGE and out == "" and err.count("\n") == 1, args

@@ -122,25 +122,69 @@ def test_halfplane_field_rejects_non_finite_values():
             HalfPlaneField(grid, np.array([[1.0, bad], [0.0, 1.0]]))
 
 
+def _low_order_fhat(co, beta, om):
+    out = np.zeros_like(om, dtype=complex)
+    for k, ck in enumerate(co):
+        out += ck * disc_basis_frequency(k, beta, om)
+    return out
+
+
+def _low_order_signals(rng, beta, m):
+    cos = [rng.normal(size=4) + 1j * rng.normal(size=4) for _ in range(m)]
+    fs = [HardySignal.on_uniform_grid(partial(_low_order_fhat, co, beta), 60.0, 6000)
+          for co in cos]
+    return cos, fs
+
+
 def test_transform_isometry_windowed():
-    # 10 random low-order signals at beta = 2; the window holds all but
-    # ~1e-5 of the hyperbolic mass there
+    # 10 random low-order signals at beta = 2, in one stacked call; the
+    # window holds all but ~1e-5 of the hyperbolic mass there
     beta = 2.0
-    rng = np.random.default_rng(17)
-    for _ in range(10):
-        co = rng.normal(size=4) + 1j * rng.normal(size=4)
+    cos, fs = _low_order_signals(np.random.default_rng(17), beta, 10)
+    got = nu_window_integral(
+        lambda xs, ys: np.abs(wavelet_transform_grid(fs, beta, xs, ys)) ** 2)
+    assert got.shape == (10,)
+    for co, g in zip(cos, got):
+        assert g == pytest.approx(float(np.sum(np.abs(co) ** 2)), rel=1e-4)
 
-        def fhat(om):
-            out = np.zeros_like(om, dtype=complex)
-            for k, ck in enumerate(co):
-                out += ck * disc_basis_frequency(k, beta, om)
-            return out
 
-        f = HardySignal.on_uniform_grid(fhat, 60.0, 6000)
-        got = nu_window_integral(
-            lambda xs, ys: np.abs(wavelet_transform_grid(f, beta, xs, ys)) ** 2)
-        exact = float(np.sum(np.abs(co) ** 2))
-        assert got == pytest.approx(exact, rel=1e-4)
+def test_transform_grid_stacked_signals():
+    beta = 1.5
+    _, fs = _low_order_signals(np.random.default_rng(3), beta, 3)
+    xs = np.concatenate([np.linspace(-6.0, 6.0, 25), [0.3, -0.3, 17.0]])
+    ys = np.geomspace(0.02, 40.0, 23)
+    singles = [wavelet_transform_grid(f, beta, xs, ys) for f in fs]
+    # one signal in a list is the same computation as the signal itself
+    assert np.array_equal(wavelet_transform_grid(fs[:1], beta, xs, ys), singles[0][None])
+    # three at once share the tail cut, set by the largest |f-hat| per
+    # frequency, so they agree with single calls to the products' rounding
+    stacked = wavelet_transform_grid(fs, beta, xs, ys)
+    assert stacked.shape == (3, xs.size, ys.size)
+    cb = cauchy_norm_const(beta)
+    for f, one, many in zip(fs, singles, stacked):
+        yom = ys[:, None] * f.omegas[None, :]
+        radial = np.sqrt(ys)[:, None] * yom ** beta * np.exp(-yom)
+        abs_b = radial * np.abs(f.weights * f.values) / cb
+        assert np.all(np.abs(many - one) <= 1e-15 * abs_b.sum(axis=1)[None, :])
+    # a signal on another frequency grid cannot share the products
+    other = HardySignal.on_uniform_grid(partial(_low_order_fhat, [1.0], beta), 60.0, 5000)
+    with pytest.raises(InvalidInputError):
+        wavelet_transform_grid([fs[0], other], beta, xs, ys)
+    with pytest.raises(InvalidInputError):
+        wavelet_transform_grid([], beta, xs, ys)
+
+
+def test_window_integral_of_a_stack():
+    rng = np.random.default_rng(0)
+    stack = {}
+
+    def draw(xs, ys):
+        stack["v"] = rng.normal(size=(3, xs.size, ys.size))
+        return stack["v"]
+
+    got = nu_window_integral(draw)
+    assert got.shape == (3,)
+    assert list(got) == [nu_window_integral(lambda xs, ys, j=j: stack["v"][j]) for j in range(3)]
 
 
 def _window_nodes():

@@ -182,6 +182,19 @@ def _log_exp_poly(n: int, y: float) -> float:
     return n * y - math.lgamma(n + 1) + math.log(tail)
 
 
+def _p_log(d: int, z: float, log_z: float) -> float:
+    """P(d, z) for any d >= 1, given z and log z.
+
+    For z < d the series s e^{-z} sum_j d! z^j / (d + j)! with s e^{-z} =
+    z^d / d! e^{-z} taken in logs; for z >= d, 1 - e^{-z} e_{d-1}(z) with
+    e^{-z} e_{d-1}(z) < 1/2 from ``_log_exp_poly``, so neither form cancels.
+    G's d <= 170 array path keeps ``_p_series`` and ``_p_poisson``.
+    """
+    if z < d:
+        return math.exp(d * log_z - math.lgamma(d + 1) - z) * _series_sum(z, d)
+    return -math.expm1(_log_exp_poly(d - 1, log_z) - z)
+
+
 def _saturation_root(d: int, log_ratio: float) -> float:
     """log x for the positive root x of e_d(x) = critical ratio.
 
@@ -229,8 +242,8 @@ def gabor_bound(c: ConstraintSet) -> BoundReport:
     of peak lam = B kappa^{-d/p}.
     Supercritical: the Gaussian capped at A, with peak lam = A e^{x/p} where
     e_d(x) = (B/A)^p / kappa^d; the bound int_0^A G(u_lam) dt integrates to
-    A [1 - e^{-kappa x} / p * sum_{j<d} kappa^j e_j(x)].  Where that falls
-    below the normal doubles (large d), InvalidInputError is raised.
+    A [1 - e^{-kappa x} / p * sum_{j<d} kappa^j e_j(x)].  Where the bracket
+    falls below the normal doubles (large d), InvalidInputError is raised.
     """
     if c.transform != "gabor":
         raise InvalidInputError("constraint set is not tagged gabor")
@@ -258,15 +271,11 @@ def gabor_bound(c: ConstraintSet) -> BoundReport:
     # positive terms, so the bound keeps its relative precision at every d;
     # G <= 1 bounds it by A, which their rounded sum can pass by an ulp
     z, log_kappa = kappa * x, math.log(kappa)
-    if z < d:
-        # the series form of P(d, z), with z^d / d! e^{-z} taken in logs
-        head = math.exp(d * (log_kappa + y) - math.lgamma(d + 1) - z) * _series_sum(z, d)
-    else:
-        head = _p_poisson(z, min(z, 709.0), d, math.exp)
-    bound = A * min(1.0, head + math.exp(d * log_kappa - z + _log_exp_poly(d - 1, y)))
-    if bound < sys.float_info.min:
-        raise InvalidInputError(f"the bound at d = {d} is below the smallest normal double")
-    return BoundReport("truncated", bound, lam, ratio, c)
+    bracket = min(1.0, _p_log(d, z, log_kappa + y)
+                  + math.exp(d * log_kappa - z + _log_exp_poly(d - 1, y)))
+    if bracket < sys.float_info.min:
+        raise InvalidInputError(f"the bound / A at d = {d} is below the smallest normal double")
+    return BoundReport("truncated", A * bracket, lam, ratio, c)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Bound formulas, regime classification and the supercritical level."""
 import math
+import sys
 
 import mpmath
 import numpy as np
@@ -380,14 +381,18 @@ def _gabor_closed_form_mp(p, A, B, d):
         return A * (1 - mpmath.exp(-kappa * x) / p * total)
 
 
-# (d, log of the critical ratio (B/A)^p / kappa^d) at p = 2, A = 1; d log 2 is B = A
+# (d, log of the critical ratio (B/A)^p / kappa^d) at p = 2, A = 1; d log 2 is B = A.
+# The last three put kappa x past d (819, 1031 and 1117), where P(d, kappa x)
+# takes its Poisson form
 @pytest.mark.parametrize("d, log_ratio", [(60, 60 * math.log(2)), (100, 100 * math.log(2)),
                                           (171, 171 * math.log(2)), (200, 200 * math.log(2)),
-                                          (300, 5.0), (500, 20.0)])
+                                          (300, 5.0), (500, 20.0),
+                                          (800, 1370.0), (1000, 1720.0), (1000, 1800.0)])
 def test_gabor_bound_large_dimension(d, log_ratio):
     # the bracket kappa^d - (1 - kappa) sum_j kappa^j expm1(...) cancelled to
     # noise at B = A (-9.5e-16 at d = 100, -1.2e-15 at d = 171), and log e_d
-    # overflowed into NaN at d = 300 and 500
+    # overflowed into NaN at d = 300 and 500; a Poisson sum capped at 709,
+    # sound only for d <= 170, gave 1.0 at d = 800 and 1000 against 0.77 and 0.84
     B = math.exp((log_ratio + d * math.log(0.5)) / 2)
     r = gabor_bound(ConstraintSet(2.0, 1.0, B, "gabor", d=d))
     assert r.regime == "truncated" and r.bound > 0.0
@@ -412,6 +417,16 @@ def test_gabor_bound_below_normal_doubles_raises():
     # about 2^-1500 at d = 3000: no double carries it
     with pytest.raises(InvalidInputError):
         gabor_bound(ConstraintSet(2.0, 1.0, 1.0, "gabor", d=3000))
+
+
+@pytest.mark.parametrize("d", [1, 3])
+def test_gabor_bound_tiny_scale(d):
+    # the precision guard is on the bracket bound / A, not on the scale A: a
+    # subnormal bound from a tiny A is A times a bracket known to full precision
+    unit = gabor_bound(ConstraintSet(2.0, 1.0, 1.0, "gabor", d=d)).bound
+    r = gabor_bound(ConstraintSet(2.0, 1e-308, 1e-308, "gabor", d=d))
+    assert r.regime == "truncated" and r.bound < sys.float_info.min
+    assert r.bound == pytest.approx(1e-308 * unit, rel=1e-12)
 
 
 def _wavelet_closed_form_mp(p, A, B, beta):

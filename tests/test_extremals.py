@@ -129,6 +129,21 @@ TIE_CASES = [
 def test_extremal_weight_at_regime_tie(c, extremal, argv, tmp_path, capsys):
     report = (gabor_bound if c.transform == "gabor" else wavelet_bound)(c)
     assert report.regime == "truncated" and report.lam <= c.A
+    _check_tie_weight(c, extremal, argv, tmp_path, capsys)
+
+
+def test_extremal_weight_next_to_regime_tie(tmp_path, capsys):
+    # one ulp above the smallest truncated wavelet B, lam rounds to A (1 + 2e-16);
+    # the profile still caps at A and carries the L^p norm B
+    c = ConstraintSet(2.0, 1.0, 1.5853309190424048, "wavelet", beta=1.0)
+    report = wavelet_bound(c)
+    assert report.regime == "truncated" and report.lam == pytest.approx(c.A, rel=1e-15)
+    _check_tie_weight(c, extremal_weight_wavelet,
+                      ["--transform", "wavelet", "--p", "2", "--beta", "1", "--A", "1",
+                       "--B", "1.5853309190424048"], tmp_path, capsys)
+
+
+def _check_tie_weight(c, extremal, argv, tmp_path, capsys):
     w = extremal(c)
     assert w.ess_sup() <= c.A
     assert abs(lp_norm(w, c.p) - c.B) <= 1e-12

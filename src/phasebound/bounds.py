@@ -16,11 +16,10 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
-from .core import ConstraintSet, expm1_poly
+from .core import ConstraintSet, expm1_poly, series_length
 from .core import quad  # noqa: F401  the benchmark's tracer counts calls through bounds.quad
 from .errors import InvalidInputError, RegimeError
 
@@ -28,21 +27,6 @@ __all__ = ["G", "G_beta", "BoundReport", "gabor_bound", "wavelet_bound", "lambda
 
 # d! stays in float range up to d = 170
 MAX_DIM = 170
-
-
-@lru_cache(maxsize=None)
-def _series_length(d: int) -> int:
-    """Terms of sum_{j >= 1} d! x^j / (d + j)! that ``_p_series`` keeps.
-
-    At x < d the j-th term is below t_j = prod_{i <= j} d / (d + i), and the
-    terms after it add at most t_j d / (j + 1); stop once that is below
-    2^-53 of the sum, which is at least 1.
-    """
-    n, term = 0, 1.0
-    while term * d > 2.0 ** -53 * (n + 1):
-        n += 1
-        term *= d / (d + n)
-    return n
 
 
 def _p_series(s, x, d: int, exp):
@@ -58,7 +42,7 @@ def _p_series(s, x, d: int, exp):
 def _series_sum(x, d: int):
     """sum_{j >= 0} d! x^j / (d + j)! for x < d, by Horner."""
     acc = 0.0
-    for i in range(d + _series_length(d), d, -1):
+    for i in range(d + series_length(d), d, -1):
         acc = x / i * (1.0 + acc)
     return 1.0 + acc
 
@@ -160,6 +144,15 @@ def _exp_or_inf(x: float) -> float:
     return math.exp(x) if x < 709.0 else math.inf
 
 
+def _times_power(b: float, base: float, x: float) -> float:
+    """b base^x: the plain product where base^x is well inside the normal
+    doubles, else one exp of the summed logs (inf past the float range)."""
+    log_power = x * math.log(base)
+    if abs(log_power) < 708.0:
+        return b * base ** x
+    return _exp_or_inf(math.log(b) + log_power)
+
+
 def _log_exp_poly(n: int, y: float) -> float:
     """log e_n(e^y), where e_n(x) = sum_{i <= n} x^i / i!, for any real y.
 
@@ -239,7 +232,8 @@ def gabor_bound(c: ConstraintSet) -> BoundReport:
 
     p = 1: A G(B/A), attained by a ball indicator.
     Subcritical ((B/A)^p <= kappa^d): kappa^{d kappa} B, attained by a Gaussian
-    of peak lam = B kappa^{-d/p}.
+    of peak lam = B kappa^{-d/p}; where lam overflows or the bound falls
+    below the normal doubles (large d), InvalidInputError is raised.
     Supercritical: the Gaussian capped at A, with peak lam = A e^{x/p} where
     e_d(x) = (B/A)^p / kappa^d; the bound int_0^A G(u_lam) dt integrates to
     A [1 - e^{-kappa x} / p * sum_{j<d} kappa^j e_j(x)].  Where the bracket
@@ -258,8 +252,11 @@ def gabor_bound(c: ConstraintSet) -> BoundReport:
                  else p * (math.log(B) - math.log(A)) - d * math.log(kappa))
     ratio = _exp_or_inf(log_ratio)
     if log_ratio <= 0.0:
-        lam = B * kappa ** (-d / p)
-        return BoundReport("gaussian", kappa ** (d * kappa) * B, lam, ratio, c)
+        lam, bound = _times_power(B, kappa, -d / p), _times_power(B, kappa, d * kappa)
+        if lam == math.inf or bound < sys.float_info.min:
+            raise InvalidInputError(f"at d = {d} the peak level overflows or the bound "
+                                    "is below the smallest normal double")
+        return BoundReport("gaussian", bound, lam, ratio, c)
 
     # beyond x = e^700, lam is inf and the bracket below is 1 in double
     # precision even for kappa near machine epsilon: the cap changes nothing

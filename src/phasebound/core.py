@@ -28,6 +28,7 @@ from __future__ import annotations
 import importlib
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -89,6 +90,21 @@ def expm1_poly(n: int, x):
     for i in range(n, 0, -1):
         out = x / i * (1.0 + out)
     return out
+
+
+@lru_cache(maxsize=None)
+def series_length(d: int) -> int:
+    """Terms of sum_{j >= 1} d! x^j / (d + j)! that the series of P(d, x) keeps.
+
+    At x < d the j-th term is below t_j = prod_{i <= j} d / (d + i), and the
+    terms after it add at most t_j d / (j + 1); stop once that is below
+    2^-53 of the sum, which is at least 1.
+    """
+    n, term = 0, 1.0
+    while term * d > 2.0 ** -53 * (n + 1):
+        n += 1
+        term *= d / (d + n)
+    return n
 
 
 def _check_exponent(p: float):

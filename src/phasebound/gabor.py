@@ -13,10 +13,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .core import RadialProfile, WeightField, first_use, lp_norm, quad
+from .core import RadialProfile, WeightField, first_use, lp_norm, quad, series_length
 from .errors import (AliasingError, BasisTruncationError, InvalidInputError,
                      RegimeError)
 
@@ -29,6 +30,7 @@ __all__ = [
     "hermite_phase_basis",
     "basis_recurrence",
     "gram_operator",
+    "mirror_fold",
     "assemble_operator",
     "radial_eigenvalues",
     "radial_eigenvalues_quad",
@@ -40,25 +42,11 @@ __all__ = [
 ]
 
 
-def eigh(a, **kwargs):
-    """``scipy.linalg.eigh``, imported on the first call.
+# Hermitian eigenvalues; the benchmark's tracer wraps this name
+eigh = np.linalg.eigvalsh
 
-    Only assembled spectra need it; the closed-form bounds, weights and
-    radial spectra start faster and smaller without ``scipy.linalg``.
-    """
-    from scipy.linalg import eigh as scipy_eigh
-    return scipy_eigh(a, **kwargs)
-
-
-def zherk(alpha, a, **kwargs):
-    """``scipy.linalg.blas.zherk``, imported on the first call (as ``eigh``)."""
-    from scipy.linalg.blas import zherk as blas_zherk
-    return blas_zherk(alpha, a, **kwargs)
-
-
-# spectra, truncation checks and oracles load scipy.special on first use
-gammainc, gammaincc, gammainccinv, gammaln = first_use(
-    globals(), "scipy.special", "gammainc", "gammaincc", "gammainccinv", "gammaln")
+# the quadrature oracle loads scipy.special on first use
+gammaln, = first_use(globals(), "scipy.special", "gammaln")
 
 
 DEFAULT_TIME_HALF_SPAN = 8.0
@@ -245,7 +233,9 @@ def _hermite_ratios(K: int) -> np.ndarray:
 # basis recurrences and the Gram product
 # ---------------------------------------------------------------------------
 
-GRAM_BLOCK = 4096  # nodes per block: bounds the stack held at once to K x 4096
+GRAM_BLOCK = 2048  # nodes per block: bounds the stack held at once; 1024-2048 beat 4096
+EPS = np.finfo(float).eps
+TINY = float(np.nextafter(0.0, 1.0))
 
 
 def basis_recurrence(row0, step, ratios, coeffs=None):
@@ -270,48 +260,86 @@ def basis_recurrence(row0, step, ratios, coeffs=None):
     return out
 
 
-def gram_operator(row0, step, ratios, wf) -> np.ndarray:
-    """M_jk = sum_i wf_i phi_j(z_i) conj(phi_k(z_i)) over quadrature nodes z_i.
+def gram_operator(row0, step, ratios, wf, wf_mirror=None) -> np.ndarray:
+    """M_jk = sum_i wf_i phi_j(z_i) conj(phi_k(z_i)) over quadrature nodes z_i,
+    plus the same sum over their mirror nodes with weights wf_mirror.
 
-    All arguments but ``ratios`` are 1-d arrays over the nodes; wf is the
-    quadrature weight times the symbol and must be finite.  The basis
-    comes from ``basis_recurrence(row0, step, ratios)``.  A
-    factor common to every phi_k at a node cancels in the product, so
-    ``row0`` is the modulus |phi_0| (real, nonnegative); the phase of the
-    first row never enters.  The stack is built in node blocks as
-    conj(phi_k), with row 0 scaled by sqrt|wf| so the recurrence carries the
-    weight into every row.  Real wf takes Hermitian rank-k updates (zherk),
-    +1 over the nodes where wf > 0 and -1 where wf < 0, and returns a matrix
-    that is exactly Hermitian; complex wf takes the general product.
+    All arguments but ``ratios`` are 1-d arrays over the nodes; the weights
+    are the quadrature weight times the symbol and must be finite.  The
+    basis comes from ``basis_recurrence(row0, step, ratios)``.  A factor
+    common to every phi_k at a node cancels in the product, so ``row0`` is
+    the modulus |phi_0| (real, nonnegative); the phase of the first row
+    never enters.  A node's mirror has the same modulus and the conjugate
+    step, so its basis is conj(phi); without ``wf_mirror`` no node has one.
+
+    With phi = P + iQ, s = wf + wf_mirror and d = wf - wf_mirror, real
+    weights give M = sum s (P P^T + Q Q^T) + i (B - B^T), B = sum d Q P^T.
+    The stack is built in node blocks with row 0 scaled by sqrt|s|, so the
+    recurrence carries the weight into every row.  The real part is one
+    V V^T of the block's interleaved real view V (a symmetric rank-k
+    update), added over the nodes where s > 0 and subtracted where s < 0;
+    B is one real product, skipped where d is 0 at every node, and nodes
+    where s = 0 != d add to B alone.  M is exactly Hermitian.  Complex
+    weights take the general product over every node and mirror.
     """
     K = len(ratios) + 1
     wf = np.asarray(wf)
-    if not (np.all(np.isfinite(wf.real)) and np.all(np.isfinite(wf.imag))):
+    wm = np.zeros(wf.shape) if wf_mirror is None else np.asarray(wf_mirror)
+    if not all(np.all(np.isfinite(w.real)) and np.all(np.isfinite(w.imag)) for w in (wf, wm)):
         raise InvalidInputError("the weight must be finite at every quadrature node")
-    cstep = np.conj(step)
-    if np.iscomplexobj(wf) and np.any(wf.imag != 0.0):
+    if any(np.iscomplexobj(w) and np.any(w.imag != 0.0) for w in (wf, wm)):
+        if wf_mirror is not None:
+            row0, step = np.concatenate([row0, row0]), np.concatenate([step, np.conj(step)])
+            wf = np.concatenate([wf, wm])
         M = np.zeros((K, K), dtype=complex)
         for start in range(0, wf.size, GRAM_BLOCK):
             sl = slice(start, start + GRAM_BLOCK)
-            S = basis_recurrence(row0[sl], cstep[sl], ratios)
-            M += (S.conj() * wf[sl]) @ S.T
+            S = basis_recurrence(row0[sl], step[sl], ratios)
+            M += (S * wf[sl]) @ S.conj().T
         return M
 
-    wf = wf.real
-    M = np.zeros((K, K), dtype=complex, order="F")
-    for sign in (1.0, -1.0):
-        nodes = sign * wf > 0.0
-        scaled = row0[nodes] * np.sqrt(sign * wf[nodes])
-        sstep = cstep[nodes]
+    s, d = wf.real + wm.real, wf.real - wm.real
+    real = np.zeros((K, K))
+    B = np.zeros((K, K)) if np.any(d != 0.0) else None
+    for sign, nodes in ((1.0, s > 0.0), (-1.0, s < 0.0), (0.0, (s == 0.0) & (d != 0.0))):
+        abs_s = sign * s[nodes]
+        scaled = row0[nodes] * np.sqrt(abs_s) if sign else row0[nodes]
+        factor = d[nodes] / abs_s if sign else d[nodes]
+        sstep = step[nodes]
         for start in range(0, scaled.size, GRAM_BLOCK):
             sl = slice(start, start + GRAM_BLOCK)
-            S = basis_recurrence(scaled[sl], sstep[sl], ratios)
-            # S.T is a Fortran-ordered (nodes, K) view, passed without a copy;
-            # trans=2 adds sign * conj(S) @ S.T, i.e. phi_j conj(phi_k), to
-            # the upper triangle
-            M = zherk(sign, S.T, beta=1.0, c=M, trans=2, overwrite_c=1)
-    M = np.triu(M)
-    return M + np.triu(M, 1).conj().T
+            # columns 2i and 2i + 1 of V are P and Q at node i
+            V = basis_recurrence(scaled[sl], sstep[sl], ratios).view(float)
+            if sign:
+                real += sign * (V @ V.T)
+            if B is not None:
+                B += (V[:, 1::2] * factor[sl]) @ V[:, ::2].T
+    M = real.astype(complex)
+    if B is not None:
+        M.imag = B - B.T
+    return M
+
+
+def mirror_fold(offsets, w):
+    """Pair the nodes of a grid that is mirror-symmetric along its first axis.
+
+    offsets are the first-axis node coordinates measured from the mirror
+    line, and w holds the weights with that axis first.  Returns (n, wf,
+    wf_mirror): the first n rows of nodes are kept, each standing also for
+    its mirror row, with ``gram_operator``'s weights, raveled.  A middle
+    row is its own mirror and gives half its weight to each.  An axis
+    counts as symmetric within a few ulps of its largest coordinate, and
+    the kept node's basis then stands for its mirror; otherwise every row
+    is kept and wf_mirror is None.
+    """
+    m = offsets.size
+    if np.max(np.abs(offsets + offsets[::-1])) > 8.0 * EPS * np.max(np.abs(offsets)):
+        return m, w.ravel(), None
+    n = (m + 1) // 2
+    wf, wm = w[:n].copy(), w[::-1][:n].copy()
+    if m % 2:
+        wf[-1] = wm[-1] = 0.5 * w[n - 1]
+    return n, wf.ravel(), wm.ravel()
 
 
 # ---------------------------------------------------------------------------
@@ -319,18 +347,19 @@ def gram_operator(row0, step, ratios, wf) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def _check_truncation(K: int, half_width: float):
-    leak = gammaincc(K, math.pi * half_width ** 2)
+    leak = _gamma_pq(K, np.array([math.pi * half_width ** 2]))[1][-1, 0]
     if leak > 1e-6:
-        need = math.sqrt(gammainccinv(K, 1e-6) / math.pi)
+        need = math.sqrt(_gamma_q_inverse(K, 1e-6) / math.pi)
         raise BasisTruncationError(
             f"basis size {K} leaks mass {leak:.2e} outside the box; "
             f"use half_width >= {need:.2f}", need)
 
 
-def _accumulate(K: int, xs, ys, weights, fvals) -> np.ndarray:
-    """Sum w_i F_i Vh_j(z_i) conj(Vh_k(z_i)) as a Gram product."""
+def _accumulate(K: int, xs, ys, wf, wf_mirror=None) -> np.ndarray:
+    """Sum wf_i Vh_j(z_i) conj(Vh_k(z_i)) as a Gram product, with the
+    mirror nodes (x, -omega) of weight wf_mirror."""
     return gram_operator(np.exp(-0.5 * math.pi * (xs * xs + ys * ys)), xs - 1j * ys,
-                         _hermite_ratios(K), weights * fvals)
+                         _hermite_ratios(K), wf, wf_mirror)
 
 
 def assemble_operator(F, K: int, *, points_per_cell: int = 2) -> np.ndarray:
@@ -340,8 +369,10 @@ def assemble_operator(F, K: int, *, points_per_cell: int = 2) -> np.ndarray:
     tensor Gauss-Legendre points per cell (piecewise-constant F); radial
     profiles use a polar rule around their center, whose uniform angular
     grid resolves every harmonic below K exactly.  The nodes are summed as
-    a Gram product of the phase-free Hermite stack (``gram_operator``):
-    Hermitian rank-k updates for real F, exactly Hermitian output.
+    a Gram product of the phase-free Hermite stack (``gram_operator``),
+    which gives an exactly Hermitian matrix for real F.  The node (x, -omega)
+    is the mirror of (x, omega): a grid field folds its omega axis, and a
+    profile centered on the real axis its angles theta and -theta.
     """
     if K < 1:
         raise InvalidInputError("K must be >= 1")
@@ -350,18 +381,14 @@ def assemble_operator(F, K: int, *, points_per_cell: int = 2) -> np.ndarray:
         _check_truncation(K, F.half_width)
         g, gw = np.polynomial.legendre.leggauss(points_per_cell)
         half = 0.5 * F.cell
-        offsets = half * g
-        sub_w = half * gw
-        centers = F.axis
-        xs = (centers[:, None] + offsets[None, :]).ravel()
-        nodes_x, nodes_y = np.meshgrid(xs, xs, indexing="ij")
-        cell_w = np.outer(sub_w, sub_w)
-        weights = np.tile(cell_w, (F.n, F.n)).reshape(F.n * points_per_cell,
-                                                      F.n * points_per_cell)
+        axis = (F.axis[:, None] + half * g[None, :]).ravel()
+        sub_w = np.tile(half * gw, F.n)
         fvals = np.repeat(np.repeat(F.values, points_per_cell, axis=0),
                           points_per_cell, axis=1)
-        return _accumulate(K, nodes_x.ravel(), nodes_y.ravel(),
-                           weights.ravel(), fvals.ravel())
+        # weights indexed [omega, x]
+        n, wf, wm = mirror_fold(axis, (np.outer(sub_w, sub_w) * fvals).T)
+        nodes_y, nodes_x = np.meshgrid(axis[:n], axis, indexing="ij")
+        return _accumulate(K, nodes_x.ravel(), nodes_y.ravel(), wf, wm)
 
     if not isinstance(F, RadialProfile):
         raise InvalidInputError(f"cannot assemble from {type(F).__name__}")
@@ -370,7 +397,7 @@ def assemble_operator(F, K: int, *, points_per_cell: int = 2) -> np.ndarray:
 
     # polar rule: radial Gauss-Legendre panels split at profile breakpoints,
     # uniform angles (trapezoid is exact for harmonics below ntheta)
-    r_max = math.sqrt(gammainccinv(K, 1e-14) / math.pi)
+    r_max = math.sqrt(_gamma_q_inverse(K, 1e-14) / math.pi)
     breakpoints = []
     if F.kind == "ball_indicator":
         breakpoints = [F.radius]
@@ -398,12 +425,17 @@ def assemble_operator(F, K: int, *, points_per_cell: int = 2) -> np.ndarray:
 
     ntheta = max(4 * K, 16)
     theta = 2.0 * math.pi * np.arange(ntheta) / ntheta
+    share = np.full(ntheta, 2.0 * math.pi / ntheta)
     x0, y0 = F.center
+    mirror = y0 == 0.0
+    if mirror:
+        # theta stands also for -theta; 0 and pi are their own mirrors
+        theta, share = theta[:ntheta // 2 + 1], share[:ntheta // 2 + 1]
+        share[[0, -1]] *= 0.5
     xs = (x0 + np.outer(r, np.cos(theta))).ravel()
     ys = (y0 + np.outer(r, np.sin(theta))).ravel()
-    weights = np.outer(rw * r, np.full(ntheta, 2.0 * math.pi / ntheta)).ravel()
-    fvals = np.repeat(F(r), ntheta)
-    return _accumulate(K, xs, ys, weights, fvals)
+    wf = np.outer(rw * r * F(r), share).ravel()
+    return _accumulate(K, xs, ys, wf, wf if mirror else None)
 
 
 # ---------------------------------------------------------------------------
@@ -439,7 +471,7 @@ class OperatorSpectrum:
 
 
 def spectrum_from_matrix(M: np.ndarray) -> OperatorSpectrum:
-    return OperatorSpectrum.from_eigenvalues(eigh(_checked_hermitian(M), eigvals_only=True))
+    return OperatorSpectrum.from_eigenvalues(eigh(_checked_hermitian(M)))
 
 
 def _radial_ks(rho: RadialProfile, K: int) -> np.ndarray:
@@ -471,9 +503,76 @@ def radial_eigenvalues_quad(rho: RadialProfile, K: int) -> OperatorSpectrum:
     return OperatorSpectrum.from_eigenvalues([_gamma_average_quad(rho, k, pts) for k in ks])
 
 
+@lru_cache(maxsize=None)
+def _term_indices(n: int):
+    """j = 0 .. n - 1 and log j!, as float columns."""
+    j = np.arange(n, dtype=float)[:, None]
+    return j, np.array([[math.lgamma(i + 1.0)] for i in range(n)])
+
+
+def _log_poisson_terms(s: np.ndarray, n: int) -> np.ndarray:
+    """log t_j(s) with t_j = e^{-s} s^j / j!, j < n, shape (n, len(s)).
+
+    s = 0 is taken as the smallest subnormal double, so its terms past
+    j = 0 are at most that.
+    """
+    j, log_fact = _term_indices(n)
+    return j * np.log(np.maximum(s, TINY)) - (s + log_fact)
+
+
+def _gamma_pq(K: int, s: np.ndarray):
+    """P(k + 1, s) and Q(k + 1, s) = 1 - P for k < K, each (K, len(s)).
+
+    At an integer first argument both are Poisson sums (DLMF 8.4.10):
+    Q(k + 1, s) = sum_{j <= k} t_j and P(k + 1, s) = sum_{j > k} t_j, with
+    the terms of ``_log_poisson_terms`` (s >= 0 finite).  Where s >= K,
+    s >= k + 1 for every k, so Q <= 1/2 is the head sum and P = 1 - Q.
+    Where s < K the tail is summed too, from the top, over the terms past
+    j = K as well; ``series_length(K)`` of them leave out less than 2^-53
+    of it.  So neither is formed as 1 - (a number near 1).
+    """
+    low = s < K
+    n_low = np.count_nonzero(low)
+    if n_low == s.size:
+        t = np.exp(_log_poisson_terms(s, K + 1 + series_length(K)))
+        return np.add.accumulate(t[:0:-1])[:-K - 1:-1], np.add.accumulate(t[:K])
+    Q = np.add.accumulate(np.exp(_log_poisson_terms(s, K)))
+    P = 1.0 - Q
+    if n_low:
+        low = np.flatnonzero(low)
+        P[:, low], Q[:, low] = _gamma_pq(K, s[low])
+    return P, Q
+
+
+def _gamma_q_inverse(K: int, q: float) -> float:
+    """The s with Q(K, s) = q, for 0 < q < 1, on the head sum of ``_gamma_pq``.
+
+    Q(K, .) is the survival function of the log-concave Gamma(K) law, so
+    log Q is concave and decreasing: a Newton step lands at or above the
+    root, and the iterates decrease to it from there.  log Q is summed
+    relative to its largest term, so it stays finite where Q underflows;
+    its derivative is -t_{K-1} / Q.
+    """
+    s = K - 1.0
+    for i in range(100):
+        log_t = _log_poisson_terms(np.array([s]), K)[:, 0]
+        top = log_t.max()
+        log_q = top + math.log(np.sum(np.exp(log_t - top)))
+        step = (log_q - math.log(q)) * math.exp(log_q - log_t[-1])
+        # past the first step the iterates only decrease; a step that does
+        # not is rounding noise
+        if i and step > -4.0 * EPS * s:
+            break
+        s += step
+    return s
+
+
 def _gamma_cdf(k, s):
-    """P(k + 1, s): the spectral CDF of the k-th Hermite function in the area s."""
-    return gammainc(k + 1, s)
+    """P(k + 1, s): the spectral CDF of the k-th Hermite function in the
+    area s, for k = 0 .. K - 1 along the first axis and s a scalar or a
+    row, as ``step_eigenvalues`` passes them."""
+    P = _gamma_pq(np.size(k), np.ravel(s))[0]
+    return P if np.ndim(s) else P[:, 0]
 
 
 def _radial_eigs_closed(rho: RadialProfile, ks: np.ndarray) -> np.ndarray:
@@ -482,8 +581,8 @@ def _radial_eigs_closed(rho: RadialProfile, ks: np.ndarray) -> np.ndarray:
     if rho.kind == "truncated_gaussian":
         s0 = rho.scale * math.log(rho.amplitude / rho.cap)
         c = 1.0 + 1.0 / rho.scale
-        return (rho.cap * gammainc(ks + 1, s0)
-                + rho.amplitude * (1.0 / c) ** (ks + 1.0) * gammaincc(ks + 1, c * s0))
+        P, Q = _gamma_pq(ks.size, np.array([s0, c * s0]))
+        return rho.cap * P[:, 0] + rho.amplitude * (1.0 / c) ** (ks + 1.0) * Q[:, 1]
     return rho.step_eigenvalues(ks, _gamma_cdf)
 
 
@@ -525,7 +624,7 @@ def operator_norm(op) -> float:
     """L^2 -> L^2 norm: the largest |eigenvalue| of the Hermitian matrix."""
     if isinstance(op, OperatorSpectrum):
         return op.norm()
-    return float(np.max(np.abs(eigh(_checked_hermitian(op), eigvals_only=True))))
+    return float(np.max(np.abs(eigh(_checked_hermitian(op)))))
 
 
 def expectation(M: np.ndarray, f_coeffs: np.ndarray, g_coeffs: np.ndarray | None = None) -> complex:

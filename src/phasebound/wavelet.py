@@ -22,7 +22,7 @@ import numpy as np
 
 from .core import GridField, MeasureProfile, first_use, lp_norm
 from .errors import DivergenceError, InvalidInputError, RegimeError
-from .gabor import OperatorSpectrum, basis_recurrence, gram_operator
+from .gabor import OperatorSpectrum, basis_recurrence, gram_operator, mirror_fold
 
 __all__ = [
     "cauchy_norm_const",
@@ -558,16 +558,18 @@ def assemble_wavelet_operator(F: HalfPlaneField, beta: float, K: int,
     ``center`` (covariance makes the recentered family orthonormal too),
     summed over the cell centers as a Gram product of the basis stack
     (``gabor.gram_operator``, shared with the plane): row 0 is the modulus
-    c0 (1 - |w|^2)^{beta + 1/2}, since the phase of W e_0 cancels.
+    c0 (1 - |w|^2)^{beta + 1/2}, since the phase of W e_0 cancels.  When
+    the grid's x is symmetric about Re(center), the cells at x and
+    2 Re(center) - x pair up (``gabor.mirror_fold``): their w conjugate.
     """
     if K < 1:
         raise InvalidInputError("K must be >= 1")
-    X, Y = np.meshgrid(F.grid.x, F.grid.y, indexing="ij")
+    n, wf, wm = mirror_fold(F.grid.x - np.real(center), F.grid.cell_masses() * F.values)
+    X, Y = np.meshgrid(F.grid.x[:n], F.grid.y, indexing="ij")
     xc, yc, w, c0 = _bergman_coordinates(beta, X, Y, center)
     # 1 - |w|^2 = 4 yc / |z + i|^2, without the cancellation near the boundary
     row0 = c0 * (4.0 * yc / (xc * xc + (1.0 + yc) ** 2)) ** (beta + 0.5)
-    return gram_operator(row0, w, _bergman_ratios(K, beta),
-                         F.grid.cell_masses().ravel() * F.values.ravel())
+    return gram_operator(row0, w, _bergman_ratios(K, beta), wf, wm)
 
 
 _WINDOW_X, _WINDOW_Y = (-20.0, 20.0), (5e-3, 100.0)

@@ -419,6 +419,25 @@ def test_gabor_bound_below_normal_doubles_raises():
         gabor_bound(ConstraintSet(2.0, 1.0, 1.0, "gabor", d=3000))
 
 
+def test_gabor_gaussian_bound_at_large_dimension():
+    # lam = B kappa^{-d/p} raised a bare OverflowError at d = 2100, and the
+    # factor kappa^{d kappa} underflowed to a bound of 0 at d = 10000
+    def bound(p, B, d):
+        return gabor_bound(ConstraintSet(p, math.inf, B, "gabor", d=d))
+
+    r = bound(2.0, 1.0, 2000)
+    assert r.regime == "gaussian"
+    assert r.bound == 2.0 ** -1000 and r.lam == 2.0 ** 1000   # kappa = 1/2: exact
+    for d in (2100, 2200):
+        with pytest.raises(InvalidInputError):
+            bound(2.0, 1.0, d)
+    # 0.9^9000 is below the normal doubles, the bound e^300 0.9^9000 is not
+    r = bound(10.0, math.exp(300.0), 10000)
+    kappa = mpmath.mpf(9) / 10
+    assert r.bound == pytest.approx(float(kappa ** 9000 * mpmath.e ** 300), rel=1e-12, abs=0.0)
+    assert r.lam == pytest.approx(float(kappa ** -1000 * mpmath.e ** 300), rel=1e-12)
+
+
 @pytest.mark.parametrize("d", [1, 3])
 def test_gabor_bound_tiny_scale(d):
     # the precision guard is on the bracket bound / A, not on the scale A: a

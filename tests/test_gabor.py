@@ -1,9 +1,14 @@
 """STFT, Hermite phase-space basis, assembly and spectra."""
 import math
+import sys
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from phasebound import gabor
 from phasebound.bounds import G, gabor_bound
 from phasebound.core import (ConstraintSet, RadialProfile, WeightField, distribution_bound,
                              lp_norm, schwarz_symmetrize)
@@ -12,10 +17,10 @@ from phasebound.errors import (AliasingError, BasisTruncationError,
 from phasebound.extremals import extremal_weight_gabor
 from phasebound.gabor import (OperatorSpectrum, Signal, assemble_operator,
                               ball_mask, concentration, expectation,
-                              gaussian_window, hermite_function,
-                              hermite_phase_basis, lieb_quotient, operator_norm,
-                              radial_eigenvalues, radial_eigenvalues_quad,
-                              spectrum_from_matrix, stft)
+                              gaussian_window, gram_operator, hermite_function,
+                              hermite_phase_basis, lieb_quotient, mirror_fold,
+                              operator_norm, radial_eigenvalues,
+                              radial_eigenvalues_quad, spectrum_from_matrix, stft)
 from phasebound.verify import random_field
 
 
@@ -161,6 +166,72 @@ def test_gram_assembly_matches_reference_sum(kind):
         assert np.array_equal(M, M.conj().T)
 
 
+def _assert_matches(M, R):
+    assert np.max(np.abs(M - R)) <= 1e-13 * np.max(np.abs(R))
+    assert np.array_equal(M, M.conj().T)
+
+
+@pytest.mark.parametrize("n, kind", [(95, "nonnegative"), (95, "signed"),
+                                     (96, "cancelling"), (96, "mixed")])
+def test_gram_mirror_fold_matches_reference_sum(n, kind):
+    # the omega axis folds (x, omega) onto (x, -omega): at odd n the middle
+    # column is its own mirror; an antisymmetric field has wf = -wf_mirror
+    # at every folded node, so s = 0 and only the imaginary part is left
+    rng = np.random.default_rng(12)
+    values = random_field(rng, n=n).values.real
+    if kind == "signed":
+        values = values - 0.5 * random_field(rng, n=n).values.real
+    elif kind in ("cancelling", "mixed"):
+        values = values - values[:, ::-1]
+        if kind == "mixed":
+            values[::3] += random_field(rng, n=n).values.real[::3]
+    F = WeightField(6.0, n, values.astype(complex))
+    _assert_matches(assemble_operator(F, 24, points_per_cell=1), _reference_operator(F, 24))
+
+
+def test_gram_mirror_fold_on_ulp_asymmetric_axis():
+    # WeightField(2.0, 100)'s axis is symmetric only to within an ulp, so
+    # each kept node's basis stands for a mirror a rounding error away
+    F = WeightField(2.0, 100, random_field(np.random.default_rng(13), n=100,
+                                           half_width=2.0).values)
+    ax, K = F.axis, 12
+    assert not np.array_equal(ax, -ax[::-1])
+    n, wf, wm = mirror_fold(ax, (F.values.real * F.cell_area).T)
+    assert n == 50 and wm is not None
+    omega, x = (g.ravel() for g in np.meshgrid(ax[:n], ax, indexing="ij"))
+    M = gram_operator(np.exp(-0.5 * math.pi * (x * x + omega * omega)), x - 1j * omega,
+                      np.sqrt(math.pi / np.arange(1.0, K)), wf, wm)
+    _assert_matches(M, _reference_operator(F, K))
+
+
+@pytest.mark.parametrize("center", [(0.0, 0.0), (0.7, 0.0), (0.6, -0.3)])
+def test_gram_polar_rule_matches_reference_sum(center, monkeypatch):
+    # the polar rule on the real axis folds theta onto -theta (0 and pi are
+    # their own mirrors) and is real; off the axis it has no mirrors.  The
+    # reference sums the phase-bearing basis over the nodes the rule passed
+    # and over their mirrors (x, -omega), term by term
+    nodes = []
+    accumulate = gabor._accumulate
+
+    def spy(K, xs, ys, wf, wf_mirror=None):
+        nodes.append((xs, ys, wf, wf_mirror))
+        return accumulate(K, xs, ys, wf, wf_mirror)
+
+    monkeypatch.setattr(gabor, "_accumulate", spy)
+    K = 16
+    M = assemble_operator(RadialProfile.truncated_gaussian(1.9, 1.3, 1.2, center=center), K)
+    (xs, ys, wf, wm), = nodes
+    assert (wm is not None) == (center[1] == 0.0)
+    R = np.zeros((K, K), complex)
+    for y, w in ((ys, wf), (-ys, wm)):
+        if w is not None:
+            phi = np.array([hermite_phase_basis(k, xs, y) for k in range(K)])
+            R += (phi * w) @ phi.conj().T
+    _assert_matches(M, R)
+    if wm is not None:
+        assert not np.any(M.imag)
+
+
 def test_assemble_rejects_non_finite_weight():
     # near p = 1 the extremal's peak level overflows to inf and its samples
     # hold inf * 0 = NaN; they used to assemble into a NaN matrix
@@ -231,6 +302,47 @@ def test_radial_eigenvalues_contracts():
     d2 = RadialProfile.gaussian(1.0, 1.0, dim=2)
     with pytest.raises(RegimeError):
         radial_eigenvalues(d2, 8)
+
+
+def _mp_pq(k, s):
+    """P(k + 1, s) and Q(k + 1, s) in 30-digit mpmath."""
+    with mpmath.workdps(30):
+        s = mpmath.mpf(s)
+        return (float(mpmath.gammainc(k + 1, 0, s, regularized=True)),
+                float(mpmath.gammainc(k + 1, s, mpmath.inf, regularized=True)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), k=st.integers(0, 199), extra=st.integers(0, 3))
+def test_poisson_sums_match_mpmath(data, k, extra):
+    # P and Q each keep their relative precision wherever they are normal
+    # doubles: the log-space terms are off by a few ulps of
+    # s + k |log s| + log k!, at most about 3500 ulps where a term is normal
+    near = st.floats(-3.0, 3.0).map(lambda u: max(0.0, k + 1 + u * math.sqrt(k + 1)))
+    areas = st.one_of(st.just(0.0), st.just(k + 1.0), near,
+                      st.floats(-300.0, 6.0).map(lambda e: 10.0 ** e))
+    s = data.draw(st.lists(areas, min_size=1, max_size=4))
+    P, Q = gabor._gamma_pq(k + 1 + extra, np.array(s))
+    for i, si in enumerate(s):
+        for got, want in zip((P[k, i], Q[k, i]), _mp_pq(k, si)):
+            if want >= sys.float_info.min:
+                assert abs(got - want) <= 1e-12 * want, (k, si)
+            else:
+                assert 0.0 <= got < 2.0 * sys.float_info.min, (k, si)
+
+
+def test_truncation_leak_and_inverses_pinned():
+    # 30-digit mpmath: Q(48, 36 pi), and the s with Q(K, s) = q that give the
+    # suggested half-width (q = 1e-6) and the polar rule's radius (1e-14)
+    leak = gabor._gamma_pq(48, np.array([36.0 * math.pi]))[1][-1, 0]
+    assert leak == pytest.approx(1.62511860740995903e-12, rel=1e-14)
+    for K, q, s in ((1, 1e-6, 13.8155105579642741), (48, 1e-6, 88.3887861704690285),
+                    (48, 1e-14, 121.516924310206079), (8, 1e-14, 51.4363664947269381),
+                    (200, 1e-14, 328.085384584010866)):
+        assert gabor._gamma_q_inverse(K, q) == pytest.approx(s, rel=1e-14)
+    with pytest.raises(BasisTruncationError) as err:
+        assemble_operator(WeightField(3.0, 32, np.ones((32, 32), complex)), 48)
+    assert err.value.suggested_half_width == pytest.approx(5.30424589040189646, rel=1e-14)
 
 
 def test_spectrum_invariants():

@@ -350,10 +350,13 @@ def test_cli_import_leaves_scipy_integrate_unloaded():
 
 
 def test_numpy_only_commands_leave_scipy_unloaded(tmp_path):
-    # bound, extremal and symmetrize run on numpy alone; one child runs them
-    # all through cli.main and reports the scipy modules loaded after each
+    # bound, extremal, symmetrize and norm on plane files run on numpy alone;
+    # one child runs them all through cli.main and reports the scipy modules
+    # loaded after each
     field = tmp_path / "field.csv"
     write_weight_field(random_field(np.random.default_rng(5), n=16, half_width=2.0), field)
+    field32 = tmp_path / "field32.csv"
+    write_weight_field(random_field(np.random.default_rng(6), n=32, half_width=6.0), field32)
     bound = ["bound", "--format", "json", "--A", "1"]
     commands = [
         bound + ["--p", "2", "--B", "1.5"],
@@ -364,6 +367,8 @@ def test_numpy_only_commands_leave_scipy_unloaded(tmp_path):
         ["extremal", "--transform", "wavelet", "--p", "2", "--A", "1", "--B", "2",
          "--out", str(tmp_path / "w.csv")],
         ["symmetrize", "--weight", str(field), "--out", str(tmp_path / "s.csv")],
+        ["norm", "--weight", str(tmp_path / "g.csv"), "--p", "2", "--format", "json"],
+        ["norm", "--weight", str(field32), "--p", "2", "--basis", "24", "--format", "json"],
     ]
     code = ("import contextlib, io, json, sys\n"
             "from phasebound.cli import main\n"
@@ -382,6 +387,28 @@ def test_numpy_only_commands_leave_scipy_unloaded(tmp_path):
     # the bound commands cover d = 1, the truncated d = 3 level, the d = 2 ball
     assert [json.loads(out)["regime"] for _, out, _ in report[:3]] == [
         "truncated", "truncated", "ball"]
+    # the norms: the radial spectrum in closed form, the field assembled
+    assert [sorted(json.loads(out)) for _, out, _ in report[-2:]] == 2 * [
+        ["K", "bound", "norm", "ratio", "tail_bound"]]
+
+
+def test_no_module_imports_scipy_linalg():
+    # assembled spectra take numpy's eigvalsh and a real Gram product
+    import ast
+    from pathlib import Path
+
+    import phasebound
+    for path in Path(phasebound.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                names = [node.value]
+            else:
+                continue
+            assert not any(n.startswith("scipy.linalg") for n in names), path.name
 
 
 def test_bound_at_large_beta_and_dimension(run_cli):
@@ -398,6 +425,10 @@ def test_bound_at_large_beta_and_dimension(run_cli):
     assert code == 0 and err == ""
     assert bound_of(out) == pytest.approx(6.2230152778580615e-61, rel=1e-10, abs=0.0)
     # 2 beta p overflows, or the bound is below the normal doubles: a one-line error, exit 1
-    for args in (["--transform", "wavelet", "--beta", "1.7e308"], ["--d", "3000"]):
+    for args in (["--transform", "wavelet", "--beta", "1.7e308"], ["--d", "3000"],
+                 ["--A", "inf", "--d", "2100"], ["--A", "inf", "--d", "2200"]):
         code, out, err = run_cli("bound", "--p", "2", "--A", "1", "--B", "1", *args)
         assert code == cli.EXIT_USAGE and out == "" and err.count("\n") == 1, args
+    # the Gaussian regime's peak level overflowed into a traceback at d = 2100
+    code, out, err = run_cli("bound", "--p", "2", "--A", "inf", "--B", "1", "--d", "2000")
+    assert code == 0 and err == "" and bound_of(out) == 2.0 ** -1000

@@ -380,12 +380,10 @@ def test_assembly_disc_indicator():
     assert np.max(np.abs(M - np.diag(np.diag(M)))) < 1e-4
 
 
-@pytest.mark.parametrize("kind", ["nonnegative", "signed", "complex"])
-def test_gram_assembly_matches_reference_sum_halfplane(kind):
-    # term-by-term sum of the phase-bearing, recentred basis over the cell
-    # centers with their nu masses; 96^2 nodes span several Gram blocks
+def _check_halfplane_gram(kind, grid):
+    """Assembly against the term-by-term sum of the phase-bearing, recentred
+    basis over the cell centers with their nu masses."""
     z0, beta, K = 0.3 + 1.4j, 1.5, 12
-    grid = HalfPlaneGrid.logarithmic(-4, 4, 96, 0.1, 8.0, 96)
     X, Y = np.meshgrid(grid.x, grid.y, indexing="ij")
     values = np.exp(-((X - 0.5) ** 2 + (Y - 1.2) ** 2))
     if kind == "signed":
@@ -399,6 +397,22 @@ def test_gram_assembly_matches_reference_sum_halfplane(kind):
     assert np.max(np.abs(M - R)) <= 1e-13 * np.max(np.abs(R))
     if kind != "complex":
         assert np.array_equal(M, M.conj().T)
+
+
+@pytest.mark.parametrize("kind", ["nonnegative", "signed", "complex"])
+def test_gram_assembly_matches_reference_sum_halfplane(kind):
+    # 96^2 nodes span several Gram blocks; x is not symmetric about
+    # Re(z0) = 0.3, so no cell has a mirror
+    _check_halfplane_gram(kind, HalfPlaneGrid.logarithmic(-4, 4, 96, 0.1, 8.0, 96))
+
+
+@pytest.mark.parametrize("kind", ["nonnegative", "signed", "complex"])
+@pytest.mark.parametrize("nx", [96, 95])
+def test_gram_mirror_fold_matches_reference_sum_halfplane(kind, nx):
+    # x symmetric about Re(z0) folds onto 2 Re(z0) - x; at odd nx the middle
+    # column is its own mirror
+    _check_halfplane_gram(kind, HalfPlaneGrid.logarithmic(0.3 - 4.0, 0.3 + 4.0, nx,
+                                                          0.1, 8.0, 96))
 
 
 def test_moebius_recentering():

@@ -5,23 +5,25 @@ Three extremal families compete: a ball indicator (p = 1), a Gaussian
 compares (B/A)^p against kappa^d (time-frequency) or 4 pi sigma (wavelet);
 ties are classified as gaussian, where the two formulas coincide.
 
-Every bound is a closed form in numpy and ``math`` alone; this module loads
-no scipy.  The concentration ceilings G and G_beta are elementary: G is a
-Poisson sum for integer d, with a series for small volumes.  In the
-time-frequency supercritical regime the level of the truncated Gaussian
-solves a polynomial equation in x = p log(lam/A), for every d.
+Every bound is a closed form in ``math`` alone, and this module imports
+the standard library alone: a scalar bound loads neither numpy nor scipy.
+G and G_beta take arrays too, and import numpy for them.  The
+concentration ceilings G and G_beta are elementary: G is a Poisson sum
+for integer d, with a series for small volumes.  In the time-frequency
+supercritical regime the level of the truncated Gaussian solves a
+polynomial equation in x = p log(lam/A), for every d.
 """
 from __future__ import annotations
 
 import math
 import sys
 from dataclasses import dataclass
+from functools import partial
+from numbers import Integral
 
-import numpy as np
-
-from .core import ConstraintSet, expm1_poly, series_length
-from .core import quad  # noqa: F401  the benchmark's tracer counts calls through bounds.quad
 from .errors import InvalidInputError, RegimeError
+from .scalar import ConstraintSet, expm1_poly, series_length
+from .scalar import quad  # noqa: F401  the benchmark's tracer counts calls through bounds.quad
 
 __all__ = ["G", "G_beta", "BoundReport", "gabor_bound", "wavelet_bound", "lambda_root"]
 
@@ -58,6 +60,28 @@ def _p_poisson(x, x_capped, d: int, exp):
     return 1.0 - exp(-x) * (1.0 + expm1_poly(d - 1, x_capped))
 
 
+def _float_or_array(s):
+    """s as a float (numbers and 0-d arrays) or a float array; only array
+    input imports numpy."""
+    if isinstance(s, (int, float)):
+        return float(s)
+    import numpy as np
+    s = np.asarray(s, dtype=float)
+    return s if s.ndim else float(s)
+
+
+def _libm(f, x):
+    """``math`` function f elementwise over the float array x.
+
+    numpy's own exp, expm1, log1p and power may use SIMD kernels that round
+    differently from libm in the last place; through libm an array entry
+    is bitwise the scalar result.  The arithmetic around these calls is
+    correctly rounded either way.
+    """
+    import numpy as np
+    return np.fromiter(map(f, x.ravel().tolist()), float, x.size).reshape(x.shape)
+
+
 def G(s, d: int = 1):
     """Concentration ceiling for phase-space sets of volume s in R^{2d}.
 
@@ -67,14 +91,14 @@ def G(s, d: int = 1):
     d = 1; otherwise the series e^{-x} sum_{i >= d} x^i / i! for x < d,
     which keeps small volumes to full relative precision, and
     1 - e^{-x} e_{d-1}(x) for x >= d.  s may be a scalar (float result) or
-    an array; d is an integer in [1, 170], where d! stays in float range.
+    an array, whose entries equal the scalar results bitwise; d is an
+    integer in [1, 170], where d! stays in float range.
     """
-    if not isinstance(d, (int, np.integer)) or not 1 <= d <= MAX_DIM:
+    if not isinstance(d, Integral) or not 1 <= d <= MAX_DIM:
         raise InvalidInputError(f"dimension must be an integer in [1, {MAX_DIM}], got {d!r}")
     d = int(d)
-    s = np.asarray(s, dtype=float)
-    if s.ndim == 0:
-        s = float(s)
+    s = _float_or_array(s)
+    if isinstance(s, float):
         if not s >= 0.0:
             raise InvalidInputError("G is defined for s >= 0 (NaN is not a volume)")
         if d == 1:
@@ -83,30 +107,43 @@ def G(s, d: int = 1):
         if x < d:
             return _p_series(s, x, d, math.exp)
         return _p_poisson(x, min(x, 709.0), d, math.exp)
+    import numpy as np
     if not (s >= 0.0).all():
         raise InvalidInputError("G is defined for s >= 0 (NaN is not a volume)")
     if d == 1:
-        return -np.expm1(-s)
+        return -_libm(math.expm1, -s)
     with np.errstate(over="ignore"):
         # d! s overflows only for s near float max, where x = inf and G = 1
-        x = (math.factorial(d) * s) ** (1.0 / d)
+        x = _libm(lambda v: v ** (1.0 / d), math.factorial(d) * s)
+    exp = partial(_libm, math.exp)
     low = x < d
     out = np.empty_like(x)
-    out[low] = _p_series(s[low], x[low], d, np.exp)
+    out[low] = _p_series(s[low], x[low], d, exp)
     high = x[~low]
-    out[~low] = _p_poisson(high, np.minimum(high, 709.0), d, np.exp)
+    out[~low] = _p_poisson(high, np.minimum(high, 709.0), d, exp)
     return out
 
 
 def G_beta(s, beta: float):
-    """Wavelet analogue: G_beta(s) = 1 - (1 + s/(4 pi))^{-2 beta}."""
-    s = np.asarray(s, dtype=float)
+    """Wavelet analogue: G_beta(s) = 1 - (1 + s/(4 pi))^{-2 beta}.
+
+    Evaluated as -expm1(-2 beta log1p(s/(4 pi))), which keeps full relative
+    precision where the power is near 1 (small beta or small s).  s may be
+    a scalar (float result) or an array, whose entries equal the scalar
+    results bitwise.
+    """
+    s = _float_or_array(s)
+    if not 0 < beta < math.inf:
+        raise InvalidInputError("beta must satisfy 0 < beta < inf")
+    if isinstance(s, float):
+        if not s >= 0.0:
+            raise InvalidInputError("G_beta is defined for s >= 0 (NaN is not a measure)")
+        # beta times the log first: 2 beta overflows past 9e307, and inf * 0 at
+        # s = 0 would be NaN
+        return -math.expm1(-2.0 * (beta * math.log1p(s / (4.0 * math.pi))))
     if not (s >= 0.0).all():
         raise InvalidInputError("G_beta is defined for s >= 0 (NaN is not a measure)")
-    if not beta > 0:
-        raise InvalidInputError("beta must be positive")
-    out = 1.0 - (1.0 + s / (4.0 * math.pi)) ** (-2.0 * beta)
-    return out if out.ndim else float(out)
+    return -_libm(math.expm1, -2.0 * (beta * _libm(math.log1p, s / (4.0 * math.pi))))
 
 
 @dataclass(frozen=True)
@@ -230,7 +267,9 @@ def lambda_root(c: ConstraintSet) -> float:
 def gabor_bound(c: ConstraintSet) -> BoundReport:
     """Sharp bound for the norm of a time-frequency localization operator.
 
-    p = 1: A G(B/A), attained by a ball indicator.
+    p = 1: A G(B/A), attained by a ball indicator; past d = 170, where d!
+    leaves the floats, A P(d, x) with x = (d! B/A)^{1/d} taken in logs, and
+    InvalidInputError where P falls below the normal doubles.
     Subcritical ((B/A)^p <= kappa^d): kappa^{d kappa} B, attained by a Gaussian
     of peak lam = B kappa^{-d/p}; where lam overflows or the bound falls
     below the normal doubles (large d), InvalidInputError is raised.
@@ -244,7 +283,13 @@ def gabor_bound(c: ConstraintSet) -> BoundReport:
     p, A, B, d = c.p, c.A, c.B, c.d
 
     if p == 1:
-        return BoundReport("ball", A * G(B / A, d), None, math.inf, c)
+        if d <= MAX_DIM:
+            return BoundReport("ball", A * G(B / A, d), None, math.inf, c)
+        log_x = (math.lgamma(d + 1) + math.log(B) - math.log(A)) / d
+        ceiling = _p_log(d, math.exp(log_x), log_x)
+        if ceiling < sys.float_info.min:
+            raise InvalidInputError(f"the bound / A at d = {d} is below the smallest normal double")
+        return BoundReport("ball", A * ceiling, None, math.inf, c)
 
     # log of the critical ratio (B/A)^p / kappa^d, which cannot overflow
     kappa = c.kappa

@@ -71,7 +71,7 @@ def _emit(payload: dict, fmt: str):
 
 
 def _constraints_from_args(args):
-    from .core import ConstraintSet
+    from .scalar import ConstraintSet
     if args.transform == "gabor":
         return ConstraintSet(args.p, args.A, args.B, "gabor", d=args.d)
     return ConstraintSet(args.p, args.A, args.B, "wavelet", beta=args.beta)
@@ -106,8 +106,9 @@ def cmd_extremal(args) -> int:
 def cmd_norm(args) -> int:
     from . import io
     from .bounds import gabor_bound, wavelet_bound
-    from .core import ConstraintSet, lp_norm
+    from .core import lp_norm
     from .gabor import assemble_operator, radial_eigenvalues, spectrum_from_matrix
+    from .scalar import ConstraintSet
     from .wavelet import assemble_wavelet_operator, bergman_radial_eigenvalues
     K, beta = args.basis, args.beta
     # file format -> (reader, transform of its bound, spectrum of the weight)

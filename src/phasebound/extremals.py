@@ -11,9 +11,10 @@ import math
 import numpy as np
 
 from .bounds import gabor_bound, wavelet_bound
-from .core import ConstraintSet, RadialProfile
+from .core import RadialProfile
 from .errors import InvalidInputError
 from .gabor import Signal
+from .scalar import ConstraintSet
 from .wavelet import DiscProfile, HardySignal, bergman_basis, cauchy_norm_const
 
 __all__ = [

@@ -17,9 +17,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import RadialProfile, WeightField, first_use, lp_norm, quad, series_length
+from .core import RadialProfile, WeightField, lp_norm
 from .errors import (AliasingError, BasisTruncationError, InvalidInputError,
                      RegimeError)
+from .scalar import first_use, quad, series_length
 
 __all__ = [
     "Signal",

@@ -19,9 +19,10 @@ from typing import Callable
 import numpy as np
 
 from .bounds import G, G_beta, gabor_bound, wavelet_bound
-from .core import ConstraintSet, distribution_bound, quad
+from .core import distribution_bound
 from .errors import InvalidInputError, RegimeError
 from .extremals import extremal_weight_gabor, extremal_weight_wavelet
+from .scalar import ConstraintSet, quad
 
 __all__ = [
     "GaborKernel",

@@ -13,9 +13,8 @@ import numpy as np
 
 from . import bounds as bd
 from . import varprob as vp
-from .core import (ConstraintSet, RadialProfile, WeightField,
-                   decreasing_rearrangement, distribution_bound, lp_norm,
-                   schwarz_symmetrize)
+from .core import (RadialProfile, WeightField, decreasing_rearrangement,
+                   distribution_bound, lp_norm, schwarz_symmetrize)
 from .extremals import (extremal_signal, extremal_weight_gabor,
                         extremal_weight_wavelet, wavelet_disc_coefficients)
 from .gabor import (Signal, assemble_operator, ball_mask, concentration,
@@ -28,6 +27,7 @@ from .wavelet import (DiscProfile, HalfPlaneGrid, HardySignal,
                       cauchy_wavelet, disc_basis_frequency,
                       hyperbolic_disc_mask, nu_window_integral,
                       wavelet_transform_grid)
+from .scalar import ConstraintSet
 
 SUITES = ("bounds", "rearrange", "varprob", "gabor", "wavelet")
 

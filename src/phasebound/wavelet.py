@@ -20,9 +20,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import GridField, MeasureProfile, first_use, lp_norm
+from .core import GridField, MeasureProfile, lp_norm
 from .errors import DivergenceError, InvalidInputError, RegimeError
 from .gabor import OperatorSpectrum, basis_recurrence, gram_operator, mirror_fold
+from .scalar import first_use
 
 __all__ = [
     "cauchy_norm_const",

@@ -12,12 +12,12 @@ import numpy as np
 from scipy.integrate import quad
 
 from phasebound.bounds import G, G_beta, gabor_bound, lambda_root, wavelet_bound
-from phasebound.core import (ConstraintSet, RadialProfile, distribution_bound,
-                            schwarz_symmetrize)
+from phasebound.core import RadialProfile, distribution_bound, schwarz_symmetrize
 from phasebound.extremals import extremal_weight_gabor, extremal_weight_wavelet
 from phasebound.gabor import (Signal, assemble_operator, lieb_quotient,
                               operator_norm, radial_eigenvalues,
                               radial_eigenvalues_quad)
+from phasebound.scalar import ConstraintSet
 from phasebound.varprob import solve_closed_form, solve_kkt_oracle
 from phasebound.verify import random_feasible_competitor, random_field, run_suite
 from phasebound.wavelet import (DiscProfile, HalfPlaneGrid, HyperbolicDisc,

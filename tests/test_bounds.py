@@ -10,9 +10,10 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from phasebound.bounds import G, G_beta, gabor_bound, lambda_root, wavelet_bound
-from phasebound.core import ConstraintSet, RadialProfile, distribution_bound
+from phasebound.core import RadialProfile, distribution_bound
 from phasebound.errors import (InvalidInputError, RegimeError,
                                UnattainedBoundError)
+from phasebound.scalar import ConstraintSet
 from phasebound.varprob import solve_closed_form
 
 # pinned before the build with 40-digit arithmetic
@@ -45,8 +46,11 @@ def test_G_and_G_beta_domain_edges():
             G(s, 2)
         with pytest.raises(InvalidInputError):
             G_beta(s, 1.0)
-    with pytest.raises(InvalidInputError):
-        G_beta(1.0, math.nan)
+    for beta in (math.nan, math.inf):
+        with pytest.raises(InvalidInputError):
+            G_beta(1.0, beta)
+    # 2 beta overflows here; beta log1p(0) = 0 does not
+    assert G_beta(0.0, 1e308) == 0.0 and G_beta(np.array([0.0]), 1e308)[0] == 0.0
     assert G(np.int64(2), np.int64(2)) == pytest.approx(G_2_2, abs=1e-14)
     # the limit holds at s = inf; scalars give floats, arrays give arrays
     for d in (1, 2, 8, 170):
@@ -112,6 +116,34 @@ def test_G_beta_values_and_properties():
         G_beta(1.0, 0.0)
 
 
+def test_G_beta_keeps_precision_at_small_beta_and_volume():
+    # 1 - (1 + s/4pi)^{-2 beta} cancelled: a relative error of 1.7e-6 at
+    # beta = 1e-10, and 0 in place of 1.6e-21 at s = 1e-20, which the p = 1
+    # wavelet bound passed on; the reference is that form in 60 digits
+    for s, beta in ((1.0, 1e-10), (1e-20, 1.0)):
+        with mpmath.workdps(60):
+            ref = float(1 - (1 + mpmath.mpf(s) / (4 * mpmath.pi)) ** (-2 * mpmath.mpf(beta)))
+        ball = wavelet_bound(ConstraintSet(1.0, 1.0, s, "wavelet", beta=beta)).bound
+        for val in (G_beta(s, beta), G_beta(np.array([s]), beta)[0], ball):
+            assert val == pytest.approx(ref, rel=4e-16, abs=0.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(d=st.integers(1, 170),
+       s=st.one_of(st.just(0.0), st.floats(-300.0, 300.0).map(lambda e: 10.0 ** e)),
+       log10_beta=st.floats(-300.0, 300.0))
+def test_scalar_and_array_paths_agree_bitwise(d, s, log10_beta):
+    # numpy's own exp, expm1, log1p and power round differently from libm
+    # for some arguments on some CPUs; the array path must not
+    for f, arg in ((G, d), (G_beta, 10.0 ** log10_beta)):
+        ref = f(s, arg)
+        assert type(ref) is float
+        values = [f(np.float64(s), arg), f(np.array(s), arg), f(np.array([s]), arg)[0]]
+        assert {float(v).hex() for v in values} == {ref.hex()}
+        k = int(s)
+        assert f(k, arg).hex() == float(f(np.array([float(k)]), arg)[0]).hex()
+
+
 # ---------------------------------------------------------------------------
 # regimes
 # ---------------------------------------------------------------------------
@@ -121,6 +153,27 @@ def test_gabor_ball_regime():
     assert r.regime == "ball"
     assert r.bound == pytest.approx(1 - math.exp(-1), abs=1e-12)
     assert r.lam is None
+
+
+def test_gabor_ball_regime_past_d_170():
+    # G's d! leaves the floats past d = 170, so p = 1 raised "dimension must
+    # be an integer in [1, 170]" where the other regimes take any d
+    def ball_mp(ratio, d):
+        with mpmath.workdps(50):
+            x = (mpmath.factorial(d) * mpmath.mpf(ratio)) ** (mpmath.mpf(1) / d)
+            return float(mpmath.gammainc(d, 0, x, regularized=True))
+
+    # 50-digit references at B = A
+    for A, B, d, ref in ((1.0, 1.0, 171, 2.0814332769403149e-28),
+                         (1.0, 1.0, 1000, 5.3915858780930963e-161),
+                         (3.0, 3e5, 500, 3.0 * ball_mp(1e5, 500)),
+                         (1e-200, 1e100, 300, 1e-200 * ball_mp(1e300, 300))):
+        r = gabor_bound(ConstraintSet(1.0, A, B, "gabor", d=d))
+        assert r.regime == "ball" and r.lam is None
+        assert r.bound == pytest.approx(ref, rel=1e-10, abs=0.0)
+    # about 1e-336 / A at d = 2100: no double carries it
+    with pytest.raises(InvalidInputError):
+        gabor_bound(ConstraintSet(1.0, 1.0, 1.0, "gabor", d=2100))
 
 
 def test_gabor_gaussian_regime():

@@ -4,10 +4,11 @@ import math
 import numpy as np
 import pytest
 
-from phasebound.core import (ConstraintSet, RadialProfile, WeightField,
-                             decreasing_rearrangement, lp_norm, schwarz_symmetrize)
+from phasebound.core import (RadialProfile, WeightField, decreasing_rearrangement, lp_norm,
+                             schwarz_symmetrize)
 from phasebound.errors import (DivergenceError, InvalidInputError,
                                UnattainedBoundError)
+from phasebound.scalar import ConstraintSet
 from phasebound.verify import thresholds
 
 

@@ -7,13 +7,14 @@ from scipy.integrate import quad
 
 from phasebound import cli
 from phasebound.bounds import gabor_bound, wavelet_bound
-from phasebound.core import ConstraintSet, lp_norm
+from phasebound.core import lp_norm
 from phasebound.errors import InvalidInputError, UnattainedBoundError
 from phasebound.extremals import (extremal_signal, extremal_signal_wavelet,
                                   extremal_weight_gabor,
                                   extremal_weight_wavelet,
                                   wavelet_disc_coefficients)
 from phasebound.gabor import assemble_operator, expectation, radial_eigenvalues
+from phasebound.scalar import ConstraintSet
 from phasebound.varprob import solve_kkt_oracle
 from phasebound.verify import thresholds
 from phasebound.wavelet import bergman_radial_eigenvalues

@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 
 from phasebound import gabor
 from phasebound.bounds import G, gabor_bound
-from phasebound.core import (ConstraintSet, RadialProfile, WeightField, distribution_bound,
-                             lp_norm, schwarz_symmetrize)
+from phasebound.core import (RadialProfile, WeightField, distribution_bound, lp_norm,
+                             schwarz_symmetrize)
 from phasebound.errors import (AliasingError, BasisTruncationError,
                                InvalidInputError, RegimeError)
 from phasebound.extremals import extremal_weight_gabor
@@ -21,6 +21,7 @@ from phasebound.gabor import (OperatorSpectrum, Signal, assemble_operator,
                               hermite_phase_basis, lieb_quotient, mirror_fold,
                               operator_norm, radial_eigenvalues,
                               radial_eigenvalues_quad, spectrum_from_matrix, stft)
+from phasebound.scalar import ConstraintSet
 from phasebound.verify import random_field
 
 

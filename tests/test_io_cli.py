@@ -3,12 +3,13 @@ import json
 import math
 import subprocess
 import sys
+import textwrap
 
 import numpy as np
 import pytest
 
 from phasebound import cli
-from phasebound.core import ConstraintSet, RadialProfile, WeightField, lp_norm
+from phasebound.core import RadialProfile, WeightField, lp_norm
 from phasebound.errors import InvalidInputError
 from phasebound.extremals import extremal_signal_wavelet
 from phasebound.io import (read_disc_profile, read_halfplane_field,
@@ -16,6 +17,7 @@ from phasebound.io import (read_disc_profile, read_halfplane_field,
                            sniff_weight_file, write_disc_profile,
                            write_halfplane_field, write_radial_profile,
                            write_spectrum, write_weight_field)
+from phasebound.scalar import ConstraintSet
 from phasebound.verify import random_field
 from phasebound.wavelet import (DiscProfile, HalfPlaneGrid, HalfPlaneField,
                                 bergman_radial_eigenvalues, cauchy_norm_const)
@@ -392,6 +394,56 @@ def test_numpy_only_commands_leave_scipy_unloaded(tmp_path):
         ["K", "bound", "norm", "ratio", "tail_bound"]]
 
 
+NUMPY_LOADED = "sorted(m for m in sys.modules if m.split('.')[0] == 'numpy')"
+
+
+def test_bound_leaves_numpy_unloaded():
+    # bound runs on the standard library: one cold child runs
+    # `python -m phasebound.cli bound ...` for each regime and reports the
+    # numpy modules loaded after each; then it loads the lazy namespace
+    bound = ["bound", "--format", "json", "--A", "1"]
+    wavelet = bound + ["--transform", "wavelet", "--beta", "1.5"]
+    commands = [bound + ["--p", "2", "--B", "0.5"],
+                bound + ["--p", "2.5", "--B", "3", "--d", "3"],
+                bound + ["--p", "1", "--B", "2", "--d", "2"],
+                wavelet + ["--p", "2", "--B", "2"],
+                wavelet + ["--p", "1", "--B", "2"]]
+    code = textwrap.dedent("""\
+        import contextlib, io, json, runpy, sys
+        report = []
+        for argv in json.loads(sys.argv[1]):
+            sys.argv = ["phasebound", *argv]
+            with contextlib.redirect_stdout(io.StringIO()) as out:
+                try:
+                    runpy.run_module("phasebound.cli", run_name="__main__")
+                except SystemExit as exc:
+                    status = exc.code
+            report.append([status, json.loads(out.getvalue())["regime"], NUMPY_LOADED])
+        import phasebound
+        star = {}
+        exec("from phasebound import *", star)
+        del star["__builtins__"]
+        public = {name: getattr(phasebound, name) for name in phasebound.__all__}
+        defined = sorted(name for name, obj in public.items() if name == "__version__"
+                         or getattr(sys.modules[obj.__module__], name) is obj is star[name])
+        try:
+            phasebound.no_such_name
+            unknown = "resolved"
+        except AttributeError:
+            unknown = "AttributeError"
+        print(json.dumps([report, sorted(star), sorted(phasebound.__all__), defined,
+                          set(phasebound.__all__) <= set(dir(phasebound)), unknown]))
+        """).replace("NUMPY_LOADED", NUMPY_LOADED)
+    proc = subprocess.run([sys.executable, "-c", code, json.dumps(commands)],
+                          capture_output=True, text=True, check=True)
+    report, star, public, defined, listed, unknown = json.loads(proc.stdout)
+    assert report == [[0, regime, []] for regime in
+                      ("gaussian", "truncated", "ball", "truncated", "ball")]
+    # every public name resolves to its defining module's object
+    assert star == public == defined and len(public) > 40 and listed
+    assert unknown == "AttributeError"
+
+
 def test_no_module_imports_scipy_linalg():
     # assembled spectra take numpy's eigvalsh and a real Gram product
     import ast
@@ -432,3 +484,9 @@ def test_bound_at_large_beta_and_dimension(run_cli):
     # the Gaussian regime's peak level overflowed into a traceback at d = 2100
     code, out, err = run_cli("bound", "--p", "2", "--A", "inf", "--B", "1", "--d", "2000")
     assert code == 0 and err == "" and bound_of(out) == 2.0 ** -1000
+    # p = 1 raised G's "dimension must be an integer in [1, 170]" at d = 171
+    code, out, err = run_cli("bound", "--p", "1", "--A", "1", "--B", "1", "--d", "171")
+    assert code == 0 and err == ""
+    assert bound_of(out) == pytest.approx(2.0814332769403149e-28, rel=1e-10, abs=0.0)
+    code, out, err = run_cli("bound", "--p", "1", "--A", "1", "--B", "1", "--d", "2100")
+    assert code == cli.EXIT_USAGE and out == "" and err.count("\n") == 1

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from phasebound.bounds import gabor_bound, wavelet_bound
-from phasebound.core import ConstraintSet
 from phasebound.errors import RegimeError
+from phasebound.scalar import ConstraintSet
 from phasebound.varprob import (GaborKernel, WaveletKernel, constraint_moment,
                                 kernel_for, solve_closed_form, solve_kkt_oracle)
 from phasebound.verify import random_feasible_competitor

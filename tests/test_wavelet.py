@@ -8,8 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from phasebound.bounds import G_beta, wavelet_bound
-from phasebound.core import ConstraintSet, distribution_bound
+from phasebound.core import distribution_bound
 from phasebound.errors import DivergenceError, InvalidInputError, RegimeError
+from phasebound.scalar import ConstraintSet
 from phasebound.wavelet import (DiscProfile, HalfPlaneField, HalfPlaneGrid,
                                 HardySignal, HyperbolicDisc,
                                 assemble_wavelet_operator,

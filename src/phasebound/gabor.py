@@ -367,13 +367,20 @@ def assemble_operator(F, K: int, *, points_per_cell: int = 2) -> np.ndarray:
     """K x K matrix of the localization operator in the Hermite basis.
 
     Entries are int F(z) Vh_j(z) conj(Vh_k(z)) dz.  Gridded weights use
-    tensor Gauss-Legendre points per cell (piecewise-constant F); radial
-    profiles use a polar rule around their center, whose uniform angular
-    grid resolves every harmonic below K exactly.  The nodes are summed as
-    a Gram product of the phase-free Hermite stack (``gram_operator``),
-    which gives an exactly Hermitian matrix for real F.  The node (x, -omega)
-    is the mirror of (x, omega): a grid field folds its omega axis, and a
-    profile centered on the real axis its angles theta and -theta.
+    tensor Gauss-Legendre points per cell (piecewise-constant F).  The
+    nodes are summed as a Gram product of the phase-free Hermite stack
+    (``gram_operator``), which gives an exactly Hermitian matrix for real
+    F.  The node (x, -omega) is the mirror of (x, omega), and a grid field
+    folds its omega axis.
+
+    Radial profiles use a polar rule: 8-point Gauss-Legendre on
+    max(32, ceil(K/4)) equal radial panels, split also at the profile's
+    breakpoints, times a uniform angular grid of max(4K, 16) angles, which
+    resolves every harmonic below K exactly.  The rule is laid about
+    (|z0|, 0) rather than the center z0, where it folds theta onto -theta
+    and the weights are real.  Rotating phase space by phi = arg z0 takes
+    Vh_k to e^{-ik phi} Vh_k (the step is x - i omega), so entry (j, k) is
+    then multiplied by e^{-i(j-k) phi}, on one triangle and mirrored.
     """
     if K < 1:
         raise InvalidInputError("K must be >= 1")
@@ -396,8 +403,32 @@ def assemble_operator(F, K: int, *, points_per_cell: int = 2) -> np.ndarray:
     if F.dim != 1:
         raise RegimeError("spectral computation is restricted to d = 1")
 
-    # polar rule: radial Gauss-Legendre panels split at profile breakpoints,
-    # uniform angles (trapezoid is exact for harmonics below ntheta)
+    r, rw = _polar_radial_rule(F, K)
+    # uniform angles (trapezoid is exact for harmonics below ntheta): theta
+    # stands also for -theta, and 0 and pi are their own mirrors
+    ntheta = max(4 * K, 16)
+    theta = 2.0 * math.pi * np.arange(ntheta // 2 + 1) / ntheta
+    share = np.full(theta.size, 2.0 * math.pi / ntheta)
+    share[[0, -1]] *= 0.5
+    # laid about (|z0|, 0), or about z0 itself on the real axis
+    x0, y0 = F.center
+    xc = math.hypot(x0, y0) if y0 else x0
+    xs = (xc + np.outer(r, np.cos(theta))).ravel()
+    ys = np.outer(r, np.sin(theta)).ravel()
+    wf = np.outer(rw * r * F(r), share).ravel()
+    M = _accumulate(K, xs, ys, wf, wf)
+    if y0:
+        # rotated back onto z0 by the phase e^{-i(j-k) arg z0}
+        j, k = np.tril_indices(K, -1)
+        low = M[j, k] * np.exp(-1j * math.atan2(y0, x0) * (j - k))
+        M[j, k], M[k, j] = low, low.conj()
+    return M
+
+
+def _polar_radial_rule(F: RadialProfile, K: int):
+    """Radial nodes and weights of ``assemble_operator``'s polar rule on
+    [0, r_max]: r_max leaves out less than 1e-14 of the Gamma(K) mass and
+    covers the profile's support."""
     r_max = math.sqrt(_gamma_q_inverse(K, 1e-14) / math.pi)
     breakpoints = []
     if F.kind == "ball_indicator":
@@ -416,27 +447,14 @@ def assemble_operator(F, K: int, *, points_per_cell: int = 2) -> np.ndarray:
         breakpoints = list(F.knots)
         r_max = max(r_max, float(F.knots[-1]))
 
-    edges = np.unique(np.concatenate([np.linspace(0.0, r_max, 97),
+    panels = max(32, -(-K // 4))
+    edges = np.unique(np.concatenate([np.linspace(0.0, r_max, panels + 1),
                                       [b for b in breakpoints if b < r_max]]))
     g, gw = np.polynomial.legendre.leggauss(8)
     lo, hi = edges[:-1], edges[1:]
     half = 0.5 * (hi - lo)
     r = ((lo + half)[:, None] + half[:, None] * g[None, :]).ravel()
-    rw = (half[:, None] * gw[None, :]).ravel()
-
-    ntheta = max(4 * K, 16)
-    theta = 2.0 * math.pi * np.arange(ntheta) / ntheta
-    share = np.full(ntheta, 2.0 * math.pi / ntheta)
-    x0, y0 = F.center
-    mirror = y0 == 0.0
-    if mirror:
-        # theta stands also for -theta; 0 and pi are their own mirrors
-        theta, share = theta[:ntheta // 2 + 1], share[:ntheta // 2 + 1]
-        share[[0, -1]] *= 0.5
-    xs = (x0 + np.outer(r, np.cos(theta))).ravel()
-    ys = (y0 + np.outer(r, np.sin(theta))).ravel()
-    wf = np.outer(rw * r * F(r), share).ravel()
-    return _accumulate(K, xs, ys, wf, wf if mirror else None)
+    return r, (half[:, None] * gw[None, :]).ravel()
 
 
 # ---------------------------------------------------------------------------

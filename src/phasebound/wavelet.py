@@ -574,7 +574,7 @@ def assemble_wavelet_operator(F: HalfPlaneField, beta: float, K: int,
 
 
 _WINDOW_X, _WINDOW_Y = (-20.0, 20.0), (5e-3, 100.0)
-_WINDOW_PANELS_X, _WINDOW_PANELS_Y, _WINDOW_ORDER = 160, 96, 3
+_WINDOW_PANELS_X, _WINDOW_PANELS_Y, _WINDOW_ORDER = 160, 48, 3
 
 
 def nu_window_integral(fun):

@@ -230,3 +230,21 @@ def test_verify_suite_all_passes():
     summaries = run_suite("all", seed=0, basis=48)
     failed = [(s["suite"], d["name"]) for s in summaries for d in s["details"] if not d["ok"]]
     assert not failed, failed
+
+
+def test_verify_details_carry_time_and_margin():
+    # each detail has the CPU time since the previous record; a check with a
+    # positive tolerance also has its margin, error / tolerance
+    t0 = time.process_time()
+    summary, = run_suite("rearrange", seed=1)
+    spent_ms = 1e3 * (time.process_time() - t0)
+    details = summary["details"]
+    assert all(d["elapsed_ms"] >= 0.0 for d in details)
+    assert sum(d["elapsed_ms"] for d in details) <= spent_ms + 1e-6
+    checks = [d for d in details if "error" in d]
+    assert any(d["tolerance"] > 0 for d in checks) and any(d["tolerance"] == 0 for d in checks)
+    for d in details:
+        if d.get("tolerance", 0.0) > 0:
+            assert d["margin"] == d["error"] / d["tolerance"]
+        else:
+            assert "margin" not in d

@@ -205,12 +205,12 @@ def test_gram_mirror_fold_on_ulp_asymmetric_axis():
     _assert_matches(M, _reference_operator(F, K))
 
 
-@pytest.mark.parametrize("center", [(0.0, 0.0), (0.7, 0.0), (0.6, -0.3)])
+@pytest.mark.parametrize("center", [(0.0, 0.0), (0.7, 0.0), (0.6, -0.3), (-0.7, 0.4)])
 def test_gram_polar_rule_matches_reference_sum(center, monkeypatch):
-    # the polar rule on the real axis folds theta onto -theta (0 and pi are
-    # their own mirrors) and is real; off the axis it has no mirrors.  The
-    # reference sums the phase-bearing basis over the nodes the rule passed
-    # and over their mirrors (x, -omega), term by term
+    # the polar rule is laid about (|z0|, 0), where it folds theta onto
+    # -theta (0 and pi are their own mirrors), and is then rotated onto z0.
+    # The reference sums the phase-bearing basis term by term over the full
+    # polar rule about z0 itself, on the same radial panels
     nodes = []
     accumulate = gabor._accumulate
 
@@ -220,16 +220,19 @@ def test_gram_polar_rule_matches_reference_sum(center, monkeypatch):
 
     monkeypatch.setattr(gabor, "_accumulate", spy)
     K = 16
-    M = assemble_operator(RadialProfile.truncated_gaussian(1.9, 1.3, 1.2, center=center), K)
+    F = RadialProfile.truncated_gaussian(1.9, 1.3, 1.2, center=center)
+    M = assemble_operator(F, K)
     (xs, ys, wf, wm), = nodes
-    assert (wm is not None) == (center[1] == 0.0)
-    R = np.zeros((K, K), complex)
-    for y, w in ((ys, wf), (-ys, wm)):
-        if w is not None:
-            phi = np.array([hermite_phase_basis(k, xs, y) for k in range(K)])
-            R += (phi * w) @ phi.conj().T
-    _assert_matches(M, R)
-    if wm is not None:
+    assert wm is not None and np.array_equal(wm, wf) and np.all(ys >= 0.0)
+
+    r, rw = gabor._polar_radial_rule(F, K)
+    theta = 2.0 * math.pi * np.arange(4 * K) / (4 * K)
+    px = center[0] + np.outer(r, np.cos(theta))
+    py = center[1] + np.outer(r, np.sin(theta))
+    w = np.outer(rw * r * F(r), np.full(theta.size, 2.0 * math.pi / theta.size)).ravel()
+    phi = np.array([hermite_phase_basis(k, px, py).ravel() for k in range(K)])
+    _assert_matches(M, (phi * w) @ phi.conj().T)
+    if center[1] == 0.0:
         assert not np.any(M.imag)
 
 
@@ -250,17 +253,18 @@ def test_assemble_truncation_guard():
 
 
 def test_radial_assembly_agrees_with_eigenvalues():
-    # two independent routes: polar 2-d quadrature vs Gamma-density algebra
-    K = 48
-    for prof in (RadialProfile.truncated_gaussian(1.9, 1.3, 1.2),
-                 RadialProfile.gaussian(1.1, 0.9),
-                 RadialProfile.sampled(np.linspace(0.2, 3.0, 40),
-                                       np.linspace(2.0, 0.1, 40))):
-        M = assemble_operator(prof, K)
-        spec = radial_eigenvalues(prof, K)
-        assert np.max(np.abs(M - np.diag(np.diag(M)))) < 1e-8
-        diag = np.sort(np.diag(M).real)[::-1]
-        assert np.max(np.abs(diag - spec.eigenvalues)) < 1e-8
+    # two independent routes: polar 2-d quadrature vs Gamma-density algebra.
+    # Swept over K, this guards the sizing of the polar rule: max(32, ceil(K/4))
+    # radial panels resolve its integrands to rounding
+    for K in (8, 24, 48, 96, 192):
+        for F in (RadialProfile.ball(1.0, 1.0), RadialProfile.gaussian(1.1, 0.9),
+                  RadialProfile.truncated_gaussian(1.9, 1.3, 1.2),
+                  RadialProfile.sampled(np.linspace(0.2, 3.0, 40),
+                                        np.linspace(2.0, 0.1, 40))):
+            M = assemble_operator(F, K)
+            tol = 1e-13 * F.ess_sup()
+            assert np.max(np.abs(M - np.diag(np.diag(M)))) <= tol
+            assert np.max(np.abs(np.diag(M) - radial_eigenvalues(F, K).eigenvalues)) <= tol
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from phasebound import wavelet
 from phasebound.bounds import G_beta, wavelet_bound
 from phasebound.core import distribution_bound
 from phasebound.errors import DivergenceError, InvalidInputError, RegimeError
@@ -147,6 +148,23 @@ def test_transform_isometry_windowed():
     assert got.shape == (10,)
     for co, g in zip(cos, got):
         assert g == pytest.approx(float(np.sum(np.abs(co) ** 2)), rel=1e-4)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_window_rule_sizing(seed, monkeypatch):
+    # verify's windowed-isometry stack (3 signals at beta = 2, drawn as verify
+    # draws them): 48 panels in log y give the 96-panel integrals within 1e-12
+    beta = 2.0
+    _, fs = _low_order_signals(np.random.default_rng(seed), beta, 3)
+
+    def integrals():
+        return nu_window_integral(
+            lambda xs, ys: np.abs(wavelet_transform_grid(fs, beta, xs, ys)) ** 2)
+
+    got = integrals()
+    monkeypatch.setattr(wavelet, "_WINDOW_PANELS_Y", 96)
+    fine = integrals()
+    assert np.max(np.abs(got - fine) / fine) <= 1e-12
 
 
 def test_transform_grid_stacked_signals():

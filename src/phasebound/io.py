@@ -116,7 +116,7 @@ def _profile_extent(profile: RadialProfile) -> float:
 
 def read_radial_profile(path) -> RadialProfile:
     rows = _read_rows(path, ["r", "value"])
-    return RadialProfile.sampled(rows[:, 0], np.maximum(rows[:, 1], 0.0))
+    return RadialProfile.sampled(rows[:, 0], rows[:, 1])
 
 
 def write_disc_profile(profile: DiscProfile, path, n_samples: int = 512):
@@ -130,10 +130,7 @@ def write_disc_profile(profile: DiscProfile, path, n_samples: int = 512):
 
 def read_disc_profile(path) -> DiscProfile:
     rows = _read_rows(path, ["x", "value"])
-    vals = np.maximum(rows[:, 1], 0.0)
-    # enforce the nonincreasing invariant up to round-off from sampling
-    vals = np.minimum.accumulate(vals)
-    return DiscProfile.sampled(rows[:, 0], vals)
+    return DiscProfile.sampled(rows[:, 0], rows[:, 1])
 
 
 def write_halfplane_field(field: HalfPlaneField, path):

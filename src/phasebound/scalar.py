@@ -16,25 +16,13 @@ from .errors import InvalidInputError, UnattainedBoundError
 __all__ = ["ConstraintSet"]
 
 
-def quad(func, a, b, **kwargs):
-    """``scipy.integrate.quad``, imported on the first call.
-
-    Only the quadrature oracles integrate; loading ``scipy.integrate`` at
-    import would cost every closed-form caller its start-up time and memory.
-    """
-    from scipy.integrate import quad as scipy_quad
-    return scipy_quad(func, a, b, **kwargs)
-
-
 def first_use(namespace: dict, module: str, *names: str) -> list:
     """Stand-ins for ``names`` of ``module`` that import it on their first call.
 
     A stand-in's first call imports ``module`` and rebinds its own name in
     ``namespace`` (the caller's ``globals()``) to the real object, so every
     later call looks the real one up directly and pays nothing per call,
-    unlike a wrapper that calls through.  Keep a call-through wrapper for a
-    name that is replaced from outside, as ``quad`` is by the benchmark's
-    tracer: a rebind would overwrite the replacement.
+    unlike a wrapper that calls through.
     """
     def stand_in(name):
         def load(*args, **kwargs):

@@ -19,10 +19,10 @@ from typing import Callable
 import numpy as np
 
 from .bounds import G, G_beta, gabor_bound, wavelet_bound
-from .core import distribution_bound
+from .core import distribution_bound, gauss_panels, integrate
 from .errors import InvalidInputError, RegimeError
 from .extremals import extremal_weight_gabor, extremal_weight_wavelet
-from .scalar import ConstraintSet, quad
+from .scalar import ConstraintSet
 
 __all__ = [
     "GaborKernel",
@@ -101,23 +101,6 @@ class SampledFunction:
         return float(np.sum(self.weights * vals))
 
 
-def geometric_grid():
-    """Gauss-Legendre nodes/weights on geometric panels of (1e-13, 1).
-
-    2500 panels of 4 nodes shrink geometrically toward t = 0, where
-    t^{p-1} u(t) can concentrate for p near 1; scaled by ``upper`` they
-    cover (0, upper) but for the sliver (0, upper * 1e-13), which is
-    negligible for every integrand used here.
-    """
-    edges = np.geomspace(1e-13, 1.0, 2501)
-    x, w = np.polynomial.legendre.leggauss(4)
-    lo, hi = edges[:-1], edges[1:]
-    half = 0.5 * (hi - lo)
-    nodes = (lo + half)[:, None] + half[:, None] * x[None, :]
-    weights = half[:, None] * w[None, :]
-    return nodes.ravel(), weights.ravel()
-
-
 # ---------------------------------------------------------------------------
 # the constraint
 # ---------------------------------------------------------------------------
@@ -133,19 +116,12 @@ def _support_end(u: Callable, A: float) -> float:
     return t
 
 
-def _at(u: Callable, t: float) -> float:
-    return float(np.asarray(u(np.atleast_1d(t)))[0])
-
-
 def constraint_moment(u, p: float, A: float, *, breaks=()) -> float:
-    """Left side of the constraint, p * int_0^A t^{p-1} u(t) dt."""
+    """Left side of the constraint, p * int_0^A t^{p-1} u(t) dt: the sum of
+    a SampledFunction, or for a u of arrays the panel rule split at breaks."""
     if isinstance(u, SampledFunction):
         return float(np.sum(u.weights * p * u.nodes ** (p - 1.0) * u.values))
-    upper = _support_end(u, A)
-    pts = [b for b in breaks if 0.0 < b < upper]
-    val, _ = quad(lambda t: p * t ** (p - 1.0) * _at(u, t), 0.0, upper,
-                  points=pts or None, epsabs=0.0, epsrel=1e-13, limit=300)
-    return val
+    return integrate(lambda t: p * t ** (p - 1.0) * u(t), _support_end(u, A), breaks)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -207,8 +183,10 @@ def solve_kkt_oracle(c: ConstraintSet) -> VariationalSolution:
         return (kern.multiplier_scale() / cm) ** (1.0 / (p - 1.0))
 
     # one unit grid per solve, scaled to (0, upper) as t = upper * T: a
-    # bisection moment is then upper^p sum p W T^{p-1} u, one inverse and one dot
-    T, W = geometric_grid()
+    # bisection moment is then upper^p sum p W T^{p-1} u, one inverse and one dot.
+    # 4-point panels shrink geometrically toward t = 0, where t^{p-1} u(t) can
+    # concentrate for p near 1; they leave out (0, upper 1e-13), negligible here
+    T, W = gauss_panels(np.geomspace(1e-13, 1.0, 2501), 4)
     Tp = T ** (p - 1.0)
     pWTp = p * W * Tp
 

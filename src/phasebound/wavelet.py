@@ -20,7 +20,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import GridField, MeasureProfile, lp_norm
+from .core import GridField, MeasureProfile, gauss_panels, lp_norm
 from .errors import DivergenceError, InvalidInputError, RegimeError
 from .gabor import OperatorSpectrum, basis_recurrence, gram_operator, mirror_fold
 from .scalar import first_use
@@ -582,25 +582,16 @@ def nu_window_integral(fun):
     panels in (x, log y).
 
     ``fun`` receives the separable node arrays (xs, ys) and must return
-    values of shape (..., len(xs), len(ys)): a float for one integrand, an
-    array of one integral per leading index for a stack.  The y^{-2}
-    density is absorbed into the log-coordinate weights.
+    values of shape (..., len(xs), len(ys)); the result holds one integral
+    per leading index, a numpy value of shape () for one integrand.  The
+    y^{-2} density is absorbed into the log-coordinate weights.
     """
-    g, gw = np.polynomial.legendre.leggauss(_WINDOW_ORDER)
-
-    def panel_nodes(a, b, n):
-        edges = np.linspace(a, b, n + 1)
-        half = 0.5 * (edges[1:] - edges[:-1])
-        mid = 0.5 * (edges[1:] + edges[:-1])
-        return (mid[:, None] + half[:, None] * g[None, :]).ravel(), \
-               (half[:, None] * gw[None, :]).ravel()
-
-    xs, xw = panel_nodes(*_WINDOW_X, _WINDOW_PANELS_X)
-    ss, sw = panel_nodes(math.log(_WINDOW_Y[0]), math.log(_WINDOW_Y[1]), _WINDOW_PANELS_Y)
+    xs, xw = gauss_panels(np.linspace(*_WINDOW_X, _WINDOW_PANELS_X + 1), _WINDOW_ORDER)
+    ss, sw = gauss_panels(np.linspace(math.log(_WINDOW_Y[0]), math.log(_WINDOW_Y[1]),
+                                      _WINDOW_PANELS_Y + 1), _WINDOW_ORDER)
     ys = np.exp(ss)
     vals = np.asarray(fun(xs, ys), float)
     if vals.shape[-2:] != (xs.size, ys.size):
         raise InvalidInputError("fun must return values on the tensor grid")
     # d nu = y^{-2} dx dy = e^{-s} dx ds
-    out = np.einsum("i,j,...ij->...", xw, sw / ys, vals)
-    return float(out) if vals.ndim == 2 else out
+    return np.einsum("i,j,...ij->...", xw, sw / ys, vals)

@@ -1,11 +1,12 @@
 """Core types, distribution functions, rearrangements and norms."""
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
-from phasebound.core import (RadialProfile, WeightField, decreasing_rearrangement, lp_norm,
-                             schwarz_symmetrize)
+from phasebound.core import (RadialProfile, WeightField, decreasing_rearrangement, integrate,
+                             lp_norm, schwarz_symmetrize)
 from phasebound.errors import (DivergenceError, InvalidInputError,
                                UnattainedBoundError)
 from phasebound.scalar import ConstraintSet
@@ -82,6 +83,11 @@ def test_distribution_gaussian_closed_form():
     ts = thresholds(prof, 256)
     want = np.where(ts < lam, -np.log((ts / lam) ** (p - 1.0)), 0.0)
     assert prof.mu(ts) == pytest.approx(want, abs=1e-12)
+    # a peak level near the top of the float range: lam / t overflows for
+    # t < lam / DBL_MAX, where mu is still finite
+    big = RadialProfile.gaussian(1e300, p - 1.0)
+    assert big.mu(np.array([1e-20]))[0] == pytest.approx(
+        (p - 1.0) * 320.0 * math.log(10.0), rel=1e-15)
 
 
 def test_distribution_matches_sort_oracle():
@@ -199,3 +205,67 @@ def test_lp_norm_divergence_and_grid():
     want = (np.sum(np.abs(f.values) ** 2) * f.cell_area) ** 0.5
     assert lp_norm(f, 2.0) == pytest.approx(want)
 
+
+
+# ---------------------------------------------------------------------------
+# the panel rule
+# ---------------------------------------------------------------------------
+
+def _mp(x):
+    return mpmath.mpf(float(x))
+
+
+# (numpy integrand, mpmath integrand, b, breaks): the shapes the oracles meet
+_RULE_CASES = {
+    # mu of a Gaussian in d = 1, 2, 3 dimensions: a log^d endpoint at t = 0
+    **{f"gaussian-mu-d{d}": (
+        lambda t, d=d: (1.3 * np.log(0.8 / t)) ** d / math.factorial(d),
+        lambda t, d=d: (_mp(1.3) * mpmath.log(_mp(0.8) / t)) ** d / math.factorial(d),
+        0.8, ()) for d in (1, 2, 3)},
+    # the constraint moment p t^{p-1} mu(t) at p - 1 = 1e-3
+    "moment-p-1.001": (
+        lambda t: 1.001 * t ** 0.001 * 1.7 * np.log(2.0 / t),
+        lambda t: _mp(1.001) * t ** _mp(0.001) * _mp(1.7) * mpmath.log(2 / t),
+        1.0, ()),
+    "kink-at-break": (
+        lambda t: np.abs(t - 0.7) * np.exp(-t),
+        lambda t: abs(t - _mp(0.7)) * mpmath.exp(-t),
+        2.0, (0.7,)),
+    "jump-at-break": (
+        lambda t: np.where(t < 0.3, 2.0, 0.5) * np.cos(t),
+        lambda t: (2 if t < _mp(0.3) else _mp(0.5)) * mpmath.cos(t),
+        2.0, (0.3,)),
+}
+
+
+def _rounding(ref):
+    # nonnegative terms, each evaluated to a few ulps, summed: 32 ulps of the value
+    return 32.0 * np.finfo(float).eps * ref
+
+
+@pytest.mark.parametrize("name", sorted(_RULE_CASES))
+def test_integrate_against_mpmath(name):
+    f, f_mp, b, breaks = _RULE_CASES[name]
+    with mpmath.workdps(30):
+        ref = float(mpmath.quad(f_mp, [0, *map(_mp, breaks), _mp(b)]))
+    value, error = integrate(f, b, breaks)
+    assert abs(value - ref) <= error + _rounding(ref)
+
+
+@pytest.mark.parametrize("k", [0, 1, 10, 50, 100, 150, 199])
+def test_integrate_gamma_density(k):
+    # s^k e^{-s} / k! on (0, upper) as gabor's Gamma averages lay it out,
+    # written about m = max(k, 1) so the density itself is good to a few ulps
+    m = max(k, 1)
+    upper = k + 1 + 40.0 * math.sqrt(k + 1.0) + 40.0
+    with mpmath.workdps(30):
+        C = float(mpmath.mpf(m) ** k * mpmath.exp(-m) / mpmath.factorial(k))
+        ref = float(mpmath.gammainc(k + 1, 0, upper, regularized=True))
+    value, error = integrate(lambda s: C * np.exp(k * np.log(s / m) - (s - m)), upper)
+    assert abs(value - ref) <= error + _rounding(ref)
+
+
+def test_integrate_flags_divergence():
+    # 1/t gains log 2 on (0, 1) with every halving of the panel at 0
+    with pytest.raises(DivergenceError):
+        integrate(lambda t: 1.0 / t, 1.0)

@@ -22,7 +22,7 @@ from phasebound.gabor import (OperatorSpectrum, Signal, assemble_operator,
                               operator_norm, radial_eigenvalues,
                               radial_eigenvalues_quad, spectrum_from_matrix, stft)
 from phasebound.scalar import ConstraintSet
-from phasebound.verify import random_field
+from phasebound.verify import random_field, random_radial
 
 
 # ---------------------------------------------------------------------------
@@ -298,6 +298,16 @@ def test_radial_eigenvalues_quadrature_route():
         closed = radial_eigenvalues(prof, 10).eigenvalues
         quad = radial_eigenvalues_quad(prof, 10).eigenvalues
         assert np.max(np.abs(closed - quad)) < 1e-10
+
+
+def test_radial_eigenvalues_quadrature_route_breaks_at_every_knot():
+    # a 60-knot step profile: with a break at each of its knots the Gamma
+    # averages match the closed form; breaks at the first 50 alone missed 1e-4
+    prof = random_radial(np.random.default_rng(0))
+    assert prof.knots.size == 60
+    closed = radial_eigenvalues(prof, 8).eigenvalues
+    quad = radial_eigenvalues_quad(prof, 8).eigenvalues
+    assert np.max(np.abs(closed - quad)) <= 1e-12
 
 
 def test_radial_eigenvalues_contracts():

@@ -332,8 +332,15 @@ def _halfplane_uneven(tmp_path):
     _field_rows_swapped,
     _halfplane_uneven,
     lambda tmp: _write(tmp / "hp1.csv", "x,y,re,im\n0.0,1.0,1.0,0.0\n"),
+    # profiles are read as written: MeasureProfile rejects negative and
+    # increasing values, where the readers used to clamp them
+    lambda tmp: _write(tmp / "r-neg.csv", "r,value\n0.5,1.0\n1.0,-3.0\n"),
+    lambda tmp: _write(tmp / "r-up.csv", "r,value\n0.5,1.0\n1.0,2.0\n1.5,1.0\n"),
+    lambda tmp: _write(tmp / "x-neg.csv", "x,value\n0.2,1.0\n0.5,-1.0\n"),
+    lambda tmp: _write(tmp / "x-up.csv", "x,value\n0.2,1.0\n0.5,2.0\n0.8,0.5\n"),
 ], ids=["extra-column", "field-rows-out-of-order", "halfplane-uneven-x",
-        "halfplane-one-row"])
+        "halfplane-one-row", "radial-negative", "radial-increasing", "disc-negative",
+        "disc-increasing"])
 def test_cli_norm_rejects_malformed_file(tmp_path, capsys, make):
     path = make(tmp_path)
     assert cli.main(["norm", "--weight", str(path), "--p", "2", "--basis", "8"]) == cli.EXIT_USAGE
@@ -448,7 +455,8 @@ def test_bound_leaves_numpy_unloaded():
 
 
 def test_no_module_imports_scipy_linalg():
-    # assembled spectra take numpy's eigvalsh and a real Gram product
+    # assembled spectra take numpy's eigvalsh and a real Gram product, and
+    # the oracles integrate on core's panel rule
     import ast
     from pathlib import Path
 
@@ -463,7 +471,8 @@ def test_no_module_imports_scipy_linalg():
                 names = [node.value]
             else:
                 continue
-            assert not any(n.startswith("scipy.linalg") for n in names), path.name
+            assert not any(n.startswith(("scipy.linalg", "scipy.integrate"))
+                           for n in names), path.name
 
 
 def test_bound_at_large_beta_and_dimension(run_cli):

@@ -45,6 +45,13 @@ def test_constraint_moment_examples():
     c = ConstraintSet(2.0, math.inf, 1.3, "wavelet", beta=1.0)
     sol = solve_closed_form(c)
     assert constraint_moment(sol.u, c.p, c.A, breaks=(sol.lam,)) == pytest.approx(c.B ** 2, rel=1e-11)
+    # a truncated extremal with lam = 1.9e299: the panel rule's smallest nodes
+    # lie where lam / t overflows
+    c = ConstraintSet(13.431323509358915, 2.0829754084761296, 4.087540048714912, "gabor")
+    sol = solve_closed_form(c)
+    assert sol.lam == pytest.approx(1.9035717253935074e299)
+    assert sol.constraint_value == pytest.approx(c.B ** c.p, rel=1e-12)
+    assert sol.objective_value == pytest.approx(gabor_bound(c).bound, rel=1e-12)
 
 
 def test_closed_form_shapes():

@@ -203,7 +203,10 @@ def test_window_integral_of_a_stack():
 
     got = nu_window_integral(draw)
     assert got.shape == (3,)
-    assert list(got) == [nu_window_integral(lambda xs, ys, j=j: stack["v"][j]) for j in range(3)]
+    # one integrand gives a numpy value of shape (), not a Python float
+    singles = [nu_window_integral(lambda xs, ys, j=j: stack["v"][j]) for j in range(3)]
+    assert all(one.shape == () for one in singles)
+    assert list(got) == singles
 
 
 def _window_nodes():

@@ -26,9 +26,8 @@ _EXPORTS = {
     "varprob": ("VariationalSolution", "constraint_moment", "solve_closed_form",
                 "solve_kkt_oracle"),
     "wavelet": ("DiscProfile", "HalfPlaneField", "HalfPlaneGrid", "HardySignal",
-                "HyperbolicDisc", "assemble_wavelet_operator",
-                "bergman_radial_eigenvalues", "cauchy_wavelet", "hyperbolic_disc_mask",
-                "wavelet_transform"),
+                "assemble_wavelet_operator", "bergman_radial_eigenvalues",
+                "cauchy_wavelet", "wavelet_transform"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 

@@ -72,9 +72,7 @@ def _emit(payload: dict, fmt: str):
 
 def _constraints_from_args(args):
     from .scalar import ConstraintSet
-    if args.transform == "gabor":
-        return ConstraintSet(args.p, args.A, args.B, "gabor", d=args.d)
-    return ConstraintSet(args.p, args.A, args.B, "wavelet", beta=args.beta)
+    return ConstraintSet(args.p, args.A, args.B, args.transform, d=args.d, beta=args.beta)
 
 
 # ---------------------------------------------------------------------------

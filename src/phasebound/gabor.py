@@ -39,7 +39,6 @@ __all__ = [
     "expectation",
     "concentration",
     "lieb_quotient",
-    "ball_mask",
 ]
 
 
@@ -155,9 +154,7 @@ class Signal:
 # transforms
 # ---------------------------------------------------------------------------
 
-def stft(f: Signal, half_width: float = 6.0, n: int = 128,
-         time_half_span: float = DEFAULT_TIME_HALF_SPAN,
-         time_samples: int = DEFAULT_TIME_SAMPLES) -> WeightField:
+def stft(f: Signal, half_width: float = 6.0, n: int = 128) -> WeightField:
     """Short-time Fourier transform with Gaussian window, on a square grid.
 
     Vf(x, omega) = int e^{-2 pi i y omega} f(y) window(x - y) dy.  Signals
@@ -165,27 +162,20 @@ def stft(f: Signal, half_width: float = 6.0, n: int = 128,
     form: sum_k c_k V h_k along the basis recurrence, and
     c e^{-2 pi i x0 (omega - omega0)} V window(z - z0) for a pulse.  Sampled
     signals take midpoint quadrature in y (geometrically convergent for
-    these integrands), which is also the oracle for the closed forms.  The
-    time grid (the signal's own, or time_half_span and time_samples) must
-    support the requested frequency range, or AliasingError is raised.
+    these integrands), which is also the oracle for the closed forms; their
+    own time grid must support the requested frequency range, or
+    AliasingError is raised.
     """
-    if f.times is not None:
-        span = f.times[-1] - f.times[0]
-        dt = f.times[1] - f.times[0]
-    elif time_samples < 2:
-        raise InvalidInputError("need at least 2 time samples")
-    else:
-        span = 2.0 * time_half_span
-        dt = span / (time_samples - 1)
-    # window frequency content is dead beyond ~4, so Nyquist must cover hw + 4
-    if 1.0 / (2.0 * dt) < half_width + 4.0:
-        raise AliasingError(
-            f"time step {dt:.4g} cannot resolve frequencies up to {half_width}; "
-            f"need at least {int(2 * (half_width + 4) * span)} samples"
-        )
     ax = -half_width + (np.arange(n) + 0.5) * (2.0 * half_width / n)
     if f.times is not None:
         t, v = f.times, f.values
+        dt = t[1] - t[0]
+        # window frequency content is dead beyond ~4, so Nyquist must cover hw + 4
+        if 1.0 / (2.0 * dt) < half_width + 4.0:
+            raise AliasingError(
+                f"time step {dt:.4g} cannot resolve frequencies up to {half_width}; "
+                f"need at least {int(2 * (half_width + 4) * (t[-1] - t[0]))} samples"
+            )
         kernel = np.exp(-2j * math.pi * np.outer(t, ax))   # (n_t, n_omega)
         window = gaussian_window(ax[:, None] - t[None, :])  # (n_x, n_t)
         values = (window * v[None, :] * dt) @ kernel
@@ -277,8 +267,8 @@ def gram_operator(row0, step, ratios, wf, wf_mirror=None) -> np.ndarray:
     V V^T of the block's interleaved real view V (a symmetric rank-k
     update), added over the nodes where s > 0 and subtracted where s < 0;
     B is one real product, skipped where d is 0 at every node, and nodes
-    where s = 0 != d add to B alone.  M is exactly Hermitian.  Complex
-    weights take the general product over every node and mirror.
+    where s = 0 != d add to B alone.  M is exactly Hermitian.  M is linear
+    in the weights, so complex ones are two real sums, M(Re) + i M(Im).
     """
     K = len(ratios) + 1
     wf = np.asarray(wf)
@@ -286,15 +276,8 @@ def gram_operator(row0, step, ratios, wf, wf_mirror=None) -> np.ndarray:
     if not all(np.all(np.isfinite(w.real)) and np.all(np.isfinite(w.imag)) for w in (wf, wm)):
         raise InvalidInputError("the weight must be finite at every quadrature node")
     if any(np.iscomplexobj(w) and np.any(w.imag != 0.0) for w in (wf, wm)):
-        if wf_mirror is not None:
-            row0, step = np.concatenate([row0, row0]), np.concatenate([step, np.conj(step)])
-            wf = np.concatenate([wf, wm])
-        M = np.zeros((K, K), dtype=complex)
-        for start in range(0, wf.size, GRAM_BLOCK):
-            sl = slice(start, start + GRAM_BLOCK)
-            S = basis_recurrence(row0[sl], step[sl], ratios)
-            M += (S * wf[sl]) @ S.conj().T
-        return M
+        return (gram_operator(row0, step, ratios, wf.real, wm.real)
+                + 1j * gram_operator(row0, step, ratios, wf.imag, wm.imag))
 
     s, d = wf.real + wm.real, wf.real - wm.real
     real = np.zeros((K, K))
@@ -643,22 +626,17 @@ def expectation(M: np.ndarray, f_coeffs: np.ndarray, g_coeffs: np.ndarray | None
 # concentration functionals
 # ---------------------------------------------------------------------------
 
-def ball_mask(half_width: float, n: int, area: float, center=(0.0, 0.0)) -> np.ndarray:
-    """Cell-center membership mask of the disc with the given area."""
-    r = math.sqrt(area / math.pi)
-    ax = -half_width + (np.arange(n) + 0.5) * (2.0 * half_width / n)
-    dx = ax[:, None] - center[0]
-    dy = ax[None, :] - center[1]
-    return dx * dx + dy * dy < r * r
+def concentration(f: Signal, region: WeightField) -> float:
+    """<L_F f, f> = int F |Vf|^2 for a real weight field F on the STFT's grid.
 
-
-def concentration(f: Signal, mask: np.ndarray, half_width: float = 6.0, **stft_kw) -> float:
-    """Fraction of phase-space energy inside the masked region."""
-    mask = np.asarray(mask, dtype=bool)
-    if mask.ndim != 2 or mask.shape[0] != mask.shape[1]:
-        raise InvalidInputError("mask must be a square boolean grid")
-    field = stft(f, half_width, mask.shape[0], **stft_kw)
-    return float(np.sum(np.abs(field.values[mask]) ** 2) * field.cell_area)
+    For the indicator of a set, such as
+    ``RadialProfile.ball(1.0, area).on_grid(half_width, n)``, this is the
+    fraction of f's phase-space energy inside the set.
+    """
+    if np.any(region.values.imag != 0.0):
+        raise InvalidInputError("the region must be a real weight field")
+    field = stft(f, region.half_width, region.n)
+    return float(np.sum(region.values.real * np.abs(field.values) ** 2) * field.cell_area)
 
 
 def lieb_quotient(f: Signal, p: float, half_width: float = 6.0, n: int = 256) -> float:

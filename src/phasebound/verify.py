@@ -18,15 +18,13 @@ from .core import (RadialProfile, WeightField, decreasing_rearrangement,
                    distribution_bound, lp_norm, schwarz_symmetrize)
 from .extremals import (extremal_signal, extremal_weight_gabor,
                         extremal_weight_wavelet, wavelet_disc_coefficients)
-from .gabor import (Signal, assemble_operator, ball_mask, concentration,
-                    expectation, lieb_quotient, operator_norm,
-                    radial_eigenvalues, radial_eigenvalues_quad,
-                    spectrum_from_matrix, stft)
+from .gabor import (Signal, assemble_operator, concentration, expectation,
+                    lieb_quotient, operator_norm, radial_eigenvalues,
+                    radial_eigenvalues_quad, spectrum_from_matrix, stft)
 from .wavelet import (DiscProfile, HalfPlaneGrid, HardySignal,
-                      HyperbolicDisc, assemble_wavelet_operator, bergman_basis,
+                      assemble_wavelet_operator, bergman_basis,
                       bergman_radial_eigenvalues, cauchy_norm_const,
-                      cauchy_wavelet, disc_basis_frequency,
-                      hyperbolic_disc_mask, nu_window_integral,
+                      cauchy_wavelet, disc_basis_frequency, nu_window_integral,
                       wavelet_transform_grid)
 from .scalar import ConstraintSet
 
@@ -436,13 +434,13 @@ def verify_gabor(seed: int = 0, basis: int = 48) -> dict:
 
     # concentration: ball equality case and square strictly below
     phi = Signal.gaussian_pulse(0.0, 0.0)
-    cb = concentration(phi, ball_mask(6.0, 512, 1.0))
+    ball = RadialProfile.ball(1.0, 1.0).on_grid(6.0, 512)
+    cb = concentration(phi, ball)
     rec.check("concentration on unit-area ball", abs(cb - (1 - math.exp(-1))), 5e-3)
-    ax = -6.0 + (np.arange(512) + 0.5) * (12.0 / 512)
-    sq = np.zeros((512, 512), dtype=bool)
-    sq[np.ix_(np.abs(ax) < 0.5, np.abs(ax) < 0.5)] = True
+    inside = np.abs(ball.axis) < 0.5
+    sq = WeightField(6.0, 512, inside[:, None] & inside[None, :])
     rec.expect("square strictly below ball", concentration(phi, sq) < cb)
-    rec.check("empty region", concentration(phi, np.zeros((64, 64), bool)), 0.0)
+    rec.check("empty region", concentration(phi, WeightField(6.0, 64, np.zeros((64, 64)))), 0.0)
 
     # phase-space L^p norms of the window and first Hermite
     worst = max(abs(lieb_quotient(phi, p) - (2.0 / p) ** (1.0 / p)) for p in (2, 4, 8))
@@ -535,20 +533,19 @@ def verify_wavelet(seed: int = 0, basis: int = 48) -> dict:
     exact = np.array([np.sum(np.abs(co) ** 2) for co in cos])
     rec.check("transform isometry (windowed)", float(np.max(np.abs(got - exact) / exact)), 1e-4)
 
-    # hyperbolic disc mask measure
-    disc = HyperbolicDisc(1j, 1.0)
+    # hyperbolic disc mask measure: the indicator of the disc of measure 1
+    disc = DiscProfile.indicator(1.0, 1.0)
     grid = HalfPlaneGrid.logarithmic(-0.8, 0.8, 512, 0.42, 2.1, 512)
-    mask = hyperbolic_disc_mask(disc, grid)
+    mask = disc.on_grid(grid)
     measure = float(np.sum(mask.values.real * grid.cell_masses()))
     rec.check("disc mask measure", abs(measure - 1.0), 1e-2)
 
     # boundary radius against the Moebius threshold
     X, Y = np.meshgrid(grid.x, grid.y, indexing="ij")
     q = np.abs((X + 1j * Y - 1j) / (X + 1j * Y + 1j)) ** 2
-    border = np.abs(q - disc.threshold) < 2e-3
     rec.expect("mask boundary matches threshold",
-               bool(np.all(mask.values.real[q < disc.threshold - 2e-3] == 1.0)
-                    and np.all(mask.values.real[q > disc.threshold + 2e-3] == 0.0)))
+               bool(np.all(mask.values.real[q < disc.edge - 2e-3] == 1.0)
+                    and np.all(mask.values.real[q > disc.edge + 2e-3] == 0.0)))
 
     # direct half-plane assembly vs the Beta identity
     K = min(basis, 12)
@@ -587,14 +584,13 @@ def verify_wavelet(seed: int = 0, basis: int = 48) -> dict:
 
     # Moebius recentering: eigenvalues of a translated disc indicator
     z0 = 0.4 + 1.6j
-    disc2 = HyperbolicDisc(z0, 1.0)
-    r2 = disc2.threshold
+    disc2 = DiscProfile.indicator(1.0, 1.0, center=z0)
+    r2 = disc2.edge
     yc = z0.imag * (1 + r2) / (1 - r2)
     rad = 2 * math.sqrt(r2) * z0.imag / (1 - r2)
     grid2 = HalfPlaneGrid.logarithmic(z0.real - 1.4 * rad, z0.real + 1.4 * rad, 384,
                                       (yc - rad) * 0.72, (yc + rad) * 1.4, 384)
-    mask2 = hyperbolic_disc_mask(disc2, grid2)
-    M2 = assemble_wavelet_operator(mask2, 1.0, 8, center=z0)
+    M2 = assemble_wavelet_operator(disc2.on_grid(grid2), 1.0, 8, center=z0)
     eigs2 = np.sort(np.linalg.eigvalsh(M2))[::-1]
     ref = bergman_radial_eigenvalues(DiscProfile.indicator(1.0, 1.0), 1.0, 8).eigenvalues
     rec.check("Moebius recentering eigenvalues",

@@ -35,8 +35,6 @@ __all__ = [
     "wavelet_transform",
     "wavelet_transform_grid",
     "bergman_basis",
-    "HyperbolicDisc",
-    "hyperbolic_disc_mask",
     "DiscProfile",
     "bergman_radial_eigenvalues",
     "assemble_wavelet_operator",
@@ -360,55 +358,20 @@ def _bergman_coordinates(beta: float, x, y, center: complex):
     x0, y0 = float(np.real(center)), float(np.imag(center))
     if y0 <= 0:
         raise InvalidInputError("center must lie in the upper half-plane")
+    if not beta > 0:
+        raise InvalidInputError("beta must be positive")
     xc = (x - x0) / y0
     yc = y / y0
     z = xc + 1j * yc
     w = (z - 1j) / (z + 1j)
-    cb = cauchy_norm_const(beta)
-    n0 = math.exp(0.5 * ((2 * beta + 1) * math.log(2.0) - gammaln(2 * beta + 1)))
-    c0 = n0 * math.exp(gammaln(2 * beta + 1) - (2 * beta + 1) * math.log(2.0)) / cb
-    return xc, yc, w, c0
+    # c0^2 = 2^{-(2 beta + 1)} Gamma(2 beta + 1) / c_beta^2 = beta / (2 pi)
+    return xc, yc, w, math.sqrt(beta / (2.0 * math.pi))
 
 
 def _bergman_ratios(K: int, beta: float) -> np.ndarray:
     """W e_k = W e_{k-1} w sqrt((2 beta + k) / k), k = 1 .. K-1."""
     k = np.arange(1.0, K)
     return np.sqrt((2 * beta + k) / k)
-
-
-# ---------------------------------------------------------------------------
-# hyperbolic discs
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class HyperbolicDisc:
-    """Open hyperbolic disc given by a Moebius-quotient threshold."""
-
-    center: complex
-    nu_measure: float
-
-    def __post_init__(self):
-        if self.center.imag <= 0:
-            raise InvalidInputError("disc center must have positive imaginary part")
-        if self.nu_measure < 0:
-            raise InvalidInputError("measure must be nonnegative")
-
-    @property
-    def threshold(self) -> float:
-        """|(z - z0)/(z - conj z0)|^2 < threshold defines membership."""
-        return 1.0 - 1.0 / (1.0 + self.nu_measure / FOUR_PI)
-
-    def contains(self, z) -> np.ndarray:
-        z = np.asarray(z, complex)
-        q = np.abs((z - self.center) / (z - np.conj(self.center))) ** 2
-        return q < self.threshold
-
-
-def hyperbolic_disc_mask(disc: HyperbolicDisc, grid: HalfPlaneGrid) -> HalfPlaneField:
-    """Cell-center indicator of the disc (carries the grid's nu masses)."""
-    X, Y = np.meshgrid(grid.x, grid.y, indexing="ij")
-    inside = disc.contains(X + 1j * Y)
-    return HalfPlaneField(grid, inside.astype(complex))
 
 
 # ---------------------------------------------------------------------------
@@ -450,6 +413,7 @@ class DiscProfile(MeasureProfile):
     # -- constructors --------------------------------------------------
     @classmethod
     def indicator(cls, amplitude: float, nu_measure: float, center: complex = 1j) -> "DiscProfile":
+        """amplitude on the hyperbolic disc of that nu-measure about center."""
         xs = nu_measure / (nu_measure + FOUR_PI)
         return cls("disc_indicator", amplitude=amplitude, x_threshold=xs, center=center)
 

@@ -20,9 +20,8 @@ from phasebound.gabor import (Signal, assemble_operator, lieb_quotient,
 from phasebound.scalar import ConstraintSet
 from phasebound.varprob import solve_closed_form, solve_kkt_oracle
 from phasebound.verify import random_feasible_competitor, random_field, run_suite
-from phasebound.wavelet import (DiscProfile, HalfPlaneGrid, HyperbolicDisc,
-                                assemble_wavelet_operator,
-                                bergman_radial_eigenvalues, hyperbolic_disc_mask)
+from phasebound.wavelet import (DiscProfile, HalfPlaneGrid, assemble_wavelet_operator,
+                                bergman_radial_eigenvalues)
 
 LAMBDA_D2 = 2.2770384097861832   # e^{(sqrt 7 - 1)/2}
 BOUND_D2 = 0.4899348984301024    # pinned by 40-digit quadrature pre-build
@@ -191,12 +190,12 @@ def test_criterion_8_wavelet_sharpness():
             worst = max(worst, abs(lam0 - G_beta(float(s), beta)))
     report("8a disc-indicator identity (Beta integral)", worst, 1e-12)
 
-    disc = HyperbolicDisc(1j, 1.0)
-    r2 = disc.threshold
+    disc = DiscProfile.indicator(1.0, 1.0)
+    r2 = disc.edge
     yc, rad = (1 + r2) / (1 - r2), 2 * math.sqrt(r2) / (1 - r2)
     grid = HalfPlaneGrid.logarithmic(-1.3 * rad, 1.3 * rad, 256,
                                      (yc - rad) * 0.75, (yc + rad) * 1.3, 256)
-    M = assemble_wavelet_operator(hyperbolic_disc_mask(disc, grid), 1.0, 12)
+    M = assemble_wavelet_operator(disc.on_grid(grid), 1.0, 12)
     top = float(np.sort(np.linalg.eigvalsh(M))[-1])
     report("8b disc indicator via 256x256 half-plane assembly",
            abs(top - G_beta(1.0, 1.0)), 1e-3)

@@ -16,8 +16,7 @@ from phasebound.errors import (AliasingError, BasisTruncationError,
                                InvalidInputError, RegimeError)
 from phasebound.extremals import extremal_weight_gabor
 from phasebound.gabor import (OperatorSpectrum, Signal, assemble_operator,
-                              ball_mask, concentration, expectation,
-                              gaussian_window, gram_operator, hermite_function,
+                              concentration, expectation, gaussian_window, gram_operator, hermite_function,
                               hermite_phase_basis, lieb_quotient, mirror_fold,
                               operator_norm, radial_eigenvalues,
                               radial_eigenvalues_quad, spectrum_from_matrix, stft)
@@ -64,8 +63,17 @@ def test_stft_covariance_under_shift():
 
 
 def test_stft_aliasing_guard():
+    # 128 samples on [-8, 8]: a Nyquist frequency near 4 cannot cover 6 + 4
+    t = np.linspace(-8.0, 8.0, 128)
     with pytest.raises(AliasingError):
-        stft(Signal.gaussian_pulse(0, 0), 6.0, 32, time_half_span=8.0, time_samples=128)
+        stft(Signal.from_samples(t, gaussian_window(t)), 6.0, 32)
+
+
+def test_stft_closed_form_has_no_time_grid():
+    # a closed-form signal is never sampled in time, so no frequency range aliases
+    field = stft(Signal.from_hermite([1.0]), 130.0, 64)
+    pulse = stft(Signal.gaussian_pulse(0.0, 0.0), 130.0, 64)
+    assert np.max(np.abs(field.values - pulse.values)) < 1e-15
 
 
 def test_phase_basis_matches_stft_quadrature():
@@ -151,7 +159,7 @@ def _reference_operator(F: WeightField, K: int) -> np.ndarray:
 @pytest.mark.parametrize("kind", ["nonnegative", "signed", "complex"])
 def test_gram_assembly_matches_reference_sum(kind):
     # n = 96 puts 9216 nodes in several Gram blocks; a signed field takes the
-    # -1 rank-k update, a complex one the general product
+    # -1 rank-k update, a complex one the sum of its real and imaginary parts
     rng = np.random.default_rng(11)
     values = random_field(rng, n=96).values
     if kind == "signed":
@@ -411,26 +419,27 @@ def test_basis_size_convergence_within_tail():
 
 def test_concentration_ball_equality():
     phi = Signal.gaussian_pulse(0.0, 0.0)
-    got = concentration(phi, ball_mask(6.0, 512, 1.0))
+    got = concentration(phi, RadialProfile.ball(1.0, 1.0).on_grid(6.0, 512))
     assert got == pytest.approx(1 - math.exp(-1), abs=5e-3)
 
 
 def test_concentration_square_strictly_below():
     phi = Signal.gaussian_pulse(0.0, 0.0)
-    ax = -6.0 + (np.arange(512) + 0.5) * (12.0 / 512)
-    sq = np.zeros((512, 512), dtype=bool)
-    sq[np.ix_(np.abs(ax) < 0.5, np.abs(ax) < 0.5)] = True
-    ball = concentration(phi, ball_mask(6.0, 512, 1.0))
-    assert concentration(phi, sq) < ball - 1e-3
+    ball = RadialProfile.ball(1.0, 1.0).on_grid(6.0, 512)
+    inside = np.abs(ball.axis) < 0.5
+    sq = WeightField(6.0, 512, inside[:, None] & inside[None, :])
+    assert concentration(phi, sq) < concentration(phi, ball) - 1e-3
 
 
 def test_concentration_empty_and_ceiling():
     phi = Signal.gaussian_pulse(0.0, 0.0)
-    assert concentration(phi, np.zeros((64, 64), bool)) == 0.0
+    assert concentration(phi, WeightField(6.0, 64, np.zeros((64, 64)))) == 0.0
     rng = np.random.default_rng(1)
-    mask = rng.uniform(size=(128, 128)) < 0.05
-    area = float(np.count_nonzero(mask)) * (12.0 / 128) ** 2
-    assert concentration(phi, mask) <= G(area, 1) + 1e-9
+    region = WeightField(6.0, 128, rng.uniform(size=(128, 128)) < 0.05)
+    area = float(np.sum(region.values.real)) * region.cell_area
+    assert concentration(phi, region) <= G(area, 1) + 1e-9
+    with pytest.raises(InvalidInputError):
+        concentration(phi, WeightField(6.0, 64, np.full((64, 64), 1j)))
 
 
 def test_lieb_quotient():

@@ -205,10 +205,9 @@ def test_cli_norm_square_indicator(tmp_path, run_cli):
 
 def test_cli_norm_halfplane_disc_mask(tmp_path, run_cli):
     from phasebound.bounds import G_beta
-    from phasebound.wavelet import HyperbolicDisc, hyperbolic_disc_mask
     grid = HalfPlaneGrid.logarithmic(-0.8, 0.8, 96, 0.42, 2.1, 96)
     path = tmp_path / "disc_mask.csv"
-    write_halfplane_field(hyperbolic_disc_mask(HyperbolicDisc(1j, 1.0), grid), path)
+    write_halfplane_field(DiscProfile.indicator(1.0, 1.0).on_grid(grid), path)
     code, out, _ = run_cli("norm", "--weight", str(path), "--p", "1",
                            "--basis", "12", "--format", "json")
     assert code == 0
@@ -362,13 +361,16 @@ def test_cli_import_leaves_scipy_integrate_unloaded():
 
 
 def test_numpy_only_commands_leave_scipy_unloaded(tmp_path):
-    # bound, extremal, symmetrize and norm on plane files run on numpy alone;
-    # one child runs them all through cli.main and reports the scipy modules
-    # loaded after each
+    # bound, extremal, symmetrize, and norm on plane and half-plane files run
+    # on numpy alone; one child runs them all through cli.main and reports the
+    # scipy modules loaded after each
     field = tmp_path / "field.csv"
     write_weight_field(random_field(np.random.default_rng(5), n=16, half_width=2.0), field)
     field32 = tmp_path / "field32.csv"
     write_weight_field(random_field(np.random.default_rng(6), n=32, half_width=6.0), field32)
+    halfplane = tmp_path / "halfplane.csv"
+    grid = HalfPlaneGrid.logarithmic(-0.8, 0.8, 32, 0.42, 2.1, 32)
+    write_halfplane_field(DiscProfile.indicator(1.0, 1.0).on_grid(grid), halfplane)
     bound = ["bound", "--format", "json", "--A", "1"]
     commands = [
         bound + ["--p", "2", "--B", "1.5"],
@@ -381,6 +383,7 @@ def test_numpy_only_commands_leave_scipy_unloaded(tmp_path):
         ["symmetrize", "--weight", str(field), "--out", str(tmp_path / "s.csv")],
         ["norm", "--weight", str(tmp_path / "g.csv"), "--p", "2", "--format", "json"],
         ["norm", "--weight", str(field32), "--p", "2", "--basis", "24", "--format", "json"],
+        ["norm", "--weight", str(halfplane), "--p", "2", "--basis", "12", "--format", "json"],
     ]
     code = ("import contextlib, io, json, sys\n"
             "from phasebound.cli import main\n"
@@ -399,8 +402,9 @@ def test_numpy_only_commands_leave_scipy_unloaded(tmp_path):
     # the bound commands cover d = 1, the truncated d = 3 level, the d = 2 ball
     assert [json.loads(out)["regime"] for _, out, _ in report[:3]] == [
         "truncated", "truncated", "ball"]
-    # the norms: the radial spectrum in closed form, the field assembled
-    assert [sorted(json.loads(out)) for _, out, _ in report[-2:]] == 2 * [
+    # the norms: the radial spectrum in closed form, the plane and half-plane
+    # fields assembled
+    assert [sorted(json.loads(out)) for _, out, _ in report[-3:]] == 3 * [
         ["K", "bound", "norm", "ratio", "tail_bound"]]
 
 

@@ -13,12 +13,10 @@ from phasebound.core import distribution_bound
 from phasebound.errors import DivergenceError, InvalidInputError, RegimeError
 from phasebound.scalar import ConstraintSet
 from phasebound.wavelet import (DiscProfile, HalfPlaneField, HalfPlaneGrid,
-                                HardySignal, HyperbolicDisc,
-                                assemble_wavelet_operator,
+                                HardySignal, assemble_wavelet_operator,
                                 bergman_basis, bergman_radial_eigenvalues,
                                 cauchy_norm_const, cauchy_wavelet,
-                                disc_basis_frequency,
-                                hyperbolic_disc_mask, lp_norm_nu,
+                                disc_basis_frequency, lp_norm_nu,
                                 nu_window_integral, wavelet_transform,
                                 wavelet_transform_grid)
 
@@ -295,26 +293,28 @@ def test_narrow_bump_transform_x_independent():
 # ---------------------------------------------------------------------------
 
 def test_disc_threshold_and_membership():
+    # the hyperbolic disc about i is the indicator profile: its edge is the
+    # threshold on the Cayley quotient q = |(z - i)/(z + i)|^2
     s = 4 * math.pi * (math.e - 1.0)
-    disc = HyperbolicDisc(1j, s)
-    assert disc.threshold == pytest.approx(1 - 1 / math.e, abs=1e-14)
-    assert disc.contains(np.array([1j]))[0]
+    disc = DiscProfile.indicator(1.0, s)
+    assert disc.edge == pytest.approx(1 - 1 / math.e, abs=1e-14)
     grid = HalfPlaneGrid.logarithmic(-4, 4, 256, 0.05, 20.0, 256)
-    mask = hyperbolic_disc_mask(disc, grid)
+    mask = disc.on_grid(grid)
     X, Y = np.meshgrid(grid.x, grid.y, indexing="ij")
     q = np.abs((X + 1j * Y - 1j) / (X + 1j * Y + 1j)) ** 2
     inside = mask.values.real.astype(bool)
-    assert np.all(q[inside] < disc.threshold)
-    assert np.all(q[~inside] >= disc.threshold)
+    assert inside[np.unravel_index(np.argmin(q), q.shape)]   # the centre is inside
+    assert np.all(q[inside] < disc.edge)
+    assert np.all(q[~inside] >= disc.edge)
 
 
 def test_disc_mask_empty_and_measure():
     grid = HalfPlaneGrid.logarithmic(-1, 1, 128, 0.3, 3.0, 128)
-    tiny = hyperbolic_disc_mask(HyperbolicDisc(1j, 1e-9), grid)
-    assert np.count_nonzero(tiny.values) == 0
-    disc = HyperbolicDisc(1j, 1.0)
+    tiny = DiscProfile.indicator(1.0, 1e-9)
+    assert abs(tiny.edge - 1e-9 / (1e-9 + 4 * math.pi)) <= math.ulp(tiny.edge)
+    assert np.count_nonzero(tiny.on_grid(grid).values) == 0
     grid = HalfPlaneGrid.logarithmic(-0.8, 0.8, 512, 0.42, 2.1, 512)
-    mask = hyperbolic_disc_mask(disc, grid)
+    mask = DiscProfile.indicator(1.0, 1.0).on_grid(grid)
     measure = float(np.sum(mask.values.real * grid.cell_masses()))
     assert measure == pytest.approx(1.0, rel=1e-2)
 
@@ -388,14 +388,13 @@ def test_assembly_constant_is_identity():
 
 
 def test_assembly_disc_indicator():
-    disc = HyperbolicDisc(1j, 1.0)
-    r2 = disc.threshold
+    disc = DiscProfile.indicator(1.0, 1.0)
+    r2 = disc.edge
     yc = (1 + r2) / (1 - r2)
     rad = 2 * math.sqrt(r2) / (1 - r2)
     grid = HalfPlaneGrid.logarithmic(-1.3 * rad, 1.3 * rad, 256,
                                      (yc - rad) * 0.75, (yc + rad) * 1.3, 256)
-    mask = hyperbolic_disc_mask(disc, grid)
-    M = assemble_wavelet_operator(mask, 1.0, 12)
+    M = assemble_wavelet_operator(disc.on_grid(grid), 1.0, 12)
     assert np.array_equal(M, M.conj().T)
     top = float(np.sort(np.linalg.eigvalsh(M))[-1])
     assert top == pytest.approx(G_beta(1.0, 1.0), abs=1e-3)
@@ -439,13 +438,13 @@ def test_gram_mirror_fold_matches_reference_sum_halfplane(kind, nx):
 
 def test_moebius_recentering():
     z0 = 0.4 + 1.6j
-    disc = HyperbolicDisc(z0, 1.0)
-    r2 = disc.threshold
+    disc = DiscProfile.indicator(1.0, 1.0, center=z0)
+    r2 = disc.edge
     yc = z0.imag * (1 + r2) / (1 - r2)
     rad = 2 * math.sqrt(r2) * z0.imag / (1 - r2)
     grid = HalfPlaneGrid.logarithmic(z0.real - 1.4 * rad, z0.real + 1.4 * rad, 384,
                                      (yc - rad) * 0.72, (yc + rad) * 1.4, 384)
-    mask = hyperbolic_disc_mask(disc, grid)
+    mask = disc.on_grid(grid)
     eigs = np.sort(np.linalg.eigvalsh(assemble_wavelet_operator(mask, 1.0, 8, center=z0)))[::-1]
     ref = bergman_radial_eigenvalues(DiscProfile.indicator(1.0, 1.0), 1.0, 8).eigenvalues
     assert np.max(np.abs(eigs - ref)) < 1e-4

@@ -496,7 +496,8 @@ def radial_eigenvalues_quad(rho: RadialProfile, K: int) -> OperatorSpectrum:
     in s."""
     ks = _radial_ks(rho, K)
     pts = _profile_breaks_s(rho)
-    return OperatorSpectrum.from_eigenvalues([_gamma_average_quad(rho, k, pts) for k in ks])
+    return OperatorSpectrum.from_eigenvalues([_gamma_average_quad(rho, k, pts)
+                                              for k in ks.tolist()])
 
 
 @lru_cache(maxsize=None)
@@ -593,11 +594,23 @@ def _profile_breaks_s(rho: RadialProfile) -> list[float]:
 
 
 def _gamma_average_quad(rho: RadialProfile, k: int, pts: list[float]) -> float:
-    lg = math.lgamma(k + 1.0)
+    """int rho s^k e^{-s} / k! ds, with the Gamma(k + 1) density written
+    about its mode m = max(k, 1) as c exp(k log(s/m) - (s - m)).
+
+    That exponent is small where the density is not, so it rounds to a few
+    ulps; exp(k log s - s - log k!) carries ulps of its large terms, 7e-14
+    at k = 120.  c = m^k e^{-m} / k! is rounded once from 30 digits.
+    """
+    import decimal   # here, so that loading the module does not load it
+
+    m = max(k, 1)
+    with decimal.localcontext() as ctx:
+        ctx.prec = 30
+        c = float(decimal.Decimal(m) ** k * decimal.Decimal(-m).exp() / math.factorial(k))
     upper = k + 1 + 40.0 * math.sqrt(k + 1.0) + 40.0
     if rho.kind in ("ball_indicator", "sampled"):
         upper = min(upper, max(pts))
-    return integrate(lambda s: rho(np.sqrt(s / math.pi)) * np.exp(k * np.log(s) - s - lg),
+    return integrate(lambda s: rho(np.sqrt(s / math.pi)) * c * np.exp(k * np.log(s / m) - (s - m)),
                      upper, pts)[0]
 
 

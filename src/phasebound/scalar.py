@@ -6,7 +6,6 @@ their shared helpers from here.
 """
 from __future__ import annotations
 
-import importlib
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -14,23 +13,6 @@ from functools import lru_cache
 from .errors import InvalidInputError, UnattainedBoundError
 
 __all__ = ["ConstraintSet"]
-
-
-def first_use(namespace: dict, module: str, *names: str) -> list:
-    """Stand-ins for ``names`` of ``module`` that import it on their first call.
-
-    A stand-in's first call imports ``module`` and rebinds its own name in
-    ``namespace`` (the caller's ``globals()``) to the real object, so every
-    later call looks the real one up directly and pays nothing per call,
-    unlike a wrapper that calls through.
-    """
-    def stand_in(name):
-        def load(*args, **kwargs):
-            namespace[name] = getattr(importlib.import_module(module), name)
-            return namespace[name](*args, **kwargs)
-        load.__name__ = load.__qualname__ = name
-        return load
-    return [stand_in(name) for name in names]
 
 
 def expm1_poly(n: int, x):

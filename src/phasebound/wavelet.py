@@ -17,13 +17,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
 
 import numpy as np
 
 from .core import GridField, MeasureProfile, gauss_panels, lp_norm
 from .errors import DivergenceError, InvalidInputError, RegimeError
 from .gabor import OperatorSpectrum, basis_recurrence, gram_operator, mirror_fold
-from .scalar import first_use
 
 __all__ = [
     "cauchy_norm_const",
@@ -50,17 +50,13 @@ _TAIL_RTOL = 1e-17
 # y rows per product: on the windowed isometry grid 32 beat 8, 16, 64 and 288
 _ROW_BLOCK = 32
 
-# spectra, the Hardy basis and its normalizations load scipy.special on first use
-betainc, betaln, eval_genlaguerre, gammaln = first_use(
-    globals(), "scipy.special", "betainc", "betaln", "eval_genlaguerre", "gammaln")
-
 
 def cauchy_norm_const(beta: float) -> float:
     """c_beta with c_beta^2 = 2 pi 2^{-2 beta} Gamma(2 beta)."""
     if not beta > 0:
         raise InvalidInputError("beta must be positive")
     return math.sqrt(2.0 * math.pi * math.exp(-2.0 * beta * math.log(2.0)
-                                              + gammaln(2.0 * beta)))
+                                              + math.lgamma(2.0 * beta)))
 
 
 # Gauss-Laguerre nodes of ``from_function`` and ``from_disc_coeffs`` signals
@@ -133,11 +129,7 @@ class HardySignal:
     def from_disc_coeffs(cls, coeffs, beta: float) -> "HardySignal":
         coeffs = np.asarray(coeffs, complex)
         om, w = _frequency_rule()
-        vals = np.zeros(om.size, dtype=complex)
-        for k, c in enumerate(coeffs):
-            if c != 0:
-                vals += c * disc_basis_frequency(k, beta, om)
-        return cls(om, vals, w)
+        return cls(om, coeffs @ _disc_basis_stack(coeffs.size, beta, om), w)
 
     def l2_norm(self) -> float:
         return float(math.sqrt(np.sum(self.weights * np.abs(self.values) ** 2)))
@@ -155,10 +147,27 @@ def disc_basis_frequency(k: int, beta: float, omegas) -> np.ndarray:
     e_k-hat = n_k omega^beta e^{-omega} L_k^{(2 beta)}(2 omega); e_0 is the
     normalized analyzing wavelet.
     """
-    om = np.asarray(omegas, float)
-    nk = math.exp(0.5 * ((2 * beta + 1) * math.log(2.0)
-                         + gammaln(k + 1) - gammaln(k + 2 * beta + 1)))
-    return nk * om ** beta * np.exp(-om) * eval_genlaguerre(k, 2 * beta, 2 * om)
+    return _disc_basis_stack(k + 1, beta, np.asarray(omegas, float))[k]
+
+
+def _disc_basis_stack(K: int, beta: float, om: np.ndarray) -> np.ndarray:
+    """e_0-hat .. e_{K-1}-hat, shape (K, len(om)), by the three-term
+    recurrence of the normalized Laguerre functions (DLMF 18.9).
+
+    With a = 2 beta and y = 2 omega, l_k = sqrt(2^{a+1} k! / Gamma(k+a+1))
+    L_k^{(a)}(y) obeys sqrt((k+1)(k+1+a)) l_{k+1}
+    = (2k+1+a-y) l_k - sqrt(k(k+a)) l_{k-1}, and e_k-hat = omega^beta
+    e^{-omega} l_k(y).
+    """
+    a, y = 2.0 * beta, 2.0 * om
+    out = np.empty((K, om.size))
+    prev, cur = 0.0, np.full(om.size, math.exp(0.5 * ((a + 1.0) * math.log(2.0)
+                                                       - math.lgamma(a + 1.0))))
+    for k in range(K):
+        out[k] = cur
+        prev, cur = cur, (((2 * k + 1 + a) - y) * cur
+                          - math.sqrt(k * (k + a)) * prev) / math.sqrt((k + 1) * (k + 1 + a))
+    return out * (om ** beta * np.exp(-om))
 
 
 # ---------------------------------------------------------------------------
@@ -474,15 +483,59 @@ class DiscProfile(MeasureProfile):
 # spectra
 # ---------------------------------------------------------------------------
 
-def _beta_ratio(k: np.ndarray, beta: float, shift: float) -> np.ndarray:
-    """B(k+1, 2 beta + shift) / B(k+1, 2 beta), elementwise in k."""
-    return np.exp(betaln(k + 1, 2 * beta + shift) - betaln(k + 1, 2 * beta))
+def _beta_ratio(K: int, b: float, shift: float) -> np.ndarray:
+    """B(k + 1, b + shift) / B(k + 1, b) for k < K: the product of
+    R_0 = b / (b + shift) and R_k / R_{k-1} = (k + b) / (k + b + shift)."""
+    r = [b / (b + shift)]
+    for k in range(1, K):
+        r.append(r[-1] * (k + b) / (k + b + shift))
+    return np.array(r)
+
+
+def _beta_sums(K: int, b: float, x: float, t: float) -> np.ndarray:
+    """I_x(k + 1, b) for k < K, with t = 1 - x given exactly by the caller.
+
+    At an integer first argument the complement is a finite sum (DLMF 8.17):
+    C_k = 1 - I_x(k + 1, b) = sum_{j <= k} c_j, the negative-binomial masses
+    c_0 = t^b, c_j = c_{j-1} x (b + j - 1) / j.  I is 1 - C_k where
+    C_k <= 0.9 (at most 9 times C's relative error) and the tail
+    sum_{j > k} c_j, summed directly, where C_k > 0.9, as ``gabor._gamma_pq``
+    takes its head and tail.  Past j = K - 1 the ratios lie between x and
+    rho = max(x, x (b + K - 1) / K), which is below 1 wherever C_{K-1} > 0.9
+    (at rho = 1 the masses still rise at K, and C_{K-1} is at most about
+    1/2), so n terms with rho^n <= 2^-53 (1 - rho) leave out less than
+    2^-53 of the tail.  That takes about 37 / (1 - rho) terms, so past
+    rho = 1 - 2^-10 I stays 1 - C.  C > 0.9 there needs b below about 0.02,
+    and I is then about b log(1 / (t K)), so 1 - C is within about 1 / b ulps.
+    """
+    bm1 = b - 1.0
+    terms = [t ** b]
+    for j in range(1, K):
+        terms.append(terms[-1] * x * (bm1 + j) / j)
+    head = list(accumulate(terms))
+    out = [1.0 - c for c in head]
+    rho = max(x, x * (bm1 + K) / K)
+    if 0.0 < rho < 1.0 - 2.0 ** -10 and head[-1] > 0.9:   # at x = 0, I = 0 = 1 - C
+        term, tail = terms[-1], 0.0
+        for j in range(K, K + math.ceil(math.log(2.0 ** -53 * (1.0 - rho)) / math.log(rho))):
+            term = term * x * (bm1 + j) / j
+            tail += term
+        k = K - 1
+        while k >= 0 and head[k] > 0.9:
+            out[k] = tail
+            tail += terms[k]
+            k -= 1
+    return np.array(out)
 
 
 def _beta_cdf(k, s, beta: float):
-    """I_x(k + 1, 2 beta) at x = s / (s + 4 pi): the spectral CDF of the k-th
-    disc monomial in the nu-measure s."""
-    return betainc(k + 1, 2 * beta, s / (s + FOUR_PI))
+    """I_x(k + 1, 2 beta) at x = s / (s + 4 pi), t = 4 pi / (s + 4 pi): the
+    spectral CDF of the k-th disc monomial in the nu-measure s, for
+    k = 0 .. K - 1 along the first axis and s a scalar or a row, as
+    ``step_eigenvalues`` passes them; a row takes the sums knot by knot."""
+    if np.ndim(s):
+        return np.stack([_beta_cdf(k, si, beta) for si in np.ravel(s).tolist()], axis=-1)
+    return _beta_sums(np.size(k), 2.0 * beta, s / (s + FOUR_PI), FOUR_PI / (s + FOUR_PI))
 
 
 def bergman_radial_eigenvalues(rho: DiscProfile, beta: float, K: int) -> OperatorSpectrum:
@@ -497,20 +550,21 @@ def bergman_radial_eigenvalues(rho: DiscProfile, beta: float, K: int) -> Operato
     if rho.center != 1j:
         raise RegimeError("eigenvalues require the symbol centered at i; "
                           "recenter via the Moebius covariance first")
-    ks = np.arange(K, dtype=float)
+    b = 2.0 * beta
 
     if rho.kind == "power":
-        if 2 * beta + rho.exponent <= 0:
+        if b + rho.exponent <= 0:
             raise DivergenceError(
                 f"Beta integral diverges: exponent {rho.exponent} <= -2 beta")
-        lam = rho.amplitude * _beta_ratio(ks, beta, rho.exponent)
+        lam = rho.amplitude * _beta_ratio(K, b, rho.exponent)
     elif rho.kind == "truncated_power":
-        xstar = 1.0 - (rho.cap / rho.amplitude) ** (1.0 / rho.exponent)
-        lam = (rho.cap * betainc(ks + 1, 2 * beta, xstar)
-               + rho.amplitude * _beta_ratio(ks, beta, rho.exponent)
-               * (1.0 - betainc(ks + 1, 2 * beta + rho.exponent, xstar)))
+        # the capped set is x < x* = 1 - t, with t exact in the parameters
+        t = (rho.cap / rho.amplitude) ** (1.0 / rho.exponent)
+        lam = (rho.cap * _beta_sums(K, b, 1.0 - t, t)
+               + rho.amplitude * _beta_ratio(K, b, rho.exponent)
+               * (1.0 - _beta_sums(K, b + rho.exponent, 1.0 - t, t)))
     else:
-        lam = rho.step_eigenvalues(ks, _beta_cdf, beta)
+        lam = rho.step_eigenvalues(np.arange(K), _beta_cdf, beta)
 
     return OperatorSpectrum.from_eigenvalues(lam)
 

@@ -318,6 +318,25 @@ def test_radial_eigenvalues_quadrature_route_breaks_at_every_knot():
     assert np.max(np.abs(closed - quad)) <= 1e-12
 
 
+def test_radial_eigenvalues_quad_matches_mpmath_at_large_k():
+    # the Gamma(k + 1) density written about its mode rounds to a few ulps
+    # of its small exponent; the budget is 1e-14 relative (45 ulps), where
+    # the form exp(k log s - s - lgamma(k + 1)) was 7e-14 off at k = 120.
+    # References: A (c / (1 + c))^{k + 1} for the Gaussian, P(k + 1, area)
+    # at the double area for the ball, in 30-digit mpmath
+    profiles = (RadialProfile.gaussian(1.0, 400.0), RadialProfile.ball(1.0, 210.0))
+    for prof in profiles:
+        quad = radial_eigenvalues_quad(prof, 200).eigenvalues
+        for k in (120, 199):
+            with mpmath.workdps(30):
+                if prof.kind == "gaussian":
+                    want = (mpmath.mpf(400.0) / 401) ** (k + 1)
+                else:
+                    area = mpmath.mpf(math.pi * prof.radius ** 2)
+                    want = mpmath.gammainc(k + 1, 0, area, regularized=True)
+            assert abs(quad[k] - float(want)) <= 1e-14 * float(want), (prof.kind, k)
+
+
 def test_radial_eigenvalues_contracts():
     off_center = RadialProfile.ball(1.0, 1.0, center=(0.5, 0.0))
     with pytest.raises(RegimeError):

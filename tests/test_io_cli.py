@@ -351,8 +351,8 @@ SCIPY_LOADED = "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')"
 
 
 def test_cli_import_leaves_scipy_integrate_unloaded():
-    # no phasebound module loads scipy at import: quadrature oracles,
-    # special functions and assembled spectra load it on first use
+    # no phasebound module imports scipy, at load or later: the package
+    # runs on numpy and the standard library alone
     code = ("import sys, phasebound; before = " + SCIPY_LOADED + "; "
             "import phasebound.cli; print(before + " + SCIPY_LOADED + ")")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
@@ -360,10 +360,29 @@ def test_cli_import_leaves_scipy_integrate_unloaded():
     assert proc.stdout.strip() == "[]"
 
 
+def _run_commands(commands, prelude=""):
+    """Run the commands in one child through cli.main, after the code
+    ``prelude``; per command its exit status, its output and the scipy
+    modules loaded after it."""
+    code = (prelude + "import contextlib, io, json, sys\n"
+            "from phasebound.cli import main\n"
+            "report = []\n"
+            "for argv in json.loads(sys.argv[1]):\n"
+            "    with contextlib.redirect_stdout(io.StringIO()) as out:\n"
+            "        status = main(argv)\n"
+            "    report.append([status, out.getvalue(), " + SCIPY_LOADED + "])\n"
+            "print(json.dumps(report))\n")
+    proc = subprocess.run([sys.executable, "-c", code, json.dumps(commands)],
+                          capture_output=True, text=True, check=True)
+    report = json.loads(proc.stdout)
+    assert len(report) == len(commands)
+    return report
+
+
 def test_numpy_only_commands_leave_scipy_unloaded(tmp_path):
-    # bound, extremal, symmetrize, and norm on plane and half-plane files run
-    # on numpy alone; one child runs them all through cli.main and reports the
-    # scipy modules loaded after each
+    # bound, extremal, symmetrize, norm on plane, half-plane and disc files,
+    # and the wavelet verify suite run on numpy alone; one child runs them
+    # all through cli.main and reports the scipy modules loaded after each
     field = tmp_path / "field.csv"
     write_weight_field(random_field(np.random.default_rng(5), n=16, half_width=2.0), field)
     field32 = tmp_path / "field32.csv"
@@ -384,28 +403,27 @@ def test_numpy_only_commands_leave_scipy_unloaded(tmp_path):
         ["norm", "--weight", str(tmp_path / "g.csv"), "--p", "2", "--format", "json"],
         ["norm", "--weight", str(field32), "--p", "2", "--basis", "24", "--format", "json"],
         ["norm", "--weight", str(halfplane), "--p", "2", "--basis", "12", "--format", "json"],
+        ["norm", "--weight", str(tmp_path / "w.csv"), "--p", "2", "--format", "json"],
+        ["verify", "--suite", "wavelet", "--seed", "0"],
     ]
-    code = ("import contextlib, io, json, sys\n"
-            "from phasebound.cli import main\n"
-            "report = []\n"
-            "for argv in json.loads(sys.argv[1]):\n"
-            "    with contextlib.redirect_stdout(io.StringIO()) as out:\n"
-            "        status = main(argv)\n"
-            "    report.append([status, out.getvalue(), " + SCIPY_LOADED + "])\n"
-            "print(json.dumps(report))\n")
-    proc = subprocess.run([sys.executable, "-c", code, json.dumps(commands)],
-                          capture_output=True, text=True, check=True)
-    report = json.loads(proc.stdout)
-    assert len(report) == len(commands)
+    report = _run_commands(commands)
     for argv, (status, _, loaded) in zip(commands, report):
         assert status == 0 and loaded == [], argv
     # the bound commands cover d = 1, the truncated d = 3 level, the d = 2 ball
     assert [json.loads(out)["regime"] for _, out, _ in report[:3]] == [
         "truncated", "truncated", "ball"]
     # the norms: the radial spectrum in closed form, the plane and half-plane
-    # fields assembled
-    assert [sorted(json.loads(out)) for _, out, _ in report[-3:]] == 3 * [
+    # fields assembled, the disc profile's Beta sums
+    assert [sorted(json.loads(out)) for _, out, _ in report[-5:-1]] == 4 * [
         ["K", "bound", "norm", "ratio", "tail_bound"]]
+    wavelet_suite = json.loads(report[-1][1])
+    assert wavelet_suite["suite"] == "wavelet" and wavelet_suite["failed"] == 0
+    # a second child sets sys.modules["scipy"] = None, so that any scipy
+    # import raises, as in an install without scipy: every command exits 0,
+    # and the norms print the same numbers
+    blocked = _run_commands(commands, 'import sys\nsys.modules["scipy"] = None\n')
+    assert [status for status, _, _ in blocked] == [0] * len(commands)
+    assert [out for _, out, _ in blocked[-5:-1]] == [out for _, out, _ in report[-5:-1]]
 
 
 NUMPY_LOADED = "sorted(m for m in sys.modules if m.split('.')[0] == 'numpy')"
@@ -459,8 +477,9 @@ def test_bound_leaves_numpy_unloaded():
 
 
 def test_no_module_imports_scipy_linalg():
-    # assembled spectra take numpy's eigvalsh and a real Gram product, and
-    # the oracles integrate on core's panel rule
+    # no module names scipy at all: assembled spectra take numpy's eigvalsh
+    # and a real Gram product, the oracles integrate on core's panel rule,
+    # and the disc spectra and Hardy basis are finite sums and recurrences
     import ast
     from pathlib import Path
 
@@ -475,8 +494,7 @@ def test_no_module_imports_scipy_linalg():
                 names = [node.value]
             else:
                 continue
-            assert not any(n.startswith(("scipy.linalg", "scipy.integrate"))
-                           for n in names), path.name
+            assert not any(n == "scipy" or n.startswith("scipy.") for n in names), path.name
 
 
 def test_bound_at_large_beta_and_dimension(run_cli):

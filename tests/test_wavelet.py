@@ -1,7 +1,9 @@
 """Cauchy wavelet transform, hyperbolic geometry, Bergman spectra."""
 import math
+import sys
 from functools import partial
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -51,6 +53,30 @@ def test_disc_basis_orthonormal_and_e0_is_wavelet():
         e0 = disc_basis_frequency(0, beta, om)
         ratio = e0 / psi.values
         assert np.std(ratio.real[:40]) < 1e-10  # proportional: e0 is psi normalized
+
+
+def test_disc_basis_recurrence_matches_laguerre_polynomials():
+    # the normalized Laguerre recurrence against scipy's eval_genlaguerre
+    # times n_k = sqrt(2^{2 beta + 1} k! / Gamma(k + 2 beta + 1)), up to the
+    # K = 48 of `norm` and verify.  Budget: each recurrence step adds a few
+    # ulps of the row's scale, and the reference's gammaln normalization and
+    # polynomial about as much, so 16 (k + 1) ulps of the row's sup (the
+    # worst seen is 7 (k + 1), at beta = 0.05)
+    from scipy.special import eval_genlaguerre, gammaln
+    om = np.concatenate([wavelet._frequency_rule()[0], np.linspace(0.01, 60.0, 500)])
+    for beta in (0.05, 0.5, 1.5, 5.0):
+        stack = wavelet._disc_basis_stack(49, beta, om)
+        for k in range(49):
+            nk = math.exp(0.5 * ((2 * beta + 1) * math.log(2.0)
+                                 + gammaln(k + 1) - gammaln(k + 2 * beta + 1)))
+            want = nk * om ** beta * np.exp(-om) * eval_genlaguerre(k, 2 * beta, 2 * om)
+            budget = 16 * (k + 1) * np.finfo(float).eps * np.max(np.abs(want))
+            assert np.max(np.abs(stack[k] - want)) <= budget, (beta, k)
+        assert np.array_equal(disc_basis_frequency(7, beta, om), stack[7])
+    coeffs = np.array([0.5, 0.0, -1j, 2.0])
+    f = HardySignal.from_disc_coeffs(coeffs, 1.5)
+    want = sum(c * disc_basis_frequency(k, 1.5, f.omegas) for k, c in enumerate(coeffs))
+    assert np.max(np.abs(f.values - want)) <= 1e-15 * np.max(np.abs(want))
 
 
 # ---------------------------------------------------------------------------
@@ -331,6 +357,75 @@ def test_disc_indicator_identity():
             assert abs(lam0 - G_beta(float(s), beta)) < 1e-12
     spec = bergman_radial_eigenvalues(DiscProfile.indicator(1.0, 1.0), 1.0, 4)
     assert spec.eigenvalues[0] == pytest.approx(0.14198995239832093, abs=1e-12)
+
+
+# the sparse grid of the Beta-sum pins: k, b = 2 beta, and measures s from
+# 1e-300 to 1e6, plus s = 9300 (x = 0.99865), where at b = 0.1, k = 199 the
+# complement is just above 0.9 and the tail takes its longest loop (32101 terms)
+_SUM_KS = (0, 1, 7, 47, 199)
+_SUM_BS = (0.1, 1.0, 7.3, 150.0, 2000.0)
+_SUM_S = (1e-300, 1e-6, 0.3, 12.6, 1e3, 9300.0, 1e6)
+
+
+def test_beta_cdf_matches_mpmath():
+    # I_x(k + 1, b) at x = s / (s + 4 pi) against 30-digit mpmath at the same
+    # double s and 4 pi.  Budget 8 + k + b ulps: t = 4 pi / (s + 4 pi)
+    # carries two roundings, which t^b scales by b (measured at most b / 4
+    # ulps); the k ratio steps add a few ulps each, mostly cancelling; and
+    # 1 - C at C <= 0.9 magnifies C's error by at most 9.  The worst seen is
+    # 11 ulps, at k = 0, b = 7.3, s = 0.3
+    eps = np.finfo(float).eps
+    for b in _SUM_BS:
+        for s in _SUM_S:
+            got = wavelet._beta_cdf(np.arange(200), s, b / 2.0)
+            with mpmath.workdps(30):
+                x = mpmath.mpf(s) / (mpmath.mpf(s) + mpmath.mpf(wavelet.FOUR_PI))
+                want = [float(mpmath.betainc(k + 1, b, 0, x, regularized=True))
+                        for k in _SUM_KS]
+            for k, w in zip(_SUM_KS, want):
+                if w >= sys.float_info.min:
+                    assert abs(got[k] - w) <= (8 + k + b) * eps * w, (k, b, s)
+                else:
+                    assert 0.0 <= got[k] < 2.0 * sys.float_info.min, (k, b, s)
+        # s = 0: every CDF is exactly 0, as a sampled profile's first knot needs
+        assert np.all(wavelet._beta_cdf(np.arange(200), 0.0, b / 2.0) == 0.0)
+    # a row of measures gives one column per measure
+    row = np.array(_SUM_S)
+    cols = wavelet._beta_cdf(np.arange(8)[:, None], row[None, :], 1.5)
+    assert cols.shape == (8, row.size)
+    for i, s in enumerate(_SUM_S):
+        assert np.array_equal(cols[:, i], wavelet._beta_cdf(np.arange(8), s, 1.5))
+
+
+def test_beta_cdf_at_small_beta_near_the_boundary():
+    # at 2 beta < 0.02 and x within 2^-10 of 1 (at s = 1e40, x rounds to 1)
+    # the tail would take 1e4 to 1e40 terms, and I stays 1 - C; I is about
+    # b log(1 / (t K)) there, so the budget gains 1 / b ulps.  The worst seen
+    # is 0.2 / b ulps
+    eps = np.finfo(float).eps
+    for b in (1e-3, 1e-2):
+        for s in (1e4, 1e12, 1e40):
+            got = wavelet._beta_cdf(np.arange(200), s, b / 2.0)
+            with mpmath.workdps(80):
+                x = mpmath.mpf(s) / (mpmath.mpf(s) + mpmath.mpf(wavelet.FOUR_PI))
+                want = [float(mpmath.betainc(k + 1, b, 0, x, regularized=True))
+                        for k in _SUM_KS]
+            for k, w in zip(_SUM_KS, want):
+                assert abs(got[k] - w) <= (8 + k + 1 / b) * eps * w, (k, b, s)
+
+
+def test_beta_ratio_matches_mpmath():
+    # B(k + 1, b + e) / B(k + 1, b) as the product of its k + 1 ratios:
+    # each factor rounds three times, so the budget is 3 (k + 1) ulps (the
+    # worst seen is 0.5 (k + 1))
+    eps = np.finfo(float).eps
+    for b in _SUM_BS:
+        for shift in (-0.5 * b, 0.5, 3.0, 300.0):
+            got = wavelet._beta_ratio(200, b, shift)
+            for k in _SUM_KS:
+                with mpmath.workdps(30):
+                    want = float(mpmath.beta(k + 1, b + shift) / mpmath.beta(k + 1, b))
+                assert abs(got[k] - want) <= 3 * (k + 1) * eps * want, (k, b, shift)
 
 
 def test_constant_symbol_all_ones():

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -67,10 +68,19 @@ _QUAD_ORDER, _QUAD_PANELS, _QUAD_DEPTH = 10, 64, 60
 _QUAD_RTOL, _QUAD_ROUNDS = 1e-13, 10
 
 
+@lru_cache(maxsize=None)
+def _legendre_rule(order: int):
+    """The order-point Gauss-Legendre nodes and weights on [-1, 1], built
+    once per order and read-only."""
+    g, gw = np.polynomial.legendre.leggauss(order)
+    g.flags.writeable = gw.flags.writeable = False
+    return g, gw
+
+
 def gauss_panels(edges, order: int):
     """Nodes and weights of the order-point Gauss-Legendre rule on each
     panel [edges[i], edges[i + 1]], raveled panel by panel."""
-    g, gw = np.polynomial.legendre.leggauss(order)
+    g, gw = _legendre_rule(order)
     lo, hi = edges[:-1], edges[1:]
     half = 0.5 * (hi - lo)
     nodes = (lo + half)[:, None] + half[:, None] * g[None, :]

@@ -17,7 +17,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import RadialProfile, WeightField, gauss_panels, integrate, lp_norm
+from .core import (RadialProfile, WeightField, _legendre_rule, gauss_panels, integrate,
+                   lp_norm)
 from .errors import (AliasingError, BasisTruncationError, InvalidInputError,
                      RegimeError)
 from .scalar import series_length
@@ -271,15 +272,17 @@ def gram_operator(row0, step, ratios, wf, wf_mirror=None) -> np.ndarray:
     in the weights, so complex ones are two real sums, M(Re) + i M(Im).
     """
     K = len(ratios) + 1
-    wf = np.asarray(wf)
-    wm = np.zeros(wf.shape) if wf_mirror is None else np.asarray(wf_mirror)
-    if not all(np.all(np.isfinite(w.real)) and np.all(np.isfinite(w.imag)) for w in (wf, wm)):
+    ws = [np.asarray(w) for w in (wf, wf_mirror) if w is not None]
+    if not all(np.all(np.isfinite(w.real)) and np.all(np.isfinite(w.imag)) for w in ws):
         raise InvalidInputError("the weight must be finite at every quadrature node")
-    if any(np.iscomplexobj(w) and np.any(w.imag != 0.0) for w in (wf, wm)):
-        return (gram_operator(row0, step, ratios, wf.real, wm.real)
-                + 1j * gram_operator(row0, step, ratios, wf.imag, wm.imag))
+    if any(np.iscomplexobj(w) and np.any(w.imag != 0.0) for w in ws):
+        return (gram_operator(row0, step, ratios, *(w.real for w in ws))
+                + 1j * gram_operator(row0, step, ratios, *(w.imag for w in ws)))
 
-    s, d = wf.real + wm.real, wf.real - wm.real
+    if len(ws) == 1:   # no mirror: s = d = wf, with no zero mirror weights built
+        s = d = ws[0].real
+    else:
+        s, d = ws[0].real + ws[1].real, ws[0].real - ws[1].real
     real = np.zeros((K, K))
     B = np.zeros((K, K)) if np.any(d != 0.0) else None
     for sign, nodes in ((1.0, s > 0.0), (-1.0, s < 0.0), (0.0, (s == 0.0) & (d != 0.0))):
@@ -367,7 +370,7 @@ def assemble_operator(F, K: int, *, points_per_cell: int = 2) -> np.ndarray:
 
     if isinstance(F, WeightField):
         _check_truncation(K, F.half_width)
-        g, gw = np.polynomial.legendre.leggauss(points_per_cell)
+        g, gw = _legendre_rule(points_per_cell)
         half = 0.5 * F.cell
         axis = (F.axis[:, None] + half * g[None, :]).ravel()
         sub_w = np.tile(half * gw, F.n)

@@ -49,6 +49,11 @@ FOUR_PI = 4.0 * math.pi
 _TAIL_RTOL = 1e-17
 # y rows per product: on the windowed isometry grid 32 beat 8, 16, 64 and 288
 _ROW_BLOCK = 32
+# frequencies per chunk: bounds the trig block and the radial rows held at once;
+# on verify's windowed isometry stack (3 x 6000 frequencies, 480 x 144 nodes)
+# 512, 1024, 2048 and one chunk peaked at 8.5, 12, 19 and 45 MB traced, and
+# 1024 took 3% longer than 2048
+_FREQ_CHUNK = 1024
 
 
 def cauchy_norm_const(beta: float) -> float:
@@ -274,7 +279,15 @@ def wavelet_transform_grid(f, beta: float, xs, ys) -> np.ndarray:
       |e^{i x omega}| = 1 the cut moves every Wf(x, y) by at most
       1e-17 sum |B|, below the ~1.1e-16 sum |B| rounding bound of the
       products themselves.  Rows are grouped by kept length in blocks of
-      ``_ROW_BLOCK``, one product each.
+      ``_ROW_BLOCK``, one product per block and frequency chunk.
+
+    The frequencies are summed in chunks of ``_FREQ_CHUNK``: each chunk
+    builds its own cos/sin block and the radial factor of its rows, and its
+    products add into the sums.  With n_x distinct |x| and n_y rows the
+    working set is O(chunk (n_x + n_y) + m n_x n_y), whatever the number of
+    frequencies.  Each row's cut needs the row's total, which a first pass
+    over row blocks takes.  Up to one chunk of frequencies, the products
+    are those of an unchunked sum.
     """
     single = isinstance(f, HardySignal)
     fs = [f] if single else list(f)
@@ -292,50 +305,71 @@ def wavelet_transform_grid(f, beta: float, xs, ys) -> np.ndarray:
     order = np.argsort(fs[0].omegas)
     om = fs[0].omegas[order]
     fw = np.stack([(g.weights * g.values / cb)[order] for g in fs])   # (m, n_om)
-    # B = radial * fw with radial = sqrt(y) (y omega)^beta e^{-y omega} >= 0 of
-    # shape (ny, n_om), built in the buffer of y omega so that at most three
-    # such arrays are alive; |B| <= radial * max_m |fw_m| for every signal
-    radial = ys[:, None] * om[None, :]
-    with np.errstate(over="ignore", invalid="ignore"):  # non-finite rows raise below
-        decay = np.exp(-radial)
-        np.power(radial, beta, out=radial)
-        np.multiply(np.sqrt(ys)[:, None], radial, out=radial)
-        radial *= decay
-        del decay
-        # tail[:, j] = sum_{k >= j} max_m |B_m[:, k]|, non-increasing along each row
-        tail = radial[:, ::-1] * np.abs(fw).max(axis=0)[::-1]
-        tail = np.cumsum(tail, axis=1, out=tail)[:, ::-1]
-    if not np.all(np.isfinite(tail[:, :1])):
-        raise InvalidInputError("transform rows are not finite at these (y, beta)")
-    keep = np.count_nonzero(tail > _TAIL_RTOL * tail[:, :1], axis=1)
-    del tail
+    sqrt_y = np.sqrt(ys)
+
+    def radial(rows, n0, n1):
+        """sqrt(y) (y omega)^beta e^{-y omega} >= 0 on ys[rows] x om[n0:n1],
+        built in the buffer of y omega; |B| <= radial * max_m |fw_m|."""
+        r = ys[rows, None] * om[None, n0:n1]
+        decay = np.exp(-r)
+        np.power(r, beta, out=r)
+        np.multiply(sqrt_y[rows, None], r, out=r)
+        r *= decay
+        return r
+
+    # first pass, by row blocks: tail[:, j] = sum_{k >= j} max_m |B_m[:, k]|,
+    # non-increasing along each row; a finite row total leaves every term of
+    # the row finite, so the chunks below need no guard
+    abs_fw = np.abs(fw).max(axis=0)[::-1]
+    keep = np.empty(ys.size, dtype=np.intp)
+    for start in range(0, ys.size, _ROW_BLOCK):
+        rows = slice(start, start + _ROW_BLOCK)
+        with np.errstate(over="ignore", invalid="ignore"):  # non-finite rows raise below
+            tail = radial(rows, 0, om.size)[:, ::-1] * abs_fw
+            tail = np.cumsum(tail, axis=1, out=tail)[:, ::-1]
+        if not np.all(np.isfinite(tail[:, :1])):
+            raise InvalidInputError("transform rows are not finite at these (y, beta)")
+        keep[rows] = np.count_nonzero(tail > _TAIL_RTOL * tail[:, :1], axis=1)
 
     ax, inv = np.unique(np.abs(xs), return_inverse=True)
     k = ax.size
-    # rows: cos(|x| omega) then sin(|x| omega), summed against Re B and Im B
-    trig = np.empty((2 * k, keep.max(initial=0)))
-    np.multiply.outer(ax, om[:trig.shape[1]], out=trig[:k])
-    np.sin(trig[:k], out=trig[k:])
-    np.cos(trig[:k], out=trig[:k])
     m = fw.shape[0]
-    re = np.empty((m, 2 * k, ys.size))
-    im = np.empty_like(re)
+    # cos(|x| omega) then sin(|x| omega) rows against Re B and Im B columns
+    re = np.zeros((m, 2 * k, ys.size))
+    im = np.zeros_like(re)
     rows = np.argsort(-keep, kind="stable")
-    for start in range(0, rows.size, _ROW_BLOCK):
-        blk = rows[start:start + _ROW_BLOCK]
-        n = keep[blk[0]]
-        rb = radial[blk, :n]
-        # columns: Re B of every signal, then Im B of every signal
-        cols = np.empty((2, m, blk.size, n))
-        np.multiply(rb, fw.real[:, None, :n], out=cols[0])
-        np.multiply(rb, fw.imag[:, None, :n], out=cols[1])
-        prod = (trig[:, :n] @ cols.reshape(2 * m * blk.size, n).T).reshape(2 * k, 2, m, blk.size)
-        re[:, :, blk] = prod[:, 0].transpose(1, 0, 2)
-        im[:, :, blk] = prod[:, 1].transpose(1, 0, 2)
-    del radial, trig
+    blocks = [rows[start:start + _ROW_BLOCK] for start in range(0, rows.size, _ROW_BLOCK)]
+
+    def add_chunk(n0, n1):
+        """Add the products over the frequencies om[n0:n1] into re and im."""
+        trig = np.empty((2 * k, n1 - n0))
+        np.multiply.outer(ax, om[n0:n1], out=trig[:k])
+        np.sin(trig[:k], out=trig[k:])
+        np.cos(trig[:k], out=trig[:k])
+        for blk in blocks:   # kept lengths descend, so later blocks end earlier
+            n = min(keep[blk[0]], n1) - n0
+            if n <= 0:
+                return
+            rb = radial(blk, n0, n0 + n)
+            # columns: Re B of every signal, then Im B of every signal
+            cols = np.empty((2, m, blk.size, n))
+            np.multiply(rb, fw.real[:, None, n0:n0 + n], out=cols[0])
+            np.multiply(rb, fw.imag[:, None, n0:n0 + n], out=cols[1])
+            prod = (trig[:, :n] @ cols.reshape(2 * m * blk.size, n).T).reshape(2 * k, 2, m, blk.size)
+            re[:, :, blk] += prod[:, 0].transpose(1, 0, 2)
+            im[:, :, blk] += prod[:, 1].transpose(1, 0, 2)
+
+    n_kept = keep.max(initial=0)
+    for n0 in range(0, n_kept, _FREQ_CHUNK):
+        add_chunk(n0, min(n0 + _FREQ_CHUNK, n_kept))
+    out = np.empty((m, xs.size, ys.size), dtype=complex)
     sgn = np.sign(xs)[:, None]
-    out = ((re[:, :k][:, inv] - sgn * im[:, k:][:, inv])
-           + 1j * (im[:, :k][:, inv] + sgn * re[:, k:][:, inv]))
+    for o, r, i in zip(out, re, im):
+        # Re Wf = cos Re B - sign(x) sin Im B, Im Wf = cos Im B + sign(x) sin Re B
+        np.multiply(-sgn, i[k + inv], out=o.real)
+        np.add(o.real, r[inv], out=o.real)
+        np.multiply(sgn, r[k + inv], out=o.imag)
+        np.add(o.imag, i[inv], out=o.imag)
     return out[0] if single else out
 
 
@@ -473,10 +507,16 @@ class DiscProfile(MeasureProfile):
         return float((FOUR_PI * (cap_part + tail)) ** (1.0 / p))
 
     def on_grid(self, grid: HalfPlaneGrid) -> HalfPlaneField:
-        X, Y = np.meshgrid(grid.x, grid.y, indexing="ij")
-        z = X + 1j * Y
-        x = np.abs((z - self.center) / (z - np.conj(self.center))) ** 2
-        return HalfPlaneField(grid, self(x).astype(complex))
+        return HalfPlaneField(grid, self(self._grid_coordinate(grid)))
+
+    def _grid_coordinate(self, grid: HalfPlaneGrid) -> np.ndarray:
+        """x = |(z - c) / (z - conj c)|^2 at the cell centers, shape (nx, ny):
+        (dx^2 + (y - y0)^2) / (dx^2 + (y + y0)^2) with dx = x - x0, from
+        the two axes broadcast against each other."""
+        dx2 = ((grid.x - self.center.real) ** 2)[:, None]
+        x = dx2 + (grid.y - self.center.imag) ** 2
+        x /= dx2 + (grid.y + self.center.imag) ** 2
+        return x
 
 
 # ---------------------------------------------------------------------------
@@ -583,12 +623,17 @@ def assemble_wavelet_operator(F: HalfPlaneField, beta: float, K: int,
     """
     if K < 1:
         raise InvalidInputError("K must be >= 1")
-    n, wf, wm = mirror_fold(F.grid.x - np.real(center), F.grid.cell_masses() * F.values)
-    X, Y = np.meshgrid(F.grid.x[:n], F.grid.y, indexing="ij")
-    xc, yc, w, c0 = _bergman_coordinates(beta, X, Y, center)
+    # a field with no imaginary part is assembled from real weights
+    values = F.values if np.any(F.values.imag) else F.values.real
+    _, wf, wm = mirror_fold(F.grid.x - np.real(center), F.grid.cell_masses() * values)
+    # only nodes of nonzero weight enter the sum, so only theirs are built
+    live = wf != 0.0 if wm is None else (wf != 0.0) | (wm != 0.0)
+    ix, iy = np.divmod(np.flatnonzero(live), F.grid.y.size)
+    xc, yc, w, c0 = _bergman_coordinates(beta, F.grid.x[ix], F.grid.y[iy], center)
     # 1 - |w|^2 = 4 yc / |z + i|^2, without the cancellation near the boundary
     row0 = c0 * (4.0 * yc / (xc * xc + (1.0 + yc) ** 2)) ** (beta + 0.5)
-    return gram_operator(row0, w, _bergman_ratios(K, beta), wf, wm)
+    return gram_operator(row0, w, _bergman_ratios(K, beta), wf[live],
+                         None if wm is None else wm[live])
 
 
 _WINDOW_X, _WINDOW_Y = (-20.0, 20.0), (5e-3, 100.0)

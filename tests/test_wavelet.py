@@ -1,6 +1,7 @@
 """Cauchy wavelet transform, hyperbolic geometry, Bergman spectra."""
 import math
 import sys
+import tracemalloc
 from functools import partial
 
 import mpmath
@@ -253,14 +254,15 @@ def _transform_cases(draw):
     co = np.array(draw(st.lists(st.complex_numbers(max_magnitude=2.0, allow_nan=False,
                                                    allow_infinity=False),
                                 min_size=1, max_size=5)))
-    kind = draw(st.sampled_from(["laguerre", "uniform"]))
+    kind = draw(st.sampled_from(["laguerre", "uniform", "chunked"]))
     if kind == "laguerre":
         f = HardySignal.from_disc_coeffs(co, beta)
     else:
-        # spacing 0.15: at y = 1e4 every e^{-y omega} underflows to 0
+        # uniform: spacing 0.15, so at y = 1e4 every e^{-y omega} underflows
+        # to 0; chunked: verify's 6000 frequencies, several chunks and a rest
         f = HardySignal.on_uniform_grid(
             lambda om: sum(c * disc_basis_frequency(k, beta, om) for k, c in enumerate(co)),
-            60.0, 400)
+            60.0, 400 if kind == "uniform" else 6000)
     if draw(st.booleans()):
         perm = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).permutation(f.omegas.size)
         f = HardySignal(f.omegas[perm], f.values[perm], f.weights[perm])
@@ -290,6 +292,26 @@ def test_transform_matches_reference_sum(case):
     assert np.all(np.abs(got - want) <= 1e-14 * row_sum)
     if kind == "uniform":
         assert row_sum[-1] == 0.0 and np.all(got[:, -1] == 0.0)
+    if kind == "chunked":
+        assert om.size > 2 * wavelet._FREQ_CHUNK and om.size % wavelet._FREQ_CHUNK
+
+
+def test_transform_memory_is_bounded_by_chunks():
+    # verify's windowed stack, 3 signals x 6000 frequencies on the window
+    # nodes: one (n_x x n_omega) trig table alone would take 23 MB
+    _, fs = _low_order_signals(np.random.default_rng(0), 2.0, 3)
+    tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        out = wavelet_transform_grid(fs, 2.0, _WINDOW_XS, _WINDOW_YS)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert out.shape == (3, _WINDOW_XS.size, _WINDOW_YS.size)
+    assert peak < 20 * 2**20
 
 
 def test_reproducing_peak_location():
@@ -332,6 +354,30 @@ def test_disc_threshold_and_membership():
     assert inside[np.unravel_index(np.argmin(q), q.shape)]   # the centre is inside
     assert np.all(q[inside] < disc.edge)
     assert np.all(q[~inside] >= disc.edge)
+
+
+def _moebius_grid(z0, n):
+    # verify's grid about the disc of measure 1 centered at z0
+    r2 = DiscProfile.indicator(1.0, 1.0, center=z0).edge
+    yc = z0.imag * (1 + r2) / (1 - r2)
+    rad = 2 * math.sqrt(r2) * z0.imag / (1 - r2)
+    return HalfPlaneGrid.logarithmic(z0.real - 1.4 * rad, z0.real + 1.4 * rad, n,
+                                     (yc - rad) * 0.72, (yc + rad) * 1.4, n)
+
+
+@pytest.mark.parametrize("z0, grid", [
+    (1j, HalfPlaneGrid.logarithmic(-0.8, 0.8, 512, 0.42, 2.1, 512)),
+    (0.4 + 1.6j, _moebius_grid(0.4 + 1.6j, 384)),
+])
+def test_disc_grid_coordinate_matches_cayley_quotient(z0, grid):
+    # verify's disc grids: the separable quotient of real squares against
+    # |(z - z0) / (z - conj z0)|^2 in complex arithmetic
+    disc = DiscProfile.indicator(1.0, 1.0, center=z0)
+    X, Y = np.meshgrid(grid.x, grid.y, indexing="ij")
+    z = X + 1j * Y
+    q = np.abs((z - z0) / (z - np.conj(z0))) ** 2
+    assert np.max(np.abs(disc._grid_coordinate(grid) - q)) <= 4e-16
+    assert np.array_equal(disc.on_grid(grid).values, disc(q).astype(complex))
 
 
 def test_disc_mask_empty_and_measure():
@@ -506,6 +552,11 @@ def _check_halfplane_gram(kind, grid):
         values = values - 0.6 * np.exp(-((X + 1.0) ** 2 + (Y - 2.0) ** 2) / 2)
     elif kind == "complex":
         values = values * np.exp(1j * X)
+    elif kind == "indicator":
+        # zero cells, off the mirror line: some kept cells are zero while
+        # their mirror is not
+        values = DiscProfile.indicator(1.0, 3.0, center=0.8 + 1.2j).on_grid(grid).values
+        assert 0 < np.count_nonzero(values) < values.size
     F = HalfPlaneField(grid, values)
     M = assemble_wavelet_operator(F, beta, K, center=z0)
     phi = bergman_basis(K, beta, X.ravel(), Y.ravel(), center=z0)
@@ -515,14 +566,14 @@ def _check_halfplane_gram(kind, grid):
         assert np.array_equal(M, M.conj().T)
 
 
-@pytest.mark.parametrize("kind", ["nonnegative", "signed", "complex"])
+@pytest.mark.parametrize("kind", ["nonnegative", "signed", "complex", "indicator"])
 def test_gram_assembly_matches_reference_sum_halfplane(kind):
     # 96^2 nodes span several Gram blocks; x is not symmetric about
     # Re(z0) = 0.3, so no cell has a mirror
     _check_halfplane_gram(kind, HalfPlaneGrid.logarithmic(-4, 4, 96, 0.1, 8.0, 96))
 
 
-@pytest.mark.parametrize("kind", ["nonnegative", "signed", "complex"])
+@pytest.mark.parametrize("kind", ["nonnegative", "signed", "complex", "indicator"])
 @pytest.mark.parametrize("nx", [96, 95])
 def test_gram_mirror_fold_matches_reference_sum_halfplane(kind, nx):
     # x symmetric about Re(z0) folds onto 2 Re(z0) - x; at odd nx the middle

@@ -8,9 +8,11 @@ disc model of the half-plane (``wavelet``), s = 4 pi x / (1 - x) is the
 hyperbolic measure of {|w|^2 < x}.  Everything that does not depend on the
 geometry is written once, in s:
 
-  GridField       complex values on cells of known mass (``WeightField``
-                  here, ``HalfPlaneField`` in ``wavelet``), with the exact
-                  step distribution function mu(t) of their cell values;
+  GridField       values on cells of known mass (``WeightField`` here,
+                  ``HalfPlaneField`` in ``wavelet``), stored real (float64)
+                  unless some imaginary part is nonzero (complex128), with
+                  the exact step distribution function mu(t) of their cell
+                  values and their L^p norm;
   MeasureProfile  nonincreasing radial profiles (``RadialProfile`` here,
                   ``DiscProfile`` in ``wavelet``): knot validation, step
                   evaluation, ess_sup, and the indicator, sampled and
@@ -118,8 +120,38 @@ def integrate(f, b: float, breaks=()):
 # gridded weights
 # ---------------------------------------------------------------------------
 
+def _scaled_lp(v: np.ndarray, masses, p: float) -> float:
+    """(sum v^p masses)^{1/p} for v >= 0, as A (sum (v/A)^p masses)^{1/p}
+    with A = max v, so that no power overflows or underflows where the norm
+    itself is a double; 0 for v = 0."""
+    A = float(np.max(v))
+    if A == 0.0:
+        return 0.0
+    r = v / A
+    r **= p
+    r *= masses
+    return float(A * np.sum(r) ** (1.0 / p))
+
+
 class GridField:
-    """Complex ``values`` on grid cells; subclasses supply ``cell_masses()``."""
+    """Weight ``values`` on grid cells; subclasses supply ``cell_masses()``.
+
+    The field decides its own storage: real, integer or bool values, and
+    complex ones whose imaginary part is 0 everywhere, are stored as
+    contiguous float64, and any other values as contiguous complex128.
+    Shape and finiteness are checked once, here.
+    """
+
+    def _store_values(self, shape: tuple):
+        v = np.asarray(self.values)
+        if v.shape != shape:
+            raise InvalidInputError(f"values must have shape {shape}, got {v.shape}")
+        real = not (np.iscomplexobj(v) and np.any(v.imag))
+        v = np.ascontiguousarray(v.real if real else v, dtype=float if real else complex)
+        # on complex values isfinite covers both parts
+        if not np.all(np.isfinite(v)):
+            raise InvalidInputError("weight values must be finite")
+        object.__setattr__(self, "values", v)
 
     def ess_sup(self) -> float:
         return float(np.max(np.abs(self.values)))
@@ -136,10 +168,16 @@ class GridField:
         """Mass of the cells where |value| > t, elementwise in t."""
         return _step_mu(*self.levels(), np.asarray(t, dtype=float))
 
+    def lp_norm(self, p: float) -> float:
+        """(sum |value|^p cell mass)^{1/p}."""
+        _check_exponent(p)
+        return _scaled_lp(np.abs(self.values), self.cell_masses(), p)
+
 
 @dataclass(frozen=True)
 class WeightField(GridField):
-    """Complex weight sampled at cell centers of a square phase-plane box.
+    """Weight sampled at cell centers of a square phase-plane box, stored
+    as ``GridField`` stores values: float64 when real, else complex128.
 
     The box is [-half_width, half_width]^2; values[i, j] is the sample at
     (x_i, omega_j) with x_i = -half_width + (i + 1/2) * cell, and every
@@ -155,12 +193,13 @@ class WeightField(GridField):
             raise InvalidInputError("half_width must be positive")
         if self.n < 2:
             raise InvalidInputError("need at least 2 samples per axis")
-        v = np.ascontiguousarray(self.values, dtype=complex)
-        if v.shape != (self.n, self.n):
-            raise InvalidInputError(f"values must be {self.n}x{self.n}, got {v.shape}")
-        if not (np.all(np.isfinite(v.real)) and np.all(np.isfinite(v.imag))):
-            raise InvalidInputError("weight values must be finite")
-        object.__setattr__(self, "values", v)
+        self._store_values((self.n, self.n))
+
+    @staticmethod
+    def cell_centers(half_width: float, n: int) -> np.ndarray:
+        """-half_width + (i + 1/2) 2 half_width / n, i < n: the cell centers
+        of every square grid of the plane, shared by both axes."""
+        return -half_width + (np.arange(n) + 0.5) * (2.0 * half_width / n)
 
     @property
     def cell(self) -> float:
@@ -172,8 +211,7 @@ class WeightField(GridField):
 
     @property
     def axis(self) -> np.ndarray:
-        """Cell-center coordinates, shared by both axes."""
-        return -self.half_width + (np.arange(self.n) + 0.5) * self.cell
+        return self.cell_centers(self.half_width, self.n)
 
     def cell_masses(self) -> np.ndarray:
         return np.full((self.n, self.n), self.cell_area)
@@ -254,8 +292,7 @@ class MeasureProfile:
         _check_exponent(p)
         kind = self.kind
         if kind == "sampled":
-            steps = np.diff(self.measure(self.knots), prepend=0.0)
-            return float(np.sum(self.knot_values ** p * steps) ** (1.0 / p))
+            return _scaled_lp(self.knot_values, np.diff(self.measure(self.knots), prepend=0.0), p)
         if kind == "constant":
             raise DivergenceError("a constant profile is not in L^p")
         if kind == self._INDICATOR:
@@ -382,10 +419,10 @@ class RadialProfile(MeasureProfile):
 
     def on_grid(self, half_width: float, n: int) -> WeightField:
         """Sample onto a centered square grid (profile center included)."""
-        ax = -half_width + (np.arange(n) + 0.5) * (2 * half_width / n)
+        ax = WeightField.cell_centers(half_width, n)
         dx = ax[:, None] - self.center[0]
         dy = ax[None, :] - self.center[1]
-        return WeightField(half_width, n, self(np.hypot(dx, dy)).astype(complex))
+        return WeightField(half_width, n, self(np.hypot(dx, dy)))
 
 
 # ---------------------------------------------------------------------------
@@ -461,9 +498,6 @@ def lp_norm(w, p: float) -> float:
     """L^p norm of a weight: grid fields sum |value|^p over their cell
     masses, profiles integrate in their measure coordinate (closed forms
     for the analytic kinds)."""
-    if isinstance(w, MeasureProfile):
+    if isinstance(w, (MeasureProfile, GridField)):
         return w.lp_norm(p)
-    if isinstance(w, GridField):
-        _check_exponent(p)
-        return float(np.sum(np.abs(w.values) ** p * w.cell_masses()) ** (1.0 / p))
     raise InvalidInputError(f"unsupported weight type {type(w).__name__}")

@@ -98,7 +98,7 @@ class Signal:
         dt = np.diff(times)
         if not np.allclose(dt, dt[0], rtol=1e-9, atol=0.0):
             raise InvalidInputError("time grid must be uniform")
-        if not (np.all(np.isfinite(values.real)) and np.all(np.isfinite(values.imag))):
+        if not np.all(np.isfinite(values)):
             raise InvalidInputError("signal samples must be finite")
         return cls(times=times, values=values)
 
@@ -167,7 +167,7 @@ def stft(f: Signal, half_width: float = 6.0, n: int = 128) -> WeightField:
     own time grid must support the requested frequency range, or
     AliasingError is raised.
     """
-    ax = -half_width + (np.arange(n) + 0.5) * (2.0 * half_width / n)
+    ax = WeightField.cell_centers(half_width, n)
     if f.times is not None:
         t, v = f.times, f.values
         dt = t[1] - t[0]
@@ -273,7 +273,7 @@ def gram_operator(row0, step, ratios, wf, wf_mirror=None) -> np.ndarray:
     """
     K = len(ratios) + 1
     ws = [np.asarray(w) for w in (wf, wf_mirror) if w is not None]
-    if not all(np.all(np.isfinite(w.real)) and np.all(np.isfinite(w.imag)) for w in ws):
+    if not all(np.all(np.isfinite(w)) for w in ws):
         raise InvalidInputError("the weight must be finite at every quadrature node")
     if any(np.iscomplexobj(w) and np.any(w.imag != 0.0) for w in ws):
         return (gram_operator(row0, step, ratios, *(w.real for w in ws))
@@ -649,10 +649,10 @@ def concentration(f: Signal, region: WeightField) -> float:
     ``RadialProfile.ball(1.0, area).on_grid(half_width, n)``, this is the
     fraction of f's phase-space energy inside the set.
     """
-    if np.any(region.values.imag != 0.0):
+    if np.iscomplexobj(region.values):
         raise InvalidInputError("the region must be a real weight field")
     field = stft(f, region.half_width, region.n)
-    return float(np.sum(region.values.real * np.abs(field.values) ** 2) * field.cell_area)
+    return float(np.sum(region.values * np.abs(field.values) ** 2) * field.cell_area)
 
 
 def lieb_quotient(f: Signal, p: float, half_width: float = 6.0, n: int = 256) -> float:

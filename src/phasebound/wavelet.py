@@ -233,13 +233,7 @@ class HalfPlaneField(GridField):
     values: np.ndarray  # shape (nx, ny)
 
     def __post_init__(self):
-        v = np.asarray(self.values, complex)
-        want = (self.grid.x.size, self.grid.y.size)
-        if v.shape != want:
-            raise InvalidInputError(f"values must have shape {want}")
-        if not (np.all(np.isfinite(v.real)) and np.all(np.isfinite(v.imag))):
-            raise InvalidInputError("half-plane field values must be finite")
-        object.__setattr__(self, "values", v)
+        self._store_values((self.grid.x.size, self.grid.y.size))
 
     def cell_masses(self) -> np.ndarray:
         return self.grid.cell_masses()
@@ -623,9 +617,7 @@ def assemble_wavelet_operator(F: HalfPlaneField, beta: float, K: int,
     """
     if K < 1:
         raise InvalidInputError("K must be >= 1")
-    # a field with no imaginary part is assembled from real weights
-    values = F.values if np.any(F.values.imag) else F.values.real
-    _, wf, wm = mirror_fold(F.grid.x - np.real(center), F.grid.cell_masses() * values)
+    _, wf, wm = mirror_fold(F.grid.x - np.real(center), F.grid.cell_masses() * F.values)
     # only nodes of nonzero weight enter the sum, so only theirs are built
     live = wf != 0.0 if wm is None else (wf != 0.0) | (wm != 0.0)
     ix, iy = np.divmod(np.flatnonzero(live), F.grid.y.size)

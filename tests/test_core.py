@@ -11,6 +11,7 @@ from phasebound.errors import (DivergenceError, InvalidInputError,
                                UnattainedBoundError)
 from phasebound.scalar import ConstraintSet
 from phasebound.verify import thresholds
+from phasebound.wavelet import DiscProfile, HalfPlaneField, HalfPlaneGrid
 
 
 def make_field(n=64, half_width=4.0, seed=0):
@@ -33,6 +34,36 @@ def test_weight_field_validation():
         WeightField(1.0, 4, bad)
     f = WeightField(2.0, 8, np.ones((8, 8), complex))
     assert f.cell_area == pytest.approx((4.0 / 8) ** 2)
+
+
+def _plane_field(values):
+    return WeightField(1.0, 2, values)
+
+
+def _halfplane_field(values):
+    return HalfPlaneField(HalfPlaneGrid.logarithmic(-1, 1, 2, 0.5, 2.0, 2), values)
+
+
+@pytest.mark.parametrize("make", [_plane_field, _halfplane_field])
+def test_grid_field_storage_rule(make):
+    # real, bool, integer and zero-imaginary complex values are stored as
+    # contiguous float64; a nonzero imaginary part anywhere keeps complex128
+    real = np.array([[1.0, 0.5], [0.0, 2.0]])
+    for values in (real, real > 0.7, real.astype(int), real.astype(np.float32),
+                   real.astype(complex), real[::-1, ::-1]):
+        v = make(values).values
+        assert v.dtype == np.float64 and v.flags.c_contiguous
+        assert np.array_equal(v, values)
+    tilted = real + 1e-300j * np.eye(2)
+    v = make(tilted).values
+    assert v.dtype == np.complex128 and np.array_equal(v, tilted)
+    for bad in (complex(0.0, np.inf), complex(np.nan, 0.0)):
+        values = real.astype(complex)
+        values[0, 1] = bad
+        with pytest.raises(InvalidInputError):
+            make(values)
+    with pytest.raises(InvalidInputError):
+        make(np.ones((2, 3)))
 
 
 def test_radial_profile_validation():
@@ -204,6 +235,31 @@ def test_lp_norm_divergence_and_grid():
     f = make_field(seed=2)
     want = (np.sum(np.abs(f.values) ** 2) * f.cell_area) ** 0.5
     assert lp_norm(f, 2.0) == pytest.approx(want)
+
+
+def _mp_lp(values, masses, p):
+    """(sum |v|^p m)^{1/p} in 50-digit arithmetic."""
+    with mpmath.workdps(50):
+        total = mpmath.fsum(_mp(abs(v)) ** p * _mp(m)
+                            for v, m in zip(np.ravel(values), np.ravel(masses)))
+        return float(total ** (1 / mpmath.mpf(p)))
+
+
+@pytest.mark.parametrize("levels, p", [((1e200, 1e199), 2.0), ((1e-200, 1e-201), 2.0),
+                                       ((3.0, 2.0), 700.0), ((0.0, 0.0), 2.0)])
+def test_lp_norm_of_extreme_weights(levels, p):
+    # |v|^p m summed directly overflows at 1e200 and at p = 700, and
+    # underflows to 0 at 1e-200; every norm here is a double
+    hi, lo = levels
+    halfplane = _halfplane_field([[hi, lo], [lo, 0.0]])
+    weights = [
+        (RadialProfile.sampled([0.5, 1.0], levels), [levels, [math.pi / 4, 3 * math.pi / 4]]),
+        (DiscProfile.sampled([0.5, 0.75], levels), [levels, [4 * math.pi, 8 * math.pi]]),
+        (_plane_field([[hi, lo], [lo, 0.0]]), [[hi, lo, lo], [1.0, 1.0, 1.0]]),
+        (halfplane, [halfplane.values, halfplane.cell_masses()]),
+    ]
+    for w, (vals, masses) in weights:
+        assert lp_norm(w, p) == pytest.approx(_mp_lp(vals, masses, p), rel=1e-14, abs=0.0)
 
 
 

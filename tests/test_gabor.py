@@ -156,23 +156,30 @@ def _reference_operator(F: WeightField, K: int) -> np.ndarray:
     return (phi * (F.values.ravel() * F.cell_area)) @ phi.conj().T
 
 
-@pytest.mark.parametrize("kind", ["nonnegative", "signed", "complex"])
+@pytest.mark.parametrize("kind", ["nonnegative", "signed", "complex", "zero_imag"])
 def test_gram_assembly_matches_reference_sum(kind):
     # n = 96 puts 9216 nodes in several Gram blocks; a signed field takes the
-    # -1 rank-k update, a complex one the sum of its real and imaginary parts
+    # -1 rank-k update, a complex one the sum of its real and imaginary parts;
+    # complex values with no imaginary part are stored, and assembled, as real
     rng = np.random.default_rng(11)
-    values = random_field(rng, n=96).values
+    real = random_field(rng, n=96).values
+    values = real
     if kind == "signed":
         values = values - 0.5 * random_field(rng, n=96).values
         assert values.real.min() < 0 < values.real.max()
     elif kind == "complex":
         values = values + 0.7j * random_field(rng, n=96).values
+    elif kind == "zero_imag":
+        values = values.astype(complex)
     F = WeightField(6.0, 96, values)
     M = assemble_operator(F, 24, points_per_cell=1)
     R = _reference_operator(F, 24)
     assert np.max(np.abs(M - R)) <= 1e-13 * np.max(np.abs(R))
     if kind != "complex":
         assert np.array_equal(M, M.conj().T)
+    if kind == "zero_imag":
+        assert np.array_equal(M, assemble_operator(WeightField(6.0, 96, real), 24,
+                                                   points_per_cell=1))
 
 
 def _assert_matches(M, R):

@@ -217,6 +217,22 @@ def test_cli_norm_halfplane_disc_mask(tmp_path, run_cli):
     assert payload["ratio"] == pytest.approx(1.0, abs=1e-2)
 
 
+@pytest.mark.parametrize("profile, write", [
+    (RadialProfile.sampled([0.5, 1.0], [1e200, 1e199]), write_radial_profile),
+    (DiscProfile.sampled([0.5, 0.75], [1e200, 1e199]), write_disc_profile),
+])
+def test_cli_norm_of_large_sampled_weight(tmp_path, run_cli, profile, write):
+    # an L^p norm summed as sum v^p m overflowed here, and the command
+    # exited 1 with "B must be positive and finite"
+    path = tmp_path / "w.csv"
+    write(profile, path)
+    code, out, err = run_cli("norm", "--weight", str(path), "--p", "2",
+                             "--basis", "8", "--format", "json")
+    assert code == cli.EXIT_OK, err
+    payload = json.loads(out)
+    assert 0.0 < payload["ratio"] <= 1.0
+
+
 def test_cli_symmetrize_monotonicity(tmp_path, run_cli):
     f = random_field(np.random.default_rng(3), n=96, half_width=6.0)
     fpath = tmp_path / "field.csv"

@@ -377,7 +377,10 @@ def test_disc_grid_coordinate_matches_cayley_quotient(z0, grid):
     z = X + 1j * Y
     q = np.abs((z - z0) / (z - np.conj(z0))) ** 2
     assert np.max(np.abs(disc._grid_coordinate(grid) - q)) <= 4e-16
-    assert np.array_equal(disc.on_grid(grid).values, disc(q).astype(complex))
+    # a real mask is stored at 8 bytes a cell
+    values = disc.on_grid(grid).values
+    assert values.nbytes == grid.x.size * grid.y.size * 8
+    assert np.array_equal(values, disc(q))
 
 
 def test_disc_mask_empty_and_measure():
@@ -548,10 +551,13 @@ def _check_halfplane_gram(kind, grid):
     z0, beta, K = 0.3 + 1.4j, 1.5, 12
     X, Y = np.meshgrid(grid.x, grid.y, indexing="ij")
     values = np.exp(-((X - 0.5) ** 2 + (Y - 1.2) ** 2))
+    real = values
     if kind == "signed":
         values = values - 0.6 * np.exp(-((X + 1.0) ** 2 + (Y - 2.0) ** 2) / 2)
     elif kind == "complex":
         values = values * np.exp(1j * X)
+    elif kind == "zero_imag":
+        values = values.astype(complex)
     elif kind == "indicator":
         # zero cells, off the mirror line: some kept cells are zero while
         # their mirror is not
@@ -564,16 +570,22 @@ def _check_halfplane_gram(kind, grid):
     assert np.max(np.abs(M - R)) <= 1e-13 * np.max(np.abs(R))
     if kind != "complex":
         assert np.array_equal(M, M.conj().T)
+    if kind == "zero_imag":
+        assert np.array_equal(M, assemble_wavelet_operator(HalfPlaneField(grid, real),
+                                                           beta, K, center=z0))
 
 
-@pytest.mark.parametrize("kind", ["nonnegative", "signed", "complex", "indicator"])
+_HALFPLANE_KINDS = ["nonnegative", "signed", "complex", "zero_imag", "indicator"]
+
+
+@pytest.mark.parametrize("kind", _HALFPLANE_KINDS)
 def test_gram_assembly_matches_reference_sum_halfplane(kind):
     # 96^2 nodes span several Gram blocks; x is not symmetric about
     # Re(z0) = 0.3, so no cell has a mirror
     _check_halfplane_gram(kind, HalfPlaneGrid.logarithmic(-4, 4, 96, 0.1, 8.0, 96))
 
 
-@pytest.mark.parametrize("kind", ["nonnegative", "signed", "complex", "indicator"])
+@pytest.mark.parametrize("kind", _HALFPLANE_KINDS)
 @pytest.mark.parametrize("nx", [96, 95])
 def test_gram_mirror_fold_matches_reference_sum_halfplane(kind, nx):
     # x symmetric about Re(z0) folds onto 2 Re(z0) - x; at odd nx the middle

@@ -139,18 +139,24 @@ class GridField:
     The field decides its own storage: real, integer or bool values, and
     complex ones whose imaginary part is 0 everywhere, are stored as
     contiguous float64, and any other values as contiguous complex128.
-    Shape and finiteness are checked once, here.
+    Shape and finiteness are checked once, here.  The field owns its
+    values: an array that the caller still holds is copied, and the stored
+    one is read-only, so no later write reaches a checked field.
     """
 
     def _store_values(self, shape: tuple):
-        v = np.asarray(self.values)
+        given = self.values
+        v = np.asarray(given)
         if v.shape != shape:
             raise InvalidInputError(f"values must have shape {shape}, got {v.shape}")
         real = not (np.iscomplexobj(v) and np.any(v.imag))
         v = np.ascontiguousarray(v.real if real else v, dtype=float if real else complex)
+        if v is given or not v.flags.owndata:
+            v = v.copy()
         # on complex values isfinite covers both parts
         if not np.all(np.isfinite(v)):
             raise InvalidInputError("weight values must be finite")
+        v.flags.writeable = False
         object.__setattr__(self, "values", v)
 
     def ess_sup(self) -> float:

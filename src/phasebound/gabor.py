@@ -5,13 +5,19 @@ is the profile averaged against the Gamma(k+1) density in the area
 coordinate s = pi r^2.  Assembly by 2-d quadrature provides the independent
 route to the same spectra and handles arbitrary gridded weights; it is a
 Gram product of phase-free basis stacks (``gram_operator``), which the
-half-plane assembly in ``wavelet`` shares.  The STFT of a signal given by
-Hermite coefficients or as a Gaussian pulse is evaluated in closed form;
-time quadrature serves sampled signals and is the oracle for the others.
+half-plane assembly in ``wavelet`` shares.  A plane grid is symmetric
+about the origin and Vh_k(-z) = (-1)^k Vh_k(z), so its assembly folds
+both axes into Hermite parity blocks (``_parity_gram``): the part of the
+weight even under z -> -z gives the entries with j + k even, the odd part
+those with j + k odd, on a stack over one quadrant of the nodes.  The
+STFT of a signal given by Hermite coefficients or as a Gaussian pulse is
+evaluated in closed form; time quadrature serves sampled signals and is
+the oracle for the others.
 """
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -304,6 +310,72 @@ def gram_operator(row0, step, ratios, wf, wf_mirror=None) -> np.ndarray:
     return M
 
 
+def _parity_gram(row0, step, ratios, *w) -> np.ndarray:
+    """``gram_operator`` on nodes that stand each for four: z, its mirror
+    z' = (x, -omega), -z and -z', with the weights w = (w(z), w(z'),
+    w(-z), w(-z')).
+
+    The basis has parity, phi_k(-z) = (-1)^k phi_k(z), so the entries with
+    j + k even take the point-even sums w(z) + w(-z) and w(z') + w(-z'),
+    and those with j + k odd the point-odd differences.  Each pair is then
+    summed as ``gram_operator`` sums a node and its mirror: s and d of the
+    even sums on the even rows and on the odd rows of the stack (a
+    symmetric rank-k update each, by the sign of s, and B where d is
+    nonzero), s and d of the odd differences on the mixed block (one real
+    product for the real part, two for B).  Rows are scaled by sqrt|s| of
+    the even sums, and the odd differences divided by |s|; a node where
+    that quotient could overflow takes its odd part unscaled, in the class
+    of nodes where s = 0.  M is exactly Hermitian for real weights.
+    """
+    K = len(ratios) + 1
+    w = [np.asarray(x) for x in w]
+    if not all(np.all(np.isfinite(x)) for x in w):
+        raise InvalidInputError("the weight must be finite at every quadrature node")
+    if any(np.iscomplexobj(x) and np.any(x.imag != 0.0) for x in w):
+        return (_parity_gram(row0, step, ratios, *(x.real for x in w))
+                + 1j * _parity_gram(row0, step, ratios, *(x.imag for x in w)))
+
+    w0, w1, w2, w3 = (x.real for x in w)
+    even, even_m, odd, odd_m = w0 + w2, w1 + w3, w0 - w2, w1 - w3
+    s, d = even + even_m, even - even_m
+    s_odd, d_odd = odd + odd_m, odd - odd_m
+    # the odd part rides on the sqrt|s| rows unless its quotient by |s| could overflow
+    ride = np.maximum(np.abs(s_odd), np.abs(d_odd)) * 2.0 ** -1000 <= np.abs(s)
+    real, B = np.zeros((K, K)), np.zeros((K, K))
+    for sign, nodes in ((1.0, s > 0.0), (-1.0, s < 0.0),
+                        (0.0, ~ride | (s == 0.0) & (d != 0.0))):
+        nodes = np.flatnonzero(nodes)
+        # factors: d of the even sums, then s and d of the odd differences
+        if sign:
+            abs_s = sign * s[nodes]
+            scaled = row0[nodes] * np.sqrt(abs_s)
+            keep = ride[nodes] / abs_s
+            f = (d[nodes] / abs_s, s_odd[nodes] * keep, d_odd[nodes] * keep)
+        else:
+            scaled = row0[nodes]
+            f = (d[nodes] * (s[nodes] == 0.0), s_odd[nodes], d_odd[nodes])
+        live = [np.any(x != 0.0) for x in f]
+        sstep = step[nodes]
+        for start in range(0, scaled.size, GRAM_BLOCK):
+            sl = slice(start, start + GRAM_BLOCK)
+            # columns 2i and 2i + 1 of V are P and Q at node i; rows 0::2
+            # and 1::2 are the even and the odd basis functions
+            V = basis_recurrence(scaled[sl], sstep[sl], ratios).view(float)
+            if sign:
+                for r in (0, 1):
+                    real[r::2, r::2] += sign * (V[r::2] @ V[r::2].T)
+            if live[1]:
+                real[0::2, 1::2] += V[0::2] @ (V[1::2] * np.repeat(f[1][sl], 2)).T
+            for r, c in ((0, 0), (1, 1), (0, 1), (1, 0)):
+                i = 2 * (r != c)   # B of rows r, columns c: j + k even or odd
+                if live[i]:
+                    B[r::2, c::2] += (V[r::2, 1::2] * f[i][sl]) @ V[c::2, ::2].T
+    real[1::2, 0::2] = real[0::2, 1::2].T
+    M = real.astype(complex)
+    M.imag = B - B.T
+    return M
+
+
 def mirror_fold(offsets, w):
     """Pair the nodes of a grid that is mirror-symmetric along its first axis.
 
@@ -339,22 +411,30 @@ def _check_truncation(K: int, half_width: float):
             f"use half_width >= {need:.2f}", need)
 
 
-def _accumulate(K: int, xs, ys, wf, wf_mirror=None) -> np.ndarray:
-    """Sum wf_i Vh_j(z_i) conj(Vh_k(z_i)) as a Gram product, with the
-    mirror nodes (x, -omega) of weight wf_mirror."""
-    return gram_operator(np.exp(-0.5 * math.pi * (xs * xs + ys * ys)), xs - 1j * ys,
-                         _hermite_ratios(K), wf, wf_mirror)
+def _accumulate(K: int, xs, ys, *w) -> np.ndarray:
+    """Sum w_i Vh_j(z_i) conj(Vh_k(z_i)) as a Gram product, where w holds
+    the weights at the nodes z and at their mirrors (x, -omega)
+    (``gram_operator``), or at z, (x, -omega), -z and (-x, omega)
+    (``_parity_gram``)."""
+    gram = _parity_gram if len(w) == 4 else gram_operator
+    return gram(np.exp(-0.5 * math.pi * (xs * xs + ys * ys)), xs - 1j * ys,
+                _hermite_ratios(K), *w)
 
 
 def assemble_operator(F, K: int, *, points_per_cell: int = 2) -> np.ndarray:
     """K x K matrix of the localization operator in the Hermite basis.
 
     Entries are int F(z) Vh_j(z) conj(Vh_k(z)) dz.  Gridded weights use
-    tensor Gauss-Legendre points per cell (piecewise-constant F).  The
-    nodes are summed as a Gram product of the phase-free Hermite stack
-    (``gram_operator``), which gives an exactly Hermitian matrix for real
-    F.  The node (x, -omega) is the mirror of (x, omega), and a grid field
-    folds its omega axis.
+    tensor Gauss-Legendre points per cell (piecewise-constant F;
+    ``points_per_cell`` is an integer >= 1).  The nodes are summed as a
+    Gram product of the phase-free Hermite stack, which gives an exactly
+    Hermitian matrix for real F.  A grid field folds both axes: the grid
+    is symmetric about the origin, so a node of one quadrant stands also
+    for (x, -omega), -z and (-x, omega).  Vh_k(-z) = (-1)^k Vh_k(z), so
+    the part of F even under z -> -z fills the entries with j + k even and
+    the odd part those with j + k odd (``_parity_gram``): the stack is
+    built on a quarter of the nodes.  A middle row or column (an odd node
+    count) is its own mirror and gives half its weight to each.
 
     Radial profiles use a polar rule: 8-point Gauss-Legendre on
     max(32, ceil(K/4)) equal radial panels, split also at the profile's
@@ -367,6 +447,10 @@ def assemble_operator(F, K: int, *, points_per_cell: int = 2) -> np.ndarray:
     """
     if K < 1:
         raise InvalidInputError("K must be >= 1")
+    if (isinstance(points_per_cell, bool) or not isinstance(points_per_cell, numbers.Integral)
+            or points_per_cell < 1):
+        raise InvalidInputError(
+            f"points_per_cell must be an integer >= 1, got {points_per_cell!r}")
 
     if isinstance(F, WeightField):
         _check_truncation(K, F.half_width)
@@ -376,10 +460,17 @@ def assemble_operator(F, K: int, *, points_per_cell: int = 2) -> np.ndarray:
         sub_w = np.tile(half * gw, F.n)
         fvals = np.repeat(np.repeat(F.values, points_per_cell, axis=0),
                           points_per_cell, axis=1)
-        # weights indexed [omega, x]
-        n, wf, wm = mirror_fold(axis, (np.outer(sub_w, sub_w) * fvals).T)
-        nodes_y, nodes_x = np.meshgrid(axis[:n], axis, indexing="ij")
-        return _accumulate(K, nodes_x.ravel(), nodes_y.ravel(), wf, wm)
+        # weights indexed [x, omega]: the kept rows x, then their mirrors -x
+        w = np.outer(sub_w, sub_w) * fvals
+        n, *rows = mirror_fold(axis, w)
+        if rows[1] is None:   # not symmetric within a few ulps: no node folds
+            X, Y = np.meshgrid(axis, axis, indexing="ij")
+            return _accumulate(K, X.ravel(), Y.ravel(), rows[0])
+        # each folded on omega: w at (x, omega), (x, -omega), (-x, omega),
+        # (-x, -omega), indexed [omega, x] over the kept quadrant
+        w = [q for r in rows for q in mirror_fold(axis, r.reshape(n, -1).T)[1:]]
+        nodes_y, nodes_x = np.meshgrid(axis[:n], axis[:n], indexing="ij")
+        return _accumulate(K, nodes_x.ravel(), nodes_y.ravel(), w[0], w[1], w[3], w[2])
 
     if not isinstance(F, RadialProfile):
         raise InvalidInputError(f"cannot assemble from {type(F).__name__}")

@@ -66,6 +66,22 @@ def test_grid_field_storage_rule(make):
         make(np.ones((2, 3)))
 
 
+@pytest.mark.parametrize("make", [_plane_field, _halfplane_field])
+def test_grid_field_owns_its_values(make):
+    # a write through the caller's array, or a view of it, after the check
+    # cannot reach the field, and the stored values are read-only
+    buffer = np.ones(5)
+    for values in (np.ones((2, 2)), np.ones((2, 2), complex) + 1j * np.eye(2),
+                   buffer[:4].reshape(2, 2)):
+        f = make(values)
+        values[0, 0] = np.nan
+        assert np.all(np.isfinite(f.values))
+        assert f.ess_sup() == pytest.approx(math.sqrt(2.0) if np.iscomplexobj(f.values) else 1.0)
+        assert math.isfinite(lp_norm(f, 2))
+        with pytest.raises(ValueError):
+            f.values[0, 0] = 2.0
+
+
 def test_radial_profile_validation():
     with pytest.raises(InvalidInputError):
         RadialProfile("nonsense")

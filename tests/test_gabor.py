@@ -148,12 +148,22 @@ def test_assemble_hermitian_for_real_weights():
     assert np.array_equal(M, M.conj().T)
 
 
-def _reference_operator(F: WeightField, K: int) -> np.ndarray:
-    """assemble_operator at one point per cell, summed term by term from the
-    phase-bearing basis: each cell center carries the cell area."""
-    X, W = np.meshgrid(F.axis, F.axis, indexing="ij")
+def _reference_operator(F: WeightField, K: int, points_per_cell: int = 1) -> np.ndarray:
+    """assemble_operator summed term by term from the phase-bearing basis
+    over every node of the tensor Gauss-Legendre rule, none folded; at one
+    point per cell each cell center carries the cell area."""
+    if points_per_cell == 1:
+        ax, w = F.axis, F.values * F.cell_area
+    else:
+        g, gw = np.polynomial.legendre.leggauss(points_per_cell)
+        half = 0.5 * F.cell
+        ax = (F.axis[:, None] + half * g).ravel()
+        sub_w = np.tile(half * gw, F.n)
+        w = np.outer(sub_w, sub_w) * np.repeat(np.repeat(F.values, points_per_cell, 0),
+                                               points_per_cell, 1)
+    X, W = np.meshgrid(ax, ax, indexing="ij")
     phi = np.array([hermite_phase_basis(k, X, W).ravel() for k in range(K)])
-    return (phi * (F.values.ravel() * F.cell_area)) @ phi.conj().T
+    return (phi * w.ravel()) @ phi.conj().T
 
 
 @pytest.mark.parametrize("kind", ["nonnegative", "signed", "complex", "zero_imag"])
@@ -190,9 +200,10 @@ def _assert_matches(M, R):
 @pytest.mark.parametrize("n, kind", [(95, "nonnegative"), (95, "signed"),
                                      (96, "cancelling"), (96, "mixed")])
 def test_gram_mirror_fold_matches_reference_sum(n, kind):
-    # the omega axis folds (x, omega) onto (x, -omega): at odd n the middle
-    # column is its own mirror; an antisymmetric field has wf = -wf_mirror
-    # at every folded node, so s = 0 and only the imaginary part is left
+    # the grid folds (x, omega) onto (x, -omega), and -z onto z: at odd n
+    # the middle row and column are their own mirrors; a field odd in omega
+    # has w(x, -omega) = -w(x, omega) at every node, so s = 0 in both parity
+    # blocks and only the imaginary part is left
     rng = np.random.default_rng(12)
     values = random_field(rng, n=n).values.real
     if kind == "signed":
@@ -218,6 +229,85 @@ def test_gram_mirror_fold_on_ulp_asymmetric_axis():
     M = gram_operator(np.exp(-0.5 * math.pi * (x * x + omega * omega)), x - 1j * omega,
                       np.sqrt(math.pi / np.arange(1.0, K)), wf, wm)
     _assert_matches(M, _reference_operator(F, K))
+
+
+def _parity_field(kind, n=95):
+    """A random field of the given symmetry under z -> -z on an n x n grid."""
+    rng = np.random.default_rng(14)
+    values = random_field(rng, n=n).values
+    if kind == "signed":
+        values = values - 0.5 * random_field(rng, n=n).values
+    elif kind == "complex":
+        values = values + 0.7j * random_field(rng, n=n).values
+    elif kind == "point_odd":
+        values = values - values[::-1, ::-1]
+    elif kind == "point_even":
+        values = values + values[::-1, ::-1]
+    return WeightField(6.0, n, values)
+
+
+@pytest.mark.parametrize("ppc, kind", [(3, "nonnegative"), (3, "signed"), (1, "complex"),
+                                       (3, "point_odd"), (1, "point_even")])
+def test_parity_fold_matches_reference_sum(ppc, kind):
+    # every node of one quadrant stands also for (x, -omega), -z and
+    # (-x, omega); at n = 95 (one point per cell in the test above, and 3
+    # here) the middle row and column are their own mirrors on both axes.
+    # The reference sums every node of the full rule on its own
+    F = _parity_field(kind)
+    M = assemble_operator(F, 24, points_per_cell=ppc)
+    R = _reference_operator(F, 24, ppc)
+    assert np.max(np.abs(M - R)) <= 1e-13 * np.max(np.abs(R))
+    if kind == "complex":
+        return
+    assert np.array_equal(M, M.conj().T)
+    if kind == "point_odd":
+        # the even sums w(z) + w(-z) are 0 at every node: no j + k even entry
+        assert not np.any(M[0::2, 0::2]) and not np.any(M[1::2, 1::2])
+        assert np.any(M[0::2, 1::2])
+    if kind == "point_even":
+        assert not np.any(M[0::2, 1::2]) and not np.any(M[1::2, 0::2])
+
+
+def test_parity_fold_on_ulp_asymmetric_axis(monkeypatch):
+    # WeightField(2.0, 100)'s axis is symmetric only to within an ulp, so
+    # each kept node's basis stands for images a rounding error away; with
+    # no ulp allowed (EPS = 0) the axis counts as asymmetric and every node
+    # is summed on its own.  The box is too small for the truncation guard
+    # at any K, which matters not here: the reference has the same basis
+    F = WeightField(2.0, 100, random_field(np.random.default_rng(13), n=100,
+                                           half_width=2.0).values)
+    assert not np.array_equal(F.axis, -F.axis[::-1])
+    R = _reference_operator(F, 12)
+    monkeypatch.setattr(gabor, "_check_truncation", lambda K, half_width: None)
+    _assert_matches(assemble_operator(F, 12, points_per_cell=1), R)
+    monkeypatch.setattr(gabor, "EPS", 0.0)
+    _assert_matches(assemble_operator(F, 12, points_per_cell=1), R)
+
+
+def test_parity_fold_with_tiny_even_part():
+    # a point-odd field, but for the cells z' = (x, -omega) of the kept
+    # nodes z in [10:20, 20:30], which hold 1e-310, and their images
+    # -z' = (-x, omega), which hold 0: there the even sum s is subnormal and
+    # the odd differences are O(1), so their quotient by |s| would
+    # overflow, and those nodes take their odd part unscaled
+    values = _parity_field("point_odd", n=96).values.copy()
+    values[10:20, 66:76] = 1e-310
+    values[76:86, 20:30] = 0.0
+    F = WeightField(6.0, 96, values)
+    M = assemble_operator(F, 16, points_per_cell=1)
+    assert np.all(np.isfinite(M))
+    _assert_matches(M, _reference_operator(F, 16))
+
+
+@pytest.mark.parametrize("bad", [0, -1, 1.5, "2", True, None])
+def test_assemble_rejects_bad_points_per_cell(bad):
+    F = random_field(np.random.default_rng(0), n=16)
+    with pytest.raises(InvalidInputError, match="points_per_cell"):
+        assemble_operator(F, 8, points_per_cell=bad)
+    with pytest.raises(InvalidInputError, match="points_per_cell"):
+        assemble_operator(RadialProfile.ball(1.0, 1.0), 8, points_per_cell=bad)
+    assert np.array_equal(assemble_operator(F, 8, points_per_cell=np.int64(2)),
+                          assemble_operator(F, 8))
 
 
 @pytest.mark.parametrize("center", [(0.0, 0.0), (0.7, 0.0), (0.6, -0.3), (-0.7, 0.4)])

@@ -363,6 +363,17 @@ def test_cli_norm_rejects_malformed_file(tmp_path, capsys, make):
     assert out == "" and err.startswith("error:") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("ppc", ["0", "-1"])
+def test_cli_norm_rejects_bad_points_per_cell(tmp_path, capsys, ppc):
+    path = tmp_path / "field.csv"
+    write_weight_field(random_field(np.random.default_rng(4), n=8, half_width=6.0), path)
+    assert cli.main(["norm", "--weight", str(path), "--p", "2", "--basis", "8",
+                     "--points-per-cell", ppc]) == cli.EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error:") and err.count("\n") == 1
+    assert "points_per_cell" in err
+
+
 SCIPY_LOADED = "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')"
 
 

@@ -25,14 +25,16 @@ geometry is written once, in s:
 
 Every weight, gridded or radial, answers the same exact mu(t), the measure
 of {|w| > t}, and the bounds read nothing else of it.  A setting supplies
-its coordinate map, its analytic family (a Gaussian in
-pi r^2, a power of 1 - x) and its spectral CDF (regularized Gamma or Beta).
+its coordinate map, its analytic family (a Gaussian in pi r^2, a power of
+1 - x) and its spectral law, whose tail sums (``head_tail``) are its CDFs.
 """
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
 
 import numpy as np
 
@@ -40,6 +42,7 @@ from .errors import DivergenceError, InvalidInputError
 from .scalar import _check_exponent, expm1_poly
 
 __all__ = [
+    "head_tail",
     "gauss_panels",
     "integrate",
     "GridField",
@@ -58,6 +61,90 @@ def _step_mu(levels: np.ndarray, measures: np.ndarray, t) -> np.ndarray:
     where the weight is at least levels[i], with levels nonincreasing."""
     counts = np.searchsorted(-levels, -t, side="left")
     return np.where(counts > 0, measures[np.maximum(counts - 1, 0)], 0.0)
+
+
+# ---------------------------------------------------------------------------
+# spectral laws
+# ---------------------------------------------------------------------------
+
+# head_tail's switch, ratio bound, far-table size (long tails go longest
+# first), and the laws it sums in Python floats, bitwise as in a table
+_SWITCH, _RHO_MAX, _FAR_TABLE, _FLOAT_LAWS, _ULP = 0.9, 1.0 - 2.0 ** -10, 1 << 16, 2, 2.0 ** -53
+
+
+def head_tail(K: int, c0, log_c0, alpha, beta):
+    """Head sums C_k and tail sums T_k, k < K, each (K, m), of the laws with
+    masses c_j = c_{j-1} (beta + alpha / j): Poisson(s) (c_0 = e^{-s},
+    alpha = s, beta = 0; DLMF 8.4.10) on the plane, the negative binomial
+    (c_0 = t^b, alpha = x (b - 1), beta = x; DLMF 8.17) on the disc.
+
+    c_0, alpha, beta are rows of m laws or floats.  Masses are products of
+    ratios, or below the normal doubles exp(log_c0() + their summed logs).
+    T_k = 1 - C_k, within 9 times C's relative error, unless C_k > 0.9 and
+    0 < rho < 1 - 2^-10 (rho = beta + max(alpha, 0) / K bounds the ratios
+    past j = K - 1); then it is summed from the top, from the first
+    c_j <= 2^-53 c_K (1 - rho) / rho, leaving out under 2^-53 T_{K-1}.
+    """
+    if not (isinstance(c0, np.ndarray) and c0.size > _FLOAT_LAWS):
+        return _head_tail_floats(K, c0, log_c0, alpha, beta)
+    beta = np.broadcast_to(beta, c0.shape)
+    c = np.vstack([c0, alpha / np.arange(1.0, K)[:, None] + beta])
+    low = np.flatnonzero(c0 < sys.float_info.min)
+    log_c = np.add.accumulate(np.log(c[1:, low])) + (log_c0()[low] if low.size else 0.0)
+    np.multiply.accumulate(c, out=c)
+    c[1:, low] = np.exp(log_c)
+    head = np.add.accumulate(c)
+    tail = 1.0 - head
+    rho = beta + np.maximum(alpha, 0.0) / K
+    deep = np.flatnonzero((head[-1] > _SWITCH) & (rho > 0.0) & (rho < _RHO_MAX))
+    # rho^n <= 2^-53 (1 - rho): n rows past the head reach the stop
+    n = np.ceil(np.log(_ULP * (1.0 - rho[deep])) / np.log(rho[deep])) + 1.0
+    order = np.argsort(-n, kind="stable")
+    step = max(1, _FAR_TABLE // int(n.max(initial=1.0)))
+    for g in range(0, order.size, step):
+        cols, N = deep[order[g:g + step]], int(n[order[g]])
+        full = np.vstack([c[:, cols], alpha[cols] / np.arange(K, K + N)[:, None] + beta[cols]])
+        np.multiply.accumulate(full[K - 1:], out=full[K - 1:])
+        full[K + 1:][full[K:-1] <= full[K] * ((1.0 - rho[cols]) / rho[cols] * _ULP)] = 0.0
+        direct = np.add.accumulate(full[:0:-1])[N - 1:][::-1]
+        tail[:, cols] = np.where(head[:, cols] > _SWITCH, direct, tail[:, cols])
+    return head, tail
+
+
+def _head_tail_floats(K, c0, log_c0, alpha, beta):
+    """``head_tail`` law by law in Python floats."""
+    m = c0.size if isinstance(c0, np.ndarray) else 1
+    laws = [v.tolist() if isinstance(v, np.ndarray) and v.ndim else [float(v)] * m
+            for v in (c0, alpha, beta)]
+    heads, tails = [], []
+    for i, (c, a, b) in enumerate(zip(*laws)):
+        if c >= sys.float_info.min:
+            col = [c]
+            for j in range(1, K):
+                c *= b + a / j
+                col.append(c)
+        else:   # numpy's log and exp, as in head_tail
+            logs = np.log([b + a / j for j in range(1, K)])
+            col = [c] + np.exp(np.add.accumulate(logs) + np.ravel(log_c0())[i]).tolist()
+        head = list(accumulate(col))
+        tail = [1.0 - h for h in head]
+        rho = b + max(a, 0.0) / K
+        if head[-1] > _SWITCH and 0.0 < rho < _RHO_MAX:
+            t = col[-1] * (b + a / K)
+            far, thr, j = [t], t * ((1.0 - rho) / rho * _ULP), K
+            while t > thr:
+                j += 1
+                t *= b + a / j
+                far.append(t)
+            *_, direct = accumulate(reversed(far))
+            for k in range(K - 1, -1, -1):
+                if head[k] > _SWITCH:
+                    tail[k] = direct
+                direct += col[k]
+        heads.append(head)
+        tails.append(tail)
+    out = np.array(heads + tails)
+    return out[:m].T, out[m:].T
 
 
 # ---------------------------------------------------------------------------
@@ -123,14 +210,17 @@ def integrate(f, b: float, breaks=()):
 def _scaled_lp(v: np.ndarray, masses, p: float) -> float:
     """(sum v^p masses)^{1/p} for v >= 0, as A (sum (v/A)^p masses)^{1/p}
     with A = max v, so that no power overflows or underflows where the norm
-    itself is a double; 0 for v = 0."""
+    itself is a double; 0 for v = 0.  A norm past the doubles raises."""
     A = float(np.max(v))
     if A == 0.0:
         return 0.0
     r = v / A
     r **= p
     r *= masses
-    return float(A * np.sum(r) ** (1.0 / p))
+    norm = A * float(np.sum(r)) ** (1.0 / p)
+    if norm == math.inf:
+        raise InvalidInputError(f"the L^{p:g} norm of the weight overflows the doubles")
+    return norm
 
 
 class GridField:
@@ -320,19 +410,16 @@ class MeasureProfile:
         mu[good] = self._family_mu(t[good])
         return mu
 
-    def step_eigenvalues(self, ks: np.ndarray, cdf, *params) -> np.ndarray:
-        """lambda_k of the indicator, sampled and constant kinds.
-
-        cdf(k, s, *params) is the setting's k-th spectral distribution
-        function in the measure coordinate; a step of height v on
-        (s_{i-1}, s_i] contributes v (cdf(k, s_i) - cdf(k, s_{i-1})).
-        """
+    def step_eigenvalues(self, K: int, cdf) -> np.ndarray:
+        """lambda_k, k < K, of the indicator, sampled and constant kinds:
+        cdf(s), (K, m) at a float or a row of m measures, gives the spectral
+        CDFs, and a step v on (s_{i-1}, s_i] adds v (cdf(s_i) - cdf(s_{i-1}))."""
         if self.kind == self._INDICATOR:
-            return self.amplitude * cdf(ks, self.measure(self.edge), *params)
+            return self.amplitude * cdf(self.measure(self.edge))[:, 0]
         if self.kind == "constant":
-            return np.full(ks.size, float(self.amplitude))
+            return np.full(K, float(self.amplitude))
         s = np.concatenate([[0.0], self.measure(self.knots)])
-        return np.diff(cdf(ks[:, None], s[None, :], *params), axis=1) @ self.knot_values
+        return np.diff(cdf(s), axis=1) @ self.knot_values
 
 
 @dataclass(frozen=True)

@@ -19,15 +19,13 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
-from .core import (RadialProfile, WeightField, _legendre_rule, gauss_panels, integrate,
-                   lp_norm)
+from .core import (RadialProfile, WeightField, _legendre_rule, gauss_panels, head_tail,
+                   integrate, lp_norm)
 from .errors import (AliasingError, BasisTruncationError, InvalidInputError,
                      RegimeError)
-from .scalar import series_length
 
 __all__ = [
     "Signal",
@@ -230,7 +228,6 @@ def _hermite_ratios(K: int) -> np.ndarray:
 
 GRAM_BLOCK = 2048  # nodes per block: bounds the stack held at once; 1024-2048 beat 4096
 EPS = np.finfo(float).eps
-TINY = float(np.nextafter(0.0, 1.0))
 
 
 def basis_recurrence(row0, step, ratios, coeffs=None):
@@ -403,7 +400,7 @@ def mirror_fold(offsets, w):
 # ---------------------------------------------------------------------------
 
 def _check_truncation(K: int, half_width: float):
-    leak = _gamma_pq(K, np.array([math.pi * half_width ** 2]))[1][-1, 0]
+    leak = _poisson_sums(K, math.pi * half_width ** 2)[0][-1, 0]
     if leak > 1e-6:
         need = math.sqrt(_gamma_q_inverse(K, 1e-6) / math.pi)
         raise BasisTruncationError(
@@ -594,62 +591,21 @@ def radial_eigenvalues_quad(rho: RadialProfile, K: int) -> OperatorSpectrum:
                                               for k in ks.tolist()])
 
 
-@lru_cache(maxsize=None)
-def _term_indices(n: int):
-    """j = 0 .. n - 1 and log j!, as float columns."""
-    j = np.arange(n, dtype=float)[:, None]
-    return j, np.array([[math.lgamma(i + 1.0)] for i in range(n)])
-
-
-def _log_poisson_terms(s: np.ndarray, n: int) -> np.ndarray:
-    """log t_j(s) with t_j = e^{-s} s^j / j!, j < n, shape (n, len(s)).
-
-    s = 0 is taken as the smallest subnormal double, so its terms past
-    j = 0 are at most that.
-    """
-    j, log_fact = _term_indices(n)
-    return j * np.log(np.maximum(s, TINY)) - (s + log_fact)
-
-
-def _gamma_pq(K: int, s: np.ndarray):
-    """P(k + 1, s) and Q(k + 1, s) = 1 - P for k < K, each (K, len(s)).
-
-    At an integer first argument both are Poisson sums (DLMF 8.4.10):
-    Q(k + 1, s) = sum_{j <= k} t_j and P(k + 1, s) = sum_{j > k} t_j, with
-    the terms of ``_log_poisson_terms`` (s >= 0 finite).  Where s >= K,
-    s >= k + 1 for every k, so Q <= 1/2 is the head sum and P = 1 - Q.
-    Where s < K the tail is summed too, from the top, over the terms past
-    j = K as well; ``series_length(K)`` of them leave out less than 2^-53
-    of it.  So neither is formed as 1 - (a number near 1).
-    """
-    low = s < K
-    n_low = np.count_nonzero(low)
-    if n_low == s.size:
-        t = np.exp(_log_poisson_terms(s, K + 1 + series_length(K)))
-        return np.add.accumulate(t[:0:-1])[:-K - 1:-1], np.add.accumulate(t[:K])
-    Q = np.add.accumulate(np.exp(_log_poisson_terms(s, K)))
-    P = 1.0 - Q
-    if n_low:
-        low = np.flatnonzero(low)
-        P[:, low], Q[:, low] = _gamma_pq(K, s[low])
-    return P, Q
+def _poisson_sums(K: int, s):
+    """Q(k + 1, s) and P(k + 1, s), k < K: the head and tail sums of the
+    Poisson(s) laws, for a row of areas s or one."""
+    return head_tail(K, np.exp(-s), lambda: -s, s, 0.0)
 
 
 def _gamma_q_inverse(K: int, q: float) -> float:
-    """The s with Q(K, s) = q, for 0 < q < 1, on the head sum of ``_gamma_pq``.
-
-    Q(K, .) is the survival function of the log-concave Gamma(K) law, so
-    log Q is concave and decreasing: a Newton step lands at or above the
-    root, and the iterates decrease to it from there.  log Q is summed
-    relative to its largest term, so it stays finite where Q underflows;
-    its derivative is -t_{K-1} / Q.
-    """
+    """The s with Q(K, s) = q, 0 < q < 1.  log Q(K, .) is concave and
+    decreasing (Gamma(K) is log-concave), with derivative -t_{K-1} / Q, so
+    Newton lands at or above the root and then decreases to it."""
     s = K - 1.0
     for i in range(100):
-        log_t = _log_poisson_terms(np.array([s]), K)[:, 0]
-        top = log_t.max()
-        log_q = top + math.log(np.sum(np.exp(log_t - top)))
-        step = (log_q - math.log(q)) * math.exp(log_q - log_t[-1])
+        Q = _poisson_sums(K, s)[0][-1, 0]
+        log_t = (K - 1) * math.log(s) - s - math.lgamma(K) if K > 1 else -s
+        step = math.log(Q / q) * math.exp(math.log(Q) - log_t)
         # past the first step the iterates only decrease; a step that does
         # not is rounding noise
         if i and step > -4.0 * EPS * s:
@@ -658,23 +614,15 @@ def _gamma_q_inverse(K: int, q: float) -> float:
     return s
 
 
-def _gamma_cdf(k, s):
-    """P(k + 1, s): the spectral CDF of the k-th Hermite function in the
-    area s, for k = 0 .. K - 1 along the first axis and s a scalar or a
-    row, as ``step_eigenvalues`` passes them."""
-    P = _gamma_pq(np.size(k), np.ravel(s))[0]
-    return P if np.ndim(s) else P[:, 0]
-
-
 def _radial_eigs_closed(rho: RadialProfile, ks: np.ndarray) -> np.ndarray:
     if rho.kind == "gaussian":
         return rho.amplitude * (rho.scale / (1.0 + rho.scale)) ** (ks + 1.0)
     if rho.kind == "truncated_gaussian":
         s0 = rho.scale * math.log(rho.amplitude / rho.cap)
         c = 1.0 + 1.0 / rho.scale
-        P, Q = _gamma_pq(ks.size, np.array([s0, c * s0]))
+        Q, P = _poisson_sums(ks.size, np.array([s0, c * s0]))
         return rho.cap * P[:, 0] + rho.amplitude * (1.0 / c) ** (ks + 1.0) * Q[:, 1]
-    return rho.step_eigenvalues(ks, _gamma_cdf)
+    return rho.step_eigenvalues(ks.size, lambda s: _poisson_sums(ks.size, s)[1])
 
 
 def _profile_breaks_s(rho: RadialProfile) -> list[float]:

@@ -17,11 +17,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate
 
 import numpy as np
 
-from .core import GridField, MeasureProfile, gauss_panels, lp_norm
+from .core import GridField, MeasureProfile, gauss_panels, head_tail, lp_norm
 from .errors import DivergenceError, InvalidInputError, RegimeError
 from .gabor import OperatorSpectrum, basis_recurrence, gram_operator, mirror_fold
 
@@ -494,11 +493,10 @@ class DiscProfile(MeasureProfile):
                 raise DivergenceError("power profile not in L^p(d nu): need p * exponent > 1")
             return float(self.amplitude
                          * (FOUR_PI / (p * self.exponent - 1.0)) ** (1.0 / p))
-        one_minus = (self.cap / self.amplitude) ** (1.0 / self.exponent)
-        cap_part = self.cap ** p * (1.0 / one_minus - 1.0)
-        tail = (self.amplitude ** p * one_minus ** (p * self.exponent - 1.0)
-                / (p * self.exponent - 1.0))
-        return float((FOUR_PI * (cap_part + tail)) ** (1.0 / p))
+        # the tail's amplitude^p t^{p e - 1} is cap^p / t; amplitude^p may overflow
+        t = (self.cap / self.amplitude) ** (1.0 / self.exponent)
+        return float(self.cap * (FOUR_PI * (1.0 / t - 1.0 + 1.0 / (t * (p * self.exponent - 1.0))))
+                     ** (1.0 / p))
 
     def on_grid(self, grid: HalfPlaneGrid) -> HalfPlaneField:
         return HalfPlaneField(grid, self(self._grid_coordinate(grid)))
@@ -526,50 +524,11 @@ def _beta_ratio(K: int, b: float, shift: float) -> np.ndarray:
     return np.array(r)
 
 
-def _beta_sums(K: int, b: float, x: float, t: float) -> np.ndarray:
-    """I_x(k + 1, b) for k < K, with t = 1 - x given exactly by the caller.
-
-    At an integer first argument the complement is a finite sum (DLMF 8.17):
-    C_k = 1 - I_x(k + 1, b) = sum_{j <= k} c_j, the negative-binomial masses
-    c_0 = t^b, c_j = c_{j-1} x (b + j - 1) / j.  I is 1 - C_k where
-    C_k <= 0.9 (at most 9 times C's relative error) and the tail
-    sum_{j > k} c_j, summed directly, where C_k > 0.9, as ``gabor._gamma_pq``
-    takes its head and tail.  Past j = K - 1 the ratios lie between x and
-    rho = max(x, x (b + K - 1) / K), which is below 1 wherever C_{K-1} > 0.9
-    (at rho = 1 the masses still rise at K, and C_{K-1} is at most about
-    1/2), so n terms with rho^n <= 2^-53 (1 - rho) leave out less than
-    2^-53 of the tail.  That takes about 37 / (1 - rho) terms, so past
-    rho = 1 - 2^-10 I stays 1 - C.  C > 0.9 there needs b below about 0.02,
-    and I is then about b log(1 / (t K)), so 1 - C is within about 1 / b ulps.
-    """
-    bm1 = b - 1.0
-    terms = [t ** b]
-    for j in range(1, K):
-        terms.append(terms[-1] * x * (bm1 + j) / j)
-    head = list(accumulate(terms))
-    out = [1.0 - c for c in head]
-    rho = max(x, x * (bm1 + K) / K)
-    if 0.0 < rho < 1.0 - 2.0 ** -10 and head[-1] > 0.9:   # at x = 0, I = 0 = 1 - C
-        term, tail = terms[-1], 0.0
-        for j in range(K, K + math.ceil(math.log(2.0 ** -53 * (1.0 - rho)) / math.log(rho))):
-            term = term * x * (bm1 + j) / j
-            tail += term
-        k = K - 1
-        while k >= 0 and head[k] > 0.9:
-            out[k] = tail
-            tail += terms[k]
-            k -= 1
-    return np.array(out)
-
-
-def _beta_cdf(k, s, beta: float):
-    """I_x(k + 1, 2 beta) at x = s / (s + 4 pi), t = 4 pi / (s + 4 pi): the
-    spectral CDF of the k-th disc monomial in the nu-measure s, for
-    k = 0 .. K - 1 along the first axis and s a scalar or a row, as
-    ``step_eigenvalues`` passes them; a row takes the sums knot by knot."""
-    if np.ndim(s):
-        return np.stack([_beta_cdf(k, si, beta) for si in np.ravel(s).tolist()], axis=-1)
-    return _beta_sums(np.size(k), 2.0 * beta, s / (s + FOUR_PI), FOUR_PI / (s + FOUR_PI))
+def _negbin_sums(K: int, b, x, t):
+    """1 - I_x(k + 1, b) and I_x(k + 1, b), k < K: the head and tail sums of
+    the negative-binomial laws, t = 1 - x exact; b a float or one per law."""
+    # numpy's power for floats too: Python's may differ in the last bit
+    return head_tail(K, np.power(t, b), lambda: b * np.log(t), x * (b - 1.0), x)
 
 
 def bergman_radial_eigenvalues(rho: DiscProfile, beta: float, K: int) -> OperatorSpectrum:
@@ -594,11 +553,14 @@ def bergman_radial_eigenvalues(rho: DiscProfile, beta: float, K: int) -> Operato
     elif rho.kind == "truncated_power":
         # the capped set is x < x* = 1 - t, with t exact in the parameters
         t = (rho.cap / rho.amplitude) ** (1.0 / rho.exponent)
-        lam = (rho.cap * _beta_sums(K, b, 1.0 - t, t)
-               + rho.amplitude * _beta_ratio(K, b, rho.exponent)
-               * (1.0 - _beta_sums(K, b + rho.exponent, 1.0 - t, t)))
+        I = _negbin_sums(K, np.array([b, b + rho.exponent]), 1.0 - t, t)[1]
+        # 1 - I cancels for the (b + exponent) law: fault 3, ROADMAP item 1
+        lam = (rho.cap * I[:, 0]
+               + rho.amplitude * _beta_ratio(K, b, rho.exponent) * (1.0 - I[:, 1]))
     else:
-        lam = rho.step_eigenvalues(np.arange(K), _beta_cdf, beta)
+        # I_x(k + 1, b) in the nu-measure s: x = s / (s + 4 pi), t = 4 pi / (s + 4 pi)
+        lam = rho.step_eigenvalues(
+            K, lambda s: _negbin_sums(K, b, s / (s + FOUR_PI), FOUR_PI / (s + FOUR_PI))[1])
 
     return OperatorSpectrum.from_eigenvalues(lam)
 

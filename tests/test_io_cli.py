@@ -233,6 +233,18 @@ def test_cli_norm_of_large_sampled_weight(tmp_path, run_cli, profile, write):
     assert 0.0 < payload["ratio"] <= 1.0
 
 
+def test_cli_norm_past_the_doubles_is_an_error(tmp_path):
+    # an L^2 norm past the doubles printed a RuntimeWarning and "B must be
+    # positive and finite", or a traceback with warnings as errors
+    path = _write(tmp_path / "w.csv", "x,value\n0.3,1e308\n0.6,1e308\n")
+    proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "phasebound.cli",
+                           "norm", "--weight", str(path), "--p", "2"],
+                          capture_output=True, text=True)
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr.startswith("error:") and "L^2 norm" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_cli_symmetrize_monotonicity(tmp_path, run_cli):
     f = random_field(np.random.default_rng(3), n=96, half_width=6.0)
     fpath = tmp_path / "field.csv"

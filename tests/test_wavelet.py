@@ -2,6 +2,7 @@
 import math
 import sys
 import tracemalloc
+import warnings
 from functools import partial
 
 import mpmath
@@ -10,10 +11,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from phasebound import wavelet
+from phasebound import gabor, wavelet
 from phasebound.bounds import G_beta, wavelet_bound
 from phasebound.core import distribution_bound
 from phasebound.errors import DivergenceError, InvalidInputError, RegimeError
+from phasebound.extremals import extremal_weight_wavelet
 from phasebound.scalar import ConstraintSet
 from phasebound.wavelet import (DiscProfile, HalfPlaneField, HalfPlaneGrid,
                                 HardySignal, assemble_wavelet_operator,
@@ -410,40 +412,59 @@ def test_disc_indicator_identity():
 
 # the sparse grid of the Beta-sum pins: k, b = 2 beta, and measures s from
 # 1e-300 to 1e6, plus s = 9300 (x = 0.99865), where at b = 0.1, k = 199 the
-# complement is just above 0.9 and the tail takes its longest loop (32101 terms)
+# complement is just above 0.9 and the tail is the longest summed
 _SUM_KS = (0, 1, 7, 47, 199)
 _SUM_BS = (0.1, 1.0, 7.3, 150.0, 2000.0)
 _SUM_S = (1e-300, 1e-6, 0.3, 12.6, 1e3, 9300.0, 1e6)
 
 
+def _disc_sums(K, s, b):
+    """1 - I_x(k + 1, b) and I_x(k + 1, b), k < K, in the nu-measure s (a
+    float or a row), as ``bergman_radial_eigenvalues`` takes them."""
+    return wavelet._negbin_sums(K, b, s / (s + wavelet.FOUR_PI),
+                                wavelet.FOUR_PI / (s + wavelet.FOUR_PI))
+
+
 def test_beta_cdf_matches_mpmath():
-    # I_x(k + 1, b) at x = s / (s + 4 pi) against 30-digit mpmath at the same
-    # double s and 4 pi.  Budget 8 + k + b ulps: t = 4 pi / (s + 4 pi)
-    # carries two roundings, which t^b scales by b (measured at most b / 4
-    # ulps); the k ratio steps add a few ulps each, mostly cancelling; and
-    # 1 - C at C <= 0.9 magnifies C's error by at most 9.  The worst seen is
-    # 11 ulps, at k = 0, b = 7.3, s = 0.3
+    # I_x(k + 1, b) at x = s / (s + 4 pi), and its complement, against
+    # 30-digit mpmath at the same double s and 4 pi.  Budget 8 + k + b ulps:
+    # t = 4 pi / (s + 4 pi) carries two roundings, which t^b scales by b
+    # (measured at most b / 4 ulps); the k ratio steps add a few ulps each,
+    # mostly cancelling; and 1 - C at C <= 0.9 magnifies C's error by at
+    # most 9.  The worst seen is 11 ulps, at k = 0, b = 7.3, s = 0.3.  The
+    # complement is mpmath's upper integral by symmetry, I_{1-x}(b, k + 1):
+    # betainc(k + 1, b, x, 1) cancels near x = 1
     eps = np.finfo(float).eps
     for b in _SUM_BS:
         for s in _SUM_S:
-            got = wavelet._beta_cdf(np.arange(200), s, b / 2.0)
+            comp, got = _disc_sums(200, s, b)
             with mpmath.workdps(30):
                 x = mpmath.mpf(s) / (mpmath.mpf(s) + mpmath.mpf(wavelet.FOUR_PI))
-                want = [float(mpmath.betainc(k + 1, b, 0, x, regularized=True))
+                want = [(float(mpmath.betainc(k + 1, b, 0, x, regularized=True)),
+                         float(mpmath.betainc(b, k + 1, 0, 1 - x, regularized=True)))
                         for k in _SUM_KS]
-            for k, w in zip(_SUM_KS, want):
-                if w >= sys.float_info.min:
-                    assert abs(got[k] - w) <= (8 + k + b) * eps * w, (k, b, s)
-                else:
-                    assert 0.0 <= got[k] < 2.0 * sys.float_info.min, (k, b, s)
-        # s = 0: every CDF is exactly 0, as a sampled profile's first knot needs
-        assert np.all(wavelet._beta_cdf(np.arange(200), 0.0, b / 2.0) == 0.0)
-    # a row of measures gives one column per measure
-    row = np.array(_SUM_S)
-    cols = wavelet._beta_cdf(np.arange(8)[:, None], row[None, :], 1.5)
-    assert cols.shape == (8, row.size)
-    for i, s in enumerate(_SUM_S):
-        assert np.array_equal(cols[:, i], wavelet._beta_cdf(np.arange(8), s, 1.5))
+            for k, pair in zip(_SUM_KS, want):
+                for g, w in zip((got[k, 0], comp[k, 0]), pair):
+                    if w >= sys.float_info.min:
+                        assert abs(g - w) <= (8 + k + b) * eps * w, (k, b, s)
+                    else:
+                        assert 0.0 <= g < 2.0 * sys.float_info.min, (k, b, s)
+        # s = 0: every CDF is exactly 0, as a sampled profile's first knot
+        # needs, and every complement exactly 1
+        comp, got = _disc_sums(200, 0.0, b)
+        assert np.all(got == 0.0) and np.all(comp == 1.0)
+    # a row of measures gives one column per measure, bitwise as the measure
+    # alone, for the plane's sums as for the disc's; the 512-knot row mixes
+    # tails of a few terms with the longest, at s = 9300
+    long_row = np.append(np.geomspace(1e-3, 1e5, 511), 9300.0)
+    for sums, row in ((lambda s: _disc_sums(8, s, 3.0), np.array(_SUM_S)),
+                      (lambda s: gabor._poisson_sums(8, s), np.array(_SUM_S)),
+                      (lambda s: _disc_sums(200, s, 0.1), long_row)):
+        cols = sums(row)
+        for i, s in enumerate(row.tolist()):
+            for c, one in zip(cols, sums(s)):
+                assert c.shape == (one.shape[0], row.size)
+                assert np.array_equal(c[:, i], one[:, 0]), s
 
 
 def test_beta_cdf_at_small_beta_near_the_boundary():
@@ -454,7 +475,7 @@ def test_beta_cdf_at_small_beta_near_the_boundary():
     eps = np.finfo(float).eps
     for b in (1e-3, 1e-2):
         for s in (1e4, 1e12, 1e40):
-            got = wavelet._beta_cdf(np.arange(200), s, b / 2.0)
+            got = _disc_sums(200, s, b)[1][:, 0]
             with mpmath.workdps(80):
                 x = mpmath.mpf(s) / (mpmath.mpf(s) + mpmath.mpf(wavelet.FOUR_PI))
                 want = [float(mpmath.betainc(k + 1, b, 0, x, regularized=True))
@@ -518,6 +539,11 @@ def test_disc_profile_lp_norm_quadrature():
         pts = [rho.x_threshold] if rho.kind == "disc_indicator" else None
         val, _ = quad(dens, 0.0, 1.0 - 1e-12, points=pts, limit=300)
         assert rho.lp_norm(p) == pytest.approx(val ** (1 / p), rel=1e-8)
+    # the truncated extremal's amplitude^p overflowed here; its norm takes cap^p out
+    c = ConstraintSet(18.7, 1.0, 115.0, "wavelet", beta=7.9)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert extremal_weight_wavelet(c).lp_norm(c.p) == pytest.approx(115.0, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -34,7 +34,7 @@ import math
 import sys
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate
+from itertools import accumulate, chain
 
 import numpy as np
 
@@ -67,9 +67,14 @@ def _step_mu(levels: np.ndarray, measures: np.ndarray, t) -> np.ndarray:
 # spectral laws
 # ---------------------------------------------------------------------------
 
-# head_tail's switch, ratio bound, far-table size (long tails go longest
-# first), and the laws it sums in Python floats, bitwise as in a table
-_SWITCH, _RHO_MAX, _FAR_TABLE, _FLOAT_LAWS, _ULP = 0.9, 1.0 - 2.0 ** -10, 1 << 16, 2, 2.0 ** -53
+# head_tail sums T_k from the top past a head C_k of _SWITCH, unless the
+# ratio bound rho reaches _RHO_MAX; a far table holds at most _FAR_TABLE
+# masses; up to _FLOAT_LAWS laws are summed in Python floats
+_SWITCH = 0.9
+_RHO_MAX = 1.0 - 2.0 ** -10
+_FAR_TABLE = 1 << 16
+_FLOAT_LAWS = 2
+_ULP = 2.0 ** -53
 
 
 def head_tail(K: int, c0, log_c0, alpha, beta):
@@ -77,74 +82,98 @@ def head_tail(K: int, c0, log_c0, alpha, beta):
     masses c_j = c_{j-1} (beta + alpha / j): Poisson(s) (c_0 = e^{-s},
     alpha = s, beta = 0; DLMF 8.4.10) on the plane, the negative binomial
     (c_0 = t^b, alpha = x (b - 1), beta = x; DLMF 8.17) on the disc.
+    c_0 is a float or a row of m laws, alpha has its shape, beta is a float
+    or a row.  Masses are products of the ratios; below the normal doubles
+    they are exp(log_c0() + their summed logs).
 
-    c_0, alpha, beta are rows of m laws or floats.  Masses are products of
-    ratios, or below the normal doubles exp(log_c0() + their summed logs).
-    T_k = 1 - C_k, within 9 times C's relative error, unless C_k > 0.9 and
-    0 < rho < 1 - 2^-10 (rho = beta + max(alpha, 0) / K bounds the ratios
-    past j = K - 1); then it is summed from the top, from the first
-    c_j <= 2^-53 c_K (1 - rho) / rho, leaving out under 2^-53 T_{K-1}.
+    T_k = 1 - C_k where C_k <= 0.9, within 9 times C's relative error, and
+    is summed from the top where C_k > 0.9.  Past j = K - 1 the ratios lie
+    below rho = beta + max(alpha, 0) / K, which is below 1 wherever
+    C_{K-1} > 0.9 (at rho = 1 the masses still rise at K, and C_{K-1} is at
+    most about 1/2).  The sum starts at the first c_j <= 2^-53 c_K
+    (1 - rho) / rho, so it leaves out under 2^-53 T_{K-1}; n masses with
+    rho^n <= 2^-53 (1 - rho) reach it, about 37 / (1 - rho) of them, so
+    past rho = 1 - 2^-10 T stays 1 - C.  C_{K-1} > 0.9 there needs a disc
+    law with b below about 0.02 (a Poisson rho is s / K), whose I = T is
+    about b log(1 / (t K)), so 1 - C is within about 1 / b ulps.
+
+    One or two laws with normal c_0 are summed in Python floats, where
+    numpy's calls cost more than the sums; both forms do the same
+    arithmetic in the same order, so a column is bitwise the same in either.
     """
-    if not (isinstance(c0, np.ndarray) and c0.size > _FLOAT_LAWS):
-        return _head_tail_floats(K, c0, log_c0, alpha, beta)
-    beta = np.broadcast_to(beta, c0.shape)
-    c = np.vstack([c0, alpha / np.arange(1.0, K)[:, None] + beta])
-    low = np.flatnonzero(c0 < sys.float_info.min)
-    log_c = np.add.accumulate(np.log(c[1:, low])) + (log_c0()[low] if low.size else 0.0)
+    m = c0.size if isinstance(c0, np.ndarray) else 1
+    if m <= _FLOAT_LAWS:
+        laws = [v.tolist() if isinstance(v, np.ndarray) and v.ndim else [float(v)] * m
+                for v in (c0, alpha, beta)]
+        if min(laws[0]) >= sys.float_info.min:
+            return _head_tail_floats(K, *laws)
+    c = np.empty((K, m))
+    c[0] = c0
+    np.divide(alpha, np.arange(1.0, K)[:, None], out=c[1:])
+    c[1:] += beta
+    low = np.flatnonzero(c[0] < sys.float_info.min)
+    log_c = np.add.accumulate(np.log(c[1:, low])) + np.ravel(log_c0())[low]
     np.multiply.accumulate(c, out=c)
     c[1:, low] = np.exp(log_c)
     head = np.add.accumulate(c)
     tail = 1.0 - head
-    rho = beta + np.maximum(alpha, 0.0) / K
-    deep = np.flatnonzero((head[-1] > _SWITCH) & (rho > 0.0) & (rho < _RHO_MAX))
-    # rho^n <= 2^-53 (1 - rho): n rows past the head reach the stop
-    n = np.ceil(np.log(_ULP * (1.0 - rho[deep])) / np.log(rho[deep])) + 1.0
+    deep = np.flatnonzero(head[-1] > _SWITCH)
+    if not deep.size:
+        return head, tail
+    a, b = (np.broadcast_to(v, (m,))[deep] for v in (alpha, beta))
+    rho = np.maximum(a, 0.0) / K + b
+    keep = (rho > 0.0) & (rho < _RHO_MAX)
+    deep, a, b, rho = deep[keep], a[keep], b[keep], rho[keep]
+    # n masses reach the stop; one more row holds the first mass past it
+    n = np.ceil(np.log(_ULP * (1.0 - rho)) / np.log(rho)) + 1.0
+    # longest tails first: a table of N rows takes the next tails longer
+    # than N / 2, at most _FAR_TABLE masses
     order = np.argsort(-n, kind="stable")
-    step = max(1, _FAR_TABLE // int(n.max(initial=1.0)))
-    for g in range(0, order.size, step):
-        cols, N = deep[order[g:g + step]], int(n[order[g]])
-        full = np.vstack([c[:, cols], alpha[cols] / np.arange(K, K + N)[:, None] + beta[cols]])
-        np.multiply.accumulate(full[K - 1:], out=full[K - 1:])
-        full[K + 1:][full[K:-1] <= full[K] * ((1.0 - rho[cols]) / rho[cols] * _ULP)] = 0.0
-        direct = np.add.accumulate(full[:0:-1])[N - 1:][::-1]
-        tail[:, cols] = np.where(head[:, cols] > _SWITCH, direct, tail[:, cols])
+    g = 0
+    while g < order.size:
+        N = int(n[order[g]])
+        i = order[g:g + min(max(1, _FAR_TABLE // N), np.count_nonzero(n[order[g:]] > N / 2))]
+        cols, g = deep[i], g + i.size
+        # c_1 .. c_{K-1}, then the N masses past the head
+        t = np.empty((K - 1 + N, i.size))
+        t[:K - 1] = c[1:, cols]
+        far = t[K - 1:]
+        np.divide(a[i], np.arange(K, K + N)[:, None], out=far)
+        far += b[i]
+        far[0] *= c[-1, cols]
+        np.multiply.accumulate(far, out=far)
+        far[1:] *= far[:-1] > far[0] * ((1.0 - rho[i]) / rho[i] * _ULP)
+        # T_{K-1} is the far masses summed from the top, T_{k-1} = T_k + c_k
+        tail[:, cols] = np.add.accumulate(t[::-1])[N - 1:][::-1]
+    np.copyto(tail, 1.0 - head, where=head <= _SWITCH)
     return head, tail
 
 
-def _head_tail_floats(K, c0, log_c0, alpha, beta):
-    """``head_tail`` law by law in Python floats."""
-    m = c0.size if isinstance(c0, np.ndarray) else 1
-    laws = [v.tolist() if isinstance(v, np.ndarray) and v.ndim else [float(v)] * m
-            for v in (c0, alpha, beta)]
+def _head_tail_floats(K, c0, alpha, beta):
+    """``head_tail`` of laws with normal c_0, given as lists of floats."""
     heads, tails = [], []
-    for i, (c, a, b) in enumerate(zip(*laws)):
-        if c >= sys.float_info.min:
-            col = [c]
-            for j in range(1, K):
-                c *= b + a / j
-                col.append(c)
-        else:   # numpy's log and exp, as in head_tail
-            logs = np.log([b + a / j for j in range(1, K)])
-            col = [c] + np.exp(np.add.accumulate(logs) + np.ravel(log_c0())[i]).tolist()
+    for c, a, b in zip(c0, alpha, beta):
+        col = [c]
+        for j in range(1, K):
+            c *= a / j + b
+            col.append(c)
         head = list(accumulate(col))
-        tail = [1.0 - h for h in head]
-        rho = b + max(a, 0.0) / K
+        rho = max(a, 0.0) / K + b
         if head[-1] > _SWITCH and 0.0 < rho < _RHO_MAX:
-            t = col[-1] * (b + a / K)
-            far, thr, j = [t], t * ((1.0 - rho) / rho * _ULP), K
-            while t > thr:
+            c *= a / K + b
+            far, stop, j = [c], c * ((1.0 - rho) / rho * _ULP), K
+            while c > stop:
                 j += 1
-                t *= b + a / j
-                far.append(t)
-            *_, direct = accumulate(reversed(far))
-            for k in range(K - 1, -1, -1):
-                if head[k] > _SWITCH:
-                    tail[k] = direct
-                direct += col[k]
-        heads.append(head)
-        tails.append(tail)
-    out = np.array(heads + tails)
-    return out[:m].T, out[m:].T
+                c *= a / j + b
+                far.append(c)
+            # T_{K-1} .. T_0, as the table's tails from the top
+            direct = list(accumulate(chain(reversed(far), col[:0:-1])))[:-K - 1:-1]
+            tails += [d if h > _SWITCH else 1.0 - h for h, d in zip(head, direct)]
+        else:
+            tails += [1.0 - h for h in head]
+        heads += head
+    out = np.array(heads + tails).reshape(2, len(c0), K).transpose(0, 2, 1)
+    return out[0], out[1]
 
 
 # ---------------------------------------------------------------------------
@@ -411,9 +440,12 @@ class MeasureProfile:
         return mu
 
     def step_eigenvalues(self, K: int, cdf) -> np.ndarray:
-        """lambda_k, k < K, of the indicator, sampled and constant kinds:
-        cdf(s), (K, m) at a float or a row of m measures, gives the spectral
-        CDFs, and a step v on (s_{i-1}, s_i] adds v (cdf(s_i) - cdf(s_{i-1}))."""
+        """lambda_k, k < K, of the indicator, sampled and constant kinds.
+
+        cdf(s) is the setting's spectral CDFs in the measure coordinate,
+        (K, m) at a float or a row of m measures; a step of height v on
+        (s_{i-1}, s_i] contributes v (cdf(s_i) - cdf(s_{i-1})).
+        """
         if self.kind == self._INDICATOR:
             return self.amplitude * cdf(self.measure(self.edge))[:, 0]
         if self.kind == "constant":

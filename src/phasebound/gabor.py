@@ -598,9 +598,13 @@ def _poisson_sums(K: int, s):
 
 
 def _gamma_q_inverse(K: int, q: float) -> float:
-    """The s with Q(K, s) = q, 0 < q < 1.  log Q(K, .) is concave and
-    decreasing (Gamma(K) is log-concave), with derivative -t_{K-1} / Q, so
-    Newton lands at or above the root and then decreases to it."""
+    """The s with Q(K, s) = q, for 0 < q < 1, on the head sums of ``_poisson_sums``.
+
+    Q(K, .) is the survival function of the log-concave Gamma(K) law, so
+    log Q is concave and decreasing: a Newton step lands at or above the
+    root, and the iterates decrease to it from there.  The derivative of
+    log Q is -t_{K-1} / Q, with t_{K-1} the last Poisson mass of the head.
+    """
     s = K - 1.0
     for i in range(100):
         Q = _poisson_sums(K, s)[0][-1, 0]

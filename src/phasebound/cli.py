@@ -89,14 +89,10 @@ def cmd_bound(args) -> int:
 
 def cmd_extremal(args) -> int:
     from .bounds import gabor_bound, wavelet_bound
-    from .extremals import extremal_weight_gabor, extremal_weight_wavelet
-    from .io import write_disc_profile, write_radial_profile
+    from .io import write_extremal
     c = _constraints_from_args(args)
-    if args.transform == "gabor":
-        report, weight, write = gabor_bound(c), extremal_weight_gabor(c), write_radial_profile
-    else:
-        report, weight, write = wavelet_bound(c), extremal_weight_wavelet(c), write_disc_profile
-    write(weight, args.out, n_samples=args.samples)
+    report = gabor_bound(c) if args.transform == "gabor" else wavelet_bound(c)
+    write_extremal(report, args.out, n_samples=args.samples)
     _emit({**report.as_dict(), "out": args.out}, args.format)
     return EXIT_OK
 
@@ -107,8 +103,11 @@ def cmd_norm(args) -> int:
     from .core import lp_norm
     from .gabor import assemble_operator, radial_eigenvalues, spectrum_from_matrix
     from .scalar import ConstraintSet
-    from .wavelet import assemble_wavelet_operator, bergman_radial_eigenvalues
     K, beta = args.basis, args.beta
+    fmt = io.sniff_weight_file(args.weight)
+    if fmt in ("disc", "halfplane"):
+        # only the disc's formats load wavelet
+        from .wavelet import assemble_wavelet_operator, bergman_radial_eigenvalues
     # file format -> (reader, transform of its bound, spectrum of the weight)
     formats = {
         "field": (io.read_weight_field, "gabor", lambda w: spectrum_from_matrix(
@@ -119,7 +118,7 @@ def cmd_norm(args) -> int:
         "halfplane": (io.read_halfplane_field, "wavelet", lambda w: spectrum_from_matrix(
             assemble_wavelet_operator(w, beta, K))),
     }
-    read, transform, spectrum = formats[io.sniff_weight_file(args.weight)]
+    read, transform, spectrum = formats[fmt]
     w = read(args.weight)
     c = ConstraintSet(args.p, w.ess_sup(), lp_norm(w, args.p), transform, d=1, beta=beta)
     spec = spectrum(w)

@@ -39,6 +39,7 @@ from itertools import accumulate, chain
 import numpy as np
 
 from .errors import DivergenceError, InvalidInputError
+from .family import ball_radius
 from .scalar import _check_exponent, expm1_poly
 
 __all__ = [
@@ -490,8 +491,8 @@ class RadialProfile(MeasureProfile):
     @classmethod
     def ball(cls, amplitude: float, volume: float, center=(0.0, 0.0), dim: int = 1) -> "RadialProfile":
         """Indicator of the ball of given 2d-volume (area when dim=1)."""
-        radius = math.sqrt((volume * math.factorial(dim)) ** (1.0 / dim) / math.pi)
-        return cls("ball_indicator", amplitude=amplitude, radius=radius, center=center, dim=dim)
+        return cls("ball_indicator", amplitude=amplitude, radius=ball_radius(volume, dim),
+                   center=center, dim=dim)
 
     @classmethod
     def gaussian(cls, amplitude: float, scale: float, center=(0.0, 0.0), dim: int = 1) -> "RadialProfile":

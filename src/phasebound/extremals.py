@@ -13,6 +13,7 @@ import numpy as np
 from .bounds import gabor_bound, wavelet_bound
 from .core import RadialProfile
 from .errors import InvalidInputError
+from .family import extremal_family
 from .gabor import Signal
 from .scalar import ConstraintSet
 from .wavelet import DiscProfile, HardySignal, bergman_basis, cauchy_norm_const
@@ -35,13 +36,7 @@ def extremal_weight_gabor(c: ConstraintSet, center=(0.0, 0.0)) -> RadialProfile:
     A; the cap then changes nothing and the uncapped Gaussian is returned.
     The global phase is fixed to zero (norm-invariant).
     """
-    report = gabor_bound(c)
-    if report.regime == "ball":
-        return RadialProfile.ball(c.A, c.B / c.A, center=center, dim=c.d)
-    if report.regime == "gaussian" or report.lam <= c.A:
-        return RadialProfile.gaussian(report.lam, c.p - 1.0, center=center, dim=c.d)
-    return RadialProfile.truncated_gaussian(report.lam, c.p - 1.0, c.A,
-                                            center=center, dim=c.d)
+    return RadialProfile(**extremal_family(gabor_bound(c)), center=center, dim=c.d)
 
 
 def extremal_weight_wavelet(c: ConstraintSet, center: complex = 1j) -> DiscProfile:
@@ -53,12 +48,7 @@ def extremal_weight_wavelet(c: ConstraintSet, center: complex = 1j) -> DiscProfi
     1/alpha is forced by the maximizer's distribution function
     4 pi ((t/lam)^{-alpha} - 1) and by the L^p saturation checks.
     """
-    report = wavelet_bound(c)
-    if report.regime == "ball":
-        return DiscProfile.indicator(c.A, c.B / c.A, center=center)
-    if report.regime == "gaussian" or report.lam <= c.A:
-        return DiscProfile.power(report.lam, 1.0 / c.alpha, center=center)
-    return DiscProfile.truncated_power(report.lam, 1.0 / c.alpha, c.A, center=center)
+    return DiscProfile(**extremal_family(wavelet_bound(c)), center=center)
 
 
 def extremal_signal(x0: float, omega0: float, phase: complex = 1.0) -> Signal:

@@ -9,26 +9,32 @@ Formats:
 
 Every reader checks the header, the column count of every row and that
 every entry is a finite number; the grid readers also check the
-coordinates against the grid they imply.
+coordinates against the grid they imply.  numpy and the weight classes
+load inside the functions that use them: ``write_extremal`` loads neither,
+and a plane file never loads ``wavelet``.
 """
 from __future__ import annotations
 
 import csv
 import math
+import warnings
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from .core import RadialProfile, WeightField
 from .errors import InvalidInputError
-from .gabor import OperatorSpectrum
-from .wavelet import DiscProfile, HalfPlaneField, HalfPlaneGrid
+from .family import extremal_family, sample_family
+
+if TYPE_CHECKING:
+    from .bounds import BoundReport
+    from .core import RadialProfile, WeightField
+    from .gabor import OperatorSpectrum
+    from .wavelet import DiscProfile, HalfPlaneField
 
 __all__ = [
     "write_weight_field", "read_weight_field",
     "write_radial_profile", "read_radial_profile",
     "write_disc_profile", "read_disc_profile",
     "write_halfplane_field", "read_halfplane_field",
-    "write_spectrum", "sniff_weight_file",
+    "write_spectrum", "write_extremal", "sniff_weight_file",
 ]
 
 # grid coordinates may differ from the grid they imply by this many cells
@@ -36,20 +42,46 @@ _GRID_RTOL = 1e-9
 
 
 def _write_rows(path, header, *columns):
-    """One CSV row per entry of the equal-length columns; floats in repr form."""
+    """One CSV row per entry of the equal-length columns (float lists or
+    arrays); floats in repr form."""
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(header)
-        w.writerows(zip(*(np.asarray(c).ravel().tolist() for c in columns)))
+        w.writerows(zip(*(c if isinstance(c, list) else c.ravel().tolist() for c in columns)))
 
 
-def _read_rows(path, header) -> np.ndarray:
-    """The data rows of a CSV file with the given header, as a float array."""
+def _read_rows(path, header):
+    """The data rows of a CSV file with the given header, as a float array.
+
+    numpy's C parser reads a well-formed file; any file it rejects, or
+    reads to the wrong shape, is parsed again by ``csv``, which either
+    reads it (quoted fields) or names the offending row.
+    """
+    import numpy as np
+    with open(path, newline="") as fh:
+        got = next(csv.reader([fh.readline()]))
+        if [h.strip() for h in got] != header:
+            raise InvalidInputError(f"{path}: expected header {','.join(header)}")
+        try:
+            with warnings.catch_warnings():
+                # an empty body warns; the csv parse below rejects it
+                warnings.simplefilter("ignore", UserWarning)
+                out = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
+        except ValueError:
+            out = None
+    if out is None or out.shape[1] != len(header) or out.size == 0:
+        out = _parse_rows(path, header)
+    if not np.all(np.isfinite(out)):
+        raise InvalidInputError(f"{path}: entries must be finite")
+    return out
+
+
+def _parse_rows(path, header):
+    """The data rows after the header, parsed by ``csv`` row by row."""
+    import numpy as np
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        got = next(reader, None)
-        if got is None or [h.strip() for h in got] != header:
-            raise InvalidInputError(f"{path}: expected header {','.join(header)}")
+        next(reader)
         rows = [row for row in reader if row]
     for line, row in enumerate(rows, start=2):
         if len(row) != len(header):
@@ -61,26 +93,28 @@ def _read_rows(path, header) -> np.ndarray:
         raise InvalidInputError(f"{path}: non-numeric entry ({exc})") from exc
     if out.size == 0:
         raise InvalidInputError(f"{path}: no data rows")
-    if not np.all(np.isfinite(out)):
-        raise InvalidInputError(f"{path}: entries must be finite")
     return out
 
 
 def _check_axis(path, name, got, want, step):
     """File coordinates against the implied grid, to round-off of a cell."""
-    if np.max(np.abs(got - want)) > _GRID_RTOL * step:
+    if abs(got - want).max() > _GRID_RTOL * step:
         raise InvalidInputError(
             f"{path}: {name} coordinates do not form the grid they imply "
             "(rows out of order, missing or unevenly spaced)")
 
 
 def write_weight_field(field: WeightField, path):
+    import numpy as np
     ax, n = field.axis, field.n
     _write_rows(path, ["x", "omega", "re", "im"], np.repeat(ax, n), np.tile(ax, n),
                 field.values.real, field.values.imag)
 
 
 def read_weight_field(path) -> WeightField:
+    import numpy as np
+
+    from .core import WeightField
     rows = _read_rows(path, ["x", "omega", "re", "im"])
     n = int(round(math.sqrt(rows.shape[0])))
     if n * n != rows.shape[0] or n < 2:
@@ -93,53 +127,55 @@ def read_weight_field(path) -> WeightField:
     return field
 
 
+def _write_profile(path, transform, params, n_samples):
+    """r,value rows on the plane, x,value on the disc: a sampled profile's
+    knots, any other kind through ``sample_family``."""
+    if params["kind"] == "sampled":
+        coords, vals = params["knots"], params["knot_values"]
+    else:
+        coords, vals = sample_family(transform, params, n_samples)
+    _write_rows(path, ["r" if transform == "gabor" else "x", "value"], coords, vals)
+
+
 def write_radial_profile(profile: RadialProfile, path, n_samples: int = 512):
     """Write r,value rows: a sampled profile's knots, any other kind sampled
     on a uniform radius grid out to its extent."""
-    if profile.kind == "sampled":
-        rs, vals = profile.knots, profile.knot_values
-    else:
-        r_max = _profile_extent(profile)
-        rs = np.linspace(r_max / n_samples, r_max, n_samples)
-        vals = profile(rs)
-    _write_rows(path, ["r", "value"], rs, vals)
-
-
-def _profile_extent(profile: RadialProfile) -> float:
-    if profile.kind == "ball_indicator":
-        return profile.radius * 1.25
-    if profile.kind in ("gaussian", "truncated_gaussian"):
-        # radius where the Gaussian factor has decayed to 1e-12
-        return math.sqrt(profile.scale * 12.0 * math.log(10.0) / math.pi)
-    raise InvalidInputError(f"cannot choose an extent for kind {profile.kind!r}")
+    _write_profile(path, "gabor", vars(profile), n_samples)
 
 
 def read_radial_profile(path) -> RadialProfile:
+    from .core import RadialProfile
     rows = _read_rows(path, ["r", "value"])
     return RadialProfile.sampled(rows[:, 0], rows[:, 1])
 
 
 def write_disc_profile(profile: DiscProfile, path, n_samples: int = 512):
-    if profile.kind == "sampled":
-        xs, vals = profile.knots, profile.knot_values
-    else:
-        xs = np.linspace(0.0, 1.0, n_samples + 2)[1:-1]
-        vals = profile(xs)
-    _write_rows(path, ["x", "value"], xs, vals)
+    _write_profile(path, "wavelet", vars(profile), n_samples)
 
 
 def read_disc_profile(path) -> DiscProfile:
+    from .wavelet import DiscProfile
     rows = _read_rows(path, ["x", "value"])
     return DiscProfile.sampled(rows[:, 0], rows[:, 1])
 
 
+def write_extremal(report: BoundReport, path, n_samples: int = 512):
+    """Write the extremal weight of a bound as its profile writer would,
+    r,value on the plane and x,value on the disc, without numpy."""
+    _write_profile(path, report.inputs.transform, extremal_family(report), n_samples)
+
+
 def write_halfplane_field(field: HalfPlaneField, path):
+    import numpy as np
     xs, ys = field.grid.x, field.grid.y
     _write_rows(path, ["x", "y", "re", "im"], np.repeat(xs, ys.size), np.tile(ys, xs.size),
                 field.values.real, field.values.imag)
 
 
 def read_halfplane_field(path) -> HalfPlaneField:
+    import numpy as np
+
+    from .wavelet import HalfPlaneField, HalfPlaneGrid
     rows = _read_rows(path, ["x", "y", "re", "im"])
     nx, ny = np.unique(rows[:, 0]).size, np.unique(rows[:, 1]).size
     if nx * ny != rows.shape[0]:
@@ -164,6 +200,7 @@ def read_halfplane_field(path) -> HalfPlaneField:
 
 
 def write_spectrum(spectrum: OperatorSpectrum, path):
+    import numpy as np
     _write_rows(path, ["k", "eigenvalue"], np.arange(spectrum.eigenvalues.size),
                 spectrum.eigenvalues)
 

@@ -22,6 +22,7 @@ import numpy as np
 
 from .core import GridField, MeasureProfile, gauss_panels, head_tail, lp_norm
 from .errors import DivergenceError, InvalidInputError, RegimeError
+from .family import disc_threshold
 from .gabor import OperatorSpectrum, basis_recurrence, gram_operator, mirror_fold
 
 __all__ = [
@@ -450,8 +451,8 @@ class DiscProfile(MeasureProfile):
     @classmethod
     def indicator(cls, amplitude: float, nu_measure: float, center: complex = 1j) -> "DiscProfile":
         """amplitude on the hyperbolic disc of that nu-measure about center."""
-        xs = nu_measure / (nu_measure + FOUR_PI)
-        return cls("disc_indicator", amplitude=amplitude, x_threshold=xs, center=center)
+        return cls("disc_indicator", amplitude=amplitude, x_threshold=disc_threshold(nu_measure),
+                   center=center)
 
     @classmethod
     def power(cls, amplitude: float, exponent: float, center: complex = 1j) -> "DiscProfile":

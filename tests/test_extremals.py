@@ -57,6 +57,19 @@ def test_gabor_weight_shapes():
     assert w(np.array([r0 * 1.01]))[0] < 1.0
 
 
+def test_ball_weight_past_the_factorial_doubles():
+    # the ball's radius took d! as a float and raised OverflowError from
+    # d = 171 on (a traceback from `extremal --p 1 --d 171`); it also
+    # overflowed where d! B/A passes the doubles at d <= 170
+    import mpmath
+    for d, volume in ((171, 1.0), (400, 3.0), (170, 1e300)):
+        w = extremal_weight_gabor(ConstraintSet(1.0, 1.0, volume, "gabor", d=d))
+        with mpmath.workdps(40):
+            ref = mpmath.sqrt((mpmath.factorial(d) * mpmath.mpf(volume)) ** (mpmath.mpf(1) / d)
+                              / mpmath.pi)
+        assert w.kind == "ball_indicator" and w.radius == pytest.approx(float(ref), rel=1e-14)
+
+
 def test_gabor_weight_norm_and_sup_saturation():
     for c in GABOR_CASES:
         w = extremal_weight_gabor(c)

@@ -11,7 +11,8 @@ import pytest
 from phasebound import cli
 from phasebound.core import RadialProfile, WeightField, lp_norm
 from phasebound.errors import InvalidInputError
-from phasebound.extremals import extremal_signal_wavelet
+from phasebound.extremals import (extremal_signal_wavelet, extremal_weight_gabor,
+                                  extremal_weight_wavelet)
 from phasebound.io import (read_disc_profile, read_halfplane_field,
                            read_radial_profile, read_weight_field,
                            sniff_weight_file, write_disc_profile,
@@ -332,6 +333,102 @@ def test_cli_invalid_constraints_exit_usage(capsys, tmp_path):
     assert not target.exists()
 
 
+@pytest.mark.parametrize("args", [
+    ["--samples", "0"],
+    ["--samples", "-3"],
+    ["--transform", "wavelet", "--samples", "0"],
+    ["--transform", "wavelet", "--samples", "1"],
+    ["--p", "1", "--samples", "1"],
+], ids=["zero", "negative", "wavelet-zero", "wavelet-one", "ball-one"])
+def test_cli_extremal_rejects_bad_sample_count(args, capsys, tmp_path):
+    # --samples 0 was a ZeroDivisionError traceback and -3 a ValueError; on
+    # the disc 0 wrote a header-only CSV, and the p = 1 ball at 1 sample a
+    # lone 0.0 row, both of which norm then rejected
+    target = tmp_path / "weight.csv"
+    argv = ["extremal", "--p", "2", "--A", "1", "--B", "2", *args, "--out", str(target)]
+    assert cli.main(argv) == cli.EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: need at least 2 samples")
+    assert err.count("\n") == 1 and not target.exists()
+
+
+# the regimes and dimensions of the extremal command; the last two are the
+# regime ties of test_extremals.py, where lam rounds to at most A
+EXTREMAL_CASES = [
+    ConstraintSet(2.0, 1.0, 0.5),
+    ConstraintSet(2.0, 1.0, 2.0),
+    ConstraintSet(2.5, 1.0, 1.5, d=2),
+    ConstraintSet(2.5, 1.0, 3.0, d=3),
+    ConstraintSet(1.0, 1.0, 2.0),
+    ConstraintSet(1.0, 1.0, 2.0, "wavelet", beta=1.5),
+    ConstraintSet(2.0, math.inf, 1.0, "wavelet"),
+    ConstraintSet(2.0, 1.0, 2.0, "wavelet", beta=1.3),
+    ConstraintSet(2.0, 1.0, 0.7071067811865476),
+    ConstraintSet(2.0, 1.0, 1.5853309190424045, "wavelet"),
+]
+EXTREMAL_KINDS = ["gaussian", "truncated_gaussian", "truncated_gaussian", "truncated_gaussian",
+                  "ball_indicator", "disc_indicator", "power", "truncated_power",
+                  "gaussian", "power"]
+
+
+def _extremal_argv(c, out):
+    par = ["--d", str(c.d)] if c.transform == "gabor" else ["--beta", repr(c.beta)]
+    return ["extremal", "--transform", c.transform, "--p", repr(c.p), "--A", repr(c.A),
+            "--B", repr(c.B), *par, "--out", str(out), "--format", "json"]
+
+
+@pytest.mark.parametrize("c, kind", zip(EXTREMAL_CASES, EXTREMAL_KINDS))
+def test_cli_extremal_csv_matches_profile_writers(c, kind, tmp_path, run_cli):
+    # the command writes its CSV without building the profile; the file is
+    # the one the profile writers write, on the numpy grid, with the values
+    # of the profile's own numpy evaluation to libm's rounding
+    code, _, err = run_cli(*_extremal_argv(c, tmp_path / "cli.csv"))
+    assert code == 0, err
+    if c.transform == "gabor":
+        w = extremal_weight_gabor(c)
+        write_radial_profile(w, tmp_path / "lib.csv")
+    else:
+        w = extremal_weight_wavelet(c)
+        write_disc_profile(w, tmp_path / "lib.csv")
+    assert w.kind == kind
+    text = (tmp_path / "cli.csv").read_text()
+    assert text == (tmp_path / "lib.csv").read_text()
+    rows = np.loadtxt(tmp_path / "cli.csv", delimiter=",", skiprows=1)
+    n = rows.shape[0]
+    grid = (np.linspace(rows[-1, 0] / n, rows[-1, 0], n) if c.transform == "gabor"
+            else np.linspace(0.0, 1.0, n + 2)[1:-1])
+    assert n == 512 and np.array_equal(rows[:, 0], grid)
+    # numpy's SIMD exp and pow are within an ulp of libm's, and the product
+    # by lam can round that to two ulps of the value
+    np.testing.assert_array_max_ulp(rows[:, 1], w(grid), maxulp=2)
+
+
+@pytest.mark.parametrize("body, message", [
+    ("0.5,1.0\n\n1.0,0.5\n", None),
+    ('"0.5","1.0"\n1.0,0.5\n', None),
+    ("", "no data rows"),
+    ("\n\n", "no data rows"),
+    ("0.5,1.0\n1.0,0.5,3\n", "row 3 has 3 columns, expected 2"),
+    ("0.5,1.0,7\n1.0,0.5,9\n", "row 2 has 3 columns, expected 2"),
+    ("0.5,1.0\n   \n", "row 3 has 1 columns, expected 2"),
+    ("0.5,1.0\n1.0,\n", "non-numeric entry"),
+    ("0.5,abc\n", "non-numeric entry"),
+    ("0.5,1.0\n1.0,nan\n", "entries must be finite"),
+    ("0.5,1e400\n", "entries must be finite"),
+], ids=["blank-line", "quoted", "empty", "blank-only", "long-row", "wide-file",
+        "whitespace-row", "empty-entry", "text", "nan", "overflow"])
+def test_csv_reader_checks(body, message, tmp_path):
+    # numpy's parser reads well-formed files; every other file gets the
+    # csv parser's verdict, with the row number of the first bad row
+    path = _write(tmp_path / "r.csv", "r,value\n" + body)
+    if message is None:
+        prof = read_radial_profile(path)
+        assert prof.knots.tolist() == [0.5, 1.0] and prof.knot_values.tolist() == [1.0, 0.5]
+    else:
+        with pytest.raises(InvalidInputError, match=message):
+            read_radial_profile(path)
+
+
 def _write(path, text):
     path.write_text(text)
     return path
@@ -399,17 +496,17 @@ def test_cli_import_leaves_scipy_integrate_unloaded():
     assert proc.stdout.strip() == "[]"
 
 
-def _run_commands(commands, prelude=""):
+def _run_commands(commands, prelude="", loaded=SCIPY_LOADED):
     """Run the commands in one child through cli.main, after the code
-    ``prelude``; per command its exit status, its output and the scipy
-    modules loaded after it."""
+    ``prelude``; per command its exit status, its output and the value of
+    the expression ``loaded`` after it (the scipy modules loaded)."""
     code = (prelude + "import contextlib, io, json, sys\n"
             "from phasebound.cli import main\n"
             "report = []\n"
             "for argv in json.loads(sys.argv[1]):\n"
             "    with contextlib.redirect_stdout(io.StringIO()) as out:\n"
             "        status = main(argv)\n"
-            "    report.append([status, out.getvalue(), " + SCIPY_LOADED + "])\n"
+            "    report.append([status, out.getvalue(), " + loaded + "])\n"
             "print(json.dumps(report))\n")
     proc = subprocess.run([sys.executable, "-c", code, json.dumps(commands)],
                           capture_output=True, text=True, check=True)
@@ -465,20 +562,40 @@ def test_numpy_only_commands_leave_scipy_unloaded(tmp_path):
     assert [out for _, out, _ in blocked[-5:-1]] == [out for _, out, _ in report[-5:-1]]
 
 
+def test_plane_commands_leave_wavelet_unloaded(tmp_path):
+    # a plane file's norm, and the commands that write plane files, import
+    # the plane's setting alone
+    field = tmp_path / "field.csv"
+    write_weight_field(random_field(np.random.default_rng(6), n=32, half_width=6.0), field)
+    radial = tmp_path / "g.csv"
+    commands = [
+        ["extremal", "--p", "2", "--A", "1", "--B", "2", "--out", str(radial)],
+        ["norm", "--weight", str(radial), "--p", "2", "--format", "json"],
+        ["norm", "--weight", str(field), "--p", "2", "--basis", "24", "--format", "json"],
+        ["symmetrize", "--weight", str(field), "--out", str(tmp_path / "s.csv")],
+    ]
+    report = _run_commands(commands, loaded="'phasebound.wavelet' in sys.modules")
+    assert [[status, loaded] for status, _, loaded in report] == [[0, False]] * len(commands)
+
+
 NUMPY_LOADED = "sorted(m for m in sys.modules if m.split('.')[0] == 'numpy')"
 
 
-def test_bound_leaves_numpy_unloaded():
-    # bound runs on the standard library: one cold child runs
-    # `python -m phasebound.cli bound ...` for each regime and reports the
-    # numpy modules loaded after each; then it loads the lazy namespace
+def test_bound_leaves_numpy_unloaded(tmp_path):
+    # bound and extremal run on the standard library: one cold child runs
+    # `python -m phasebound.cli bound ...` for each regime, then extremal for
+    # each kind and d, and reports the numpy modules loaded after each; then
+    # it loads the lazy namespace
     bound = ["bound", "--format", "json", "--A", "1"]
     wavelet = bound + ["--transform", "wavelet", "--beta", "1.5"]
+    extremals = [_extremal_argv(c, tmp_path / f"{i}.csv")
+                 for i, c in enumerate(EXTREMAL_CASES[:8])]
     commands = [bound + ["--p", "2", "--B", "0.5"],
                 bound + ["--p", "2.5", "--B", "3", "--d", "3"],
                 bound + ["--p", "1", "--B", "2", "--d", "2"],
                 wavelet + ["--p", "2", "--B", "2"],
-                wavelet + ["--p", "1", "--B", "2"]]
+                wavelet + ["--p", "1", "--B", "2"],
+                *extremals]
     code = textwrap.dedent("""\
         import contextlib, io, json, runpy, sys
         report = []
@@ -509,7 +626,10 @@ def test_bound_leaves_numpy_unloaded():
                           capture_output=True, text=True, check=True)
     report, star, public, defined, listed, unknown = json.loads(proc.stdout)
     assert report == [[0, regime, []] for regime in
-                      ("gaussian", "truncated", "ball", "truncated", "ball")]
+                      ("gaussian", "truncated", "ball", "truncated", "ball",
+                       "gaussian", "truncated", "truncated", "truncated", "ball",
+                       "ball", "gaussian", "truncated")]
+    assert all((tmp_path / f"{i}.csv").stat().st_size > 0 for i in range(len(extremals)))
     # every public name resolves to its defining module's object
     assert star == public == defined and len(public) > 40 and listed
     assert unknown == "AttributeError"

@@ -70,9 +70,10 @@ def _emit(payload: dict, fmt: str):
             print(f"{k:<{width}}  {v}")
 
 
-def _constraints_from_args(args):
+def _bound_report(args):
     from .scalar import ConstraintSet
-    return ConstraintSet(args.p, args.A, args.B, args.transform, d=args.d, beta=args.beta)
+    c = ConstraintSet(args.p, args.A, args.B, args.transform, d=args.d, beta=args.beta)
+    return c.setting.bound(c)
 
 
 # ---------------------------------------------------------------------------
@@ -80,18 +81,13 @@ def _constraints_from_args(args):
 # ---------------------------------------------------------------------------
 
 def cmd_bound(args) -> int:
-    from .bounds import gabor_bound, wavelet_bound
-    c = _constraints_from_args(args)
-    report = gabor_bound(c) if args.transform == "gabor" else wavelet_bound(c)
-    _emit(report.as_dict(), args.format)
+    _emit(_bound_report(args).as_dict(), args.format)
     return EXIT_OK
 
 
 def cmd_extremal(args) -> int:
-    from .bounds import gabor_bound, wavelet_bound
     from .io import write_extremal
-    c = _constraints_from_args(args)
-    report = gabor_bound(c) if args.transform == "gabor" else wavelet_bound(c)
+    report = _bound_report(args)
     write_extremal(report, args.out, n_samples=args.samples)
     _emit({**report.as_dict(), "out": args.out}, args.format)
     return EXIT_OK
@@ -99,7 +95,6 @@ def cmd_extremal(args) -> int:
 
 def cmd_norm(args) -> int:
     from . import io
-    from .bounds import gabor_bound, wavelet_bound
     from .core import lp_norm
     from .gabor import assemble_operator, radial_eigenvalues, spectrum_from_matrix
     from .scalar import ConstraintSet
@@ -122,7 +117,7 @@ def cmd_norm(args) -> int:
     w = read(args.weight)
     c = ConstraintSet(args.p, w.ess_sup(), lp_norm(w, args.p), transform, d=1, beta=beta)
     spec = spectrum(w)
-    report = gabor_bound(c) if transform == "gabor" else wavelet_bound(c)
+    report = c.setting.bound(c)
     norm = spec.norm()
     _emit({"norm": norm, "bound": report.bound,
            "ratio": norm / report.bound if report.bound else math.nan,

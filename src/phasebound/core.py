@@ -31,6 +31,7 @@ its coordinate map, its analytic family (a Gaussian in pi r^2, a power of
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from dataclasses import dataclass
 from functools import lru_cache
@@ -39,8 +40,7 @@ from itertools import accumulate, chain
 import numpy as np
 
 from .errors import DivergenceError, InvalidInputError
-from .family import ball_radius
-from .scalar import _check_exponent, expm1_poly
+from .scalar import Plane, _check_exponent, expm1_poly
 
 __all__ = [
     "head_tail",
@@ -491,7 +491,7 @@ class RadialProfile(MeasureProfile):
     @classmethod
     def ball(cls, amplitude: float, volume: float, center=(0.0, 0.0), dim: int = 1) -> "RadialProfile":
         """Indicator of the ball of given 2d-volume (area when dim=1)."""
-        return cls("ball_indicator", amplitude=amplitude, radius=ball_radius(volume, dim),
+        return cls(**Plane(operator.index(dim)).indicator(amplitude, volume),
                    center=center, dim=dim)
 
     @classmethod

@@ -18,10 +18,12 @@ from __future__ import annotations
 import csv
 import math
 import warnings
+from contextlib import contextmanager
 from typing import TYPE_CHECKING
 
 from .errors import InvalidInputError
 from .family import extremal_family, sample_family
+from .scalar import Disc, Plane
 
 if TYPE_CHECKING:
     from .bounds import BoundReport
@@ -50,6 +52,16 @@ def _write_rows(path, header, *columns):
         w.writerows(zip(*(c if isinstance(c, list) else c.ravel().tolist() for c in columns)))
 
 
+@contextmanager
+def _open_text(path):
+    """The file opened for ``csv``; a byte that is not UTF-8 is an InvalidInputError."""
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            yield fh
+    except UnicodeDecodeError:
+        raise InvalidInputError(f"{path}: not a UTF-8 text file") from None
+
+
 def _read_rows(path, header):
     """The data rows of a CSV file with the given header, as a float array.
 
@@ -58,7 +70,7 @@ def _read_rows(path, header):
     reads it (quoted fields) or names the offending row.
     """
     import numpy as np
-    with open(path, newline="") as fh:
+    with _open_text(path) as fh:
         got = next(csv.reader([fh.readline()]))
         if [h.strip() for h in got] != header:
             raise InvalidInputError(f"{path}: expected header {','.join(header)}")
@@ -79,7 +91,7 @@ def _read_rows(path, header):
 def _parse_rows(path, header):
     """The data rows after the header, parsed by ``csv`` row by row."""
     import numpy as np
-    with open(path, newline="") as fh:
+    with _open_text(path) as fh:
         reader = csv.reader(fh)
         next(reader)
         rows = [row for row in reader if row]
@@ -127,20 +139,20 @@ def read_weight_field(path) -> WeightField:
     return field
 
 
-def _write_profile(path, transform, params, n_samples):
+def _write_profile(path, setting, params, n_samples):
     """r,value rows on the plane, x,value on the disc: a sampled profile's
     knots, any other kind through ``sample_family``."""
     if params["kind"] == "sampled":
         coords, vals = params["knots"], params["knot_values"]
     else:
-        coords, vals = sample_family(transform, params, n_samples)
-    _write_rows(path, ["r" if transform == "gabor" else "x", "value"], coords, vals)
+        coords, vals = sample_family(setting, params, n_samples)
+    _write_rows(path, [setting.coordinate, "value"], coords, vals)
 
 
 def write_radial_profile(profile: RadialProfile, path, n_samples: int = 512):
     """Write r,value rows: a sampled profile's knots, any other kind sampled
     on a uniform radius grid out to its extent."""
-    _write_profile(path, "gabor", vars(profile), n_samples)
+    _write_profile(path, Plane, vars(profile), n_samples)
 
 
 def read_radial_profile(path) -> RadialProfile:
@@ -150,7 +162,7 @@ def read_radial_profile(path) -> RadialProfile:
 
 
 def write_disc_profile(profile: DiscProfile, path, n_samples: int = 512):
-    _write_profile(path, "wavelet", vars(profile), n_samples)
+    _write_profile(path, Disc, vars(profile), n_samples)
 
 
 def read_disc_profile(path) -> DiscProfile:
@@ -162,7 +174,7 @@ def read_disc_profile(path) -> DiscProfile:
 def write_extremal(report: BoundReport, path, n_samples: int = 512):
     """Write the extremal weight of a bound as its profile writer would,
     r,value on the plane and x,value on the disc, without numpy."""
-    _write_profile(path, report.inputs.transform, extremal_family(report), n_samples)
+    _write_profile(path, report.inputs.setting, extremal_family(report), n_samples)
 
 
 def write_halfplane_field(field: HalfPlaneField, path):
@@ -207,7 +219,7 @@ def write_spectrum(spectrum: OperatorSpectrum, path):
 
 def sniff_weight_file(path) -> str:
     """Return the format tag of a weight CSV: field, radial, disc, halfplane."""
-    with open(path, newline="") as fh:
+    with _open_text(path) as fh:
         header = [h.strip() for h in next(csv.reader(fh), [])]
     known = {
         ("x", "omega", "re", "im"): "field",

@@ -1,18 +1,21 @@
-"""Constraint data and the scalar numerics shared across modules.
+"""Constraint data, the two settings and the scalar numerics shared across modules.
 
-This module imports the standard library alone, and so does ``bounds``:
-a closed-form bound evaluation loads no numpy.  The array modules import
-their shared helpers from here.
+Both bounds follow one scheme, ||L_F|| <= int G(mu_F(t)) dt with the
+setting's ceiling G.  A ``ConstraintSet`` builds its setting once,
+``Plane(d)`` or ``Disc(beta)``, which owns its bound, G, (G')^{-1}, G'(0),
+its extremal family and its CSV sampling.  This module imports the standard
+library alone, and so does ``bounds``: a closed-form bound loads no numpy.
+The settings look ``bounds`` and the array modules up at call time.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .errors import InvalidInputError, UnattainedBoundError
 
-__all__ = ["ConstraintSet"]
+__all__ = ["ConstraintSet", "Plane", "Disc"]
 
 
 def expm1_poly(n: int, x):
@@ -49,11 +52,156 @@ def _check_exponent(p: float):
 
 
 @dataclass(frozen=True)
+class Plane:
+    """The time-frequency setting R^{2d}: ceiling G(s) = P(d, (d! s)^{1/d})
+    (Nicola-Tilli), the Gaussian lam e^{-pi r^2/(p-1)}, CSV coordinate r."""
+
+    d: int = 1
+    coordinate, edge = "r", "radius"
+
+    def __post_init__(self):
+        if not (isinstance(self.d, int) and self.d >= 1):
+            raise InvalidInputError("gabor constraints need integer d >= 1")
+
+    def bound(self, c):
+        from . import bounds
+        return bounds.gabor_bound(c)
+
+    def extremal_weight(self, c):
+        from . import extremals
+        return extremals.extremal_weight_gabor(c)
+
+    def g(self, s):
+        from . import bounds
+        return bounds.G(s, self.d)
+
+    def gprime_inv(self, y):
+        """Solve e^{-(d! u)^{1/d}} = y for u, clamped to 0 when y >= 1."""
+        import numpy as np
+        y = np.asarray(y, dtype=float)
+        u = np.zeros_like(y)
+        low = y < 1.0
+        u[low] = (-np.log(y[low])) ** self.d / math.factorial(self.d)
+        return u
+
+    def gprime_zero(self) -> float:
+        """G'(0), the largest useful multiplier at t = 1."""
+        return 1.0
+
+    def indicator(self, amplitude: float, volume: float) -> dict:
+        """amplitude on the ball of 2d-volume ``volume`` (area when d = 1)."""
+        d = self.d
+        try:
+            root = (volume * math.factorial(d)) ** (1.0 / d)
+        except OverflowError:
+            root = math.inf
+        if root == math.inf:
+            # d! or d! volume is past the doubles; the root is not
+            root = math.exp((math.log(volume) + math.lgamma(d + 1)) / d)
+        radius = math.sqrt(root / math.pi)
+        if not radius > 0:
+            raise InvalidInputError("ball needs a positive radius")
+        return {"kind": "ball_indicator", "amplitude": amplitude, "radius": radius}
+
+    def family(self, c, lam: float, cap: float) -> dict:
+        return {"kind": "gaussian" if cap == math.inf else "truncated_gaussian",
+                "amplitude": lam, "scale": c.p - 1.0, "cap": cap}
+
+    @staticmethod
+    def sample_grid(params: dict, n: int) -> list:
+        """linspace(r_max / n, r_max, n), bitwise numpy's.  r_max lies past
+        the ball's edge, or where the Gaussian has fallen to 1e-12 of its
+        peak lam, or of its cap A < lam: the cap adds log(lam / A) of decay."""
+        kind = params["kind"]
+        if kind == "ball_indicator":
+            r_max = params["radius"] * 1.25
+        elif kind in ("gaussian", "truncated_gaussian"):
+            scale, lam, cap = params["scale"], params["amplitude"], params["cap"]
+            capped = math.log(lam) - math.log(cap) if cap < lam else 0.0
+            r_max = math.sqrt((scale * 12.0 * math.log(10.0) + scale * capped) / math.pi)
+            if r_max == math.inf:
+                raise InvalidInputError("the peak level overflows: the CSV has no extent")
+        else:
+            raise InvalidInputError(f"cannot choose an extent for kind {kind!r}")
+        start = r_max / n
+        step = (r_max - start) / (n - 1)
+        return [i * step + start for i in range(n - 1)] + [r_max]
+
+    @staticmethod
+    def family_values(params: dict, coords: list) -> list:
+        a, scale, cap = float(params["amplitude"]), params["scale"], params["cap"]
+        return [min(a * math.exp(-math.pi * r * r / scale), cap) for r in coords]
+
+
+@dataclass(frozen=True)
+class Disc:
+    """The Cauchy-wavelet setting, the disc: ceiling G_beta(s) = 1 - (1 +
+    s/(4 pi))^{-2 beta} (Ramos-Tilli), the power lam (1 - x)^{1/alpha} of
+    x = |w|^2, CSV coordinate x."""
+
+    beta: float = 1.0
+    coordinate, edge = "x", "x_threshold"
+
+    def __post_init__(self):
+        if not 0 < self.beta < math.inf:
+            raise InvalidInputError("wavelet constraints need 0 < beta < inf")
+
+    def bound(self, c):
+        from . import bounds
+        return bounds.wavelet_bound(c)
+
+    def extremal_weight(self, c):
+        from . import extremals
+        return extremals.extremal_weight_wavelet(c)
+
+    def g(self, s):
+        from . import bounds
+        return bounds.G_beta(s, self.beta)
+
+    def gprime_inv(self, y):
+        """Solve (2 beta / 4 pi)(1 + u/4 pi)^{-(2 beta + 1)} = y, clamped."""
+        import numpy as np
+        y = np.asarray(y, dtype=float)
+        h = y * (4.0 * math.pi) / (2.0 * self.beta)
+        u = np.zeros_like(y)
+        low = h < 1.0
+        u[low] = 4.0 * math.pi * (h[low] ** (-1.0 / (2.0 * self.beta + 1.0)) - 1.0)
+        return u
+
+    def gprime_zero(self) -> float:
+        return 2.0 * self.beta / (4.0 * math.pi)
+
+    @staticmethod
+    def indicator(amplitude: float, nu_measure: float) -> dict:
+        """amplitude on the hyperbolic disc of that nu-measure, x < x_threshold."""
+        x = nu_measure / (nu_measure + 4.0 * math.pi)
+        if not 0 < x < 1:
+            raise InvalidInputError("indicator threshold must lie in (0, 1)")
+        return {"kind": "disc_indicator", "amplitude": amplitude, "x_threshold": x}
+
+    def family(self, c, lam: float, cap: float) -> dict:
+        return {"kind": "power" if cap == math.inf else "truncated_power",
+                "amplitude": lam, "exponent": 1.0 / c.alpha, "cap": cap}
+
+    @staticmethod
+    def sample_grid(params: dict, n: int) -> list:
+        """The n interior points of linspace(0, 1, n + 2), bitwise numpy's."""
+        step = 1.0 / (n + 1)
+        return [i * step for i in range(1, n + 1)]
+
+    @staticmethod
+    def family_values(params: dict, coords: list) -> list:
+        a, exponent, cap = float(params["amplitude"]), params["exponent"], params["cap"]
+        return [min(a * (1.0 - x) ** exponent, cap) for x in coords]
+
+
+@dataclass(frozen=True)
 class ConstraintSet:
     """The constraint triple (p, A, B) plus the transform parameter d or beta.
 
     A may be math.inf (drops the sup constraint); that case is rejected for
     p = 1, where the optimal constant B is a supremum and not attained.
+    ``setting`` is the transform's ``Plane(d)`` or ``Disc(beta)``.
     """
 
     p: float
@@ -62,6 +210,7 @@ class ConstraintSet:
     transform: str = "gabor"
     d: int = 1
     beta: float = 1.0
+    setting: Plane | Disc = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         _check_exponent(self.p)
@@ -73,12 +222,8 @@ class ConstraintSet:
             raise UnattainedBoundError(self.B)
         if self.transform not in ("gabor", "wavelet"):
             raise InvalidInputError("transform must be 'gabor' or 'wavelet'")
-        if self.transform == "gabor":
-            if not (isinstance(self.d, int) and self.d >= 1):
-                raise InvalidInputError("gabor constraints need integer d >= 1")
-        else:
-            if not 0 < self.beta < math.inf:
-                raise InvalidInputError("wavelet constraints need 0 < beta < inf")
+        setting = Plane(self.d) if self.transform == "gabor" else Disc(self.beta)
+        object.__setattr__(self, "setting", setting)
 
     @property
     def kappa(self) -> float:

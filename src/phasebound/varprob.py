@@ -18,70 +18,17 @@ from typing import Callable
 
 import numpy as np
 
-from .bounds import G, G_beta, gabor_bound, wavelet_bound
 from .core import distribution_bound, gauss_panels, integrate
 from .errors import InvalidInputError, RegimeError
-from .extremals import extremal_weight_gabor, extremal_weight_wavelet
 from .scalar import ConstraintSet
 
 __all__ = [
-    "GaborKernel",
-    "WaveletKernel",
-    "kernel_for",
     "SampledFunction",
     "VariationalSolution",
     "constraint_moment",
     "solve_closed_form",
     "solve_kkt_oracle",
 ]
-
-
-# ---------------------------------------------------------------------------
-# kernels: the concave integrand and the inverse of its derivative
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class GaborKernel:
-    d: int = 1
-
-    def g(self, s):
-        return G(s, self.d)
-
-    def gprime_inv(self, y):
-        """Solve e^{-(d! u)^{1/d}} = y for u, clamped to 0 when y >= 1."""
-        y = np.asarray(y, dtype=float)
-        u = np.zeros_like(y)
-        low = y < 1.0
-        u[low] = (-np.log(y[low])) ** self.d / math.factorial(self.d)
-        return u
-
-    def multiplier_scale(self) -> float:
-        """G'(0), the largest useful multiplier at t = 1."""
-        return 1.0
-
-
-@dataclass(frozen=True)
-class WaveletKernel:
-    beta: float = 1.0
-
-    def g(self, s):
-        return G_beta(s, self.beta)
-
-    def gprime_inv(self, y):
-        """Solve (2 beta / 4 pi)(1 + u/4 pi)^{-(2 beta + 1)} = y, clamped."""
-        y = np.asarray(y, dtype=float)
-        h = y * (4.0 * math.pi) / (2.0 * self.beta)
-        u = np.zeros_like(y)
-        low = h < 1.0
-        u[low] = 4.0 * math.pi * (h[low] ** (-1.0 / (2.0 * self.beta + 1.0)) - 1.0)
-        return u
-
-    def multiplier_scale(self) -> float:
-        return 2.0 * self.beta / (4.0 * math.pi)
-
-
-def kernel_for(c: ConstraintSet):
-    return GaborKernel(c.d) if c.transform == "gabor" else WaveletKernel(c.beta)
 
 
 # ---------------------------------------------------------------------------
@@ -154,11 +101,8 @@ def solve_closed_form(c: ConstraintSet) -> VariationalSolution:
     of mu (``distribution_bound`` and ``constraint_moment``) rather than
     read off the bound formulas, so the two can be compared.
     """
-    if c.transform == "gabor":
-        report, w = gabor_bound(c), extremal_weight_gabor(c)
-    else:
-        report, w = wavelet_bound(c), extremal_weight_wavelet(c)
-    obj = distribution_bound(w, kernel_for(c).g)
+    report, w = c.setting.bound(c), c.setting.extremal_weight(c)
+    obj = distribution_bound(w, c.setting.g)
     mom = constraint_moment(w.mu, c.p, c.A, breaks=(w.ess_sup(),))
     return VariationalSolution(w.mu, report.lam, obj, mom, report.regime)
 
@@ -168,19 +112,19 @@ def solve_kkt_oracle(c: ConstraintSet) -> VariationalSolution:
     the multiplier until the sampled constraint moment equals B^p.
 
     No closed-form peak level or regime formula enters: the multiplier
-    bracket is expanded from the kernel's own scale, and all integrals are
+    bracket is expanded from the setting's G'(0), and all integrals are
     quadratures of the sampled inverse.  p = 1 is not handled (the objective
     is linear there and stationarity degenerates).
     """
     if c.p == 1:
         raise RegimeError("the multiplier oracle requires p > 1")
-    kern = kernel_for(c)
+    setting = c.setting
     p, A = c.p, c.A
     target = c.B ** p
 
     def t_zero(cm: float) -> float:
-        # largest t with a nonzero inverse: kern.gprime_inv vanishes beyond it
-        return (kern.multiplier_scale() / cm) ** (1.0 / (p - 1.0))
+        # largest t with a nonzero inverse: setting.gprime_inv vanishes beyond it
+        return (setting.gprime_zero() / cm) ** (1.0 / (p - 1.0))
 
     # one unit grid per solve, scaled to (0, upper) as t = upper * T: a
     # bisection moment is then upper^p sum p W T^{p-1} u, one inverse and one dot.
@@ -196,10 +140,10 @@ def solve_kkt_oracle(c: ConstraintSet) -> VariationalSolution:
     def moment(cm: float) -> float:
         upper = upper_end(cm)
         scale = upper ** (p - 1.0)
-        return upper * scale * float(pWTp @ kern.gprime_inv(cm * scale * Tp))
+        return upper * scale * float(pWTp @ setting.gprime_inv(cm * scale * Tp))
 
     # moment(cm) is strictly decreasing; expand to a sign-changing bracket
-    scale = kern.multiplier_scale() * (A if math.isfinite(A) else 1.0) ** (1.0 - p)
+    scale = setting.gprime_zero() * (A if math.isfinite(A) else 1.0) ** (1.0 - p)
     lo = hi = scale
     while moment(lo) <= target:
         lo /= 4.0
@@ -221,14 +165,14 @@ def solve_kkt_oracle(c: ConstraintSet) -> VariationalSolution:
     cm = math.sqrt(lo * hi)
     upper = upper_end(cm)
     nodes = upper * T
-    s = SampledFunction(nodes, kern.gprime_inv(cm * nodes ** (p - 1.0)), upper * W)
+    s = SampledFunction(nodes, setting.gprime_inv(cm * nodes ** (p - 1.0)), upper * W)
     mom = constraint_moment(s, p, A)
-    obj = s.integral(kern.g)
+    obj = s.integral(setting.g)
     lam = t_zero(cm)
     regime = "truncated" if (math.isfinite(A) and lam > A) else "gaussian"
 
     def u(t):
         t = np.asarray(t, dtype=float)
-        return kern.gprime_inv(cm * t ** (p - 1.0))
+        return setting.gprime_inv(cm * t ** (p - 1.0))
 
     return VariationalSolution(u, lam, obj, mom, regime, multiplier=cm, samples=s)

@@ -9,6 +9,7 @@ from __future__ import annotations
 import math
 import time
 from functools import partial
+from numbers import Integral
 
 import numpy as np
 
@@ -16,6 +17,7 @@ from . import bounds as bd
 from . import varprob as vp
 from .core import (RadialProfile, WeightField, decreasing_rearrangement,
                    distribution_bound, lp_norm, schwarz_symmetrize)
+from .errors import InvalidInputError
 from .extremals import (extremal_signal, extremal_weight_gabor,
                         extremal_weight_wavelet, wavelet_disc_coefficients)
 from .gabor import (Signal, assemble_operator, concentration, expectation,
@@ -26,7 +28,7 @@ from .wavelet import (DiscProfile, HalfPlaneGrid, HardySignal,
                       bergman_radial_eigenvalues, cauchy_norm_const,
                       cauchy_wavelet, disc_basis_frequency, nu_window_integral,
                       wavelet_transform_grid)
-from .scalar import ConstraintSet
+from .scalar import ConstraintSet, Plane
 
 SUITES = ("bounds", "rearrange", "varprob", "gabor", "wavelet")
 
@@ -86,9 +88,8 @@ def random_feasible_competitor(rng, c: ConstraintSet):
         idx = np.clip(np.searchsorted(edges, t, side="right") - 1, 0, n_steps - 1)
         return np.where(t < T, levels[idx], 0.0)
 
-    kern = vp.kernel_for(c)
     width = np.diff(edges)
-    objective = float(np.sum(kern.g(levels) * width))
+    objective = float(np.sum(c.setting.g(levels) * width))
     return u, objective
 
 
@@ -314,7 +315,7 @@ def verify_varprob(seed: int = 0, basis: int = 48) -> dict:
         worst_obj = max(worst_obj, abs(sol.objective_value - orc.objective_value))
         worst_sat = max(worst_sat, abs(sol.constraint_value - c.B ** c.p),
                         abs(orc.constraint_value - c.B ** c.p))
-        ref = bd.gabor_bound(c) if c.transform == "gabor" else bd.wavelet_bound(c)
+        ref = c.setting.bound(c)
         worst_bound = max(worst_bound, abs(sol.objective_value - ref.bound))
     rec.check("oracle pointwise vs closed form", worst_pw, 1e-8)
     rec.check("oracle objective vs closed form", worst_obj, 1e-10)
@@ -341,10 +342,10 @@ def verify_varprob(seed: int = 0, basis: int = 48) -> dict:
         u = rng.exponential(1.0, n)
         ustar = decreasing_rearrangement(u)
         edges = np.linspace(0.0, A, n + 1)
-        kern = vp.GaborKernel(1)
+        g = Plane(1).g
         width = np.diff(edges)
-        same_obj = abs(float(np.sum(kern.g(u) * width))
-                       - float(np.sum(kern.g(ustar) * width)))
+        same_obj = abs(float(np.sum(g(u) * width))
+                       - float(np.sum(g(ustar) * width)))
         ok = ok and same_obj < 1e-12
         ok = ok and step_moment(edges, ustar, p) <= step_moment(edges, u, p) + 1e-12
     rec.expect("monotonicity removal", ok)
@@ -626,6 +627,8 @@ _SUITE_FUNCS = {
 
 def run_suite(name: str, seed: int = 0, basis: int = 48) -> list[dict]:
     """Run one suite (or 'all'); returns a list of suite summaries."""
+    if not (isinstance(seed, Integral) and seed >= 0):
+        raise InvalidInputError(f"seed must be a nonnegative integer, got {seed!r}")
     if name == "all":
         return [fn(seed=seed, basis=basis) for fn in _SUITE_FUNCS.values()]
     if name not in _SUITE_FUNCS:

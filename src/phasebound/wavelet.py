@@ -22,8 +22,8 @@ import numpy as np
 
 from .core import GridField, MeasureProfile, gauss_panels, head_tail, lp_norm
 from .errors import DivergenceError, InvalidInputError, RegimeError
-from .family import disc_threshold
 from .gabor import OperatorSpectrum, basis_recurrence, gram_operator, mirror_fold
+from .scalar import Disc
 
 __all__ = [
     "cauchy_norm_const",
@@ -451,8 +451,7 @@ class DiscProfile(MeasureProfile):
     @classmethod
     def indicator(cls, amplitude: float, nu_measure: float, center: complex = 1j) -> "DiscProfile":
         """amplitude on the hyperbolic disc of that nu-measure about center."""
-        return cls("disc_indicator", amplitude=amplitude, x_threshold=disc_threshold(nu_measure),
-                   center=center)
+        return cls(**Disc.indicator(amplitude, nu_measure), center=center)
 
     @classmethod
     def power(cls, amplitude: float, exponent: float, center: complex = 1j) -> "DiscProfile":

@@ -7,7 +7,7 @@ from scipy.integrate import quad
 
 from phasebound import cli
 from phasebound.bounds import gabor_bound, wavelet_bound
-from phasebound.core import lp_norm
+from phasebound.core import RadialProfile, lp_norm
 from phasebound.errors import InvalidInputError, UnattainedBoundError
 from phasebound.extremals import (extremal_signal, extremal_signal_wavelet,
                                   extremal_weight_gabor,
@@ -68,6 +68,9 @@ def test_ball_weight_past_the_factorial_doubles():
             ref = mpmath.sqrt((mpmath.factorial(d) * mpmath.mpf(volume)) ** (mpmath.mpf(1) / d)
                               / mpmath.pi)
         assert w.kind == "ball_indicator" and w.radius == pytest.approx(float(ref), rel=1e-14)
+        # the profile's own constructor takes any integer dimension
+        ball = RadialProfile.ball(1.0, volume, dim=np.int64(d))
+        assert ball.radius == w.radius
 
 
 def test_gabor_weight_norm_and_sup_saturation():

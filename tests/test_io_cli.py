@@ -483,6 +483,55 @@ def test_cli_norm_rejects_bad_points_per_cell(tmp_path, capsys, ppc):
     assert "points_per_cell" in err
 
 
+@pytest.mark.parametrize("command", ["norm", "symmetrize"])
+@pytest.mark.parametrize("body", [b"x,omega,re\xff,im\n0.0,0.0,1.0,0.0\n",
+                                  b"x,omega,re,im\n0.0,0.0,1.0\xff,0.0\n"],
+                         ids=["header", "data-row"])
+def test_cli_rejects_non_utf8_weight_file(tmp_path, capsys, command, body):
+    # a byte that is not UTF-8 was a bare UnicodeDecodeError traceback, from
+    # the sniffer, the header read or the csv re-parse of the data rows
+    path = tmp_path / "field.csv"
+    path.write_bytes(body)
+    extra = ["--p", "2"] if command == "norm" else ["--out", str(tmp_path / "r.csv")]
+    assert cli.main([command, "--weight", str(path), *extra]) == cli.EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error:") and err.count("\n") == 1
+    assert str(path) in err and "UTF-8" in err
+
+
+def test_cli_verify_rejects_negative_seed(run_cli):
+    # numpy's seeding raised a bare ValueError for a negative seed
+    code, out, err = run_cli("verify", "--suite", "bounds", "--seed", "-1")
+    assert code == cli.EXIT_USAGE and out == ""
+    assert err.startswith("error: seed must be a nonnegative integer") and err.count("\n") == 1
+
+
+def test_cli_truncated_extremal_csv_reaches_past_the_cap(tmp_path, run_cli):
+    # lam = 3.8e27 caps the Gaussian at A = 1 out to r = 4.5; the grid used to
+    # end where lam e^{-pi r^2} = 1e-12 lam, at r = 2.97, inside the cap, so
+    # every row read 1.0 and the file held a ball of L^2 norm 5.26, not 8
+    out_csv = tmp_path / "capped.csv"
+    code, out, _ = run_cli("extremal", "--p", "2", "--A", "1", "--B", "8",
+                           "--out", str(out_csv), "--format", "json")
+    assert code == 0 and json.loads(out)["lambda"] > 1e27
+    w = read_radial_profile(out_csv)
+    assert lp_norm(w, 2.0) == pytest.approx(8.0, rel=5e-3)
+    assert w.knot_values[0] == 1.0
+    assert w.knot_values[-1] == pytest.approx(1e-12, rel=1e-9)
+    # the Gaussian and the ball keep their grids
+    for w in (RadialProfile.gaussian(0.0, 2.0), RadialProfile.gaussian(3.0, 2.0),
+              RadialProfile.ball(1.0, 2.0)):
+        write_radial_profile(w, out_csv)
+        r_max = (w.radius * 1.25 if w.kind == "ball_indicator"
+                 else math.sqrt(2.0 * 12.0 * math.log(10.0) / math.pi))
+        assert read_radial_profile(out_csv).knots[-1] == r_max
+    # a peak level past the doubles has no extent: an error, not NaN rows
+    code, out, err = run_cli("extremal", "--p", "1.001", "--A", "1", "--B", "2",
+                             "--out", str(tmp_path / "inf.csv"))
+    assert code == cli.EXIT_USAGE and out == "" and err.startswith("error:")
+    assert not (tmp_path / "inf.csv").exists()
+
+
 SCIPY_LOADED = "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')"
 
 

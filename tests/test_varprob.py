@@ -4,11 +4,12 @@ import math
 import numpy as np
 import pytest
 
-from phasebound.bounds import gabor_bound, wavelet_bound
-from phasebound.errors import RegimeError
-from phasebound.scalar import ConstraintSet
-from phasebound.varprob import (GaborKernel, WaveletKernel, constraint_moment,
-                                kernel_for, solve_closed_form, solve_kkt_oracle)
+import phasebound.bounds
+from phasebound import cli
+from phasebound.bounds import G, G_beta, gabor_bound, wavelet_bound
+from phasebound.errors import InvalidInputError, RegimeError
+from phasebound.scalar import ConstraintSet, Disc, Plane
+from phasebound.varprob import constraint_moment, solve_closed_form, solve_kkt_oracle
 from phasebound.verify import random_feasible_competitor
 
 CASES = [
@@ -115,24 +116,68 @@ def test_pointwise_bound():
         assert np.all(sol.u(ts) <= c.B ** c.p / ts ** c.p + 1e-9)
 
 
+SETTINGS = [(Plane(1), "gabor"), (Plane(2), "gabor"), (Disc(1.0), "wavelet"),
+            (Disc(0.5), "wavelet")]
+
+
 def test_gprime_inverse_consistency():
-    # (G')^{-1} really inverts the derivative of the kernel integrand; values
+    # (G')^{-1} really inverts the derivative of the setting's ceiling; values
     # at or above G'(0) clamp to zero
     eps = 1e-7
-    for kern in (GaborKernel(1), GaborKernel(2), WaveletKernel(1.0), WaveletKernel(0.5)):
-        scale = kern.multiplier_scale()
+    for setting, _ in SETTINGS:
+        scale = setting.gprime_zero()
         for frac in (0.1, 0.4, 0.9):
             y = frac * scale
-            u = float(kern.gprime_inv(y))
+            u = float(setting.gprime_inv(y))
             assert u > 0.0
-            deriv = (float(kern.g(u + eps)) - float(kern.g(max(u - eps, 0.0)))) / (2 * eps)
+            deriv = (float(setting.g(u + eps)) - float(setting.g(max(u - eps, 0.0)))) / (2 * eps)
             assert deriv == pytest.approx(y, rel=1e-5)
-        assert kern.gprime_inv(np.array([scale, 2 * scale])) == pytest.approx([0.0, 0.0])
+        assert setting.gprime_inv(np.array([scale, 2 * scale])) == pytest.approx([0.0, 0.0])
 
 
-def test_kernel_for_dispatch():
-    assert isinstance(kernel_for(ConstraintSet(2.0, 1.0, 1.0, "gabor", d=3)), GaborKernel)
-    assert isinstance(kernel_for(ConstraintSet(2.0, 1.0, 1.0, "wavelet", beta=2.0)), WaveletKernel)
+def test_constraint_set_builds_its_setting():
+    # the transform tag chooses the setting once; its bound is the tagged
+    # closed form, bitwise, and its ceiling is G or G_beta
+    s = np.array([0.0, 0.3, 2.0])
+    for setting, transform in SETTINGS:
+        if transform == "gabor":
+            par, bound, ceiling = {"d": setting.d}, gabor_bound, G(s, setting.d)
+        else:
+            par, bound, ceiling = {"beta": setting.beta}, wavelet_bound, G_beta(s, setting.beta)
+        for p, A, B in [(1.0, 1.0, 2.0), (2.0, math.inf, 1.0), (2.5, 1.0, 3.0)]:
+            c = ConstraintSet(p, A, B, transform, **par)
+            assert c.setting == setting and type(c.setting) is type(setting)
+            assert c.setting.bound(c) == bound(c)
+        assert np.array_equal(setting.g(s), ceiling)
+
+
+def test_settings_check_their_parameter():
+    # the d and beta checks moved from ConstraintSet into the settings
+    for bad in (0, -1, 1.5):
+        with pytest.raises(InvalidInputError, match="gabor constraints need integer d >= 1"):
+            ConstraintSet(2.0, 1.0, 1.0, "gabor", d=bad)
+    for bad in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(InvalidInputError, match="wavelet constraints need 0 < beta < inf"):
+            ConstraintSet(2.0, 1.0, 1.0, "wavelet", beta=bad)
+
+
+def test_bound_is_looked_up_through_bounds(monkeypatch, capsys):
+    # the benchmark's tracer wraps bounds.gabor_bound in the module's
+    # namespace; the CLI and the closed-form solver must reach that name
+    calls = []
+    original = phasebound.bounds.gabor_bound
+
+    def spy(c):
+        calls.append(c)
+        return original(c)
+
+    monkeypatch.setattr(phasebound.bounds, "gabor_bound", spy)
+    assert cli.main(["bound", "--p", "2", "--A", "1", "--B", "1"]) == cli.EXIT_OK
+    assert len(calls) == 1 and calls[0].p == 2.0
+    capsys.readouterr()
+    c = ConstraintSet(2.0, 1.0, 1.5)
+    solve_closed_form(c)
+    assert calls[1:2] == [c]
 
 
 def test_objective_and_moment_accept_sampled_solutions():

@@ -13,34 +13,37 @@ geometry is written once, in s:
                   unless some imaginary part is nonzero (complex128), with
                   the exact step distribution function mu(t) of their cell
                   values and their L^p norm;
-  MeasureProfile  nonincreasing radial profiles (``RadialProfile`` here,
-                  ``DiscProfile`` in ``wavelet``): knot validation, step
-                  evaluation, ess_sup, and the indicator, sampled and
-                  constant branches of the L^p norm, of mu(t) and of the
-                  radial spectra;
+  MeasureProfile  the one nonincreasing radial profile of either setting,
+                  of kind indicator, family, truncated, sampled or
+                  constant: validation, evaluation, ess_sup, the L^p norm,
+                  mu(t), the step branches of the radial spectra and the
+                  grid sampling (``RadialProfile`` here and ``DiscProfile``
+                  in ``wavelet`` are its named constructors);
   distribution_bound  int_0^inf G(mu(t)) dt for the ceiling G of a setting;
   gauss_panels, integrate  the Gauss-Legendre panel rule of every oracle
                   integral, and its refinement on (0, b) with an error
                   estimate.
 
 Every weight, gridded or radial, answers the same exact mu(t), the measure
-of {|w| > t}, and the bounds read nothing else of it.  A setting supplies
-its coordinate map, its analytic family (a Gaussian in pi r^2, a power of
-1 - x) and its spectral law, whose tail sums (``head_tail``) are its CDFs.
+of {|w| > t}, and the bounds read nothing else of it.  A setting
+(``scalar.Plane(d)`` or ``scalar.Disc``) supplies a profile's geometry: its
+coordinate map, its analytic family (a Gaussian in pi r^2, a power of
+1 - x) and its grid; the spectra add its spectral law, whose tail sums
+(``head_tail``) are its CDFs.
 """
 from __future__ import annotations
 
 import math
 import operator
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import accumulate, chain
 
 import numpy as np
 
 from .errors import DivergenceError, InvalidInputError
-from .scalar import Plane, _check_exponent, expm1_poly
+from .scalar import Disc, Plane, _check_exponent
 
 __all__ = [
     "head_tail",
@@ -347,56 +350,71 @@ class WeightField(GridField):
 # radial profiles
 # ---------------------------------------------------------------------------
 
+@dataclass(frozen=True)
 class MeasureProfile:
     """Nonincreasing radial weight, handled through the measure s of its
     superlevel sets.
 
-    Subclasses are frozen dataclasses with the fields kind, amplitude, cap,
-    knots and knot_values.  Their five kinds are an indicator, an analytic
-    family, the family capped at ``cap``, left-continuous steps on
-    ``knots`` and a constant.  A subclass lists its kind names in
-    ``_KINDS`` in that order, with the first three also as ``_INDICATOR``,
-    ``_FAMILY`` and ``_TRUNCATED``, bounds its knots by ``_COORD_MAX`` and
-    supplies
-      measure(coord)  its radial coordinate -> s (floats or arrays)
-      edge            the coordinate where the indicator ends
-      _family(coord)  the untruncated analytic profile
-      _family_mu(t)   s of {family > t}, for 0 < t < amplitude
-      _family_lp(p)   the L^p norm of the family and truncated kinds.
+    ``setting`` is ``Plane(d)``, for rho(|z - center|) on R^{2d}, or
+    ``Disc``, for rho(x) of x = |w|^2 in the disc model about ``center``;
+    it supplies the geometry.  The kinds:
+      indicator  amplitude below ``edge``, a ball's radius or a disc's x
+      family     amplitude exp(-pi r^2 / shape), amplitude (1 - x)^shape
+      truncated  min(family, cap), with 0 < cap < amplitude
+      sampled    left-continuous steps: knot_values[i] on (knots[i-1], knots[i]]
+      constant   amplitude everywhere
+    Amplitude and shape are finite, shape nonzero and above the setting's
+    ``shape_min``; the edge and the knots lie in (0, ``coord_max``).
     """
 
-    _COORD_MAX = math.inf
+    setting: Plane | type[Disc]
+    kind: str
+    amplitude: float = 1.0
+    shape: float = 1.0
+    edge: float = 0.0
+    cap: float = math.inf
+    knots: np.ndarray | None = None
+    knot_values: np.ndarray | None = None
+    center: tuple[float, float] | complex = field(kw_only=True)
 
-    def _validate(self):
-        if self.kind not in self._KINDS:
-            raise InvalidInputError(f"unknown profile kind {self.kind!r}")
-        if self.amplitude < 0:
-            raise InvalidInputError("amplitude must be nonnegative")
-        if self.kind == self._TRUNCATED and not (0 < self.cap < self.amplitude):
+    def __post_init__(self):
+        setting, kind = self.setting, self.kind
+        if kind not in ("indicator", "family", "truncated", "sampled", "constant"):
+            raise InvalidInputError(f"unknown profile kind {kind!r}")
+        if not 0 <= self.amplitude < math.inf:
+            raise InvalidInputError("amplitude must be finite and nonnegative")
+        if not (setting.shape_min < self.shape < math.inf and self.shape != 0):
+            raise InvalidInputError(
+                f"shape must be finite, nonzero and above {setting.shape_min}")
+        if kind == "indicator" and not 0 < self.edge < setting.coord_max:
+            raise InvalidInputError(f"the indicator's edge must lie in (0, {setting.coord_max})")
+        # a finite amplitude bounds the cap
+        if kind == "truncated" and not 0 < self.cap < self.amplitude:
             raise InvalidInputError("truncation requires 0 < cap < amplitude")
-        if self.kind == "sampled":
+        if kind == "sampled":
             r = np.asarray(self.knots, dtype=float)
             v = np.asarray(self.knot_values, dtype=float)
             if r.ndim != 1 or r.shape != v.shape or r.size == 0:
                 raise InvalidInputError("sampled profile needs matching 1-d knots/values")
             if not (np.all(np.isfinite(r)) and np.all(np.isfinite(v))):
                 raise InvalidInputError("sampled profile must be finite")
-            if r[0] <= 0 or r[-1] >= self._COORD_MAX or np.any(np.diff(r) <= 0):
+            if r[0] <= 0 or r[-1] >= setting.coord_max or np.any(np.diff(r) <= 0):
                 raise InvalidInputError(
-                    f"knots must increase strictly inside (0, {self._COORD_MAX})")
+                    f"knots must increase strictly inside (0, {setting.coord_max})")
             if np.any(v < 0) or np.any(np.diff(v) > 0):
                 raise InvalidInputError("sampled values must be nonnegative and nonincreasing")
             object.__setattr__(self, "knots", r)
             object.__setattr__(self, "knot_values", v)
+        setting.check_center(self.center)
 
     def __call__(self, coord):
         coord = np.asarray(coord, dtype=float)
-        if self.kind == self._INDICATOR:
+        if self.kind == "indicator":
             return np.where(coord < self.edge, self.amplitude, 0.0)
-        if self.kind == self._FAMILY:
-            return self._family(coord)
-        if self.kind == self._TRUNCATED:
-            return np.minimum(self._family(coord), self.cap)
+        if self.kind == "family":
+            return self.setting.family_value(self, coord)
+        if self.kind == "truncated":
+            return np.minimum(self.setting.family_value(self, coord), self.cap)
         if self.kind == "constant":
             return np.full_like(coord, self.amplitude, dtype=float)
         # sampled: value v[i] on (knots[i-1], knots[i]], zero past the last knot
@@ -407,7 +425,7 @@ class MeasureProfile:
         return out
 
     def ess_sup(self) -> float:
-        if self.kind == self._TRUNCATED:
+        if self.kind == "truncated":
             return self.cap
         if self.kind == "sampled":
             return float(self.knot_values[0])
@@ -418,26 +436,27 @@ class MeasureProfile:
         _check_exponent(p)
         kind = self.kind
         if kind == "sampled":
-            return _scaled_lp(self.knot_values, np.diff(self.measure(self.knots), prepend=0.0), p)
+            return _scaled_lp(self.knot_values,
+                              np.diff(self.setting.measure(self.knots), prepend=0.0), p)
         if kind == "constant":
             raise DivergenceError("a constant profile is not in L^p")
-        if kind == self._INDICATOR:
-            return float(self.amplitude * self.measure(self.edge) ** (1.0 / p))
-        return self._family_lp(p)
+        if kind == "indicator":
+            return float(self.amplitude * self.setting.measure(self.edge) ** (1.0 / p))
+        return self.setting.family_lp(self, p)
 
     def mu(self, t) -> np.ndarray:
         """Measure s of the superlevel set {rho > t}, elementwise in t."""
         t = np.asarray(t, dtype=float)
-        if self.kind == self._INDICATOR:
-            return np.where(t < self.amplitude, self.measure(self.edge), 0.0)
+        if self.kind == "indicator":
+            return np.where(t < self.amplitude, self.setting.measure(self.edge), 0.0)
         if self.kind == "sampled":
-            return _step_mu(self.knot_values, self.measure(self.knots), t)
+            return _step_mu(self.knot_values, self.setting.measure(self.knots), t)
         if self.kind == "constant":
             raise DivergenceError("a constant profile has superlevel sets of infinite measure")
         # superlevel sets below a cap are those of the untruncated family
         mu = np.zeros_like(t)
         good = t < self.ess_sup()
-        mu[good] = self._family_mu(t[good])
+        mu[good] = self.setting.family_mu(self, t[good])
         return mu
 
     def step_eigenvalues(self, K: int, cdf) -> np.ndarray:
@@ -447,108 +466,48 @@ class MeasureProfile:
         (K, m) at a float or a row of m measures; a step of height v on
         (s_{i-1}, s_i] contributes v (cdf(s_i) - cdf(s_{i-1})).
         """
-        if self.kind == self._INDICATOR:
-            return self.amplitude * cdf(self.measure(self.edge))[:, 0]
+        if self.kind == "indicator":
+            return self.amplitude * cdf(self.setting.measure(self.edge))[:, 0]
         if self.kind == "constant":
             return np.full(K, float(self.amplitude))
-        s = np.concatenate([[0.0], self.measure(self.knots)])
+        s = np.concatenate([[0.0], self.setting.measure(self.knots)])
         return np.diff(cdf(s), axis=1) @ self.knot_values
 
+    def on_grid(self, *grid):
+        """The profile sampled by its setting: ``on_grid(half_width, n)``, a
+        ``WeightField`` on the plane; ``on_grid(grid)``, a ``HalfPlaneField``
+        on a ``HalfPlaneGrid`` for the disc."""
+        return self.setting.on_grid(self, *grid)
 
-@dataclass(frozen=True)
+
 class RadialProfile(MeasureProfile):
-    """Nonincreasing nonnegative radial weight rho(|z - center|) on R^{2d}.
+    """Named constructors of profiles on R^{2d}, setting ``Plane(dim)``:
+    the ball of given 2d-volume, the Gaussian amplitude exp(-pi r^2 / scale)
+    and its truncation at cap < amplitude, steps in r and a constant."""
 
-    kinds and parameters:
-      ball_indicator     amplitude on r < radius, 0 beyond
-      gaussian           amplitude * exp(-pi r^2 / scale)
-      truncated_gaussian min(amplitude * exp(-pi r^2 / scale), cap), amplitude > cap
-      sampled            left-continuous steps: value knot_values[i] on (knots[i-1], knots[i]]
-      constant           amplitude everywhere
-    """
-
-    kind: str
-    amplitude: float = 1.0
-    scale: float = 1.0
-    radius: float = 0.0
-    cap: float = math.inf
-    knots: np.ndarray | None = None
-    knot_values: np.ndarray | None = None
-    center: tuple[float, float] = (0.0, 0.0)
-    dim: int = 1
-
-    _KINDS = ("ball_indicator", "gaussian", "truncated_gaussian", "sampled", "constant")
-    _INDICATOR, _FAMILY, _TRUNCATED = _KINDS[:3]
-
-    def __post_init__(self):
-        self._validate()
-        if self.scale <= 0 or self.dim < 1:
-            raise InvalidInputError("scale must be > 0 and dim >= 1")
-        if self.kind == "ball_indicator" and self.radius <= 0:
-            raise InvalidInputError("ball needs a positive radius")
-
-    # -- constructors ------------------------------------------------------
     @classmethod
     def ball(cls, amplitude: float, volume: float, center=(0.0, 0.0), dim: int = 1) -> "RadialProfile":
         """Indicator of the ball of given 2d-volume (area when dim=1)."""
-        return cls(**Plane(operator.index(dim)).indicator(amplitude, volume),
-                   center=center, dim=dim)
+        return cls(**Plane(operator.index(dim)).indicator(amplitude, volume), center=center)
 
     @classmethod
     def gaussian(cls, amplitude: float, scale: float, center=(0.0, 0.0), dim: int = 1) -> "RadialProfile":
-        return cls("gaussian", amplitude=amplitude, scale=scale, center=center, dim=dim)
+        return cls(Plane(operator.index(dim)), "family", amplitude, scale, center=center)
 
     @classmethod
     def truncated_gaussian(cls, amplitude: float, scale: float, cap: float,
                            center=(0.0, 0.0), dim: int = 1) -> "RadialProfile":
-        return cls("truncated_gaussian", amplitude=amplitude, scale=scale, cap=cap,
-                   center=center, dim=dim)
+        return cls(Plane(operator.index(dim)), "truncated", amplitude, scale, cap=cap,
+                   center=center)
 
     @classmethod
     def sampled(cls, knots, values, center=(0.0, 0.0), dim: int = 1) -> "RadialProfile":
-        return cls("sampled", knots=np.asarray(knots, float),
-                   knot_values=np.asarray(values, float), center=center, dim=dim)
+        return cls(Plane(operator.index(dim)), "sampled", knots=np.asarray(knots, float),
+                   knot_values=np.asarray(values, float), center=center)
 
     @classmethod
     def constant(cls, level: float, center=(0.0, 0.0), dim: int = 1) -> "RadialProfile":
-        return cls("constant", amplitude=level, center=center, dim=dim)
-
-    # -- the plane's coordinate and family -----------------------------------
-    def measure(self, r):
-        """Volume (pi r^2)^d / d! of the ball of radius r in R^{2d}."""
-        return (math.pi * r ** 2) ** self.dim / math.factorial(self.dim)
-
-    @property
-    def edge(self) -> float:
-        return self.radius
-
-    def _family(self, r):
-        return self.amplitude * np.exp(-math.pi * r * r / self.scale)
-
-    def _family_mu(self, t):
-        # a difference of logs: amplitude / t overflows for t < amplitude / DBL_MAX
-        log_ratio = math.log(self.amplitude) - np.log(t)
-        return (self.scale * log_ratio) ** self.dim / math.factorial(self.dim)
-
-    def _family_lp(self, p: float) -> float:
-        d = self.dim
-        if self.kind == "gaussian":
-            # int |rho|^p dz = amplitude^p (scale/p)^d in the volume coordinate
-            return float(self.amplitude * (self.scale / p) ** (d / p))
-        # cap^p times the capped volume tau0^d / d!, plus the Gaussian tail
-        # amplitude^p (scale/p)^d Q(d, p s0) = cap^p (scale/p)^d e_{d-1}(p s0),
-        # since Q(d, y) e^y = e_{d-1}(y); amplitude^p would overflow
-        s0 = math.log(self.amplitude / self.cap)
-        tau0 = self.scale * s0
-        tail = (self.scale / p) ** d * (1.0 + expm1_poly(d - 1, p * s0))
-        return float(self.cap * (tau0 ** d / math.factorial(d) + tail) ** (1.0 / p))
-
-    def on_grid(self, half_width: float, n: int) -> WeightField:
-        """Sample onto a centered square grid (profile center included)."""
-        ax = WeightField.cell_centers(half_width, n)
-        dx = ax[:, None] - self.center[0]
-        dy = ax[None, :] - self.center[1]
-        return WeightField(half_width, n, self(np.hypot(dx, dy)))
+        return cls(Plane(operator.index(dim)), "constant", level, center=center)
 
 
 # ---------------------------------------------------------------------------
@@ -566,7 +525,7 @@ def distribution_bound(w, G) -> float:
     if isinstance(w, GridField):
         levels, measures = w.levels()
     elif isinstance(w, MeasureProfile) and w.kind == "sampled":
-        levels, measures = w.knot_values, w.measure(w.knots)
+        levels, measures = w.knot_values, w.setting.measure(w.knots)
     elif isinstance(w, MeasureProfile):
         return integrate(lambda t: G(w.mu(t)), w.ess_sup())[0]
     else:

@@ -36,7 +36,7 @@ def extremal_weight_gabor(c: ConstraintSet, center=(0.0, 0.0)) -> RadialProfile:
     A; the cap then changes nothing and the uncapped Gaussian is returned.
     The global phase is fixed to zero (norm-invariant).
     """
-    return RadialProfile(**extremal_family(gabor_bound(c)), center=center, dim=c.d)
+    return RadialProfile(**extremal_family(gabor_bound(c)), center=center)
 
 
 def extremal_weight_wavelet(c: ConstraintSet, center: complex = 1j) -> DiscProfile:

@@ -1,9 +1,10 @@
 """The extremal weight of each setting, on the standard library alone.
 
-A weight is a dict of its ``kind`` and parameters, named as the fields of
-``RadialProfile`` and ``DiscProfile``: an indicator (the ball regime), the
-setting's family (the plane's Gaussian lam e^{-pi r^2/(p-1)}, the disc's
-power lam (1 - x)^{1/alpha}), or that family capped at A.
+A weight is a dict of its setting, its ``kind`` and its parameters, named
+as the fields of ``core.MeasureProfile``: an indicator of coordinates below
+``edge`` (the ball regime), the setting's ``family`` of peak ``amplitude``
+and ``shape`` (the plane's Gaussian lam e^{-pi r^2/(p-1)}, the disc's
+power lam (1 - x)^{1/alpha}), or that family ``truncated`` at ``cap`` = A.
 ``extremal_family`` reads it off a ``BoundReport`` for ``extremals``;
 ``sample_family`` samples an analytic kind for ``io``'s CSV writers.  Both
 read the parameters, the grid and the values off the setting
@@ -33,21 +34,21 @@ def extremal_family(report) -> dict:
     return c.setting.family(c, report.lam, c.A if capped else math.inf)
 
 
-def sample_family(setting, params: dict, n: int) -> tuple[list, list]:
+def sample_family(params: dict, n: int) -> tuple[list, list]:
     """n coordinates and values of an analytic kind, as float lists.
 
     The coordinates are the setting's ``sample_grid``, bitwise the numpy
-    grid.  ``setting`` may be the class: the grid and the values do not
-    depend on d or beta.  The values go through libm's exp and pow, so they
-    may differ by an ulp from the profile's numpy evaluation.
+    grid.  The values go through libm's exp and pow, so they may differ by
+    an ulp from the profile's numpy evaluation.  A constant has no extent
+    to sample.
     """
     if not n >= 2:
         raise InvalidInputError(f"need at least 2 samples, got {n}")
+    if params["kind"] == "constant":
+        raise InvalidInputError("a constant profile has no extent: cannot choose a CSV grid")
+    setting = params["setting"]
     coords = setting.sample_grid(params, n)
-    kind, a = params["kind"], float(params["amplitude"])
-    if kind in ("ball_indicator", "disc_indicator"):
-        edge = params[setting.edge]
+    if params["kind"] == "indicator":
+        a, edge = float(params["amplitude"]), params["edge"]
         return coords, [a if t < edge else 0.0 for t in coords]
-    if kind == "constant":
-        return coords, [a] * n
     return coords, setting.family_values(params, coords)

@@ -22,10 +22,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (RadialProfile, WeightField, _legendre_rule, gauss_panels, head_tail,
-                   integrate, lp_norm)
+from .core import (MeasureProfile, RadialProfile, WeightField, _legendre_rule, gauss_panels,
+                   head_tail, integrate, lp_norm)
 from .errors import (AliasingError, BasisTruncationError, InvalidInputError,
                      RegimeError)
+from .scalar import Plane
 
 __all__ = [
     "Signal",
@@ -469,9 +470,9 @@ def assemble_operator(F, K: int, *, points_per_cell: int = 2) -> np.ndarray:
         nodes_y, nodes_x = np.meshgrid(axis[:n], axis[:n], indexing="ij")
         return _accumulate(K, nodes_x.ravel(), nodes_y.ravel(), w[0], w[1], w[3], w[2])
 
-    if not isinstance(F, RadialProfile):
+    if not (isinstance(F, MeasureProfile) and isinstance(F.setting, Plane)):
         raise InvalidInputError(f"cannot assemble from {type(F).__name__}")
-    if F.dim != 1:
+    if F.setting.d != 1:
         raise RegimeError("spectral computation is restricted to d = 1")
 
     r, rw = _polar_radial_rule(F, K)
@@ -502,14 +503,14 @@ def _polar_radial_rule(F: RadialProfile, K: int):
     covers the profile's support."""
     r_max = math.sqrt(_gamma_q_inverse(K, 1e-14) / math.pi)
     breakpoints = []
-    if F.kind == "ball_indicator":
-        breakpoints = [F.radius]
-        r_max = max(r_max, F.radius * 1.05)
-    elif F.kind == "truncated_gaussian":
-        breakpoints = [math.sqrt(F.scale * math.log(F.amplitude / F.cap) / math.pi)]
-        r_max = max(r_max, math.sqrt(F.scale * 45.0 / math.pi))
-    elif F.kind == "gaussian":
-        r_max = max(r_max, math.sqrt(F.scale * 45.0 / math.pi))
+    if F.kind == "indicator":
+        breakpoints = [F.edge]
+        r_max = max(r_max, F.edge * 1.05)
+    elif F.kind == "truncated":
+        breakpoints = [math.sqrt(F.shape * math.log(F.amplitude / F.cap) / math.pi)]
+        r_max = max(r_max, math.sqrt(F.shape * 45.0 / math.pi))
+    elif F.kind == "family":
+        r_max = max(r_max, math.sqrt(F.shape * 45.0 / math.pi))
     elif F.kind == "sampled":
         if F.knots.size > 1024:
             raise InvalidInputError(
@@ -563,7 +564,7 @@ def spectrum_from_matrix(M: np.ndarray) -> OperatorSpectrum:
 def _radial_ks(rho: RadialProfile, K: int) -> np.ndarray:
     if rho.center != (0.0, 0.0):
         raise RegimeError("radial eigenvalues require a profile centered at the origin")
-    if rho.dim != 1:
+    if rho.setting.d != 1:
         raise RegimeError("spectral computation is restricted to d = 1")
     if K < 1:
         raise InvalidInputError("K must be >= 1")
@@ -619,21 +620,21 @@ def _gamma_q_inverse(K: int, q: float) -> float:
 
 
 def _radial_eigs_closed(rho: RadialProfile, ks: np.ndarray) -> np.ndarray:
-    if rho.kind == "gaussian":
-        return rho.amplitude * (rho.scale / (1.0 + rho.scale)) ** (ks + 1.0)
-    if rho.kind == "truncated_gaussian":
-        s0 = rho.scale * math.log(rho.amplitude / rho.cap)
-        c = 1.0 + 1.0 / rho.scale
+    if rho.kind == "family":
+        return rho.amplitude * (rho.shape / (1.0 + rho.shape)) ** (ks + 1.0)
+    if rho.kind == "truncated":
+        s0 = rho.shape * math.log(rho.amplitude / rho.cap)
+        c = 1.0 + 1.0 / rho.shape
         Q, P = _poisson_sums(ks.size, np.array([s0, c * s0]))
         return rho.cap * P[:, 0] + rho.amplitude * (1.0 / c) ** (ks + 1.0) * Q[:, 1]
     return rho.step_eigenvalues(ks.size, lambda s: _poisson_sums(ks.size, s)[1])
 
 
 def _profile_breaks_s(rho: RadialProfile) -> list[float]:
-    if rho.kind == "ball_indicator":
-        return [math.pi * rho.radius ** 2]
-    if rho.kind == "truncated_gaussian":
-        return [rho.scale * math.log(rho.amplitude / rho.cap)]
+    if rho.kind == "indicator":
+        return [math.pi * rho.edge ** 2]
+    if rho.kind == "truncated":
+        return [rho.shape * math.log(rho.amplitude / rho.cap)]
     if rho.kind == "sampled":
         return list(math.pi * rho.knots ** 2)
     return []
@@ -654,7 +655,7 @@ def _gamma_average_quad(rho: RadialProfile, k: int, pts: list[float]) -> float:
         ctx.prec = 30
         c = float(decimal.Decimal(m) ** k * decimal.Decimal(-m).exp() / math.factorial(k))
     upper = k + 1 + 40.0 * math.sqrt(k + 1.0) + 40.0
-    if rho.kind in ("ball_indicator", "sampled"):
+    if rho.kind in ("indicator", "sampled"):
         upper = min(upper, max(pts))
     return integrate(lambda s: rho(np.sqrt(s / math.pi)) * c * np.exp(k * np.log(s / m) - (s - m)),
                      upper, pts)[0]

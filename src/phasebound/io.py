@@ -23,7 +23,6 @@ from typing import TYPE_CHECKING
 
 from .errors import InvalidInputError
 from .family import extremal_family, sample_family
-from .scalar import Disc, Plane
 
 if TYPE_CHECKING:
     from .bounds import BoundReport
@@ -139,20 +138,25 @@ def read_weight_field(path) -> WeightField:
     return field
 
 
-def _write_profile(path, setting, params, n_samples):
-    """r,value rows on the plane, x,value on the disc: a sampled profile's
-    knots, any other kind through ``sample_family``."""
+def _write_profile(path, params, n_samples, coordinate):
+    """``coordinate``,value rows of a profile whose setting writes that
+    coordinate, r on the plane and x on the disc: a sampled profile's knots,
+    any other kind through ``sample_family``.  ``params`` holds the setting,
+    the kind and the parameters, as a profile's fields do."""
+    if params["setting"].coordinate != coordinate:
+        raise InvalidInputError(f"a profile radial in {params['setting'].coordinate} "
+                                f"cannot be written as {coordinate},value rows")
     if params["kind"] == "sampled":
         coords, vals = params["knots"], params["knot_values"]
     else:
-        coords, vals = sample_family(setting, params, n_samples)
-    _write_rows(path, [setting.coordinate, "value"], coords, vals)
+        coords, vals = sample_family(params, n_samples)
+    _write_rows(path, [coordinate, "value"], coords, vals)
 
 
 def write_radial_profile(profile: RadialProfile, path, n_samples: int = 512):
-    """Write r,value rows: a sampled profile's knots, any other kind sampled
-    on a uniform radius grid out to its extent."""
-    _write_profile(path, Plane, vars(profile), n_samples)
+    """Write r,value rows: a sampled profile's knots, any other kind but a
+    constant sampled on a uniform radius grid out to its extent."""
+    _write_profile(path, vars(profile), n_samples, "r")
 
 
 def read_radial_profile(path) -> RadialProfile:
@@ -162,7 +166,7 @@ def read_radial_profile(path) -> RadialProfile:
 
 
 def write_disc_profile(profile: DiscProfile, path, n_samples: int = 512):
-    _write_profile(path, Disc, vars(profile), n_samples)
+    _write_profile(path, vars(profile), n_samples, "x")
 
 
 def read_disc_profile(path) -> DiscProfile:
@@ -174,7 +178,7 @@ def read_disc_profile(path) -> DiscProfile:
 def write_extremal(report: BoundReport, path, n_samples: int = 512):
     """Write the extremal weight of a bound as its profile writer would,
     r,value on the plane and x,value on the disc, without numpy."""
-    _write_profile(path, report.inputs.setting, extremal_family(report), n_samples)
+    _write_profile(path, extremal_family(report), n_samples, report.inputs.setting.coordinate)
 
 
 def write_halfplane_field(field: HalfPlaneField, path):

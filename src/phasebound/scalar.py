@@ -3,9 +3,14 @@
 Both bounds follow one scheme, ||L_F|| <= int G(mu_F(t)) dt with the
 setting's ceiling G.  A ``ConstraintSet`` builds its setting once,
 ``Plane(d)`` or ``Disc(beta)``, which owns its bound, G, (G')^{-1}, G'(0),
-its extremal family and its CSV sampling.  This module imports the standard
-library alone, and so does ``bounds``: a closed-form bound loads no numpy.
-The settings look ``bounds`` and the array modules up at call time.
+its extremal family and its CSV sampling.  A setting is also the geometry
+of a ``core.MeasureProfile``: the map from its radial coordinate to the
+measure s, the coordinate's bound, the family's value, mu and L^p norm,
+its center and its grid sampling; ``Plane(d)`` for profiles on R^{2d}, the
+class ``Disc`` for profiles on the disc, whose geometry has no beta.  This
+module imports the standard library alone, and so does ``bounds``: a
+closed-form bound loads no numpy.  The settings look ``bounds``, numpy
+and the array modules up at call time.
 """
 from __future__ import annotations
 
@@ -13,9 +18,11 @@ import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .errors import InvalidInputError, UnattainedBoundError
+from .errors import DivergenceError, InvalidInputError, UnattainedBoundError
 
 __all__ = ["ConstraintSet", "Plane", "Disc"]
+
+FOUR_PI = 4.0 * math.pi
 
 
 def expm1_poly(n: int, x):
@@ -54,10 +61,12 @@ def _check_exponent(p: float):
 @dataclass(frozen=True)
 class Plane:
     """The time-frequency setting R^{2d}: ceiling G(s) = P(d, (d! s)^{1/d})
-    (Nicola-Tilli), the Gaussian lam e^{-pi r^2/(p-1)}, CSV coordinate r."""
+    (Nicola-Tilli), the Gaussian lam e^{-pi r^2/(p-1)}, CSV coordinate r.
+    Profiles are radial in r about a center (x0, omega0), with shape the
+    Gaussian's scale p - 1 > 0."""
 
     d: int = 1
-    coordinate, edge = "r", "radius"
+    coordinate, coord_max, shape_min = "r", math.inf, 0.0
 
     def __post_init__(self):
         if not (isinstance(self.d, int) and self.d >= 1):
@@ -101,35 +110,72 @@ class Plane:
         radius = math.sqrt(root / math.pi)
         if not radius > 0:
             raise InvalidInputError("ball needs a positive radius")
-        return {"kind": "ball_indicator", "amplitude": amplitude, "radius": radius}
+        return {"setting": self, "kind": "indicator", "amplitude": amplitude, "edge": radius}
 
     def family(self, c, lam: float, cap: float) -> dict:
-        return {"kind": "gaussian" if cap == math.inf else "truncated_gaussian",
-                "amplitude": lam, "scale": c.p - 1.0, "cap": cap}
+        return {"setting": self, "kind": "family" if cap == math.inf else "truncated",
+                "amplitude": lam, "shape": c.p - 1.0, "cap": cap}
 
-    @staticmethod
-    def sample_grid(params: dict, n: int) -> list:
+    # -- the geometry of a profile -------------------------------------------
+    def measure(self, r):
+        """Volume (pi r^2)^d / d! of the ball of radius r in R^{2d}."""
+        return (math.pi * r ** 2) ** self.d / math.factorial(self.d)
+
+    def family_value(self, w, r):
+        import numpy as np
+        return w.amplitude * np.exp(-math.pi * r * r / w.shape)
+
+    def family_mu(self, w, t):
+        import numpy as np
+        # a difference of logs: amplitude / t overflows for t < amplitude / DBL_MAX
+        log_ratio = math.log(w.amplitude) - np.log(t)
+        return (w.shape * log_ratio) ** self.d / math.factorial(self.d)
+
+    def family_lp(self, w, p: float) -> float:
+        d = self.d
+        if w.kind == "family":
+            # int |rho|^p dz = amplitude^p (scale/p)^d in the volume coordinate
+            return float(w.amplitude * (w.shape / p) ** (d / p))
+        # cap^p times the capped volume tau0^d / d!, plus the Gaussian tail
+        # amplitude^p (scale/p)^d Q(d, p s0) = cap^p (scale/p)^d e_{d-1}(p s0),
+        # since Q(d, y) e^y = e_{d-1}(y); amplitude^p would overflow
+        s0 = math.log(w.amplitude / w.cap)
+        tau0 = w.shape * s0
+        tail = (w.shape / p) ** d * (1.0 + expm1_poly(d - 1, p * s0))
+        return float(w.cap * (tau0 ** d / math.factorial(d) + tail) ** (1.0 / p))
+
+    def check_center(self, center):
+        """Any (x0, omega0) centers a plane profile."""
+
+    def on_grid(self, w, half_width: float, n: int):
+        """w on the centered square grid of ``core.WeightField``, about w's center."""
+        import numpy as np
+
+        from .core import WeightField
+        ax = WeightField.cell_centers(half_width, n)
+        dx = ax[:, None] - w.center[0]
+        dy = ax[None, :] - w.center[1]
+        return WeightField(half_width, n, w(np.hypot(dx, dy)))
+
+    # -- CSV sampling ----------------------------------------------------------
+    def sample_grid(self, params: dict, n: int) -> list:
         """linspace(r_max / n, r_max, n), bitwise numpy's.  r_max lies past
         the ball's edge, or where the Gaussian has fallen to 1e-12 of its
         peak lam, or of its cap A < lam: the cap adds log(lam / A) of decay."""
-        kind = params["kind"]
-        if kind == "ball_indicator":
-            r_max = params["radius"] * 1.25
-        elif kind in ("gaussian", "truncated_gaussian"):
-            scale, lam, cap = params["scale"], params["amplitude"], params["cap"]
+        if params["kind"] == "indicator":
+            r_max = params["edge"] * 1.25
+        else:
+            scale, lam, cap = params["shape"], params["amplitude"], params["cap"]
             capped = math.log(lam) - math.log(cap) if cap < lam else 0.0
             r_max = math.sqrt((scale * 12.0 * math.log(10.0) + scale * capped) / math.pi)
             if r_max == math.inf:
                 raise InvalidInputError("the peak level overflows: the CSV has no extent")
-        else:
-            raise InvalidInputError(f"cannot choose an extent for kind {kind!r}")
         start = r_max / n
         step = (r_max - start) / (n - 1)
         return [i * step + start for i in range(n - 1)] + [r_max]
 
-    @staticmethod
-    def family_values(params: dict, coords: list) -> list:
-        a, scale, cap = float(params["amplitude"]), params["scale"], params["cap"]
+    def family_values(self, params: dict, coords: list) -> list:
+        a, scale, cap = float(params["amplitude"]), params["shape"], params["cap"]
         return [min(a * math.exp(-math.pi * r * r / scale), cap) for r in coords]
 
 
@@ -137,10 +183,12 @@ class Plane:
 class Disc:
     """The Cauchy-wavelet setting, the disc: ceiling G_beta(s) = 1 - (1 +
     s/(4 pi))^{-2 beta} (Ramos-Tilli), the power lam (1 - x)^{1/alpha} of
-    x = |w|^2, CSV coordinate x."""
+    x = |w|^2, CSV coordinate x.  Profiles are radial in x in the disc model
+    about a center in the upper half-plane, with shape the power's exponent
+    1/alpha; their geometry is the class's, free of beta."""
 
     beta: float = 1.0
-    coordinate, edge = "x", "x_threshold"
+    coordinate, coord_max, shape_min = "x", 1.0, -math.inf
 
     def __post_init__(self):
         if not 0 < self.beta < math.inf:
@@ -173,16 +221,63 @@ class Disc:
 
     @staticmethod
     def indicator(amplitude: float, nu_measure: float) -> dict:
-        """amplitude on the hyperbolic disc of that nu-measure, x < x_threshold."""
+        """amplitude on the hyperbolic disc of that nu-measure, x below the edge."""
         x = nu_measure / (nu_measure + 4.0 * math.pi)
         if not 0 < x < 1:
             raise InvalidInputError("indicator threshold must lie in (0, 1)")
-        return {"kind": "disc_indicator", "amplitude": amplitude, "x_threshold": x}
+        return {"setting": Disc, "kind": "indicator", "amplitude": amplitude, "edge": x}
 
     def family(self, c, lam: float, cap: float) -> dict:
-        return {"kind": "power" if cap == math.inf else "truncated_power",
-                "amplitude": lam, "exponent": 1.0 / c.alpha, "cap": cap}
+        return {"setting": Disc, "kind": "family" if cap == math.inf else "truncated",
+                "amplitude": lam, "shape": 1.0 / c.alpha, "cap": cap}
 
+    # -- the geometry of a profile -------------------------------------------
+    @staticmethod
+    def measure(x):
+        """nu-measure 4 pi x / (1 - x) of the disc {|w|^2 < x}."""
+        return FOUR_PI * x / (1.0 - x)
+
+    @staticmethod
+    def family_value(w, x):
+        return w.amplitude * (1.0 - x) ** w.shape
+
+    @staticmethod
+    def family_mu(w, t):
+        return FOUR_PI * ((t / w.amplitude) ** (-1.0 / w.shape) - 1.0)
+
+    @staticmethod
+    def family_lp(w, p: float) -> float:
+        if w.kind == "family":
+            if p * w.shape <= 1:
+                raise DivergenceError("power profile not in L^p(d nu): need p * exponent > 1")
+            return float(w.amplitude * (FOUR_PI / (p * w.shape - 1.0)) ** (1.0 / p))
+        # the tail's amplitude^p t^{p e - 1} is cap^p / t; amplitude^p may overflow
+        t = (w.cap / w.amplitude) ** (1.0 / w.shape)
+        return float(w.cap * (FOUR_PI * (1.0 / t - 1.0 + 1.0 / (t * (p * w.shape - 1.0))))
+                     ** (1.0 / p))
+
+    @staticmethod
+    def check_center(center):
+        if center.imag <= 0:
+            raise InvalidInputError("center must lie in the upper half-plane")
+
+    @staticmethod
+    def on_grid(w, grid):
+        """w at the cell centers of a ``wavelet.HalfPlaneGrid``."""
+        from .wavelet import HalfPlaneField
+        return HalfPlaneField(grid, w(Disc.grid_coordinate(w.center, grid)))
+
+    @staticmethod
+    def grid_coordinate(center, grid):
+        """x = |(z - c) / (z - conj c)|^2 at the cell centers, shape (nx, ny):
+        (dx^2 + (y - y0)^2) / (dx^2 + (y + y0)^2) with dx = x - x0, from
+        the two axes broadcast against each other."""
+        dx2 = ((grid.x - center.real) ** 2)[:, None]
+        x = dx2 + (grid.y - center.imag) ** 2
+        x /= dx2 + (grid.y + center.imag) ** 2
+        return x
+
+    # -- CSV sampling ----------------------------------------------------------
     @staticmethod
     def sample_grid(params: dict, n: int) -> list:
         """The n interior points of linspace(0, 1, n + 2), bitwise numpy's."""
@@ -191,7 +286,7 @@ class Disc:
 
     @staticmethod
     def family_values(params: dict, coords: list) -> list:
-        a, exponent, cap = float(params["amplitude"]), params["exponent"], params["cap"]
+        a, exponent, cap = float(params["amplitude"]), params["shape"], params["cap"]
         return [min(a * (1.0 - x) ** exponent, cap) for x in coords]
 
 

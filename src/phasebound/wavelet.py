@@ -8,9 +8,10 @@ densities.
 
 The disc is one setting of the measure-coordinate core in ``core``: the
 hyperbolic measure of {|w|^2 < x} is s = 4 pi x / (1 - x), half-plane fields
-are grid fields with nu cell masses, and ``DiscProfile`` supplies only its
-coordinate map, its power family and, in ``bergman_radial_eigenvalues``, its
-Beta spectral CDF.
+are grid fields with nu cell masses, a disc profile is a ``MeasureProfile``
+whose setting ``Disc`` holds its coordinate map, power family and grid
+sampling (``DiscProfile`` names its constructors), and
+``bergman_radial_eigenvalues`` adds the Beta spectral CDF.
 """
 from __future__ import annotations
 
@@ -23,7 +24,7 @@ import numpy as np
 from .core import GridField, MeasureProfile, gauss_panels, head_tail, lp_norm
 from .errors import DivergenceError, InvalidInputError, RegimeError
 from .gabor import OperatorSpectrum, basis_recurrence, gram_operator, mirror_fold
-from .scalar import Disc
+from .scalar import FOUR_PI, Disc
 
 __all__ = [
     "cauchy_norm_const",
@@ -42,7 +43,6 @@ __all__ = [
     "nu_window_integral",
 ]
 
-FOUR_PI = 4.0 * math.pi
 
 # wavelet_transform_grid: a y row drops the frequency tail whose sum |B| is
 # at most this share of the row's sum |B|, below the products' own rounding
@@ -415,39 +415,12 @@ def _bergman_ratios(K: int, beta: float) -> np.ndarray:
 # disc-model radial symbols
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class DiscProfile(MeasureProfile):
-    """Radial symbol rho(x), x = |w|^2 in the disc model, about ``center``.
+    """Named constructors of profiles on the disc, setting ``Disc``: the
+    hyperbolic disc of given nu-measure, the power amplitude (1 - x)^exponent
+    (decreasing for exponent > 0) and its truncation at cap, steps in x in
+    (0, 1) and a constant."""
 
-    kinds:
-      disc_indicator  amplitude on x < x_threshold
-      power           amplitude * (1 - x)^exponent  (exponent > 0: decreasing)
-      truncated_power min(amplitude * (1 - x)^exponent, cap)
-      sampled         left-continuous steps on knots in (0, 1)
-      constant        amplitude
-    """
-
-    kind: str
-    amplitude: float = 1.0
-    exponent: float = 1.0
-    x_threshold: float = 0.0
-    cap: float = math.inf
-    knots: np.ndarray | None = None
-    knot_values: np.ndarray | None = None
-    center: complex = 1j
-
-    _KINDS = ("disc_indicator", "power", "truncated_power", "sampled", "constant")
-    _INDICATOR, _FAMILY, _TRUNCATED = _KINDS[:3]
-    _COORD_MAX = 1.0
-
-    def __post_init__(self):
-        self._validate()
-        if self.center.imag <= 0:
-            raise InvalidInputError("center must lie in the upper half-plane")
-        if self.kind == "disc_indicator" and not (0 < self.x_threshold < 1):
-            raise InvalidInputError("indicator threshold must lie in (0, 1)")
-
-    # -- constructors --------------------------------------------------
     @classmethod
     def indicator(cls, amplitude: float, nu_measure: float, center: complex = 1j) -> "DiscProfile":
         """amplitude on the hyperbolic disc of that nu-measure about center."""
@@ -455,60 +428,21 @@ class DiscProfile(MeasureProfile):
 
     @classmethod
     def power(cls, amplitude: float, exponent: float, center: complex = 1j) -> "DiscProfile":
-        return cls("power", amplitude=amplitude, exponent=exponent, center=center)
+        return cls(Disc, "family", amplitude, exponent, center=center)
 
     @classmethod
     def truncated_power(cls, amplitude: float, exponent: float, cap: float,
                         center: complex = 1j) -> "DiscProfile":
-        return cls("truncated_power", amplitude=amplitude, exponent=exponent,
-                   cap=cap, center=center)
+        return cls(Disc, "truncated", amplitude, exponent, cap=cap, center=center)
 
     @classmethod
     def constant(cls, level: float, center: complex = 1j) -> "DiscProfile":
-        return cls("constant", amplitude=level, center=center)
+        return cls(Disc, "constant", level, center=center)
 
     @classmethod
     def sampled(cls, knots, values, center: complex = 1j) -> "DiscProfile":
-        return cls("sampled", knots=np.asarray(knots, float),
+        return cls(Disc, "sampled", knots=np.asarray(knots, float),
                    knot_values=np.asarray(values, float), center=center)
-
-    # -- the disc's coordinate and family ----------------------------------
-    def measure(self, x):
-        """nu-measure 4 pi x / (1 - x) of the disc {|w|^2 < x}."""
-        return FOUR_PI * x / (1.0 - x)
-
-    @property
-    def edge(self) -> float:
-        return self.x_threshold
-
-    def _family(self, x):
-        return self.amplitude * (1.0 - x) ** self.exponent
-
-    def _family_mu(self, t):
-        return FOUR_PI * ((t / self.amplitude) ** (-1.0 / self.exponent) - 1.0)
-
-    def _family_lp(self, p: float) -> float:
-        if self.kind == "power":
-            if p * self.exponent <= 1:
-                raise DivergenceError("power profile not in L^p(d nu): need p * exponent > 1")
-            return float(self.amplitude
-                         * (FOUR_PI / (p * self.exponent - 1.0)) ** (1.0 / p))
-        # the tail's amplitude^p t^{p e - 1} is cap^p / t; amplitude^p may overflow
-        t = (self.cap / self.amplitude) ** (1.0 / self.exponent)
-        return float(self.cap * (FOUR_PI * (1.0 / t - 1.0 + 1.0 / (t * (p * self.exponent - 1.0))))
-                     ** (1.0 / p))
-
-    def on_grid(self, grid: HalfPlaneGrid) -> HalfPlaneField:
-        return HalfPlaneField(grid, self(self._grid_coordinate(grid)))
-
-    def _grid_coordinate(self, grid: HalfPlaneGrid) -> np.ndarray:
-        """x = |(z - c) / (z - conj c)|^2 at the cell centers, shape (nx, ny):
-        (dx^2 + (y - y0)^2) / (dx^2 + (y + y0)^2) with dx = x - x0, from
-        the two axes broadcast against each other."""
-        dx2 = ((grid.x - self.center.real) ** 2)[:, None]
-        x = dx2 + (grid.y - self.center.imag) ** 2
-        x /= dx2 + (grid.y + self.center.imag) ** 2
-        return x
 
 
 # ---------------------------------------------------------------------------
@@ -545,18 +479,18 @@ def bergman_radial_eigenvalues(rho: DiscProfile, beta: float, K: int) -> Operato
                           "recenter via the Moebius covariance first")
     b = 2.0 * beta
 
-    if rho.kind == "power":
-        if b + rho.exponent <= 0:
+    if rho.kind == "family":
+        if b + rho.shape <= 0:
             raise DivergenceError(
-                f"Beta integral diverges: exponent {rho.exponent} <= -2 beta")
-        lam = rho.amplitude * _beta_ratio(K, b, rho.exponent)
-    elif rho.kind == "truncated_power":
+                f"Beta integral diverges: exponent {rho.shape} <= -2 beta")
+        lam = rho.amplitude * _beta_ratio(K, b, rho.shape)
+    elif rho.kind == "truncated":
         # the capped set is x < x* = 1 - t, with t exact in the parameters
-        t = (rho.cap / rho.amplitude) ** (1.0 / rho.exponent)
-        I = _negbin_sums(K, np.array([b, b + rho.exponent]), 1.0 - t, t)[1]
+        t = (rho.cap / rho.amplitude) ** (1.0 / rho.shape)
+        I = _negbin_sums(K, np.array([b, b + rho.shape]), 1.0 - t, t)[1]
         # 1 - I cancels for the (b + exponent) law: fault 3, ROADMAP item 1
         lam = (rho.cap * I[:, 0]
-               + rho.amplitude * _beta_ratio(K, b, rho.exponent) * (1.0 - I[:, 1]))
+               + rho.amplitude * _beta_ratio(K, b, rho.shape) * (1.0 - I[:, 1]))
     else:
         # I_x(k + 1, b) in the nu-measure s: x = s / (s + 4 pi), t = 4 pi / (s + 4 pi)
         lam = rho.step_eigenvalues(

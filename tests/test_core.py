@@ -9,7 +9,7 @@ from phasebound.core import (RadialProfile, WeightField, decreasing_rearrangemen
                              lp_norm, schwarz_symmetrize)
 from phasebound.errors import (DivergenceError, InvalidInputError,
                                UnattainedBoundError)
-from phasebound.scalar import ConstraintSet
+from phasebound.scalar import ConstraintSet, Disc, Plane
 from phasebound.verify import thresholds
 from phasebound.wavelet import DiscProfile, HalfPlaneField, HalfPlaneGrid
 
@@ -83,16 +83,37 @@ def test_grid_field_owns_its_values(make):
 
 
 def test_radial_profile_validation():
-    with pytest.raises(InvalidInputError):
-        RadialProfile("nonsense")
-    with pytest.raises(InvalidInputError):
-        RadialProfile.truncated_gaussian(1.0, 1.0, 2.0)  # cap above amplitude
-    with pytest.raises(InvalidInputError):
-        RadialProfile.sampled([1.0, 0.5], [1.0, 2.0])  # knots not increasing
-    with pytest.raises(InvalidInputError):
-        RadialProfile.sampled([0.5, 1.0], [1.0, 2.0])  # values increasing
-    prof = RadialProfile.sampled([0.5, 1.0], [2.0, 1.0])
-    assert prof(np.array([0.2, 0.7, 3.0])) == pytest.approx([2.0, 1.0, 0.0])
+    # one check serves both settings: a known kind, a finite amplitude and a
+    # finite nonzero shape (NaN and inf gave NaN norms, shape 0 a
+    # ZeroDivisionError), 0 < cap < amplitude, and an edge and knots inside
+    # the coordinate's range
+    for cls, setting, center, family, truncated in (
+            (RadialProfile, Plane(1), (0.0, 0.0), RadialProfile.gaussian,
+             RadialProfile.truncated_gaussian),
+            (DiscProfile, Disc, 1j, DiscProfile.power, DiscProfile.truncated_power)):
+        bad = [lambda: cls(setting, "nonsense", center=center),
+               lambda: truncated(1.0, 1.0, 2.0),  # cap above amplitude
+               lambda: truncated(math.inf, 1.0, 1.0),
+               lambda: cls.sampled([0.5, 0.25], [1.0, 2.0]),  # knots not increasing
+               lambda: cls.sampled([0.25, 0.5], [1.0, 2.0]),  # values increasing
+               lambda: cls.constant(math.nan),
+               lambda: cls(setting, "indicator", 1.0, edge=0.0, center=center),
+               lambda: cls(setting, "indicator", 1.0, edge=setting.coord_max, center=center)]
+        bad += [lambda args=args: family(*args) for args in
+                ((math.nan, 1.0), (math.inf, 1.0), (-1.0, 1.0),
+                 (1.0, math.nan), (1.0, math.inf), (1.0, 0.0))]
+        for make in bad:
+            with pytest.raises(InvalidInputError):
+                make()
+        prof = cls.sampled([0.25, 0.5], [2.0, 1.0])
+        assert prof(np.array([0.2, 0.4, 0.7])) == pytest.approx([2.0, 1.0, 0.0])
+    # the plane's scale is positive; the disc takes a rising power, and its
+    # center lies in the upper half-plane
+    for make in (lambda: RadialProfile.gaussian(1.0, -1.0),
+                 lambda: DiscProfile.power(1.0, 3.0, center=0.5 - 1j)):
+        with pytest.raises(InvalidInputError):
+            make()
+    assert DiscProfile.power(1.0, -1.5).shape == -1.5
 
 
 def test_constraint_set_validation():
@@ -233,16 +254,30 @@ def test_lp_norm_closed_forms():
     assert lp_norm(tr, 2.0) == pytest.approx(1.0, abs=1e-12)
 
 
-def test_lp_norm_quadrature_agreement():
+# per setting: (profile, p) cases, the measure density ds/dcoord, the upper
+# end of the coordinate, quad's subinterval limit and the tolerance
+_LP_QUADRATURE = {
+    "plane": ([(RadialProfile.gaussian(1.2, 1.7), 2.0),
+               (RadialProfile.truncated_gaussian(2.0, 0.9, 1.3), 1.5),
+               (RadialProfile.ball(1.4, 0.8), 3.0)],
+              lambda r: 2 * math.pi * r, 12.0, 200, 1e-9),
+    "disc": ([(DiscProfile.power(0.7, 3.0), 2.0),
+              (DiscProfile.truncated_power(2.0, 3.0, 1.1), 1.5),
+              (DiscProfile.indicator(1.3, 2.0), 1.0)],
+             lambda x: 4 * math.pi / (1 - x) ** 2, 1.0 - 1e-12, 300, 1e-8),
+}
+
+
+@pytest.mark.parametrize("setting", ["plane", "disc"])
+def test_profile_lp_norm_quadrature(setting):
     from scipy.integrate import quad
-    for prof, p in ((RadialProfile.gaussian(1.2, 1.7), 2.0),
-                    (RadialProfile.truncated_gaussian(2.0, 0.9, 1.3), 1.5),
-                    (RadialProfile.ball(1.4, 0.8), 3.0)):
-        def dens(r):
-            return float(prof(np.atleast_1d(r))[0]) ** p * 2 * math.pi * r
-        breaks = [prof.radius] if prof.kind == "ball_indicator" else None
-        val, _ = quad(dens, 0, 12.0, points=breaks, limit=200)
-        assert lp_norm(prof, p) == pytest.approx(val ** (1 / p), rel=1e-9)
+    cases, ds, upper, limit, rel = _LP_QUADRATURE[setting]
+    for prof, p in cases:
+        def dens(t):
+            return float(prof(np.atleast_1d(t))[0]) ** p * ds(t)
+        breaks = [prof.edge] if prof.kind == "indicator" else None
+        val, _ = quad(dens, 0.0, upper, points=breaks, limit=limit)
+        assert lp_norm(prof, p) == pytest.approx(val ** (1 / p), rel=rel)
 
 
 def test_lp_norm_divergence_and_grid():

@@ -41,16 +41,16 @@ WAVELET_CASES = [
 
 def test_gabor_weight_shapes():
     w = extremal_weight_gabor(ConstraintSet(1.0, 1.0, 1.0, "gabor"))
-    assert w.kind == "ball_indicator"
-    assert math.pi * w.radius ** 2 == pytest.approx(1.0)
+    assert w.kind == "indicator"
+    assert math.pi * w.edge ** 2 == pytest.approx(1.0)
 
     w = extremal_weight_gabor(ConstraintSet(2.0, math.inf, 1.0, "gabor"))
-    assert w.kind == "gaussian"
+    assert w.kind == "family"
     assert w.amplitude == pytest.approx(math.sqrt(2))
     assert w(np.array([0.7]))[0] == pytest.approx(math.sqrt(2) * math.exp(-math.pi * 0.49))
 
     w = extremal_weight_gabor(ConstraintSet(2.0, 1.0, 1.0, "gabor"))
-    assert w.kind == "truncated_gaussian"
+    assert w.kind == "truncated"
     # truncation radius r0 solves lam e^{-pi r0^2} = A, giving r0^2 = 1/(2 pi)
     r0 = math.sqrt(1.0 / (2.0 * math.pi))
     assert w(np.array([r0 * 0.999]))[0] == pytest.approx(1.0)
@@ -67,10 +67,10 @@ def test_ball_weight_past_the_factorial_doubles():
         with mpmath.workdps(40):
             ref = mpmath.sqrt((mpmath.factorial(d) * mpmath.mpf(volume)) ** (mpmath.mpf(1) / d)
                               / mpmath.pi)
-        assert w.kind == "ball_indicator" and w.radius == pytest.approx(float(ref), rel=1e-14)
+        assert w.kind == "indicator" and w.edge == pytest.approx(float(ref), rel=1e-14)
         # the profile's own constructor takes any integer dimension
         ball = RadialProfile.ball(1.0, volume, dim=np.int64(d))
-        assert ball.radius == w.radius
+        assert ball.edge == w.edge
 
 
 def test_gabor_weight_norm_and_sup_saturation():
@@ -122,7 +122,7 @@ def test_gabor_weight_higher_dimension():
               ConstraintSet(2.0, math.inf, 1.0, "gabor", d=3),
               ConstraintSet(1.0, 1.0, 1.0, "gabor", d=2)):
         w = extremal_weight_gabor(c)
-        assert w.dim == c.d
+        assert w.setting.d == c.d
         assert lp_norm(w, c.p) == pytest.approx(c.B, abs=1e-8), c
         ts = thresholds(w, 300)
         ts = ts[ts < w.ess_sup() * (1 - 1e-12)]
@@ -171,9 +171,9 @@ def _check_tie_weight(c, extremal, argv, tmp_path, capsys):
 def test_wavelet_weight_shapes_and_saturation():
     c = ConstraintSet(2.0, math.inf, 1.0, "wavelet", beta=1.0)
     w = extremal_weight_wavelet(c)
-    assert w.kind == "power"
+    assert w.kind == "family"
     assert w.amplitude == pytest.approx(math.sqrt(5 / (4 * math.pi)), abs=1e-12)
-    assert w.exponent == pytest.approx(3.0)  # 1/alpha at p=2, beta=1
+    assert w.shape == pytest.approx(3.0)  # 1/alpha at p=2, beta=1
 
     for c in WAVELET_CASES:
         w = extremal_weight_wavelet(c)
@@ -187,10 +187,10 @@ def test_wavelet_supercritical_example():
     # L^p checked against an independent quadrature
     c = ConstraintSet(2.0, 1.0, 2.0, "wavelet", beta=1.0)
     w = extremal_weight_wavelet(c)
-    assert w.kind == "truncated_power"
+    assert w.kind == "truncated"
     assert w.amplitude == pytest.approx(1.3258939490229079, abs=1e-12)
     assert w(np.array([0.0]))[0] == 1.0  # capped at A near the center
-    xstar = 1.0 - (1.0 / w.amplitude) ** (1.0 / w.exponent)
+    xstar = 1.0 - (1.0 / w.amplitude) ** (1.0 / w.shape)
 
     def dens(x):
         return float(w(np.atleast_1d(x))[0]) ** 2 * 4 * math.pi / (1 - x) ** 2

@@ -342,12 +342,13 @@ def test_gram_polar_rule_matches_reference_sum(center, monkeypatch):
 
 
 def test_assemble_rejects_non_finite_weight():
-    # near p = 1 the extremal's peak level overflows to inf and its samples
-    # hold inf * 0 = NaN; they used to assemble into a NaN matrix
-    w = extremal_weight_gabor(ConstraintSet(1.001, 1.0, 2.0, "gabor", d=1))
+    # near p = 1 the extremal's peak level overflows to inf, whose samples
+    # hold inf * 0 = NaN and used to assemble into a NaN matrix; the profile
+    # now refuses the infinite amplitude
+    c = ConstraintSet(1.001, 1.0, 2.0, "gabor", d=1)
     with np.errstate(invalid="ignore", over="ignore"):
         with pytest.raises(InvalidInputError):
-            assemble_operator(w, 8)
+            assemble_operator(extremal_weight_gabor(c), 8)
 
 
 def test_assemble_truncation_guard():
@@ -426,10 +427,10 @@ def test_radial_eigenvalues_quad_matches_mpmath_at_large_k():
         quad = radial_eigenvalues_quad(prof, 200).eigenvalues
         for k in (120, 199):
             with mpmath.workdps(30):
-                if prof.kind == "gaussian":
+                if prof.kind == "family":
                     want = (mpmath.mpf(400.0) / 401) ** (k + 1)
                 else:
-                    area = mpmath.mpf(math.pi * prof.radius ** 2)
+                    area = mpmath.mpf(math.pi * prof.edge ** 2)
                     want = mpmath.gammainc(k + 1, 0, area, regularized=True)
             assert abs(quad[k] - float(want)) <= 1e-14 * float(want), (prof.kind, k)
 

@@ -61,23 +61,41 @@ def test_weight_field_roundtrip(tmp_path):
     assert np.max(np.abs(back.values - f.values)) == 0.0
 
 
-def test_radial_profile_roundtrip(tmp_path):
-    prof = RadialProfile.sampled([0.5, 1.0, 2.0], [3.0, 2.0, 0.5])
+PROFILE_FILES = {
+    "plane": (RadialProfile, write_radial_profile, read_radial_profile, "radial"),
+    "disc": (DiscProfile, write_disc_profile, read_disc_profile, "disc"),
+}
+
+
+@pytest.mark.parametrize("setting, prof", [
+    ("plane", RadialProfile.sampled([0.5, 1.0, 2.0], [3.0, 2.0, 0.5])),
+    ("disc", DiscProfile.sampled([0.1, 0.5, 0.9], [2.0, 1.0, 0.25]))], ids=["plane", "disc"])
+def test_profile_roundtrip(tmp_path, setting, prof):
+    _, write, read, tag = PROFILE_FILES[setting]
     path = tmp_path / "prof.csv"
-    write_radial_profile(prof, path)
-    assert sniff_weight_file(path) == "radial"
-    back = read_radial_profile(path)
+    write(prof, path)
+    assert sniff_weight_file(path) == tag
+    back = read(path)
+    assert back.setting == prof.setting
     assert back.knots == pytest.approx(prof.knots)
     assert back.knot_values == pytest.approx(prof.knot_values)
 
 
-def test_disc_profile_roundtrip(tmp_path):
-    prof = DiscProfile.sampled([0.1, 0.5, 0.9], [2.0, 1.0, 0.25])
-    path = tmp_path / "disc.csv"
-    write_disc_profile(prof, path)
-    assert sniff_weight_file(path) == "disc"
-    back = read_disc_profile(path)
-    assert back.knot_values == pytest.approx(prof.knot_values)
+@pytest.mark.parametrize("setting, other", [
+    ("plane", [DiscProfile.sampled([0.2, 0.5], [2.0, 1.0]), DiscProfile.power(1.0, 3.0)]),
+    ("disc", [RadialProfile.sampled([0.2, 5.0], [2.0, 1.0]), RadialProfile.gaussian(1.0, 1.0)])],
+    ids=["plane", "disc"])
+def test_profile_writers_refuse_what_no_reader_accepts(tmp_path, setting, other):
+    # a constant has no L^p norm and no extent, and a profile of the other
+    # setting has the other coordinate: the disc writer wrote a constant as
+    # 512 rows that read back with L^2 norm 80.2, and wrote a plane profile
+    # as x,value rows past x = 1 or raised a bare KeyError
+    cls, write, _, _ = PROFILE_FILES[setting]
+    path = tmp_path / "w.csv"
+    for prof in [cls.constant(1.0), *other]:
+        with pytest.raises(InvalidInputError):
+            write(prof, path)
+        assert not path.exists()
 
 
 def test_halfplane_roundtrip(tmp_path):
@@ -366,9 +384,13 @@ EXTREMAL_CASES = [
     ConstraintSet(2.0, 1.0, 0.7071067811865476),
     ConstraintSet(2.0, 1.0, 1.5853309190424045, "wavelet"),
 ]
-EXTREMAL_KINDS = ["gaussian", "truncated_gaussian", "truncated_gaussian", "truncated_gaussian",
-                  "ball_indicator", "disc_indicator", "power", "truncated_power",
-                  "gaussian", "power"]
+# each case's weight by its name in its setting (the test ids), and that weight's kind
+EXTREMAL_WEIGHTS = ["gaussian", "truncated_gaussian", "truncated_gaussian", "truncated_gaussian",
+                    "ball_indicator", "disc_indicator", "power", "truncated_power",
+                    "gaussian", "power"]
+EXTREMAL_KINDS = {"gaussian": "family", "power": "family", "truncated_gaussian": "truncated",
+                  "truncated_power": "truncated", "ball_indicator": "indicator",
+                  "disc_indicator": "indicator"}
 
 
 def _extremal_argv(c, out):
@@ -377,8 +399,8 @@ def _extremal_argv(c, out):
             "--B", repr(c.B), *par, "--out", str(out), "--format", "json"]
 
 
-@pytest.mark.parametrize("c, kind", zip(EXTREMAL_CASES, EXTREMAL_KINDS))
-def test_cli_extremal_csv_matches_profile_writers(c, kind, tmp_path, run_cli):
+@pytest.mark.parametrize("c, weight", zip(EXTREMAL_CASES, EXTREMAL_WEIGHTS))
+def test_cli_extremal_csv_matches_profile_writers(c, weight, tmp_path, run_cli):
     # the command writes its CSV without building the profile; the file is
     # the one the profile writers write, on the numpy grid, with the values
     # of the profile's own numpy evaluation to libm's rounding
@@ -390,7 +412,7 @@ def test_cli_extremal_csv_matches_profile_writers(c, kind, tmp_path, run_cli):
     else:
         w = extremal_weight_wavelet(c)
         write_disc_profile(w, tmp_path / "lib.csv")
-    assert w.kind == kind
+    assert w.kind == EXTREMAL_KINDS[weight]
     text = (tmp_path / "cli.csv").read_text()
     assert text == (tmp_path / "lib.csv").read_text()
     rows = np.loadtxt(tmp_path / "cli.csv", delimiter=",", skiprows=1)
@@ -522,7 +544,7 @@ def test_cli_truncated_extremal_csv_reaches_past_the_cap(tmp_path, run_cli):
     for w in (RadialProfile.gaussian(0.0, 2.0), RadialProfile.gaussian(3.0, 2.0),
               RadialProfile.ball(1.0, 2.0)):
         write_radial_profile(w, out_csv)
-        r_max = (w.radius * 1.25 if w.kind == "ball_indicator"
+        r_max = (w.edge * 1.25 if w.kind == "indicator"
                  else math.sqrt(2.0 * 12.0 * math.log(10.0) / math.pi))
         assert read_radial_profile(out_csv).knots[-1] == r_max
     # a peak level past the doubles has no extent: an error, not NaN rows

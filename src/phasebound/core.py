@@ -34,7 +34,7 @@ coordinate map, its analytic family (a Gaussian in pi r^2, a power of
 from __future__ import annotations
 
 import math
-import operator
+import numbers
 import sys
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -480,6 +480,13 @@ class MeasureProfile:
         return self.setting.on_grid(self, *grid)
 
 
+def _plane(dim) -> Plane:
+    """``Plane(dim)`` for any integral dim, numpy's integers too."""
+    if not isinstance(dim, numbers.Integral):
+        raise InvalidInputError(f"dim must be an integer >= 1, got {dim!r}")
+    return Plane(int(dim))
+
+
 class RadialProfile(MeasureProfile):
     """Named constructors of profiles on R^{2d}, setting ``Plane(dim)``:
     the ball of given 2d-volume, the Gaussian amplitude exp(-pi r^2 / scale)
@@ -488,26 +495,25 @@ class RadialProfile(MeasureProfile):
     @classmethod
     def ball(cls, amplitude: float, volume: float, center=(0.0, 0.0), dim: int = 1) -> "RadialProfile":
         """Indicator of the ball of given 2d-volume (area when dim=1)."""
-        return cls(**Plane(operator.index(dim)).indicator(amplitude, volume), center=center)
+        return cls(**_plane(dim).indicator(amplitude, volume), center=center)
 
     @classmethod
     def gaussian(cls, amplitude: float, scale: float, center=(0.0, 0.0), dim: int = 1) -> "RadialProfile":
-        return cls(Plane(operator.index(dim)), "family", amplitude, scale, center=center)
+        return cls(_plane(dim), "family", amplitude, scale, center=center)
 
     @classmethod
     def truncated_gaussian(cls, amplitude: float, scale: float, cap: float,
                            center=(0.0, 0.0), dim: int = 1) -> "RadialProfile":
-        return cls(Plane(operator.index(dim)), "truncated", amplitude, scale, cap=cap,
-                   center=center)
+        return cls(_plane(dim), "truncated", amplitude, scale, cap=cap, center=center)
 
     @classmethod
     def sampled(cls, knots, values, center=(0.0, 0.0), dim: int = 1) -> "RadialProfile":
-        return cls(Plane(operator.index(dim)), "sampled", knots=np.asarray(knots, float),
+        return cls(_plane(dim), "sampled", knots=np.asarray(knots, float),
                    knot_values=np.asarray(values, float), center=center)
 
     @classmethod
     def constant(cls, level: float, center=(0.0, 0.0), dim: int = 1) -> "RadialProfile":
-        return cls(Plane(operator.index(dim)), "constant", level, center=center)
+        return cls(_plane(dim), "constant", level, center=center)
 
 
 # ---------------------------------------------------------------------------

@@ -3,16 +3,13 @@
 A real radial weight diagonalizes in the Hermite basis; the k-th eigenvalue
 is the profile averaged against the Gamma(k+1) density in the area
 coordinate s = pi r^2.  Assembly by 2-d quadrature provides the independent
-route to the same spectra and handles arbitrary gridded weights; it is a
-Gram product of phase-free basis stacks (``gram_operator``), which the
-half-plane assembly in ``wavelet`` shares.  A plane grid is symmetric
-about the origin and Vh_k(-z) = (-1)^k Vh_k(z), so its assembly folds
-both axes into Hermite parity blocks (``_parity_gram``): the part of the
-weight even under z -> -z gives the entries with j + k even, the odd part
-those with j + k odd, on a stack over one quadrant of the nodes.  The
-STFT of a signal given by Hermite coefficients or as a Gaussian pulse is
-evaluated in closed form; time quadrature serves sampled signals and is
-the oracle for the others.
+route to the same spectra and handles arbitrary gridded weights; every
+assembly, here and on the half-plane in ``wavelet``, is one Gram kernel
+over phase-free basis stacks (``gram_operator``), which sums a plane
+grid, symmetric about the origin, as Hermite parity blocks over one
+quadrant of the nodes.  The STFT of a signal given by Hermite
+coefficients or as a Gaussian pulse is evaluated in closed form; time
+quadrature serves sampled signals and is the oracle for the others.
 """
 from __future__ import annotations
 
@@ -253,122 +250,78 @@ def basis_recurrence(row0, step, ratios, coeffs=None):
     return out
 
 
-def gram_operator(row0, step, ratios, wf, wf_mirror=None) -> np.ndarray:
-    """M_jk = sum_i wf_i phi_j(z_i) conj(phi_k(z_i)) over quadrature nodes z_i,
-    plus the same sum over their mirror nodes with weights wf_mirror.
+def gram_operator(row0, step, ratios, *w) -> np.ndarray:
+    """M_jk = sum_i w_i phi_j(z_i) conj(phi_k(z_i)) over quadrature nodes z_i,
+    each standing for one, two or four nodes by the weights given: w(z);
+    w(z), w(z') with its mirror z'; or w(z), w(z'), w(-z), w(-z').
 
-    All arguments but ``ratios`` are 1-d arrays over the nodes; the weights
-    are the quadrature weight times the symbol and must be finite.  The
-    basis comes from ``basis_recurrence(row0, step, ratios)``.  A factor
-    common to every phi_k at a node cancels in the product, so ``row0`` is
-    the modulus |phi_0| (real, nonnegative); the phase of the first row
-    never enters.  A node's mirror has the same modulus and the conjugate
-    step, so its basis is conj(phi); without ``wf_mirror`` no node has one.
+    All arguments but ``ratios`` are 1-d arrays over the nodes, the weights
+    finite, and the basis ``basis_recurrence(row0, step, ratios)``.  A
+    factor common to every phi_k cancels, so ``row0`` is |phi_0|.  A
+    mirror's basis is conj(phi), and phi_k(-z) = (-1)^k phi_k(z).
 
-    With phi = P + iQ, s = wf + wf_mirror and d = wf - wf_mirror, real
-    weights give M = sum s (P P^T + Q Q^T) + i (B - B^T), B = sum d Q P^T.
-    The stack is built in node blocks with row 0 scaled by sqrt|s|, so the
-    recurrence carries the weight into every row.  The real part is one
-    V V^T of the block's interleaved real view V (a symmetric rank-k
-    update), added over the nodes where s > 0 and subtracted where s < 0;
-    B is one real product, skipped where d is 0 at every node, and nodes
-    where s = 0 != d add to B alone.  M is exactly Hermitian.  M is linear
-    in the weights, so complex ones are two real sums, M(Re) + i M(Im).
+    With phi = P + iQ, s = w(z) + w(z') and d = w(z) - w(z') (s = d = w(z)
+    alone), real weights give M = sum s (P P^T + Q Q^T) + i (B - B^T), B =
+    sum d Q P^T; given -z, s and d of the point-even sums w(z) + w(-z) and
+    w(z') + w(-z') give the entries with j + k even, and those of the
+    point-odd differences the rest.  The stack is built in node blocks
+    with row 0 scaled by sqrt|s|.  The row groups, all rows or the even
+    rows, the odd rows and their mixed block, each take a symmetric rank-k
+    update V V^T of the block's interleaved real view V by the sign of s
+    (the mixed block one product with the odd s / |s|) and one product for
+    B (two on the mixed block), skipped where its factor is 0 on the whole
+    sign class.  Nodes where s = 0 != d, or whose odd part over |s| could
+    overflow, add that part unscaled.  M is exactly Hermitian; complex
+    weights are two real sums, M(Re) + i M(Im).
     """
     K = len(ratios) + 1
-    ws = [np.asarray(w) for w in (wf, wf_mirror) if w is not None]
-    if not all(np.all(np.isfinite(w)) for w in ws):
+    w = [np.asarray(x) for x in w]
+    if len(w) not in (1, 2, 4):
+        raise InvalidInputError(f"gram_operator takes 1, 2 or 4 weight rows, got {len(w)}")
+    if not all(np.all(np.isfinite(x)) for x in w):
         raise InvalidInputError("the weight must be finite at every quadrature node")
-    if any(np.iscomplexobj(w) and np.any(w.imag != 0.0) for w in ws):
-        return (gram_operator(row0, step, ratios, *(w.real for w in ws))
-                + 1j * gram_operator(row0, step, ratios, *(w.imag for w in ws)))
+    if any(np.iscomplexobj(x) and np.any(x.imag != 0.0) for x in w):
+        return (gram_operator(row0, step, ratios, *(x.real for x in w))
+                + 1j * gram_operator(row0, step, ratios, *(x.imag for x in w)))
 
-    if len(ws) == 1:   # no mirror: s = d = wf, with no zero mirror weights built
-        s = d = ws[0].real
-    else:
-        s, d = ws[0].real + ws[1].real, ws[0].real - ws[1].real
-    real = np.zeros((K, K))
-    B = np.zeros((K, K)) if np.any(d != 0.0) else None
-    for sign, nodes in ((1.0, s > 0.0), (-1.0, s < 0.0), (0.0, (s == 0.0) & (d != 0.0))):
-        abs_s = sign * s[nodes]
-        scaled = row0[nodes] * np.sqrt(abs_s) if sign else row0[nodes]
-        factor = d[nodes] / abs_s if sign else d[nodes]
+    w = [x.real for x in w]
+    if len(w) == 4:   # the point-even sums, then the point-odd differences
+        w = [w[0] + w[2], w[1] + w[3], w[0] - w[2], w[1] - w[3]]
+    s, d = (w[0], w[0]) if len(w) == 1 else (w[0] + w[1], w[0] - w[1])
+    odd = [w[2] + w[3], w[2] - w[3]] if len(w) == 4 else []
+    # rows 0::2 and 1::2 hold the even and the odd basis functions
+    rows = [slice(0, None, 2), slice(1, None, 2)] if odd else [slice(None)]
+    pairs = [(r, r, 0) for r in rows] + [(r, c, 2) for r in rows for c in rows if r != c]
+    # the odd part rides on the sqrt|s| rows unless its quotient by |s| could overflow
+    big = np.maximum(np.abs(odd[0]), np.abs(odd[1])) if odd else 0.0
+    ride = big * 2.0 ** -1000 <= np.abs(s)
+    real, B = np.zeros((K, K)), np.zeros((K, K))
+    for sign, nodes in ((1.0, s > 0.0), (-1.0, s < 0.0),
+                        (0.0, ~ride | (s == 0.0) & (d != 0.0))):
+        # factors: d, then s and d of the odd part
+        if sign:
+            abs_s = sign * s[nodes]
+            scaled = row0[nodes] * np.sqrt(abs_s)
+            f = [d[nodes] / abs_s] + [x[nodes] * (ride[nodes] / abs_s) for x in odd]
+        else:
+            scaled = row0[nodes]
+            f = [d[nodes] * (s[nodes] == 0.0)] + [x[nodes] for x in odd]
+        live = [np.any(x != 0.0) for x in f]
         sstep = step[nodes]
         for start in range(0, scaled.size, GRAM_BLOCK):
             sl = slice(start, start + GRAM_BLOCK)
             # columns 2i and 2i + 1 of V are P and Q at node i
             V = basis_recurrence(scaled[sl], sstep[sl], ratios).view(float)
             if sign:
-                real += sign * (V @ V.T)
-            if B is not None:
-                B += (V[:, 1::2] * factor[sl]) @ V[:, ::2].T
-    M = real.astype(complex)
-    if B is not None:
-        M.imag = B - B.T
-    return M
-
-
-def _parity_gram(row0, step, ratios, *w) -> np.ndarray:
-    """``gram_operator`` on nodes that stand each for four: z, its mirror
-    z' = (x, -omega), -z and -z', with the weights w = (w(z), w(z'),
-    w(-z), w(-z')).
-
-    The basis has parity, phi_k(-z) = (-1)^k phi_k(z), so the entries with
-    j + k even take the point-even sums w(z) + w(-z) and w(z') + w(-z'),
-    and those with j + k odd the point-odd differences.  Each pair is then
-    summed as ``gram_operator`` sums a node and its mirror: s and d of the
-    even sums on the even rows and on the odd rows of the stack (a
-    symmetric rank-k update each, by the sign of s, and B where d is
-    nonzero), s and d of the odd differences on the mixed block (one real
-    product for the real part, two for B).  Rows are scaled by sqrt|s| of
-    the even sums, and the odd differences divided by |s|; a node where
-    that quotient could overflow takes its odd part unscaled, in the class
-    of nodes where s = 0.  M is exactly Hermitian for real weights.
-    """
-    K = len(ratios) + 1
-    w = [np.asarray(x) for x in w]
-    if not all(np.all(np.isfinite(x)) for x in w):
-        raise InvalidInputError("the weight must be finite at every quadrature node")
-    if any(np.iscomplexobj(x) and np.any(x.imag != 0.0) for x in w):
-        return (_parity_gram(row0, step, ratios, *(x.real for x in w))
-                + 1j * _parity_gram(row0, step, ratios, *(x.imag for x in w)))
-
-    w0, w1, w2, w3 = (x.real for x in w)
-    even, even_m, odd, odd_m = w0 + w2, w1 + w3, w0 - w2, w1 - w3
-    s, d = even + even_m, even - even_m
-    s_odd, d_odd = odd + odd_m, odd - odd_m
-    # the odd part rides on the sqrt|s| rows unless its quotient by |s| could overflow
-    ride = np.maximum(np.abs(s_odd), np.abs(d_odd)) * 2.0 ** -1000 <= np.abs(s)
-    real, B = np.zeros((K, K)), np.zeros((K, K))
-    for sign, nodes in ((1.0, s > 0.0), (-1.0, s < 0.0),
-                        (0.0, ~ride | (s == 0.0) & (d != 0.0))):
-        nodes = np.flatnonzero(nodes)
-        # factors: d of the even sums, then s and d of the odd differences
-        if sign:
-            abs_s = sign * s[nodes]
-            scaled = row0[nodes] * np.sqrt(abs_s)
-            keep = ride[nodes] / abs_s
-            f = (d[nodes] / abs_s, s_odd[nodes] * keep, d_odd[nodes] * keep)
-        else:
-            scaled = row0[nodes]
-            f = (d[nodes] * (s[nodes] == 0.0), s_odd[nodes], d_odd[nodes])
-        live = [np.any(x != 0.0) for x in f]
-        sstep = step[nodes]
-        for start in range(0, scaled.size, GRAM_BLOCK):
-            sl = slice(start, start + GRAM_BLOCK)
-            # columns 2i and 2i + 1 of V are P and Q at node i; rows 0::2
-            # and 1::2 are the even and the odd basis functions
-            V = basis_recurrence(scaled[sl], sstep[sl], ratios).view(float)
-            if sign:
-                for r in (0, 1):
-                    real[r::2, r::2] += sign * (V[r::2] @ V[r::2].T)
-            if live[1]:
+                for r in rows:
+                    real[r, r] += sign * (V[r] @ V[r].T)
+            if odd and live[1]:
                 real[0::2, 1::2] += V[0::2] @ (V[1::2] * np.repeat(f[1][sl], 2)).T
-            for r, c in ((0, 0), (1, 1), (0, 1), (1, 0)):
-                i = 2 * (r != c)   # B of rows r, columns c: j + k even or odd
+            for r, c, i in pairs:
                 if live[i]:
-                    B[r::2, c::2] += (V[r::2, 1::2] * f[i][sl]) @ V[c::2, ::2].T
-    real[1::2, 0::2] = real[0::2, 1::2].T
+                    B[r, c] += (V[r, 1::2] * f[i][sl]) @ V[c, ::2].T
+    if odd:
+        real[1::2, 0::2] = real[0::2, 1::2].T
     M = real.astype(complex)
     M.imag = B - B.T
     return M
@@ -410,13 +363,10 @@ def _check_truncation(K: int, half_width: float):
 
 
 def _accumulate(K: int, xs, ys, *w) -> np.ndarray:
-    """Sum w_i Vh_j(z_i) conj(Vh_k(z_i)) as a Gram product, where w holds
-    the weights at the nodes z and at their mirrors (x, -omega)
-    (``gram_operator``), or at z, (x, -omega), -z and (-x, omega)
-    (``_parity_gram``)."""
-    gram = _parity_gram if len(w) == 4 else gram_operator
-    return gram(np.exp(-0.5 * math.pi * (xs * xs + ys * ys)), xs - 1j * ys,
-                _hermite_ratios(K), *w)
+    """Sum w_i Vh_j(z_i) conj(Vh_k(z_i)) by ``gram_operator``, w holding
+    the weights at z, or also at (x, -omega), or also at -z and (-x, omega)."""
+    return gram_operator(np.exp(-0.5 * math.pi * (xs * xs + ys * ys)), xs - 1j * ys,
+                         _hermite_ratios(K), *w)
 
 
 def assemble_operator(F, K: int, *, points_per_cell: int = 2) -> np.ndarray:
@@ -424,15 +374,13 @@ def assemble_operator(F, K: int, *, points_per_cell: int = 2) -> np.ndarray:
 
     Entries are int F(z) Vh_j(z) conj(Vh_k(z)) dz.  Gridded weights use
     tensor Gauss-Legendre points per cell (piecewise-constant F;
-    ``points_per_cell`` is an integer >= 1).  The nodes are summed as a
-    Gram product of the phase-free Hermite stack, which gives an exactly
-    Hermitian matrix for real F.  A grid field folds both axes: the grid
-    is symmetric about the origin, so a node of one quadrant stands also
-    for (x, -omega), -z and (-x, omega).  Vh_k(-z) = (-1)^k Vh_k(z), so
-    the part of F even under z -> -z fills the entries with j + k even and
-    the odd part those with j + k odd (``_parity_gram``): the stack is
-    built on a quarter of the nodes.  A middle row or column (an odd node
-    count) is its own mirror and gives half its weight to each.
+    ``points_per_cell`` is an integer >= 1).  The nodes are summed by
+    ``gram_operator``, which gives an exactly Hermitian matrix for real F.
+    A grid is symmetric about the origin, so a node of one quadrant stands
+    also for (x, -omega), -z and (-x, omega), and the kernel sums the
+    Hermite parity blocks on a quarter of the nodes.  A middle row or
+    column (an odd node count) is its own mirror and gives half its weight
+    to each.
 
     Radial profiles use a polar rule: 8-point Gauss-Legendre on
     max(32, ceil(K/4)) equal radial panels, split also at the profile's

@@ -15,6 +15,7 @@ and the array modules up at call time.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -247,19 +248,22 @@ class Disc:
 
     @staticmethod
     def family_lp(w, p: float) -> float:
+        if p * w.shape <= 1:
+            raise DivergenceError("power profile not in L^p(d nu): need p * exponent > 1")
         if w.kind == "family":
-            if p * w.shape <= 1:
-                raise DivergenceError("power profile not in L^p(d nu): need p * exponent > 1")
             return float(w.amplitude * (FOUR_PI / (p * w.shape - 1.0)) ** (1.0 / p))
-        # the tail's amplitude^p t^{p e - 1} is cap^p / t; amplitude^p may overflow
-        t = (w.cap / w.amplitude) ** (1.0 / w.shape)
-        return float(w.cap * (FOUR_PI * (1.0 / t - 1.0 + 1.0 / (t * (p * w.shape - 1.0))))
-                     ** (1.0 / p))
+        # cap^p 4 pi (q - t) / t, t = (cap / amplitude)^{1/e} the cap edge's 1 - x and
+        # q = p e / (p e - 1): in logs, as 1/t may overflow, and past exp's range log cap too
+        log_inv_t = (math.log(w.amplitude) - math.log(w.cap)) / w.shape
+        q = p * w.shape / (p * w.shape - 1.0)
+        log_ratio = (math.log(FOUR_PI) + log_inv_t + math.log(q - math.exp(-log_inv_t))) / p
+        return float(w.cap * math.exp(log_ratio) if log_ratio < 709.0
+                     else math.exp(math.log(w.cap) + log_ratio))
 
     @staticmethod
     def check_center(center):
-        if center.imag <= 0:
-            raise InvalidInputError("center must lie in the upper half-plane")
+        if not (isinstance(center, numbers.Complex) and center.imag > 0):
+            raise InvalidInputError(f"center must lie in the upper half-plane, got {center!r}")
 
     @staticmethod
     def on_grid(w, grid):

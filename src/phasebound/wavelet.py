@@ -505,8 +505,8 @@ def assemble_wavelet_operator(F: HalfPlaneField, beta: float, K: int,
 
     Entries are int F W e_j conj(W e_k) d nu against the basis recentered at
     ``center`` (covariance makes the recentered family orthonormal too),
-    summed over the cell centers as a Gram product of the basis stack
-    (``gabor.gram_operator``, shared with the plane): row 0 is the modulus
+    summed over the cell centers by the one Gram kernel of both settings,
+    ``gabor.gram_operator``, on the basis stack: row 0 is the modulus
     c0 (1 - |w|^2)^{beta + 1/2}, since the phase of W e_0 cancels.  When
     the grid's x is symmetric about Re(center), the cells at x and
     2 Re(center) - x pair up (``gabor.mirror_fold``): their w conjugate.
@@ -520,8 +520,8 @@ def assemble_wavelet_operator(F: HalfPlaneField, beta: float, K: int,
     xc, yc, w, c0 = _bergman_coordinates(beta, F.grid.x[ix], F.grid.y[iy], center)
     # 1 - |w|^2 = 4 yc / |z + i|^2, without the cancellation near the boundary
     row0 = c0 * (4.0 * yc / (xc * xc + (1.0 + yc) ** 2)) ** (beta + 0.5)
-    return gram_operator(row0, w, _bergman_ratios(K, beta), wf[live],
-                         None if wm is None else wm[live])
+    return gram_operator(row0, w, _bergman_ratios(K, beta),
+                         *(x[live] for x in (wf, wm) if x is not None))
 
 
 _WINDOW_X, _WINDOW_Y = (-20.0, 20.0), (5e-3, 100.0)

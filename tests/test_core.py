@@ -116,6 +116,33 @@ def test_radial_profile_validation():
     assert DiscProfile.power(1.0, -1.5).shape == -1.5
 
 
+@pytest.mark.parametrize("center", [(0.0, 1.0), "1j", None, complex(0.0, math.nan)])
+def test_disc_profiles_reject_non_complex_center(center):
+    # a tuple, a string or None used to raise a bare AttributeError
+    for make in (lambda: DiscProfile.indicator(1.0, 2.0, center=center),
+                 lambda: DiscProfile.power(1.0, 2.0, center=center),
+                 lambda: DiscProfile.truncated_power(2.0, 2.0, 1.0, center=center),
+                 lambda: DiscProfile.constant(1.0, center=center),
+                 lambda: DiscProfile.sampled([0.5], [1.0], center=center)):
+        with pytest.raises(InvalidInputError, match="upper half-plane"):
+            make()
+    assert DiscProfile.power(1.0, 2.0, center=np.complex128(0.5 + 2j)).center == 0.5 + 2j
+
+
+@pytest.mark.parametrize("dim", [1.5, "2", None])
+def test_radial_profiles_reject_non_integral_dim(dim):
+    # a bare TypeError came from operator.index; numpy's integers stay valid
+    makers = (lambda d: RadialProfile.ball(1.0, 2.0, dim=d),
+              lambda d: RadialProfile.gaussian(1.0, 2.0, dim=d),
+              lambda d: RadialProfile.truncated_gaussian(2.0, 2.0, 1.0, dim=d),
+              lambda d: RadialProfile.sampled([0.5], [1.0], dim=d),
+              lambda d: RadialProfile.constant(1.0, dim=d))
+    for make in makers:
+        with pytest.raises(InvalidInputError, match="dim"):
+            make(dim)
+        assert make(np.int64(2)).setting == Plane(2)
+
+
 def test_constraint_set_validation():
     with pytest.raises(UnattainedBoundError) as err:
         ConstraintSet(1.0, math.inf, 2.5, "gabor")

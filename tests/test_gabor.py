@@ -226,9 +226,12 @@ def test_gram_mirror_fold_on_ulp_asymmetric_axis():
     n, wf, wm = mirror_fold(ax, (F.values.real * F.cell_area).T)
     assert n == 50 and wm is not None
     omega, x = (g.ravel() for g in np.meshgrid(ax[:n], ax, indexing="ij"))
-    M = gram_operator(np.exp(-0.5 * math.pi * (x * x + omega * omega)), x - 1j * omega,
-                      np.sqrt(math.pi / np.arange(1.0, K)), wf, wm)
-    _assert_matches(M, _reference_operator(F, K))
+    row0, step, ratios = (np.exp(-0.5 * math.pi * (x * x + omega * omega)), x - 1j * omega,
+                          np.sqrt(math.pi / np.arange(1.0, K)))
+    _assert_matches(gram_operator(row0, step, ratios, wf, wm), _reference_operator(F, K))
+    # a node stands for one, two or four: three weight rows are refused
+    with pytest.raises(InvalidInputError, match="weight rows"):
+        gram_operator(row0, step, ratios, wf, wm, wf)
 
 
 def _parity_field(kind, n=95):
@@ -252,20 +255,23 @@ def test_parity_fold_matches_reference_sum(ppc, kind):
     # every node of one quadrant stands also for (x, -omega), -z and
     # (-x, omega); at n = 95 (one point per cell in the test above, and 3
     # here) the middle row and column are their own mirrors on both axes.
-    # The reference sums every node of the full rule on its own
+    # The reference sums every node of the full rule on its own; its
+    # leading K x K block is the reference at K.  At K = 1, 2 and 3 the odd
+    # rows are none, one, or one against two even rows
     F = _parity_field(kind)
-    M = assemble_operator(F, 24, points_per_cell=ppc)
     R = _reference_operator(F, 24, ppc)
-    assert np.max(np.abs(M - R)) <= 1e-13 * np.max(np.abs(R))
-    if kind == "complex":
-        return
-    assert np.array_equal(M, M.conj().T)
-    if kind == "point_odd":
-        # the even sums w(z) + w(-z) are 0 at every node: no j + k even entry
-        assert not np.any(M[0::2, 0::2]) and not np.any(M[1::2, 1::2])
-        assert np.any(M[0::2, 1::2])
-    if kind == "point_even":
-        assert not np.any(M[0::2, 1::2]) and not np.any(M[1::2, 0::2])
+    for K in (1, 2, 3, 24):
+        M = assemble_operator(F, K, points_per_cell=ppc)
+        assert np.max(np.abs(M - R[:K, :K])) <= 1e-13 * np.max(np.abs(R))
+        if kind == "complex":
+            continue
+        assert np.array_equal(M, M.conj().T)
+        if kind == "point_odd":
+            # the even sums w(z) + w(-z) are 0 at every node: no j + k even entry
+            assert not np.any(M[0::2, 0::2]) and not np.any(M[1::2, 1::2])
+            assert np.any(M[0::2, 1::2]) == (K > 1)
+        if kind == "point_even":
+            assert not np.any(M[0::2, 1::2]) and not np.any(M[1::2, 0::2])
 
 
 def test_parity_fold_on_ulp_asymmetric_axis(monkeypatch):

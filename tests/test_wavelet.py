@@ -517,6 +517,30 @@ def test_extremal_profile_saturates():
         assert extremal_weight_wavelet(c).lp_norm(c.p) == pytest.approx(115.0, rel=1e-12)
 
 
+def _truncated_power_norm(amplitude, exponent, cap, p):
+    """(int min(a (1 - x)^e, cap)^p d nu)^{1/p} in 50 digits: cap^p times
+    the nu-measure 4 pi (1 - t) / t of the capped disc x < 1 - t, plus the
+    tail int a^p (1 - x)^{p e} 4 pi (1 - x)^{-2} dx = 4 pi a^p t^{p e - 1}
+    / (p e - 1), with t = (cap / a)^{1/e}."""
+    with mpmath.workdps(50):
+        a, e, c, p = (mpmath.mpf(v) for v in (amplitude, exponent, cap, p))
+        t = (c / a) ** (1 / e)
+        total = 4 * mpmath.pi * (c ** p * (1 - t) / t + a ** p * t ** (p * e - 1) / (p * e - 1))
+        return float(total ** (1 / p))
+
+
+@pytest.mark.parametrize("amplitude, exponent, cap, p, rel", [
+    (3.0, 2.5, 1.5, 2.0, 1e-15), (1.7, 0.9, 0.3, 1.5, 1e-15), (5.0, 3.0, 4.999, 1.0, 1e-15),
+    (2.0, 0.6, 1.0, 2.0, 1e-15),
+    # t = (cap / a)^{1/e} underflows to 0
+    (1e300, 0.5, 1.0, 3.0, 1e-13),
+    # cap e^{(log 4 pi - log t + log(q - t)) / p}: the exponential alone overflows
+    (1e300, 1.0, 1e-300, 1.5, 1e-13)])
+def test_truncated_power_lp_norm_matches_mpmath(amplitude, exponent, cap, p, rel):
+    norm = DiscProfile.truncated_power(amplitude, exponent, cap).lp_norm(p)
+    assert norm == pytest.approx(_truncated_power_norm(amplitude, exponent, cap, p), rel=rel)
+
+
 def test_eigenvalues_require_centered_symbol():
     rho = DiscProfile.indicator(1.0, 1.0, center=0.5 + 2j)
     with pytest.raises(RegimeError):
@@ -530,6 +554,11 @@ def test_power_profile_integrability_flag():
         bergman_radial_eigenvalues(rho, 0.5, 4)
     with pytest.raises(DivergenceError):
         DiscProfile.power(1.0, 0.25).lp_norm(2.0)  # p * exponent <= 1
+    # the truncated kind diverges alike; at p * exponent < 1 and = 1 it
+    # raised a bare TypeError (a complex power) and ZeroDivisionError
+    for exponent in (0.4, 0.5):
+        with pytest.raises(DivergenceError):
+            DiscProfile.truncated_power(2.0, exponent, 1.0).lp_norm(2.0)
     with pytest.raises(DivergenceError):
         DiscProfile.constant(1.0).lp_norm(1.0)
 

@@ -22,7 +22,7 @@ from functools import partial
 from numbers import Integral
 
 from .errors import InvalidInputError, RegimeError
-from .scalar import ConstraintSet, expm1_poly, series_length
+from .scalar import ConstraintSet, _exp_or_inf, _times_power, expm1_poly, series_length
 
 __all__ = ["G", "G_beta", "BoundReport", "gabor_bound", "wavelet_bound", "lambda_root"]
 
@@ -163,6 +163,17 @@ class BoundReport:
     critical_ratio: float
     inputs: ConstraintSet
 
+    def extremal(self) -> dict:
+        """The attaining weight as a dict of ``core.MeasureProfile`` fields:
+        the amplitude-A indicator of measure B/A in the ball regime, else the
+        setting's family at peak lam, capped at A when truncated (uncapped
+        when a truncated lam rounds to at most A, at the regime tie)."""
+        c = self.inputs
+        if self.regime == "ball":
+            return c.setting.indicator(c.A, c.B / c.A)
+        capped = self.regime == "truncated" and self.lam > c.A
+        return c.setting.family(c, self.lam, c.A if capped else math.inf)
+
     def as_dict(self) -> dict:
         return {
             "transform": self.inputs.transform,
@@ -176,21 +187,6 @@ class BoundReport:
 # ---------------------------------------------------------------------------
 # time-frequency (Gabor) bounds
 # ---------------------------------------------------------------------------
-
-def _exp_or_inf(x: float) -> float:
-    # extreme B/A ratios push the extremal peak level out of float range;
-    # the bound formulas stay finite, so report the level as inf
-    return math.exp(x) if x < 709.0 else math.inf
-
-
-def _times_power(b: float, base: float, x: float) -> float:
-    """b base^x: the plain product where base^x is well inside the normal
-    doubles, else one exp of the summed logs (inf past the float range)."""
-    log_power = x * math.log(base)
-    if abs(log_power) < 708.0:
-        return b * base ** x
-    return _exp_or_inf(math.log(b) + log_power)
-
 
 def _log_exp_poly(n: int, y: float) -> float:
     """log e_n(e^y), where e_n(x) = sum_{i <= n} x^i / i!, for any real y.

@@ -405,7 +405,7 @@ class MeasureProfile:
                 raise InvalidInputError("sampled values must be nonnegative and nonincreasing")
             object.__setattr__(self, "knots", r)
             object.__setattr__(self, "knot_values", v)
-        setting.check_center(self.center)
+        object.__setattr__(self, "center", setting.check_center(self.center))
 
     def __call__(self, coord):
         coord = np.asarray(coord, dtype=float)
@@ -432,7 +432,8 @@ class MeasureProfile:
         return float(self.amplitude)
 
     def lp_norm(self, p: float) -> float:
-        """(int rho^p ds)^{1/p}, the L^p norm against the setting's measure."""
+        """(int rho^p ds)^{1/p}, the L^p norm against the setting's measure;
+        a norm past the doubles raises."""
         _check_exponent(p)
         kind = self.kind
         if kind == "sampled":
@@ -440,9 +441,11 @@ class MeasureProfile:
                               np.diff(self.setting.measure(self.knots), prepend=0.0), p)
         if kind == "constant":
             raise DivergenceError("a constant profile is not in L^p")
-        if kind == "indicator":
-            return float(self.amplitude * self.setting.measure(self.edge) ** (1.0 / p))
-        return self.setting.family_lp(self, p)
+        norm = (self.amplitude * self.setting.measure(self.edge) ** (1.0 / p)
+                if kind == "indicator" else self.setting.family_lp(self, p))
+        if norm == math.inf:
+            raise InvalidInputError(f"the L^{p:g} norm of the profile overflows the doubles")
+        return float(norm)
 
     def mu(self, t) -> np.ndarray:
         """Measure s of the superlevel set {rho > t}, elementwise in t."""

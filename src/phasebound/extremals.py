@@ -13,7 +13,6 @@ import numpy as np
 from .bounds import gabor_bound, wavelet_bound
 from .core import RadialProfile
 from .errors import InvalidInputError
-from .family import extremal_family
 from .gabor import Signal
 from .scalar import ConstraintSet
 from .wavelet import DiscProfile, HardySignal, bergman_basis, cauchy_norm_const
@@ -28,27 +27,18 @@ __all__ = [
 
 
 def extremal_weight_gabor(c: ConstraintSet, center=(0.0, 0.0)) -> RadialProfile:
-    """The weight attaining the sharp time-frequency bound for c.
-
-    Ball regime: amplitude-A indicator of the ball of volume B/A; subcritical:
-    the Gaussian lam e^{-pi r^2/(p-1)}; supercritical: the same Gaussian
-    capped at A.  At the regime tie a supercritical lam may round to at most
-    A; the cap then changes nothing and the uncapped Gaussian is returned.
-    The global phase is fixed to zero (norm-invariant).
-    """
-    return RadialProfile(**extremal_family(gabor_bound(c)), center=center)
+    """The weight attaining the sharp time-frequency bound for c, about
+    center: ``BoundReport.extremal``'s ball, Gaussian lam e^{-pi r^2/(p-1)}
+    or that Gaussian capped at A.  The global phase is fixed to zero."""
+    return RadialProfile(**gabor_bound(c).extremal(), center=center)
 
 
 def extremal_weight_wavelet(c: ConstraintSet, center: complex = 1j) -> DiscProfile:
-    """The symbol attaining the sharp wavelet bound, radial in the disc model.
-
-    Ball regime: indicator of the hyperbolic disc of measure B/A; otherwise
-    lam (1 - x)^{1/alpha}, capped at A in the supercritical regime (uncapped
-    when lam rounds to at most A, as for the Gaussian).  The exponent
-    1/alpha is forced by the maximizer's distribution function
-    4 pi ((t/lam)^{-alpha} - 1) and by the L^p saturation checks.
-    """
-    return DiscProfile(**extremal_family(wavelet_bound(c)), center=center)
+    """The symbol attaining the sharp wavelet bound, radial in the disc
+    model about center: ``BoundReport.extremal``'s hyperbolic disc, power
+    lam (1 - x)^{1/alpha} or that power capped at A.  The exponent 1/alpha
+    is forced by the maximizer's distribution function 4 pi ((t/lam)^{-alpha} - 1)."""
+    return DiscProfile(**wavelet_bound(c).extremal(), center=center)
 
 
 def extremal_signal(x0: float, omega0: float, phase: complex = 1.0) -> Signal:

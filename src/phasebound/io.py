@@ -22,7 +22,6 @@ from contextlib import contextmanager
 from typing import TYPE_CHECKING
 
 from .errors import InvalidInputError
-from .family import extremal_family, sample_family
 
 if TYPE_CHECKING:
     from .bounds import BoundReport
@@ -139,17 +138,30 @@ def read_weight_field(path) -> WeightField:
 
 
 def _write_profile(path, params, n_samples, coordinate):
-    """``coordinate``,value rows of a profile whose setting writes that
-    coordinate, r on the plane and x on the disc: a sampled profile's knots,
-    any other kind through ``sample_family``.  ``params`` holds the setting,
-    the kind and the parameters, as a profile's fields do."""
-    if params["setting"].coordinate != coordinate:
-        raise InvalidInputError(f"a profile radial in {params['setting'].coordinate} "
+    """``coordinate``,value rows (r on the plane, x on the disc) of the
+    profile whose fields ``params`` holds: a sampled one's knots, any other
+    kind but a constant on the setting's grid (bitwise numpy's), in libm
+    values.  Rows that are not finite raise before the file is opened."""
+    setting, kind = params["setting"], params["kind"]
+    if setting.coordinate != coordinate:
+        raise InvalidInputError(f"a profile radial in {setting.coordinate} "
                                 f"cannot be written as {coordinate},value rows")
-    if params["kind"] == "sampled":
-        coords, vals = params["knots"], params["knot_values"]
+    if kind == "sampled":
+        coords, vals = params["knots"].tolist(), params["knot_values"].tolist()
+    elif not n_samples >= 2:
+        raise InvalidInputError(f"need at least 2 samples, got {n_samples}")
+    elif kind == "constant":
+        raise InvalidInputError("a constant profile has no extent: cannot choose a CSV grid")
     else:
-        coords, vals = sample_family(params, n_samples)
+        coords = setting.sample_grid(params, n_samples)
+        if kind == "indicator":
+            a, edge = float(params["amplitude"]), params["edge"]
+            vals = [a if t < edge else 0.0 for t in coords]
+        else:
+            vals = setting.family_values(params, coords)
+    if not all(map(math.isfinite, coords + vals)):
+        raise InvalidInputError("the profile's samples are not finite (a peak level or "
+                                "extent past the doubles): no CSV written")
     _write_rows(path, [coordinate, "value"], coords, vals)
 
 
@@ -178,7 +190,7 @@ def read_disc_profile(path) -> DiscProfile:
 def write_extremal(report: BoundReport, path, n_samples: int = 512):
     """Write the extremal weight of a bound as its profile writer would,
     r,value on the plane and x,value on the disc, without numpy."""
-    _write_profile(path, extremal_family(report), n_samples, report.inputs.setting.coordinate)
+    _write_profile(path, report.extremal(), n_samples, report.inputs.setting.coordinate)
 
 
 def write_halfplane_field(field: HalfPlaneField, path):

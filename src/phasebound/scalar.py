@@ -53,6 +53,20 @@ def series_length(d: int) -> int:
     return n
 
 
+def _exp_or_inf(x: float) -> float:
+    """e^x, inf past the doubles (e^709.78 is within 0.3% of the largest)."""
+    return math.exp(x) if x < 709.78 else math.inf
+
+
+def _times_power(b: float, base: float, x: float) -> float:
+    """b base^x: the plain product where base^x is well inside the normal
+    doubles, else one exp of the summed logs (inf past the float range)."""
+    log_power = x * math.log(base)
+    if abs(log_power) < 708.0:
+        return b * base ** x
+    return _exp_or_inf(math.log(b) + log_power) if b else 0.0
+
+
 def _check_exponent(p: float):
     """The paper's exponent domain 1 <= p < inf; NaN is rejected too."""
     if not 1 <= p < math.inf:
@@ -136,17 +150,34 @@ class Plane:
         d = self.d
         if w.kind == "family":
             # int |rho|^p dz = amplitude^p (scale/p)^d in the volume coordinate
-            return float(w.amplitude * (w.shape / p) ** (d / p))
+            return _times_power(w.amplitude, w.shape / p, d / p)
         # cap^p times the capped volume tau0^d / d!, plus the Gaussian tail
         # amplitude^p (scale/p)^d Q(d, p s0) = cap^p (scale/p)^d e_{d-1}(p s0),
         # since Q(d, y) e^y = e_{d-1}(y); amplitude^p would overflow
         s0 = math.log(w.amplitude / w.cap)
-        tau0 = w.shape * s0
-        tail = (w.shape / p) ** d * (1.0 + expm1_poly(d - 1, p * s0))
-        return float(w.cap * (tau0 ** d / math.factorial(d) + tail) ** (1.0 / p))
+        try:
+            bracket = ((w.shape * s0) ** d / math.factorial(d)
+                       + (w.shape / p) ** d * (1.0 + expm1_poly(d - 1, p * s0)))
+        except OverflowError:
+            bracket = math.inf
+        if bracket < math.inf:
+            return w.cap * bracket ** (1.0 / p)
+        # a term past the doubles: the bracket's log from the two terms' logs
+        from .bounds import _log_exp_poly
+        log_s0 = math.log(s0 if s0 < math.inf else math.log(w.amplitude) - math.log(w.cap))
+        a = d * (math.log(w.shape) + log_s0) - math.lgamma(d + 1)
+        b = d * (math.log(w.shape) - math.log(p)) + _log_exp_poly(d - 1, math.log(p) + log_s0)
+        return _exp_or_inf(math.log(w.cap) + (max(a, b) + math.log1p(math.exp(-abs(a - b)))) / p)
 
     def check_center(self, center):
-        """Any (x0, omega0) centers a plane profile."""
+        """(x0, omega0) as a tuple of floats, from a pair of finite reals."""
+        try:
+            x0, y0 = center
+            if math.isfinite(x0) and math.isfinite(y0):
+                return float(x0), float(y0)
+        except (TypeError, ValueError):
+            pass
+        raise InvalidInputError(f"center must be a pair of finite reals, got {center!r}")
 
     def on_grid(self, w, half_width: float, n: int):
         """w on the centered square grid of ``core.WeightField``, about w's center."""
@@ -169,8 +200,6 @@ class Plane:
             scale, lam, cap = params["shape"], params["amplitude"], params["cap"]
             capped = math.log(lam) - math.log(cap) if cap < lam else 0.0
             r_max = math.sqrt((scale * 12.0 * math.log(10.0) + scale * capped) / math.pi)
-            if r_max == math.inf:
-                raise InvalidInputError("the peak level overflows: the CSV has no extent")
         start = r_max / n
         step = (r_max - start) / (n - 1)
         return [i * step + start for i in range(n - 1)] + [r_max]
@@ -251,19 +280,20 @@ class Disc:
         if p * w.shape <= 1:
             raise DivergenceError("power profile not in L^p(d nu): need p * exponent > 1")
         if w.kind == "family":
-            return float(w.amplitude * (FOUR_PI / (p * w.shape - 1.0)) ** (1.0 / p))
+            return _times_power(w.amplitude, FOUR_PI / (p * w.shape - 1.0), 1.0 / p)
         # cap^p 4 pi (q - t) / t, t = (cap / amplitude)^{1/e} the cap edge's 1 - x and
         # q = p e / (p e - 1): in logs, as 1/t may overflow, and past exp's range log cap too
         log_inv_t = (math.log(w.amplitude) - math.log(w.cap)) / w.shape
         q = p * w.shape / (p * w.shape - 1.0)
         log_ratio = (math.log(FOUR_PI) + log_inv_t + math.log(q - math.exp(-log_inv_t))) / p
-        return float(w.cap * math.exp(log_ratio) if log_ratio < 709.0
-                     else math.exp(math.log(w.cap) + log_ratio))
+        return (w.cap * math.exp(log_ratio) if log_ratio < 709.0
+                else _exp_or_inf(math.log(w.cap) + log_ratio))
 
     @staticmethod
     def check_center(center):
         if not (isinstance(center, numbers.Complex) and center.imag > 0):
             raise InvalidInputError(f"center must lie in the upper half-plane, got {center!r}")
+        return center
 
     @staticmethod
     def on_grid(w, grid):

@@ -1,5 +1,6 @@
 """Core types, distribution functions, rearrangements and norms."""
 import math
+import sys
 
 import mpmath
 import numpy as np
@@ -9,6 +10,7 @@ from phasebound.core import (RadialProfile, WeightField, decreasing_rearrangemen
                              lp_norm, schwarz_symmetrize)
 from phasebound.errors import (DivergenceError, InvalidInputError,
                                UnattainedBoundError)
+from phasebound.gabor import assemble_operator, radial_eigenvalues
 from phasebound.scalar import ConstraintSet, Disc, Plane
 from phasebound.verify import thresholds
 from phasebound.wavelet import DiscProfile, HalfPlaneField, HalfPlaneGrid
@@ -127,6 +129,41 @@ def test_disc_profiles_reject_non_complex_center(center):
         with pytest.raises(InvalidInputError, match="upper half-plane"):
             make()
     assert DiscProfile.power(1.0, 2.0, center=np.complex128(0.5 + 2j)).center == 0.5 + 2j
+
+
+def _radial_makers(center):
+    """The five RadialProfile constructors at the given center."""
+    return (lambda: RadialProfile.ball(1.0, 2.0, center=center),
+            lambda: RadialProfile.gaussian(1.0, 1.0, center=center),
+            lambda: RadialProfile.truncated_gaussian(2.0, 1.0, 1.0, center=center),
+            lambda: RadialProfile.sampled([0.5], [1.0], center=center),
+            lambda: RadialProfile.constant(1.0, center=center))
+
+
+@pytest.mark.parametrize("center", [None, "ab", "12", (1.0,), (1.0, 2.0, 3.0), (1j, 0.0),
+                                    (math.nan, 0.0), (0.0, math.inf)])
+def test_radial_profiles_reject_bad_center(center):
+    # the plane took any center: None, a string or a 1-tuple failed only at
+    # assembly, with a bare TypeError or ValueError, and a NaN or infinite
+    # coordinate assembled a NaN matrix
+    for make in _radial_makers(center):
+        with pytest.raises(InvalidInputError, match="pair of finite reals"):
+            make()
+
+
+def test_radial_profile_center_is_a_float_pair():
+    # a numpy pair was stored as the array, and radial_eigenvalues raised a
+    # bare ValueError on its truth value
+    for make in _radial_makers(np.array([0.5, -0.25])):
+        center = make().center
+        assert type(center) is tuple and list(map(type, center)) == [float, float]
+        assert center == (0.5, -0.25)
+    rho = RadialProfile.gaussian(1.0, 1.0, center=np.array([0.0, 0.0]))
+    want = radial_eigenvalues(RadialProfile.gaussian(1.0, 1.0), 4).eigenvalues
+    assert np.array_equal(radial_eigenvalues(rho, 4).eigenvalues, want)
+    shifted, want = (RadialProfile.gaussian(1.0, 1.0, center=center)
+                     for center in (np.array([0.5, -0.25]), (0.5, -0.25)))
+    assert np.array_equal(assemble_operator(shifted, 4), assemble_operator(want, 4))
 
 
 @pytest.mark.parametrize("dim", [1.5, "2", None])
@@ -305,6 +342,66 @@ def test_profile_lp_norm_quadrature(setting):
         breaks = [prof.edge] if prof.kind == "indicator" else None
         val, _ = quad(dens, 0.0, upper, points=breaks, limit=limit)
         assert lp_norm(prof, p) == pytest.approx(val ** (1 / p), rel=rel)
+
+
+def _mp_profile_lp(prof, p):
+    """The L^p norm of an indicator, family or truncated profile, in 50
+    digits, from its fields: on the plane, in tau = pi r^2 with volume
+    tau^d / d!, the Gaussian's tail through the regularized upper gamma;
+    on the disc, in x with measure 4 pi x / (1 - x)."""
+    with mpmath.workdps(50):
+        a, s, c, p = (mpmath.mpf(v) for v in (prof.amplitude, prof.shape, prof.cap, p))
+        if prof.setting is Disc:
+            if prof.kind == "indicator":
+                x = mpmath.mpf(prof.edge)
+                return a * (4 * mpmath.pi * x / (1 - x)) ** (1 / p)
+            if prof.kind == "family":
+                return a * (4 * mpmath.pi / (p * s - 1)) ** (1 / p)
+            t = (c / a) ** (1 / s)
+            return (4 * mpmath.pi * (c ** p * (1 - t) / t
+                                     + a ** p * t ** (p * s - 1) / (p * s - 1))) ** (1 / p)
+        d = prof.setting.d
+        if prof.kind == "indicator":
+            volume = (mpmath.pi * mpmath.mpf(prof.edge) ** 2) ** d / mpmath.factorial(d)
+            return a * volume ** (1 / p)
+        if prof.kind == "family":
+            return a * (s / p) ** (d / p)
+        s0 = mpmath.log(a / c)
+        tail = a ** p * (s / p) ** d * mpmath.gammainc(d, p * s0, regularized=True)
+        return (c ** p * (s * s0) ** d / mpmath.factorial(d) + tail) ** (1 / p)
+
+
+@pytest.mark.parametrize("make, p", [
+    (lambda: RadialProfile.ball(2.0, 3.0, dim=2), 1.5),
+    (lambda: RadialProfile.gaussian(2.0, 0.5, dim=3), 2.5),
+    (lambda: RadialProfile.truncated_gaussian(3.0, 1.5, 1.0, dim=2), 1.7),
+    (lambda: DiscProfile.power(2.0, 1.5), 2.0),
+    # a factor past the doubles, with the norm a double: (1e300)^2 overflowed
+    # into a bare OverflowError, and (1e-300)^2 underflowed to a norm of 0
+    (lambda: RadialProfile.gaussian(1e-300, 1e300, dim=2), 1.0),
+    (lambda: RadialProfile.gaussian(1e300, 1e-300, dim=2), 1.0),
+    (lambda: RadialProfile.truncated_gaussian(2e-300, 1e300, 1e-300, dim=2), 1.0),
+    (lambda: RadialProfile.truncated_gaussian(1e10, 1e200, 1.0, dim=3), 2.0),
+    (lambda: RadialProfile.gaussian(0.7, 1.5e154, dim=2), 1.0),  # 1.575e308, past e^709
+    (lambda: RadialProfile.gaussian(0.0, 1e300, dim=2), 1.0),
+    # norms past the doubles: inf was returned, or a bare OverflowError raised
+    (lambda: DiscProfile.power(1e300, 1.0), 1.0 + 1e-12),
+    (lambda: DiscProfile.truncated_power(1e308, 0.9, 1e300), 1.2),
+    (lambda: DiscProfile.truncated_power(1e308, 0.5, 1e-300), 2.0000001),
+    (lambda: RadialProfile.ball(1e300, 1e300, dim=2), 1.0),
+    (lambda: RadialProfile.gaussian(1e300, 1e300, dim=2), 1.0)],
+    ids=["ball", "gaussian", "truncated", "power", "gaussian-scale-over", "gaussian-scale-under",
+         "truncated-volume-over", "truncated-d3-over", "gaussian-near-max", "gaussian-zero",
+         "power-over", "truncated-power-over",
+         "truncated-power-exp-over", "ball-over", "gaussian-over"])
+def test_profile_lp_norm_near_the_double_range_matches_mpmath(make, p):
+    prof = make()
+    want = _mp_profile_lp(prof, p)
+    if want > sys.float_info.max:
+        with pytest.raises(InvalidInputError, match="overflows the doubles"):
+            prof.lp_norm(p)
+    else:
+        assert prof.lp_norm(p) == pytest.approx(float(want), rel=1e-12, abs=0.0)
 
 
 def test_lp_norm_divergence_and_grid():

@@ -547,11 +547,29 @@ def test_cli_truncated_extremal_csv_reaches_past_the_cap(tmp_path, run_cli):
         r_max = (w.edge * 1.25 if w.kind == "indicator"
                  else math.sqrt(2.0 * 12.0 * math.log(10.0) / math.pi))
         assert read_radial_profile(out_csv).knots[-1] == r_max
-    # a peak level past the doubles has no extent: an error, not NaN rows
-    code, out, err = run_cli("extremal", "--p", "1.001", "--A", "1", "--B", "2",
-                             "--out", str(tmp_path / "inf.csv"))
-    assert code == cli.EXIT_USAGE and out == "" and err.startswith("error:")
-    assert not (tmp_path / "inf.csv").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["--p", "1.001", "--A", "1", "--B", "2"],
+    ["--p", "2", "--A", "1", "--B", "27"],
+    ["--transform", "wavelet", "--p", "1.0003", "--A", "1", "--B", "18000", "--beta", "1.8"]],
+    ids=["gabor-p-near-1", "gabor-large-ratio", "wavelet"])
+def test_cli_extremal_refuses_non_finite_rows(argv, tmp_path, run_cli):
+    # a peak level past the doubles samples to inf and NaN: the plane's grid
+    # has no extent, and the disc wrote 488 NaN rows of 512 and exited 0
+    out_csv = tmp_path / "inf.csv"
+    code, out, err = run_cli("extremal", *argv, "--out", str(out_csv))
+    assert code == cli.EXIT_USAGE and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1 and "not finite" in err
+    assert not out_csv.exists()
+
+
+def test_profile_writer_refuses_non_finite_rows(tmp_path):
+    # the Gaussian's grid end sqrt(27.6 scale / pi) overflows at this scale
+    path = tmp_path / "w.csv"
+    with pytest.raises(InvalidInputError, match="not finite"):
+        write_radial_profile(RadialProfile.gaussian(1.0, 1e308), path)
+    assert not path.exists()
 
 
 SCIPY_LOADED = "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')"

@@ -16,7 +16,7 @@ geometry is written once, in s:
   MeasureProfile  the one nonincreasing radial profile of either setting,
                   of kind indicator, family, truncated, sampled or
                   constant: validation, evaluation, ess_sup, the L^p norm,
-                  mu(t), the step branches of the radial spectra and the
+                  mu(t), the one radial spectrum (``eigenvalues``) and the
                   grid sampling (``RadialProfile`` here and ``DiscProfile``
                   in ``wavelet`` are its named constructors);
   distribution_bound  int_0^inf G(mu(t)) dt for the ceiling G of a setting;
@@ -28,8 +28,8 @@ Every weight, gridded or radial, answers the same exact mu(t), the measure
 of {|w| > t}, and the bounds read nothing else of it.  A setting
 (``scalar.Plane(d)`` or ``scalar.Disc``) supplies a profile's geometry: its
 coordinate map, its analytic family (a Gaussian in pi r^2, a power of
-1 - x) and its grid; the spectra add its spectral law, whose tail sums
-(``head_tail``) are its CDFs.
+1 - x) and its grid; as a spectral law it adds its CDFs, the tail sums of
+``head_tail``, and the ratios and cap columns of its families.
 """
 from __future__ import annotations
 
@@ -42,7 +42,7 @@ from itertools import accumulate, chain
 
 import numpy as np
 
-from .errors import DivergenceError, InvalidInputError
+from .errors import DivergenceError, InvalidInputError, RegimeError
 from .scalar import Disc, Plane, _check_exponent
 
 __all__ = [
@@ -462,19 +462,29 @@ class MeasureProfile:
         mu[good] = self.setting.family_mu(self, t[good])
         return mu
 
-    def step_eigenvalues(self, K: int, cdf) -> np.ndarray:
-        """lambda_k, k < K, of the indicator, sampled and constant kinds.
+    def check_spectrum(self, K: int, law):
+        """K >= 1, and the profile about the origin of ``law``, its setting."""
+        if K < 1:
+            raise InvalidInputError("K must be >= 1")
+        if self.center != law.origin:
+            raise RegimeError(f"the spectrum needs the profile centered at {law.origin}")
+        law.check_spectral(self.setting)
 
-        cdf(s) is the setting's spectral CDFs in the measure coordinate,
-        (K, m) at a float or a row of m measures; a step of height v on
-        (s_{i-1}, s_i] contributes v (cdf(s_i) - cdf(s_{i-1})).
-        """
+    def eigenvalues(self, K: int, law) -> np.ndarray:
+        """lambda_k = int rho*(s) d pi_k(s), k < K, against the laws of ``law``,
+        ``Plane(1)`` or ``Disc(beta)``, from its ratios, cap columns and sums."""
+        self.check_spectrum(K, law)
+        if self.kind == "family":
+            return self.amplitude * law.ratios(K, self.shape)
+        if self.kind == "truncated":
+            inside, beyond = law.cap_columns(K, self)
+            return self.cap * inside + self.amplitude * law.ratios(K, self.shape) * beyond
         if self.kind == "indicator":
-            return self.amplitude * cdf(self.setting.measure(self.edge))[:, 0]
+            return self.amplitude * law.sums(K, self.setting.measure(self.edge))[1][:, 0]
         if self.kind == "constant":
             return np.full(K, float(self.amplitude))
         s = np.concatenate([[0.0], self.setting.measure(self.knots)])
-        return np.diff(cdf(s), axis=1) @ self.knot_values
+        return np.diff(law.sums(K, s)[1], axis=1) @ self.knot_values
 
     def on_grid(self, *grid):
         """The profile sampled by its setting: ``on_grid(half_width, n)``, a

@@ -2,13 +2,13 @@
 
 A real radial weight diagonalizes in the Hermite basis; the k-th eigenvalue
 is the profile averaged against the Gamma(k+1) density in the area
-coordinate s = pi r^2.  Assembly by 2-d quadrature provides the independent
-route to the same spectra and handles arbitrary gridded weights; every
-assembly, here and on the half-plane in ``wavelet``, is one Gram kernel
-over phase-free basis stacks (``gram_operator``), which sums a plane
-grid, symmetric about the origin, as Hermite parity blocks over one
-quadrant of the nodes.  The STFT of a signal given by Hermite
-coefficients or as a Gaussian pulse is evaluated in closed form; time
+coordinate s = pi r^2, the law of ``scalar.Plane(1)``.  Assembly by 2-d
+quadrature provides the independent route to the same spectra and handles
+arbitrary gridded weights; every assembly, here and on the half-plane in
+``wavelet``, is one Gram kernel over phase-free basis stacks
+(``gram_operator``), which sums a plane grid, symmetric about the origin,
+as Hermite parity blocks over one quadrant of the nodes.  The STFT of
+Hermite coefficients or a Gaussian pulse is a closed form; time
 quadrature serves sampled signals and is the oracle for the others.
 """
 from __future__ import annotations
@@ -20,9 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (MeasureProfile, RadialProfile, WeightField, _legendre_rule, gauss_panels,
-                   head_tail, integrate, lp_norm)
-from .errors import (AliasingError, BasisTruncationError, InvalidInputError,
-                     RegimeError)
+                   integrate, lp_norm)
+from .errors import AliasingError, BasisTruncationError, InvalidInputError
 from .scalar import Plane
 
 __all__ = [
@@ -354,7 +353,7 @@ def mirror_fold(offsets, w):
 # ---------------------------------------------------------------------------
 
 def _check_truncation(K: int, half_width: float):
-    leak = _poisson_sums(K, math.pi * half_width ** 2)[0][-1, 0]
+    leak = Plane(1).sums(K, math.pi * half_width ** 2)[0][-1, 0]
     if leak > 1e-6:
         need = math.sqrt(_gamma_q_inverse(K, 1e-6) / math.pi)
         raise BasisTruncationError(
@@ -420,8 +419,7 @@ def assemble_operator(F, K: int, *, points_per_cell: int = 2) -> np.ndarray:
 
     if not (isinstance(F, MeasureProfile) and isinstance(F.setting, Plane)):
         raise InvalidInputError(f"cannot assemble from {type(F).__name__}")
-    if F.setting.d != 1:
-        raise RegimeError("spectral computation is restricted to d = 1")
+    Plane(1).check_spectral(F.setting)
 
     r, rw = _polar_radial_rule(F, K)
     # uniform angles (trapezoid is exact for harmonics below ntheta): theta
@@ -509,45 +507,24 @@ def spectrum_from_matrix(M: np.ndarray) -> OperatorSpectrum:
     return OperatorSpectrum.from_eigenvalues(eigh(_checked_hermitian(M)))
 
 
-def _radial_ks(rho: RadialProfile, K: int) -> np.ndarray:
-    if rho.center != (0.0, 0.0):
-        raise RegimeError("radial eigenvalues require a profile centered at the origin")
-    if rho.setting.d != 1:
-        raise RegimeError("spectral computation is restricted to d = 1")
-    if K < 1:
-        raise InvalidInputError("K must be >= 1")
-    return np.arange(K)
-
-
 def radial_eigenvalues(rho: RadialProfile, K: int) -> OperatorSpectrum:
-    """Spectrum of the operator with radial weight rho, centered at the origin.
-
-    lambda_k = (1/k!) int_0^inf rho(sqrt(s/pi)) s^k e^{-s} ds, in the
-    closed form of each kind: incomplete-gamma algebra, and exact step sums
-    for sampled profiles.  ``radial_eigenvalues_quad`` is the independent
-    cross-check.
-    """
-    return OperatorSpectrum.from_eigenvalues(_radial_eigs_closed(rho, _radial_ks(rho, K)))
+    """Spectrum of the operator with radial weight rho about the origin,
+    lambda_k = (1/k!) int_0^inf rho(sqrt(s/pi)) s^k e^{-s} ds against the
+    Poisson laws of ``Plane(1)``; ``radial_eigenvalues_quad`` is its oracle."""
+    return OperatorSpectrum.from_eigenvalues(rho.eigenvalues(K, Plane(1)))
 
 
 def radial_eigenvalues_quad(rho: RadialProfile, K: int) -> OperatorSpectrum:
     """Oracle for ``radial_eigenvalues``: each Gamma(k+1) average of rho by
     the panel rule (``core.integrate``), split at the profile's breakpoints
     in s."""
-    ks = _radial_ks(rho, K)
+    rho.check_spectrum(K, Plane(1))
     pts = _profile_breaks_s(rho)
-    return OperatorSpectrum.from_eigenvalues([_gamma_average_quad(rho, k, pts)
-                                              for k in ks.tolist()])
-
-
-def _poisson_sums(K: int, s):
-    """Q(k + 1, s) and P(k + 1, s), k < K: the head and tail sums of the
-    Poisson(s) laws, for a row of areas s or one."""
-    return head_tail(K, np.exp(-s), lambda: -s, s, 0.0)
+    return OperatorSpectrum.from_eigenvalues([_gamma_average_quad(rho, k, pts) for k in range(K)])
 
 
 def _gamma_q_inverse(K: int, q: float) -> float:
-    """The s with Q(K, s) = q, for 0 < q < 1, on the head sums of ``_poisson_sums``.
+    """The s with Q(K, s) = q, for 0 < q < 1, on the head sums of ``Plane(1).sums``.
 
     Q(K, .) is the survival function of the log-concave Gamma(K) law, so
     log Q is concave and decreasing: a Newton step lands at or above the
@@ -556,7 +533,7 @@ def _gamma_q_inverse(K: int, q: float) -> float:
     """
     s = K - 1.0
     for i in range(100):
-        Q = _poisson_sums(K, s)[0][-1, 0]
+        Q = Plane(1).sums(K, s)[0][-1, 0]
         log_t = (K - 1) * math.log(s) - s - math.lgamma(K) if K > 1 else -s
         step = math.log(Q / q) * math.exp(math.log(Q) - log_t)
         # past the first step the iterates only decrease; a step that does
@@ -565,17 +542,6 @@ def _gamma_q_inverse(K: int, q: float) -> float:
             break
         s += step
     return s
-
-
-def _radial_eigs_closed(rho: RadialProfile, ks: np.ndarray) -> np.ndarray:
-    if rho.kind == "family":
-        return rho.amplitude * (rho.shape / (1.0 + rho.shape)) ** (ks + 1.0)
-    if rho.kind == "truncated":
-        s0 = rho.shape * math.log(rho.amplitude / rho.cap)
-        c = 1.0 + 1.0 / rho.shape
-        Q, P = _poisson_sums(ks.size, np.array([s0, c * s0]))
-        return rho.cap * P[:, 0] + rho.amplitude * (1.0 / c) ** (ks + 1.0) * Q[:, 1]
-    return rho.step_eigenvalues(ks.size, lambda s: _poisson_sums(ks.size, s)[1])
 
 
 def _profile_breaks_s(rho: RadialProfile) -> list[float]:

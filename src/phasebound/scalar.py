@@ -7,10 +7,11 @@ its extremal family and its CSV sampling.  A setting is also the geometry
 of a ``core.MeasureProfile``: the map from its radial coordinate to the
 measure s, the coordinate's bound, the family's value, mu and L^p norm,
 its center and its grid sampling; ``Plane(d)`` for profiles on R^{2d}, the
-class ``Disc`` for profiles on the disc, whose geometry has no beta.  This
-module imports the standard library alone, and so does ``bounds``: a
-closed-form bound loads no numpy.  The settings look ``bounds``, numpy
-and the array modules up at call time.
+class ``Disc`` for profiles on the disc, whose geometry has no beta; an
+instance is also a profile's spectral law.  This module imports the
+standard library alone, and so does ``bounds``: a closed-form bound loads
+no numpy.  The settings look ``bounds``, numpy and the array modules up
+at call time.
 """
 from __future__ import annotations
 
@@ -19,7 +20,7 @@ import numbers
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .errors import DivergenceError, InvalidInputError, UnattainedBoundError
+from .errors import DivergenceError, InvalidInputError, RegimeError, UnattainedBoundError
 
 __all__ = ["ConstraintSet", "Plane", "Disc"]
 
@@ -81,7 +82,7 @@ class Plane:
     Gaussian's scale p - 1 > 0."""
 
     d: int = 1
-    coordinate, coord_max, shape_min = "r", math.inf, 0.0
+    coordinate, coord_max, shape_min, origin = "r", math.inf, 0.0, (0.0, 0.0)
 
     def __post_init__(self):
         if not (isinstance(self.d, int) and self.d >= 1):
@@ -133,8 +134,28 @@ class Plane:
 
     # -- the geometry of a profile -------------------------------------------
     def measure(self, r):
-        """Volume (pi r^2)^d / d! of the ball of radius r in R^{2d}."""
-        return (math.pi * r ** 2) ** self.d / math.factorial(self.d)
+        """Volume (pi r^2)^d / d! of the ball of radius r in R^{2d}, at a float
+        or an array.  Where the power overflows, the same arithmetic runs on
+        r 2^-k, exact, and is scaled back by 2^{2kd}; a volume past the
+        doubles raises."""
+        d = self.d
+        if isinstance(r, (float, int)):
+            try:
+                return (math.pi * float(r) ** 2) ** d / math.factorial(d)
+            except OverflowError:   # as the 0-d array below
+                pass
+        import numpy as np
+        r = np.asarray(r, dtype=float)
+        with np.errstate(over="ignore"):
+            v = (math.pi * r ** 2) ** d / math.factorial(d)
+            big = v == math.inf
+            if big.any():
+                k = np.frexp(r)[1]
+                v = np.where(big, np.ldexp((math.pi * np.ldexp(r, -k) ** 2) ** d
+                                           / math.factorial(d), 2 * k * d), v)
+                if np.any(v == math.inf):
+                    raise InvalidInputError("a ball's volume is past the doubles")
+        return v
 
     def family_value(self, w, r):
         import numpy as np
@@ -189,6 +210,31 @@ class Plane:
         dy = ax[None, :] - w.center[1]
         return WeightField(half_width, n, w(np.hypot(dx, dy)))
 
+    # -- the spectral law: Poisson(s), the Hermite functions' ------------------
+    def check_spectral(self, geometry):
+        """Spectra and polar assembly for d = 1 alone, of this law and ``geometry``."""
+        if self.d != 1 or geometry != self:
+            raise RegimeError("spectral computation is restricted to d = 1")
+
+    def sums(self, K: int, s):
+        """Heads Q(k + 1, s) and tails P(k + 1, s), k < K, of Poisson(s), s one or a row."""
+        import numpy as np
+
+        from . import core
+        return core.head_tail(K, np.exp(-s), lambda: -s, s, 0.0)
+
+    def ratios(self, K: int, shape: float):
+        """lambda_k / amplitude = (scale / (1 + scale))^{k + 1} of the Gaussian."""
+        import numpy as np
+        return (shape / (1.0 + shape)) ** np.arange(1.0, K + 1.0)
+
+    def cap_columns(self, K: int, w):
+        """P(k + 1, s0) below the cap's edge s0, and Q(k + 1, (1 + 1/scale) s0)."""
+        import numpy as np
+        s0 = w.shape * math.log(w.amplitude / w.cap)
+        Q, P = self.sums(K, np.array([s0, (1.0 + 1.0 / w.shape) * s0]))
+        return P[:, 0], Q[:, 1]
+
     # -- CSV sampling ----------------------------------------------------------
     def sample_grid(self, params: dict, n: int) -> list:
         """linspace(r_max / n, r_max, n), bitwise numpy's.  r_max lies past
@@ -218,7 +264,7 @@ class Disc:
     1/alpha; their geometry is the class's, free of beta."""
 
     beta: float = 1.0
-    coordinate, coord_max, shape_min = "x", 1.0, -math.inf
+    coordinate, coord_max, shape_min, origin = "x", 1.0, -math.inf, 1j
 
     def __post_init__(self):
         if not 0 < self.beta < math.inf:
@@ -291,8 +337,10 @@ class Disc:
 
     @staticmethod
     def check_center(center):
-        if not (isinstance(center, numbers.Complex) and center.imag > 0):
-            raise InvalidInputError(f"center must lie in the upper half-plane, got {center!r}")
+        """A complex center with finite parts, in the upper half-plane."""
+        if not (isinstance(center, numbers.Complex) and math.isfinite(center.real)
+                and 0 < center.imag < math.inf):
+            raise InvalidInputError(f"center must be finite, in the upper half-plane: {center!r}")
         return center
 
     @staticmethod
@@ -310,6 +358,47 @@ class Disc:
         x = dx2 + (grid.y - center.imag) ** 2
         x /= dx2 + (grid.y + center.imag) ** 2
         return x
+
+    # -- the spectral law: negative binomial, the disc monomials' -------------
+    def check_spectral(self, geometry):
+        """The laws' parameter b = 2 beta must be a double."""
+        if 2.0 * self.beta == math.inf:
+            raise InvalidInputError("beta is too large: 2 beta overflows")
+
+    @staticmethod
+    def negbin_sums(K: int, b, x, t):
+        """Heads 1 - I_x(k + 1, b) and tails I_x(k + 1, b), k < K, t = 1 - x exact."""
+        import numpy as np
+
+        from . import core
+        # numpy's power for floats too: Python's may differ in the last bit
+        return core.head_tail(K, np.power(t, b), lambda: b * np.log(t), x * (b - 1.0), x)
+
+    def sums(self, K: int, s):
+        """``negbin_sums`` at b = 2 beta and x = s / (s + 4 pi) of the nu-measure s."""
+        return self.negbin_sums(K, 2.0 * self.beta, s / (s + FOUR_PI), FOUR_PI / (s + FOUR_PI))
+
+    def ratios(self, K: int, shape: float):
+        """B(k + 1, b + shape) / B(k + 1, b), k < K, b = 2 beta: the product of
+        R_0 = b / (b + shape) and R_k / R_{k-1} = (k + b) / (k + b + shape)."""
+        import numpy as np
+        b = 2.0 * self.beta
+        if b + shape <= 0:
+            raise DivergenceError(f"Beta integral diverges: exponent {shape} <= -2 beta")
+        r = [b / (b + shape)]
+        for k in range(1, K):
+            r.append(r[-1] * (k + b) / (k + b + shape))
+        return np.array(r)
+
+    def cap_columns(self, K: int, w):
+        """I_x*(k + 1, b) below the cap's edge x*, and 1 - I_x*(k + 1, b + exponent)."""
+        import numpy as np
+        b = 2.0 * self.beta
+        # the capped set is x < x* = 1 - t, with t exact in the parameters
+        t = (w.cap / w.amplitude) ** (1.0 / w.shape)
+        I = self.negbin_sums(K, np.array([b, b + w.shape]), 1.0 - t, t)[1]
+        # 1 - I cancels for the (b + exponent) law: fault 3, ROADMAP item 1
+        return I[:, 0], 1.0 - I[:, 1]
 
     # -- CSV sampling ----------------------------------------------------------
     @staticmethod

@@ -10,8 +10,8 @@ The disc is one setting of the measure-coordinate core in ``core``: the
 hyperbolic measure of {|w|^2 < x} is s = 4 pi x / (1 - x), half-plane fields
 are grid fields with nu cell masses, a disc profile is a ``MeasureProfile``
 whose setting ``Disc`` holds its coordinate map, power family and grid
-sampling (``DiscProfile`` names its constructors), and
-``bergman_radial_eigenvalues`` adds the Beta spectral CDF.
+sampling (``DiscProfile`` names its constructors), and whose instance
+``Disc(beta)`` is the spectral law.
 """
 from __future__ import annotations
 
@@ -21,10 +21,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import GridField, MeasureProfile, gauss_panels, head_tail, lp_norm
-from .errors import DivergenceError, InvalidInputError, RegimeError
+from .core import GridField, MeasureProfile, gauss_panels, lp_norm
+from .errors import InvalidInputError
 from .gabor import OperatorSpectrum, basis_recurrence, gram_operator, mirror_fold
-from .scalar import FOUR_PI, Disc
+from .scalar import Disc
 
 __all__ = [
     "cauchy_norm_const",
@@ -392,9 +392,8 @@ def _bergman_coordinates(beta: float, x, y, center: complex):
     y = np.asarray(y, float).ravel()
     if np.any(y <= 0):
         raise InvalidInputError("basis evaluation needs y > 0")
-    x0, y0 = float(np.real(center)), float(np.imag(center))
-    if y0 <= 0:
-        raise InvalidInputError("center must lie in the upper half-plane")
+    center = Disc.check_center(center)
+    x0, y0 = float(center.real), float(center.imag)
     if not beta > 0:
         raise InvalidInputError("beta must be positive")
     xc = (x - x0) / y0
@@ -449,54 +448,11 @@ class DiscProfile(MeasureProfile):
 # spectra
 # ---------------------------------------------------------------------------
 
-def _beta_ratio(K: int, b: float, shift: float) -> np.ndarray:
-    """B(k + 1, b + shift) / B(k + 1, b) for k < K: the product of
-    R_0 = b / (b + shift) and R_k / R_{k-1} = (k + b) / (k + b + shift)."""
-    r = [b / (b + shift)]
-    for k in range(1, K):
-        r.append(r[-1] * (k + b) / (k + b + shift))
-    return np.array(r)
-
-
-def _negbin_sums(K: int, b, x, t):
-    """1 - I_x(k + 1, b) and I_x(k + 1, b), k < K: the head and tail sums of
-    the negative-binomial laws, t = 1 - x exact; b a float or one per law."""
-    # numpy's power for floats too: Python's may differ in the last bit
-    return head_tail(K, np.power(t, b), lambda: b * np.log(t), x * (b - 1.0), x)
-
-
 def bergman_radial_eigenvalues(rho: DiscProfile, beta: float, K: int) -> OperatorSpectrum:
-    """Spectrum of a nu-radial symbol about i, by Beta-density averages.
-
-    lambda_k = int_0^1 rho(x) x^k (1-x)^{2 beta - 1} dx / B(k+1, 2 beta).
-    """
-    if not beta > 0:
-        raise InvalidInputError("beta must be positive")
-    if K < 1:
-        raise InvalidInputError("K must be >= 1")
-    if rho.center != 1j:
-        raise RegimeError("eigenvalues require the symbol centered at i; "
-                          "recenter via the Moebius covariance first")
-    b = 2.0 * beta
-
-    if rho.kind == "family":
-        if b + rho.shape <= 0:
-            raise DivergenceError(
-                f"Beta integral diverges: exponent {rho.shape} <= -2 beta")
-        lam = rho.amplitude * _beta_ratio(K, b, rho.shape)
-    elif rho.kind == "truncated":
-        # the capped set is x < x* = 1 - t, with t exact in the parameters
-        t = (rho.cap / rho.amplitude) ** (1.0 / rho.shape)
-        I = _negbin_sums(K, np.array([b, b + rho.shape]), 1.0 - t, t)[1]
-        # 1 - I cancels for the (b + exponent) law: fault 3, ROADMAP item 1
-        lam = (rho.cap * I[:, 0]
-               + rho.amplitude * _beta_ratio(K, b, rho.shape) * (1.0 - I[:, 1]))
-    else:
-        # I_x(k + 1, b) in the nu-measure s: x = s / (s + 4 pi), t = 4 pi / (s + 4 pi)
-        lam = rho.step_eigenvalues(
-            K, lambda s: _negbin_sums(K, b, s / (s + FOUR_PI), FOUR_PI / (s + FOUR_PI))[1])
-
-    return OperatorSpectrum.from_eigenvalues(lam)
+    """Spectrum of a nu-radial symbol about i, by Beta-density averages:
+    lambda_k = int_0^1 rho(x) x^k (1-x)^{2 beta - 1} dx / B(k+1, 2 beta),
+    rho averaged against the negative-binomial laws of ``Disc(beta)``."""
+    return OperatorSpectrum.from_eigenvalues(rho.eigenvalues(K, Disc(beta)))
 
 
 def assemble_wavelet_operator(F: HalfPlaneField, beta: float, K: int,
@@ -513,7 +469,8 @@ def assemble_wavelet_operator(F: HalfPlaneField, beta: float, K: int,
     """
     if K < 1:
         raise InvalidInputError("K must be >= 1")
-    _, wf, wm = mirror_fold(F.grid.x - np.real(center), F.grid.cell_masses() * F.values)
+    center = Disc.check_center(center)
+    _, wf, wm = mirror_fold(F.grid.x - center.real, F.grid.cell_masses() * F.values)
     # only nodes of nonzero weight enter the sum, so only theirs are built
     live = wf != 0.0 if wm is None else (wf != 0.0) | (wm != 0.0)
     ix, iy = np.divmod(np.flatnonzero(live), F.grid.y.size)

@@ -13,7 +13,8 @@ from phasebound.errors import (DivergenceError, InvalidInputError,
 from phasebound.gabor import assemble_operator, radial_eigenvalues
 from phasebound.scalar import ConstraintSet, Disc, Plane
 from phasebound.verify import thresholds
-from phasebound.wavelet import DiscProfile, HalfPlaneField, HalfPlaneGrid
+from phasebound.wavelet import (DiscProfile, HalfPlaneField, HalfPlaneGrid,
+                                assemble_wavelet_operator, bergman_basis)
 
 
 def make_field(n=64, half_width=4.0, seed=0):
@@ -118,14 +119,22 @@ def test_radial_profile_validation():
     assert DiscProfile.power(1.0, -1.5).shape == -1.5
 
 
-@pytest.mark.parametrize("center", [(0.0, 1.0), "1j", None, complex(0.0, math.nan)])
+@pytest.mark.parametrize("center", [(0.0, 1.0), "1j", None, complex(0.0, math.nan),
+                                    complex(math.nan, 1.0), complex(math.inf, 1.0),
+                                    complex(0.0, math.inf)])
 def test_disc_profiles_reject_non_complex_center(center):
-    # a tuple, a string or None used to raise a bare AttributeError
+    # a tuple, a string or None used to raise a bare AttributeError.  A NaN
+    # or infinite part built a profile, and gave the basis and the assembly
+    # a NaN matrix (a RuntimeWarning) or, at y0 = inf, a zero one: the one
+    # center check, Disc.check_center, now serves all seven
+    field = HalfPlaneField(HalfPlaneGrid.logarithmic(-2.0, 2.0, 4, 0.1, 10.0, 4), np.ones((4, 4)))
     for make in (lambda: DiscProfile.indicator(1.0, 2.0, center=center),
                  lambda: DiscProfile.power(1.0, 2.0, center=center),
                  lambda: DiscProfile.truncated_power(2.0, 2.0, 1.0, center=center),
                  lambda: DiscProfile.constant(1.0, center=center),
-                 lambda: DiscProfile.sampled([0.5], [1.0], center=center)):
+                 lambda: DiscProfile.sampled([0.5], [1.0], center=center),
+                 lambda: bergman_basis(4, 1.0, np.array([0.0]), np.array([1.0]), center=center),
+                 lambda: assemble_wavelet_operator(field, 1.0, 4, center=center)):
         with pytest.raises(InvalidInputError, match="upper half-plane"):
             make()
     assert DiscProfile.power(1.0, 2.0, center=np.complex128(0.5 + 2j)).center == 0.5 + 2j
@@ -402,6 +411,46 @@ def test_profile_lp_norm_near_the_double_range_matches_mpmath(make, p):
             prof.lp_norm(p)
     else:
         assert prof.lp_norm(p) == pytest.approx(float(want), rel=1e-12, abs=0.0)
+
+
+def _mp_ball_volume(r, d):
+    """(pi r^2)^d / d! at the double radius r, in 50-digit mpmath."""
+    with mpmath.workdps(50):
+        return (mpmath.pi * _mp(r) ** 2) ** d / mpmath.factorial(d)
+
+
+@pytest.mark.parametrize("make, p, t", [
+    (lambda: RadialProfile.ball(1.0, 1e308, dim=2), 2.0, 0.5),
+    (lambda: RadialProfile.ball(1.0, 1e308, dim=3), 3.0, 0.5),
+    # (pi r^2)^3 is 5e308, past the doubles, and its sixth a double
+    (lambda: RadialProfile.sampled([1.0, 1.589e51], [1.0, 0.5], dim=3), 1.0, 0.4),
+    # volumes past the doubles: (pi 4e310) and (pi 1e200)^4 / 24
+    (lambda: RadialProfile.sampled([1.0, 2e155], [1.0, 0.5]), 2.0, 0.4),
+    (lambda: RadialProfile.sampled([1e100], [1.0], dim=4), 2.0, 0.5)],
+    ids=["ball-d2", "ball-d3", "sampled-d3", "sampled-over", "sampled-d4-over"])
+def test_plane_measure_past_the_power_range_matches_mpmath(make, p, t):
+    # the volume (pi r^2)^d / d! overflowed in its power: a bare
+    # OverflowError from a float radius, inf and a RuntimeWarning from knots.
+    # Where the volume is a double it is the plain arithmetic on r 2^-k,
+    # scaled back exactly, so a few ulps of d roundings; the budget is 1e-14
+    prof = make()
+    d = prof.setting.d
+    radius = prof.edge if prof.kind == "indicator" else float(prof.knots[-1])
+    volume = _mp_ball_volume(radius, d)
+    if volume > sys.float_info.max:
+        for call in (lambda: prof.lp_norm(p), lambda: prof.mu(t)):
+            with pytest.raises(InvalidInputError, match="past the doubles"):
+                call()
+        return
+    if prof.kind == "indicator":
+        want_norm = volume ** (1 / mpmath.mpf(p))
+    else:
+        inner = _mp_ball_volume(float(prof.knots[0]), d)
+        masses = (inner, volume - inner)
+        want_norm = mpmath.fsum([_mp(v) ** p * m for v, m in zip(prof.knot_values, masses)])
+        want_norm **= 1 / mpmath.mpf(p)
+    assert prof.lp_norm(p) == pytest.approx(float(want_norm), rel=1e-14, abs=0.0)
+    assert float(prof.mu(t)) == pytest.approx(float(volume), rel=1e-14, abs=0.0)
 
 
 def test_lp_norm_divergence_and_grid():

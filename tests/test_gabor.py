@@ -1,6 +1,7 @@
 """STFT, Hermite phase-space basis, assembly and spectra."""
 import math
 import sys
+from functools import partial
 
 import mpmath
 import numpy as np
@@ -20,7 +21,8 @@ from phasebound.gabor import (OperatorSpectrum, Signal, assemble_operator,
                               hermite_phase_basis, lieb_quotient, mirror_fold,
                               operator_norm, radial_eigenvalues,
                               radial_eigenvalues_quad, spectrum_from_matrix, stft)
-from phasebound.scalar import ConstraintSet
+from phasebound.scalar import ConstraintSet, Disc, Plane
+from phasebound.wavelet import DiscProfile, bergman_radial_eigenvalues
 from phasebound.verify import random_field, random_radial
 
 
@@ -441,13 +443,70 @@ def test_radial_eigenvalues_quad_matches_mpmath_at_large_k():
             assert abs(quad[k] - float(want)) <= 1e-14 * float(want), (prof.kind, k)
 
 
+def _spectrum_cases():
+    """(setting, kind, profile maker taking a center and a dim, lam0 in
+    closed form) for the five kinds of both settings.  On the plane lam0 is
+    int w* dP(1, .), so A (1 - e^{-s}) on a ball of measure s; on the disc,
+    with b = 2 beta, I_x(1, b) = 1 - (1 - x)^b, so G_beta(s) on a disc."""
+    b = 2.0 * 1.7
+    s0 = 0.7 * math.log(2.0)   # the truncated Gaussian's capped measure
+    s1, s2 = math.pi * 0.4 ** 2, math.pi * 0.9 ** 2
+    t = 0.5 ** (1.0 / 1.5)     # 1 - x at the truncated power's cap
+    lam = gabor_bound(ConstraintSet(2.0, math.inf, 0.8)).lam
+    return [
+        ("plane", "indicator", lambda c, dim: RadialProfile.ball(2.0, 1.3, c, dim),
+         -2.0 * math.expm1(-1.3)),
+        # the Gaussian extremal at p = 2, A = inf, B = 0.8: kappa^kappa B
+        ("plane", "family", lambda c, dim: RadialProfile.gaussian(lam, 1.0, c, dim),
+         0.5 ** 0.5 * 0.8),
+        # cap (1 - e^{-s0}) + cap e^{-s0} scale / (1 + scale)
+        ("plane", "truncated",
+         lambda c, dim: RadialProfile.truncated_gaussian(3.0, 0.7, 1.5, c, dim),
+         -1.5 * math.expm1(-s0) + 1.5 * math.exp(-s0) * 0.7 / 1.7),
+        ("plane", "sampled", lambda c, dim: RadialProfile.sampled([0.4, 0.9], [2.0, 0.5], c, dim),
+         -2.0 * math.expm1(-s1) + 0.5 * (math.exp(-s1) - math.exp(-s2))),
+        ("plane", "constant", lambda c, dim: RadialProfile.constant(2.0, c, dim), 2.0),
+        ("disc", "indicator", lambda c, dim: DiscProfile.indicator(2.0, 1.3, c),
+         2.0 * (1.0 - (1.0 + 1.3 / (4.0 * math.pi)) ** -b)),
+        ("disc", "family", lambda c, dim: DiscProfile.power(2.0, 1.5, c), 2.0 * b / (b + 1.5)),
+        # cap (1 - t^b) + cap t^b b / (b + exponent)
+        ("disc", "truncated", lambda c, dim: DiscProfile.truncated_power(3.0, 1.5, 1.5, c),
+         1.5 * (1.0 - t ** b) + 1.5 * t ** b * b / (b + 1.5)),
+        ("disc", "sampled", lambda c, dim: DiscProfile.sampled([0.4, 0.9], [2.0, 0.5], c),
+         2.0 * (1.0 - 0.6 ** b) + 0.5 * (0.6 ** b - 0.1 ** b)),
+        ("disc", "constant", lambda c, dim: DiscProfile.constant(2.0, c), 2.0),
+    ]
+
+
 def test_radial_eigenvalues_contracts():
-    off_center = RadialProfile.ball(1.0, 1.0, center=(0.5, 0.0))
-    with pytest.raises(RegimeError):
-        radial_eigenvalues(off_center, 8)
-    d2 = RadialProfile.gaussian(1.0, 1.0, dim=2)
-    with pytest.raises(RegimeError):
-        radial_eigenvalues(d2, 8)
+    # one spectrum, MeasureProfile.eigenvalues, behind both wrappers and for
+    # every kind: the checks of K, of the center and of d, nonincreasing
+    # values in [0, ess_sup], and lam0 against its closed form.  The budget
+    # is 2e-15 relative, 9 ulps: each closed form and each law's k = 0
+    # column round a few times (the worst seen is 3.5 ulps, the disc
+    # indicator's)
+    eps = np.finfo(float).eps
+    for setting, kind, make, lam0 in _spectrum_cases():
+        if setting == "plane":
+            origin, off, law, spectrum = (0.0, 0.0), (0.5, 0.0), Plane(1), radial_eigenvalues
+            for d2 in (radial_eigenvalues, radial_eigenvalues_quad):
+                with pytest.raises(RegimeError):
+                    d2(make(origin, 2), 8)
+        else:
+            origin, off, law = 1j, 0.5 + 2j, Disc(1.7)
+            spectrum = partial(bergman_radial_eigenvalues, beta=1.7)
+        prof = make(origin, 1)
+        with pytest.raises(InvalidInputError):
+            spectrum(prof, K=0)
+        with pytest.raises(RegimeError):
+            spectrum(make(off, 1), K=8)
+        lam = prof.eigenvalues(24, law)
+        # nonincreasing in k, so the sorted spectrum is the same array
+        assert np.array_equal(spectrum(prof, K=24).eigenvalues, lam), (setting, kind)
+        assert np.all(np.diff(lam) <= 0.0), (setting, kind)
+        # a cap times a CDF plus a tail may round an ulp past the cap
+        assert lam[-1] >= 0.0 and lam[0] <= prof.ess_sup() * (1.0 + 4.0 * eps), (setting, kind)
+        assert lam[0] == pytest.approx(lam0, rel=2e-15, abs=0.0), (setting, kind)
 
 
 def _mp_pq(k, s):
@@ -468,7 +527,7 @@ def test_poisson_sums_match_mpmath(data, k, extra):
     areas = st.one_of(st.just(0.0), st.just(k + 1.0), near,
                       st.floats(-300.0, 6.0).map(lambda e: 10.0 ** e))
     s = data.draw(st.lists(areas, min_size=1, max_size=4))
-    Q, P = gabor._poisson_sums(k + 1 + extra, np.array(s))
+    Q, P = Plane(1).sums(k + 1 + extra, np.array(s))
     for i, si in enumerate(s):
         for got, want in zip((P[k, i], Q[k, i]), _mp_pq(k, si)):
             if want >= sys.float_info.min:
@@ -480,7 +539,7 @@ def test_poisson_sums_match_mpmath(data, k, extra):
 def test_truncation_leak_and_inverses_pinned():
     # 30-digit mpmath: Q(48, 36 pi), and the s with Q(K, s) = q that give the
     # suggested half-width (q = 1e-6) and the polar rule's radius (1e-14)
-    leak = gabor._poisson_sums(48, np.array([36.0 * math.pi]))[0][-1, 0]
+    leak = Plane(1).sums(48, np.array([36.0 * math.pi]))[0][-1, 0]
     assert leak == pytest.approx(1.62511860740995903e-12, rel=1e-14)
     for K, q, s in ((1, 1e-6, 13.8155105579642741), (48, 1e-6, 88.3887861704690285),
                     (48, 1e-14, 121.516924310206079), (8, 1e-14, 51.4363664947269381),

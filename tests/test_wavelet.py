@@ -11,12 +11,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from phasebound import gabor, wavelet
+from phasebound import wavelet
 from phasebound.bounds import G_beta, wavelet_bound
 from phasebound.core import distribution_bound
 from phasebound.errors import DivergenceError, InvalidInputError, RegimeError
 from phasebound.extremals import extremal_weight_wavelet
-from phasebound.scalar import ConstraintSet
+from phasebound.scalar import FOUR_PI, ConstraintSet, Disc, Plane
 from phasebound.wavelet import (DiscProfile, HalfPlaneField, HalfPlaneGrid,
                                 HardySignal, assemble_wavelet_operator,
                                 bergman_basis, bergman_radial_eigenvalues,
@@ -420,9 +420,8 @@ _SUM_S = (1e-300, 1e-6, 0.3, 12.6, 1e3, 9300.0, 1e6)
 
 def _disc_sums(K, s, b):
     """1 - I_x(k + 1, b) and I_x(k + 1, b), k < K, in the nu-measure s (a
-    float or a row), as ``bergman_radial_eigenvalues`` takes them."""
-    return wavelet._negbin_sums(K, b, s / (s + wavelet.FOUR_PI),
-                                wavelet.FOUR_PI / (s + wavelet.FOUR_PI))
+    float or a row): the sums of ``Disc(b / 2)``."""
+    return Disc(b / 2).sums(K, s)
 
 
 def test_beta_cdf_matches_mpmath():
@@ -439,7 +438,7 @@ def test_beta_cdf_matches_mpmath():
         for s in _SUM_S:
             comp, got = _disc_sums(200, s, b)
             with mpmath.workdps(30):
-                x = mpmath.mpf(s) / (mpmath.mpf(s) + mpmath.mpf(wavelet.FOUR_PI))
+                x = mpmath.mpf(s) / (mpmath.mpf(s) + mpmath.mpf(FOUR_PI))
                 want = [(float(mpmath.betainc(k + 1, b, 0, x, regularized=True)),
                          float(mpmath.betainc(b, k + 1, 0, 1 - x, regularized=True)))
                         for k in _SUM_KS]
@@ -458,7 +457,7 @@ def test_beta_cdf_matches_mpmath():
     # tails of a few terms with the longest, at s = 9300
     long_row = np.append(np.geomspace(1e-3, 1e5, 511), 9300.0)
     for sums, row in ((lambda s: _disc_sums(8, s, 3.0), np.array(_SUM_S)),
-                      (lambda s: gabor._poisson_sums(8, s), np.array(_SUM_S)),
+                      (lambda s: Plane(1).sums(8, s), np.array(_SUM_S)),
                       (lambda s: _disc_sums(200, s, 0.1), long_row)):
         cols = sums(row)
         for i, s in enumerate(row.tolist()):
@@ -477,7 +476,7 @@ def test_beta_cdf_at_small_beta_near_the_boundary():
         for s in (1e4, 1e12, 1e40):
             got = _disc_sums(200, s, b)[1][:, 0]
             with mpmath.workdps(80):
-                x = mpmath.mpf(s) / (mpmath.mpf(s) + mpmath.mpf(wavelet.FOUR_PI))
+                x = mpmath.mpf(s) / (mpmath.mpf(s) + mpmath.mpf(FOUR_PI))
                 want = [float(mpmath.betainc(k + 1, b, 0, x, regularized=True))
                         for k in _SUM_KS]
             for k, w in zip(_SUM_KS, want):
@@ -491,7 +490,7 @@ def test_beta_ratio_matches_mpmath():
     eps = np.finfo(float).eps
     for b in _SUM_BS:
         for shift in (-0.5 * b, 0.5, 3.0, 300.0):
-            got = wavelet._beta_ratio(200, b, shift)
+            got = Disc(b / 2).ratios(200, shift)
             for k in _SUM_KS:
                 with mpmath.workdps(30):
                     want = float(mpmath.beta(k + 1, b + shift) / mpmath.beta(k + 1, b))
@@ -545,6 +544,23 @@ def test_eigenvalues_require_centered_symbol():
     rho = DiscProfile.indicator(1.0, 1.0, center=0.5 + 2j)
     with pytest.raises(RegimeError):
         bergman_radial_eigenvalues(rho, 1.0, 4)
+
+
+@pytest.mark.parametrize("beta", [math.inf, 1e308])
+def test_disc_spectra_refuse_beta_past_the_doubles(beta):
+    # b = 2 beta overflows at 1e308, and inf is no order at all: every kind's
+    # spectrum but the constant's was NaN, with RuntimeWarnings from the sums
+    for prof in (DiscProfile.indicator(1.0, 2.0), DiscProfile.power(1.0, 2.0),
+                 DiscProfile.truncated_power(2.0, 2.0, 1.0), DiscProfile.constant(1.0),
+                 DiscProfile.sampled([0.5], [1.0])):
+        with pytest.raises(InvalidInputError, match="beta"):
+            bergman_radial_eigenvalues(prof, beta, 3)
+    # the check is the spectral law's: a p = 1 bound at such a beta stays finite
+    if beta < math.inf:
+        assert wavelet_bound(ConstraintSet(1, 1, 2, "wavelet", beta=beta)).bound == 1.0
+    # at 1e307, 2 beta is a double and every eigenvalue reaches its limit 1
+    assert np.all(bergman_radial_eigenvalues(DiscProfile.power(1.0, 2.0), 1e307, 3)
+                  .eigenvalues == 1.0)
 
 
 def test_power_profile_integrability_flag():

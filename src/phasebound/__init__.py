@@ -12,7 +12,7 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "bounds": ("BoundReport", "G", "G_beta", "gabor_bound", "lambda_root",
                "wavelet_bound"),
-    "scalar": ("ConstraintSet",),
+    "scalar": ("ConstraintSet", "Disc", "Plane"),
     "core": ("RadialProfile", "WeightField", "decreasing_rearrangement", "lp_norm",
              "schwarz_symmetrize"),
     "errors": ("PhaseboundError", "InvalidInputError", "DivergenceError",
@@ -20,9 +20,9 @@ _EXPORTS = {
                "BasisTruncationError"),
     "extremals": ("extremal_signal", "extremal_signal_wavelet", "extremal_weight_gabor",
                   "extremal_weight_wavelet"),
-    "gabor": ("OperatorSpectrum", "Signal", "assemble_operator", "concentration",
+    "gabor": ("OperatorSpectrum", "Signal", "assemble", "assemble_operator", "concentration",
               "hermite_phase_basis", "lieb_quotient", "operator_norm",
-              "radial_eigenvalues", "stft"),
+              "radial_eigenvalues", "spectrum", "stft"),
     "varprob": ("VariationalSolution", "constraint_moment", "solve_closed_form",
                 "solve_kkt_oracle"),
     "wavelet": ("DiscProfile", "HalfPlaneField", "HalfPlaneGrid", "HardySignal",

@@ -94,29 +94,14 @@ def cmd_extremal(args) -> int:
 
 
 def cmd_norm(args) -> int:
-    from . import io
     from .core import lp_norm
-    from .gabor import assemble_operator, radial_eigenvalues, spectrum_from_matrix
+    from .gabor import spectrum
+    from .io import read_weight
     from .scalar import ConstraintSet
-    K, beta = args.basis, args.beta
-    fmt = io.sniff_weight_file(args.weight)
-    if fmt in ("disc", "halfplane"):
-        # only the disc's formats load wavelet
-        from .wavelet import assemble_wavelet_operator, bergman_radial_eigenvalues
-    # file format -> (reader, transform of its bound, spectrum of the weight)
-    formats = {
-        "field": (io.read_weight_field, "gabor", lambda w: spectrum_from_matrix(
-            assemble_operator(w, K, points_per_cell=args.points_per_cell))),
-        "radial": (io.read_radial_profile, "gabor", lambda w: radial_eigenvalues(w, K)),
-        "disc": (io.read_disc_profile, "wavelet",
-                 lambda w: bergman_radial_eigenvalues(w, beta, K)),
-        "halfplane": (io.read_halfplane_field, "wavelet", lambda w: spectrum_from_matrix(
-            assemble_wavelet_operator(w, beta, K))),
-    }
-    read, transform, spectrum = formats[fmt]
-    w = read(args.weight)
-    c = ConstraintSet(args.p, w.ess_sup(), lp_norm(w, args.p), transform, d=1, beta=beta)
-    spec = spectrum(w)
+    w = read_weight(args.weight)
+    c = ConstraintSet(args.p, w.ess_sup(), lp_norm(w, args.p), w.setting.transform,
+                      beta=args.beta)
+    spec = spectrum(w, args.basis, c.setting, points_per_cell=args.points_per_cell)
     report = c.setting.bound(c)
     norm = spec.norm()
     _emit({"norm": norm, "bound": report.bound,

@@ -28,8 +28,9 @@ Every weight, gridded or radial, answers the same exact mu(t), the measure
 of {|w| > t}, and the bounds read nothing else of it.  A setting
 (``scalar.Plane(d)`` or ``scalar.Disc``) supplies a profile's geometry: its
 coordinate map, its analytic family (a Gaussian in pi r^2, a power of
-1 - x) and its grid; as a spectral law it adds its CDFs, the tail sums of
-``head_tail``, and the ratios and cap columns of its families.
+1 - x) and its grid (grid fields name theirs); as a spectral law it adds
+its CDFs, the sums of ``head_tail``, its families' ratios and cap columns,
+and the basis that ``gabor.assemble`` sums.
 """
 from __future__ import annotations
 
@@ -46,6 +47,7 @@ from .errors import DivergenceError, InvalidInputError, RegimeError
 from .scalar import Disc, Plane, _check_exponent
 
 __all__ = [
+    "positive_int",
     "head_tail",
     "gauss_panels",
     "integrate",
@@ -58,6 +60,14 @@ __all__ = [
     "schwarz_symmetrize",
     "lp_norm",
 ]
+
+
+def positive_int(value, name: str) -> int:
+    """value as an int >= 1, numpy's integers too, bool, float and str
+    refused: the one check of a basis size K, points per cell and a dim."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+        raise InvalidInputError(f"{name} must be an integer >= 1, got {value!r}")
+    return int(value)
 
 
 def _step_mu(levels: np.ndarray, measures: np.ndarray, t) -> np.ndarray:
@@ -313,6 +323,7 @@ class WeightField(GridField):
     cell carries its Lebesgue area.
     """
 
+    setting = Plane(1)
     half_width: float
     n: int
     values: np.ndarray
@@ -462,18 +473,19 @@ class MeasureProfile:
         mu[good] = self.setting.family_mu(self, t[good])
         return mu
 
-    def check_spectrum(self, K: int, law):
-        """K >= 1, and the profile about the origin of ``law``, its setting."""
-        if K < 1:
-            raise InvalidInputError("K must be >= 1")
+    def check_spectrum(self, K: int, law) -> int:
+        """K as an int >= 1, ``law`` the law of the profile's setting, and
+        the profile about the law's origin."""
+        K = positive_int(K, "K")
+        law.check_spectral(self.setting)
         if self.center != law.origin:
             raise RegimeError(f"the spectrum needs the profile centered at {law.origin}")
-        law.check_spectral(self.setting)
+        return K
 
     def eigenvalues(self, K: int, law) -> np.ndarray:
         """lambda_k = int rho*(s) d pi_k(s), k < K, against the laws of ``law``,
         ``Plane(1)`` or ``Disc(beta)``, from its ratios, cap columns and sums."""
-        self.check_spectrum(K, law)
+        K = self.check_spectrum(K, law)
         if self.kind == "family":
             return self.amplitude * law.ratios(K, self.shape)
         if self.kind == "truncated":
@@ -494,10 +506,8 @@ class MeasureProfile:
 
 
 def _plane(dim) -> Plane:
-    """``Plane(dim)`` for any integral dim, numpy's integers too."""
-    if not isinstance(dim, numbers.Integral):
-        raise InvalidInputError(f"dim must be an integer >= 1, got {dim!r}")
-    return Plane(int(dim))
+    """``Plane(dim)`` for any integral dim >= 1, numpy's integers too."""
+    return Plane(positive_int(dim, "dim"))
 
 
 class RadialProfile(MeasureProfile):

@@ -14,7 +14,7 @@ from .bounds import gabor_bound, wavelet_bound
 from .core import RadialProfile
 from .errors import InvalidInputError
 from .gabor import Signal
-from .scalar import ConstraintSet
+from .scalar import ConstraintSet, Disc
 from .wavelet import DiscProfile, HardySignal, bergman_basis, cauchy_norm_const
 
 __all__ = [
@@ -54,10 +54,9 @@ def extremal_signal_wavelet(x0: float, y0: float, beta: float,
     makes ||f|| = 1; in frequency, f-hat = c sqrt(y0) e^{-i omega x0}
     psi-hat(y0 omega).
     """
+    Disc(beta).check_spectral()
     if not y0 > 0:
         raise InvalidInputError("the center must satisfy y0 > 0")
-    if not beta > 0:
-        raise InvalidInputError("beta must be positive")
     c = math.sqrt(2.0 * math.pi / beta) if phase is None else complex(phase)
     if abs(abs(c) - math.sqrt(2.0 * math.pi / beta)) > 1e-10:
         raise InvalidInputError("|phase|^2 must equal 2 pi / beta")
@@ -73,6 +72,7 @@ def wavelet_disc_coefficients(x0: float, y0: float, beta: float, K: int,
     <f, e_k> = c conj(W e_k(x0, y0)) by the reproducing property; the
     coefficient mass converges to 1 geometrically in |w(z0)|^2.
     """
+    Disc(beta).check_spectral()
     c = math.sqrt(2.0 * math.pi / beta) if phase is None else complex(phase)
     basis = bergman_basis(K, beta, np.array([x0]), np.array([y0]))[:, 0]
     return c * np.conj(basis)

@@ -1,15 +1,13 @@
-"""Gaussian-window STFT, Hermite phase-space basis, and operator spectra (d = 1).
+"""Gaussian-window STFT, Hermite phase-space basis, and the operator layer.
 
-A real radial weight diagonalizes in the Hermite basis; the k-th eigenvalue
-is the profile averaged against the Gamma(k+1) density in the area
-coordinate s = pi r^2, the law of ``scalar.Plane(1)``.  Assembly by 2-d
-quadrature provides the independent route to the same spectra and handles
-arbitrary gridded weights; every assembly, here and on the half-plane in
-``wavelet``, is one Gram kernel over phase-free basis stacks
-(``gram_operator``), which sums a plane grid, symmetric about the origin,
-as Hermite parity blocks over one quadrant of the nodes.  The STFT of
-Hermite coefficients or a Gaussian pulse is a closed form; time
-quadrature serves sampled signals and is the oracle for the others.
+The spectral law of a setting, ``scalar.Plane(1)`` or ``scalar.Disc(beta)``,
+supplies the basis at quadrature nodes (|phi_0|, step and ratios of
+``basis_recurrence``).  ``assemble(F, K, law)`` sums any grid field, or a
+plane profile by a polar rule, against it by one Gram kernel;
+``spectrum(F, K, law)`` averages a profile against the law in closed form
+(Gamma(k+1) densities in s = pi r^2 on the plane) or diagonalizes a grid
+field's assembly.  The STFT of Hermite coefficients or a Gaussian pulse is
+a closed form; time quadrature serves sampled signals and is their oracle.
 """
 from __future__ import annotations
 
@@ -19,10 +17,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (MeasureProfile, RadialProfile, WeightField, _legendre_rule, gauss_panels,
-                   integrate, lp_norm)
-from .errors import AliasingError, BasisTruncationError, InvalidInputError
-from .scalar import Plane
+from .core import (GridField, MeasureProfile, RadialProfile, WeightField, _legendre_rule,
+                   gauss_panels, integrate, lp_norm, positive_int)
+from .errors import AliasingError, BasisTruncationError, InvalidInputError, RegimeError
+from .scalar import Disc, Plane
 
 __all__ = [
     "Signal",
@@ -34,6 +32,8 @@ __all__ = [
     "basis_recurrence",
     "gram_operator",
     "mirror_fold",
+    "assemble",
+    "spectrum",
     "assemble_operator",
     "radial_eigenvalues",
     "radial_eigenvalues_quad",
@@ -200,8 +200,8 @@ def hermite_phase_basis(k: int, x, omega):
     e^{-pi |z|^2 / 2}; its square modulus is the Gamma(k+1) density in the
     area coordinate, which is what diagonalizes radial weights.
     """
-    if k < 0:
-        raise InvalidInputError("k must be >= 0")
+    if isinstance(k, bool) or not isinstance(k, numbers.Integral) or k < 0:
+        raise InvalidInputError(f"k must be an integer >= 0, got {k!r}")
     x = np.asarray(x, dtype=float)
     omega = np.asarray(omega, dtype=float)
     return _phase_basis_stack(k + 1, x.ravel(), omega.ravel())[k].reshape(x.shape)
@@ -209,14 +209,9 @@ def hermite_phase_basis(k: int, x, omega):
 
 def _phase_basis_stack(K: int, x, omega, coeffs=None):
     """V h_0 .. V h_{K-1} at the given points, shape (K,) + x.shape, or
-    sum_k coeffs[k] V h_k."""
-    row0 = np.exp(-1j * math.pi * x * omega - 0.5 * math.pi * (x * x + omega * omega))
-    return basis_recurrence(row0, x - 1j * omega, _hermite_ratios(K), coeffs)
-
-
-def _hermite_ratios(K: int) -> np.ndarray:
-    """V h_k = V h_{k-1} (x - i omega) sqrt(pi / k), k = 1 .. K-1."""
-    return np.sqrt(math.pi / np.arange(1.0, K))
+    sum_k coeffs[k] V h_k: the law's basis, with the phase e^{-i pi x omega}."""
+    row0, step, ratios = Plane(1).basis(K, x, omega)
+    return basis_recurrence(row0 * np.exp(-1j * math.pi * x * omega), step, ratios, coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -349,7 +344,7 @@ def mirror_fold(offsets, w):
 
 
 # ---------------------------------------------------------------------------
-# operator assembly
+# the operator layer: assembly and spectra
 # ---------------------------------------------------------------------------
 
 def _check_truncation(K: int, half_width: float):
@@ -361,27 +356,32 @@ def _check_truncation(K: int, half_width: float):
             f"use half_width >= {need:.2f}", need)
 
 
-def _accumulate(K: int, xs, ys, *w) -> np.ndarray:
-    """Sum w_i Vh_j(z_i) conj(Vh_k(z_i)) by ``gram_operator``, w holding
-    the weights at z, or also at (x, -omega), or also at -z and (-x, omega)."""
-    return gram_operator(np.exp(-0.5 * math.pi * (xs * xs + ys * ys)), xs - 1j * ys,
-                         _hermite_ratios(K), *w)
+def _accumulate(K: int, xs, ys, *w, law) -> np.ndarray:
+    """Sum w_i phi_j(z_i) conj(phi_k(z_i)) over the basis of ``law`` at z = (xs, ys),
+    w the weights at z, or also at its mirror z', or also at -z and -z'."""
+    return gram_operator(*law.basis(K, xs, ys), *w)
 
 
-def assemble_operator(F, K: int, *, points_per_cell: int = 2) -> np.ndarray:
-    """K x K matrix of the localization operator in the Hermite basis.
+def assemble(F, K: int, law, *, points_per_cell: int = 2, center=None) -> np.ndarray:
+    """K x K matrix of L_F in the basis of ``law``: V h_k for ``Plane(1)``,
+    W e_k about ``center`` (i by default) for ``Disc(beta)``.
 
-    Entries are int F(z) Vh_j(z) conj(Vh_k(z)) dz.  Gridded weights use
-    tensor Gauss-Legendre points per cell (piecewise-constant F;
-    ``points_per_cell`` is an integer >= 1).  The nodes are summed by
-    ``gram_operator``, which gives an exactly Hermitian matrix for real F.
-    A grid is symmetric about the origin, so a node of one quadrant stands
-    also for (x, -omega), -z and (-x, omega), and the kernel sums the
-    Hermite parity blocks on a quarter of the nodes.  A middle row or
-    column (an odd node count) is its own mirror and gives half its weight
-    to each.
+    Entries are int F phi_j conj(phi_k), summed over quadrature nodes by
+    ``gram_operator``, exactly Hermitian for real F.  A weight of the other
+    setting is refused, and so is a disc profile (``spectrum`` has its
+    closed form); only the disc's basis takes a center.
 
-    Radial profiles use a polar rule: 8-point Gauss-Legendre on
+    Plane grids use tensor Gauss-Legendre points per cell (piecewise-constant
+    F).  The grid is symmetric about the origin, so a node of one quadrant
+    stands also for (x, -omega), -z and (-x, omega): the kernel sums the
+    Hermite parity blocks on a quarter of the nodes, a middle row or column
+    giving half its weight to each mirror.  Half-plane grids are summed at
+    the nonzero cells' centers with their nu masses, against the basis
+    recentered at ``center`` (covariance keeps it orthonormal); when x is
+    symmetric about Re(center), the cells at x and 2 Re(center) - x pair up
+    (``mirror_fold``): their w conjugate.
+
+    Plane profiles use a polar rule: 8-point Gauss-Legendre on
     max(32, ceil(K/4)) equal radial panels, split also at the profile's
     breakpoints, times a uniform angular grid of max(4K, 16) angles, which
     resolves every harmonic below K exactly.  The rule is laid about
@@ -390,12 +390,21 @@ def assemble_operator(F, K: int, *, points_per_cell: int = 2) -> np.ndarray:
     Vh_k to e^{-ik phi} Vh_k (the step is x - i omega), so entry (j, k) is
     then multiplied by e^{-i(j-k) phi}, on one triangle and mirrored.
     """
-    if K < 1:
-        raise InvalidInputError("K must be >= 1")
-    if (isinstance(points_per_cell, bool) or not isinstance(points_per_cell, numbers.Integral)
-            or points_per_cell < 1):
-        raise InvalidInputError(
-            f"points_per_cell must be an integer >= 1, got {points_per_cell!r}")
+    K, points_per_cell = positive_int(K, "K"), positive_int(points_per_cell, "points_per_cell")
+    if not isinstance(F, (GridField, MeasureProfile)):
+        raise InvalidInputError(f"cannot assemble from {type(F).__name__}")
+    law.check_spectral(F.setting)
+    if F.setting is Disc:
+        if isinstance(F, MeasureProfile):
+            raise RegimeError("a disc profile has no assembly: its spectrum is closed-form")
+        center = law.check_center(law.origin if center is None else center)
+        _, wf, wm = mirror_fold(F.grid.x - center.real, F.grid.cell_masses() * F.values)
+        live = wf != 0.0 if wm is None else (wf != 0.0) | (wm != 0.0)
+        ix, iy = np.divmod(np.flatnonzero(live), F.grid.y.size)
+        xs, ys = (F.grid.x[ix] - center.real) / center.imag, F.grid.y[iy] / center.imag
+        return _accumulate(K, xs, ys, *(x[live] for x in (wf, wm) if x is not None), law=law)
+    if center is not None:
+        raise InvalidInputError("the plane's basis is centered at the origin: no center")
 
     if isinstance(F, WeightField):
         _check_truncation(K, F.half_width)
@@ -410,16 +419,12 @@ def assemble_operator(F, K: int, *, points_per_cell: int = 2) -> np.ndarray:
         n, *rows = mirror_fold(axis, w)
         if rows[1] is None:   # not symmetric within a few ulps: no node folds
             X, Y = np.meshgrid(axis, axis, indexing="ij")
-            return _accumulate(K, X.ravel(), Y.ravel(), rows[0])
+            return _accumulate(K, X.ravel(), Y.ravel(), rows[0], law=law)
         # each folded on omega: w at (x, omega), (x, -omega), (-x, omega),
         # (-x, -omega), indexed [omega, x] over the kept quadrant
         w = [q for r in rows for q in mirror_fold(axis, r.reshape(n, -1).T)[1:]]
         nodes_y, nodes_x = np.meshgrid(axis[:n], axis[:n], indexing="ij")
-        return _accumulate(K, nodes_x.ravel(), nodes_y.ravel(), w[0], w[1], w[3], w[2])
-
-    if not (isinstance(F, MeasureProfile) and isinstance(F.setting, Plane)):
-        raise InvalidInputError(f"cannot assemble from {type(F).__name__}")
-    Plane(1).check_spectral(F.setting)
+        return _accumulate(K, nodes_x.ravel(), nodes_y.ravel(), w[0], w[1], w[3], w[2], law=law)
 
     r, rw = _polar_radial_rule(F, K)
     # uniform angles (trapezoid is exact for harmonics below ntheta): theta
@@ -434,7 +439,7 @@ def assemble_operator(F, K: int, *, points_per_cell: int = 2) -> np.ndarray:
     xs = (xc + np.outer(r, np.cos(theta))).ravel()
     ys = np.outer(r, np.sin(theta)).ravel()
     wf = np.outer(rw * r * F(r), share).ravel()
-    M = _accumulate(K, xs, ys, wf, wf)
+    M = _accumulate(K, xs, ys, wf, wf, law=law)
     if y0:
         # rotated back onto z0 by the phase e^{-i(j-k) arg z0}
         j, k = np.tril_indices(K, -1)
@@ -443,8 +448,13 @@ def assemble_operator(F, K: int, *, points_per_cell: int = 2) -> np.ndarray:
     return M
 
 
+def assemble_operator(F, K: int, *, points_per_cell: int = 2) -> np.ndarray:
+    """Deprecated: ``assemble(F, K, Plane(1), points_per_cell=...)``."""
+    return assemble(F, K, Plane(1), points_per_cell=points_per_cell)
+
+
 def _polar_radial_rule(F: RadialProfile, K: int):
-    """Radial nodes and weights of ``assemble_operator``'s polar rule on
+    """Radial nodes and weights of ``assemble``'s polar rule on
     [0, r_max]: r_max leaves out less than 1e-14 of the Gamma(K) mass and
     covers the profile's support."""
     r_max = math.sqrt(_gamma_q_inverse(K, 1e-14) / math.pi)
@@ -461,7 +471,7 @@ def _polar_radial_rule(F: RadialProfile, K: int):
         if F.knots.size > 1024:
             raise InvalidInputError(
                 "polar assembly supports at most 1024 knots; "
-                "use radial_eigenvalues for finely sampled profiles")
+                "use spectrum for finely sampled profiles")
         breakpoints = list(F.knots)
         r_max = max(r_max, float(F.knots[-1]))
 
@@ -470,10 +480,6 @@ def _polar_radial_rule(F: RadialProfile, K: int):
                                       [b for b in breakpoints if b < r_max]]))
     return gauss_panels(edges, 8)
 
-
-# ---------------------------------------------------------------------------
-# spectra
-# ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class OperatorSpectrum:
@@ -504,21 +510,31 @@ class OperatorSpectrum:
 
 
 def spectrum_from_matrix(M: np.ndarray) -> OperatorSpectrum:
-    return OperatorSpectrum.from_eigenvalues(eigh(_checked_hermitian(M)))
+    M = np.asarray(M)
+    if np.max(np.abs(M - M.conj().T)) > 1e-10 * max(1.0, float(np.max(np.abs(M)))):
+        raise InvalidInputError("matrix is not Hermitian within 1e-10")
+    return OperatorSpectrum.from_eigenvalues(eigh(M))
+
+
+def spectrum(F, K: int, law, *, points_per_cell: int = 2) -> OperatorSpectrum:
+    """Spectrum of L_F in the basis of ``law``: a profile's closed form
+    (``MeasureProfile.eigenvalues``, with the plane's oracle
+    ``radial_eigenvalues_quad``), or a grid field's ``assemble``."""
+    if isinstance(F, MeasureProfile):
+        return OperatorSpectrum.from_eigenvalues(F.eigenvalues(K, law))
+    return spectrum_from_matrix(assemble(F, K, law, points_per_cell=points_per_cell))
 
 
 def radial_eigenvalues(rho: RadialProfile, K: int) -> OperatorSpectrum:
-    """Spectrum of the operator with radial weight rho about the origin,
-    lambda_k = (1/k!) int_0^inf rho(sqrt(s/pi)) s^k e^{-s} ds against the
-    Poisson laws of ``Plane(1)``; ``radial_eigenvalues_quad`` is its oracle."""
-    return OperatorSpectrum.from_eigenvalues(rho.eigenvalues(K, Plane(1)))
+    """Deprecated: ``spectrum(rho, K, Plane(1))``."""
+    return spectrum(rho, K, Plane(1))
 
 
 def radial_eigenvalues_quad(rho: RadialProfile, K: int) -> OperatorSpectrum:
-    """Oracle for ``radial_eigenvalues``: each Gamma(k+1) average of rho by
-    the panel rule (``core.integrate``), split at the profile's breakpoints
-    in s."""
-    rho.check_spectrum(K, Plane(1))
+    """Oracle for ``spectrum`` of a plane profile: each Gamma(k+1) average of
+    rho by the panel rule (``core.integrate``), split at the profile's
+    breakpoints in s."""
+    K = rho.check_spectrum(K, Plane(1))
     pts = _profile_breaks_s(rho)
     return OperatorSpectrum.from_eigenvalues([_gamma_average_quad(rho, k, pts) for k in range(K)])
 
@@ -575,19 +591,9 @@ def _gamma_average_quad(rho: RadialProfile, k: int, pts: list[float]) -> float:
                      upper, pts)[0]
 
 
-def _checked_hermitian(M: np.ndarray) -> np.ndarray:
-    M = np.asarray(M)
-    scale = max(1.0, float(np.max(np.abs(M))))
-    if np.max(np.abs(M - M.conj().T)) > 1e-10 * scale:
-        raise InvalidInputError("matrix is not Hermitian within 1e-10")
-    return M
-
-
 def operator_norm(op) -> float:
-    """L^2 -> L^2 norm: the largest |eigenvalue| of the Hermitian matrix."""
-    if isinstance(op, OperatorSpectrum):
-        return op.norm()
-    return float(np.max(np.abs(eigh(_checked_hermitian(op)))))
+    """L^2 -> L^2 norm: the largest |eigenvalue| of a spectrum or a Hermitian matrix."""
+    return (op if isinstance(op, OperatorSpectrum) else spectrum_from_matrix(op)).norm()
 
 
 def expectation(M: np.ndarray, f_coeffs: np.ndarray, g_coeffs: np.ndarray | None = None) -> complex:

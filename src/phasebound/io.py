@@ -34,7 +34,7 @@ __all__ = [
     "write_radial_profile", "read_radial_profile",
     "write_disc_profile", "read_disc_profile",
     "write_halfplane_field", "read_halfplane_field",
-    "write_spectrum", "write_extremal", "sniff_weight_file",
+    "write_spectrum", "write_extremal", "sniff_weight_file", "read_weight",
 ]
 
 # grid coordinates may differ from the grid they imply by this many cells
@@ -247,3 +247,10 @@ def sniff_weight_file(path) -> str:
         return known[tuple(header)]
     except KeyError:
         raise InvalidInputError(f"{path}: unrecognized header {header}") from None
+
+
+def read_weight(path):
+    """The weight in a CSV of any of the four formats, by its header."""
+    read = {"field": read_weight_field, "radial": read_radial_profile,
+            "disc": read_disc_profile, "halfplane": read_halfplane_field}
+    return read[sniff_weight_file(path)](path)

@@ -8,10 +8,10 @@ of a ``core.MeasureProfile``: the map from its radial coordinate to the
 measure s, the coordinate's bound, the family's value, mu and L^p norm,
 its center and its grid sampling; ``Plane(d)`` for profiles on R^{2d}, the
 class ``Disc`` for profiles on the disc, whose geometry has no beta; an
-instance is also a profile's spectral law.  This module imports the
-standard library alone, and so does ``bounds``: a closed-form bound loads
-no numpy.  The settings look ``bounds``, numpy and the array modules up
-at call time.
+instance is the spectral law of its weights and supplies their basis.
+This module imports the standard library alone, and so does ``bounds``: a
+closed-form bound loads no numpy.  The settings look ``bounds``, numpy and
+the array modules up at call time.
 """
 from __future__ import annotations
 
@@ -68,6 +68,16 @@ def _times_power(b: float, base: float, x: float) -> float:
     return _exp_or_inf(math.log(b) + log_power) if b else 0.0
 
 
+def _volume(x, d: int):
+    """x^d / d!, the volume (pi r^2)^d / d! at x = pi r^2, for a float or an
+    array x >= 0; past d = 170, where d! leaves the doubles, in logs."""
+    if d <= 170:
+        return x ** d / math.factorial(d)
+    import numpy as np
+    with np.errstate(divide="ignore", over="ignore"):
+        return np.exp(d * np.log(x) - math.lgamma(d + 1))
+
+
 def _check_exponent(p: float):
     """The paper's exponent domain 1 <= p < inf; NaN is rejected too."""
     if not 1 <= p < math.inf:
@@ -82,7 +92,7 @@ class Plane:
     Gaussian's scale p - 1 > 0."""
 
     d: int = 1
-    coordinate, coord_max, shape_min, origin = "r", math.inf, 0.0, (0.0, 0.0)
+    transform, coordinate, coord_max, shape_min, origin = "gabor", "r", math.inf, 0.0, (0.0, 0.0)
 
     def __post_init__(self):
         if not (isinstance(self.d, int) and self.d >= 1):
@@ -106,7 +116,7 @@ class Plane:
         y = np.asarray(y, dtype=float)
         u = np.zeros_like(y)
         low = y < 1.0
-        u[low] = (-np.log(y[low])) ** self.d / math.factorial(self.d)
+        u[low] = _volume(-np.log(y[low]), self.d)
         return u
 
     def gprime_zero(self) -> float:
@@ -141,18 +151,18 @@ class Plane:
         d = self.d
         if isinstance(r, (float, int)):
             try:
-                return (math.pi * float(r) ** 2) ** d / math.factorial(d)
+                return _volume(math.pi * float(r) ** 2, d)
             except OverflowError:   # as the 0-d array below
                 pass
         import numpy as np
         r = np.asarray(r, dtype=float)
         with np.errstate(over="ignore"):
-            v = (math.pi * r ** 2) ** d / math.factorial(d)
+            v = _volume(math.pi * r ** 2, d)
             big = v == math.inf
             if big.any():
                 k = np.frexp(r)[1]
-                v = np.where(big, np.ldexp((math.pi * np.ldexp(r, -k) ** 2) ** d
-                                           / math.factorial(d), 2 * k * d), v)
+                v = np.where(big, np.ldexp(_volume(math.pi * np.ldexp(r, -k) ** 2, d),
+                                           2 * k * d), v)
                 if np.any(v == math.inf):
                     raise InvalidInputError("a ball's volume is past the doubles")
         return v
@@ -165,7 +175,7 @@ class Plane:
         import numpy as np
         # a difference of logs: amplitude / t overflows for t < amplitude / DBL_MAX
         log_ratio = math.log(w.amplitude) - np.log(t)
-        return (w.shape * log_ratio) ** self.d / math.factorial(self.d)
+        return _volume(w.shape * log_ratio, self.d)
 
     def family_lp(self, w, p: float) -> float:
         d = self.d
@@ -177,7 +187,7 @@ class Plane:
         # since Q(d, y) e^y = e_{d-1}(y); amplitude^p would overflow
         s0 = math.log(w.amplitude / w.cap)
         try:
-            bracket = ((w.shape * s0) ** d / math.factorial(d)
+            bracket = (_volume(w.shape * s0, d)
                        + (w.shape / p) ** d * (1.0 + expm1_poly(d - 1, p * s0)))
         except OverflowError:
             bracket = math.inf
@@ -212,9 +222,16 @@ class Plane:
 
     # -- the spectral law: Poisson(s), the Hermite functions' ------------------
     def check_spectral(self, geometry):
-        """Spectra and polar assembly for d = 1 alone, of this law and ``geometry``."""
-        if self.d != 1 or geometry != self:
-            raise RegimeError("spectral computation is restricted to d = 1")
+        """A weight of the plane, ``geometry`` its setting, and d = 1."""
+        if geometry != self or self.d != 1:
+            raise RegimeError("the plane's spectra take weights of the plane in d = 1")
+
+    def basis(self, K: int, x, y):
+        """V h_k, k < K, at z = x + i y for ``gabor.basis_recurrence``: the
+        modulus e^{-pi |z|^2 / 2} of V h_0, the step x - i y and sqrt(pi / k)."""
+        import numpy as np
+        return (np.exp(-0.5 * math.pi * (x * x + y * y)), x - 1j * y,
+                np.sqrt(math.pi / np.arange(1.0, K)))
 
     def sums(self, K: int, s):
         """Heads Q(k + 1, s) and tails P(k + 1, s), k < K, of Poisson(s), s one or a row."""
@@ -264,7 +281,7 @@ class Disc:
     1/alpha; their geometry is the class's, free of beta."""
 
     beta: float = 1.0
-    coordinate, coord_max, shape_min, origin = "x", 1.0, -math.inf, 1j
+    transform, coordinate, coord_max, shape_min, origin = "wavelet", "x", 1.0, -math.inf, 1j
 
     def __post_init__(self):
         if not 0 < self.beta < math.inf:
@@ -360,10 +377,24 @@ class Disc:
         return x
 
     # -- the spectral law: negative binomial, the disc monomials' -------------
-    def check_spectral(self, geometry):
-        """The laws' parameter b = 2 beta must be a double."""
+    def check_spectral(self, geometry=None) -> "Disc":
+        """This law, b = 2 beta a double, and ``geometry``, a weight's setting
+        if given, the disc's."""
+        if geometry not in (None, Disc):
+            raise RegimeError("the disc's law takes weights of the disc, not of the plane")
         if 2.0 * self.beta == math.inf:
             raise InvalidInputError("beta is too large: 2 beta overflows")
+        return self
+
+    def basis(self, K: int, x, y):
+        """W e_k, k < K, at z = x + i y about i for ``gabor.basis_recurrence``:
+        |W e_0| = c0 (1 - |w|^2)^{beta + 1/2}, c0^2 = beta / 2 pi, with 1 - |w|^2
+        = 4 y / |z + i|^2; the step w = (z - i) / (z + i); sqrt((2 beta + k) / k)."""
+        import numpy as np
+        beta, z, k = self.beta, x + 1j * y, np.arange(1.0, K)
+        row0 = (math.sqrt(beta / (2.0 * math.pi))
+                * (4.0 * y / (x * x + (1.0 + y) ** 2)) ** (beta + 0.5))
+        return row0, (z - 1j) / (z + 1j), np.sqrt((2 * beta + k) / k)
 
     @staticmethod
     def negbin_sums(K: int, b, x, t):

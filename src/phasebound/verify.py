@@ -15,20 +15,17 @@ import numpy as np
 
 from . import bounds as bd
 from . import varprob as vp
-from .core import (RadialProfile, WeightField, decreasing_rearrangement,
-                   distribution_bound, lp_norm, schwarz_symmetrize)
+from .core import (RadialProfile, WeightField, decreasing_rearrangement, distribution_bound,
+                   lp_norm, positive_int, schwarz_symmetrize)
 from .errors import InvalidInputError
 from .extremals import (extremal_signal, extremal_weight_gabor,
                         extremal_weight_wavelet, wavelet_disc_coefficients)
-from .gabor import (Signal, assemble_operator, concentration, expectation,
-                    lieb_quotient, operator_norm, radial_eigenvalues,
-                    radial_eigenvalues_quad, spectrum_from_matrix, stft)
-from .wavelet import (DiscProfile, HalfPlaneGrid, HardySignal,
-                      assemble_wavelet_operator, bergman_basis,
-                      bergman_radial_eigenvalues, cauchy_norm_const,
-                      cauchy_wavelet, disc_basis_frequency, nu_window_integral,
-                      wavelet_transform_grid)
-from .scalar import ConstraintSet, Plane
+from .gabor import (Signal, assemble, concentration, expectation, lieb_quotient,
+                    radial_eigenvalues_quad, spectrum, spectrum_from_matrix, stft)
+from .wavelet import (DiscProfile, HalfPlaneGrid, HardySignal, bergman_basis,
+                      cauchy_norm_const, cauchy_wavelet, disc_basis_frequency,
+                      nu_window_integral, wavelet_transform_grid)
+from .scalar import ConstraintSet, Disc, Plane
 
 SUITES = ("bounds", "rearrange", "varprob", "gabor", "wavelet")
 
@@ -364,25 +361,25 @@ def verify_varprob(seed: int = 0, basis: int = 48) -> dict:
 def verify_gabor(seed: int = 0, basis: int = 48) -> dict:
     rec = _Recorder("gabor")
     rng = np.random.default_rng(seed)
-    K = basis
+    K, plane = basis, Plane(1)
 
     # ball sharpness at K=32
     ball = RadialProfile.ball(1.0, 1.0)
-    nm = operator_norm(assemble_operator(ball, 32))
+    nm = spectrum_from_matrix(assemble(ball, 32, plane)).norm()
     rec.check("ball indicator norm", abs(nm - (1.0 - math.exp(-1.0))), 1e-6)
 
     # gaussian sharpness for p in 1.5, 2, 3
     worst = 0.0
     for p in (1.5, 2.0, 3.0):
         c = ConstraintSet(p, math.inf, 1.0, "gabor", d=1)
-        lam0 = radial_eigenvalues(extremal_weight_gabor(c), 8).eigenvalues[0]
+        lam0 = spectrum(extremal_weight_gabor(c), 8, plane).eigenvalues[0]
         worst = max(worst, abs(lam0 - bd.gabor_bound(c).bound))
     rec.check("gaussian extremal saturation", worst, 1e-12)
 
     # truncated sharpness: closed-form and quadrature eigenvalue paths
     c = ConstraintSet(2.0, 1.0, 1.0, "gabor", d=1)
     w = extremal_weight_gabor(c)
-    lam0 = radial_eigenvalues(w, 8).eigenvalues[0]
+    lam0 = spectrum(w, 8, plane).eigenvalues[0]
     lam0q = radial_eigenvalues_quad(w, 8).eigenvalues[0]
     target = bd.gabor_bound(c).bound
     rec.check("truncated extremal saturation", abs(lam0 - target), 1e-12)
@@ -390,8 +387,8 @@ def verify_gabor(seed: int = 0, basis: int = 48) -> dict:
 
     # assembly vs radial eigenvalues: two paths agree
     prof = RadialProfile.truncated_gaussian(1.9, 1.3, 1.2)
-    M = assemble_operator(prof, K)
-    spec = radial_eigenvalues(prof, K)
+    M = assemble(prof, K, plane)
+    spec = spectrum(prof, K, plane)
     offdiag = float(np.max(np.abs(M - np.diag(np.diag(M)))))
     diag = np.sort(np.diag(M).real)[::-1]
     rec.check("radial assembly off-diagonal", offdiag, 1e-8)
@@ -407,9 +404,9 @@ def verify_gabor(seed: int = 0, basis: int = 48) -> dict:
     worst_db = worst_sym = -math.inf
     for _ in range(5):
         f = random_field(rng)
-        nm = operator_norm(assemble_operator(f, K))
+        nm = spectrum(f, K, plane).norm()
         worst_db = max(worst_db, nm - distribution_bound(f, bd.G))
-        star_top = radial_eigenvalues(schwarz_symmetrize(f), 1).eigenvalues[0]
+        star_top = spectrum(schwarz_symmetrize(f), 1, plane).eigenvalues[0]
         worst_sym = max(worst_sym, nm - star_top)
         for p in (1.0, 2.0, 3.0):
             cset = ConstraintSet(p, f.ess_sup(), lp_norm(f, p), "gabor", d=1)
@@ -421,13 +418,13 @@ def verify_gabor(seed: int = 0, basis: int = 48) -> dict:
     worst = 0.0
     for prof2 in (RadialProfile.ball(1.0, 2.0), RadialProfile.gaussian(1.1, 0.8),
                   random_radial(rng)):
-        lam_top = radial_eigenvalues(prof2, 1).eigenvalues[0]
+        lam_top = spectrum(prof2, 1, plane).eigenvalues[0]
         worst = max(worst, abs(lam_top - distribution_bound(prof2, bd.G)))
     rec.check("distribution bound equality (radial)", worst, 1e-4)
 
     # basis-size convergence within the tail estimate (assembled route)
     # the K = 24 matrix is the leading block of the K = 48 one
-    M2K = assemble_operator(random_field(rng, n=96), 48)
+    M2K = assemble(random_field(rng, n=96), 48, plane)
     sK = spectrum_from_matrix(M2K[:24, :24])
     s2K = spectrum_from_matrix(M2K)
     rec.check("norm(K) vs norm(2K) within tail",
@@ -470,7 +467,7 @@ def verify_gabor(seed: int = 0, basis: int = 48) -> dict:
     # matched extremal pair saturates; mismatched center falls short
     c = ConstraintSet(2.0, 1.0, 1.0, "gabor", d=1)
     z0 = (0.6, -0.3)
-    M = assemble_operator(extremal_weight_gabor(c, center=z0), K)
+    M = assemble(extremal_weight_gabor(c, center=z0), K, plane)
     v = extremal_signal(*z0).hermite_coefficients(K)
     val = expectation(M, v).real
     rec.check("matched signal saturates", abs(val - bd.gabor_bound(c).bound), 1e-5)
@@ -500,8 +497,7 @@ def verify_wavelet(seed: int = 0, basis: int = 48) -> dict:
     worst = 0.0
     for beta in (0.5, 1.0, 2.0, 5.0):
         for s in np.geomspace(0.05, 50.0, 20):
-            lam0 = bergman_radial_eigenvalues(DiscProfile.indicator(1.0, s),
-                                              beta, 2).eigenvalues[0]
+            lam0 = spectrum(DiscProfile.indicator(1.0, s), 2, Disc(beta)).eigenvalues[0]
             worst = max(worst, abs(lam0 - bd.G_beta(s, beta)))
     rec.check("disc indicator identity", worst, 1e-12)
 
@@ -552,8 +548,8 @@ def verify_wavelet(seed: int = 0, basis: int = 48) -> dict:
 
     # direct half-plane assembly vs the Beta identity
     K = min(basis, 12)
-    M = assemble_wavelet_operator(mask, 1.0, K)
-    top = float(np.sort(np.linalg.eigvalsh(M))[-1])
+    M = assemble(mask, K, Disc(1.0))
+    top = spectrum_from_matrix(M).eigenvalues[0]
     rec.check("disc assembly top eigenvalue", abs(top - bd.G_beta(1.0, 1.0)), 1e-3)
     rec.check("disc assembly off-diagonal",
               float(np.max(np.abs(M - np.diag(np.diag(M))))), 1e-4)
@@ -564,7 +560,7 @@ def verify_wavelet(seed: int = 0, basis: int = 48) -> dict:
     for (p, beta2) in ((2.0, 1.0), (3.0, 0.5), (1.0, 2.0)):
         c = ConstraintSet(p, 1.0, 0.8, "wavelet", beta=beta2)
         w = extremal_weight_wavelet(c)
-        lam0 = bergman_radial_eigenvalues(w, beta2, 8).eigenvalues[0]
+        lam0 = spectrum(w, 8, Disc(beta2)).eigenvalues[0]
         worst = max(worst, abs(lam0 - bd.wavelet_bound(c).bound))
         worst = max(worst, abs(w.lp_norm(p) - c.B))
     rec.check("extremal saturation (Beta integrals)", worst, 1e-10)
@@ -577,7 +573,7 @@ def verify_wavelet(seed: int = 0, basis: int = 48) -> dict:
         vk = np.sort(rng.exponential(1.0, 30))[::-1]
         sym = DiscProfile.sampled(xk, vk)
         beta3 = float(rng.uniform(0.5, 2.0))
-        lam0 = bergman_radial_eigenvalues(sym, beta3, 1).eigenvalues[0]
+        lam0 = spectrum(sym, 1, Disc(beta3)).eigenvalues[0]
         ceiling = partial(bd.G_beta, beta=beta3)
         worst_eq = max(worst_eq, abs(lam0 - distribution_bound(sym, ceiling)))
         for p in (1.0, 2.0):
@@ -594,9 +590,9 @@ def verify_wavelet(seed: int = 0, basis: int = 48) -> dict:
     rad = 2 * math.sqrt(r2) * z0.imag / (1 - r2)
     grid2 = HalfPlaneGrid.logarithmic(z0.real - 1.4 * rad, z0.real + 1.4 * rad, 384,
                                       (yc - rad) * 0.72, (yc + rad) * 1.4, 384)
-    M2 = assemble_wavelet_operator(disc2.on_grid(grid2), 1.0, 8, center=z0)
-    eigs2 = np.sort(np.linalg.eigvalsh(M2))[::-1]
-    ref = bergman_radial_eigenvalues(DiscProfile.indicator(1.0, 1.0), 1.0, 8).eigenvalues
+    M2 = assemble(disc2.on_grid(grid2), 8, Disc(1.0), center=z0)
+    eigs2 = spectrum_from_matrix(M2).eigenvalues
+    ref = spectrum(DiscProfile.indicator(1.0, 1.0), 8, Disc(1.0)).eigenvalues
     rec.check("Moebius recentering eigenvalues",
               float(np.max(np.abs(eigs2 - ref))), 1e-4)
 
@@ -608,7 +604,7 @@ def verify_wavelet(seed: int = 0, basis: int = 48) -> dict:
     y0 = z0.imag
     grid3 = HalfPlaneGrid.logarithmic(z0.real - 15 * y0, z0.real + 15 * y0, 320,
                                       y0 / 30.0, 30.0 * y0, 320)
-    M3 = assemble_wavelet_operator(w.on_grid(grid3), 1.0, 24)
+    M3 = assemble(w.on_grid(grid3), 24, Disc(1.0))
     co = wavelet_disc_coefficients(z0.real, z0.imag, 1.0, 24)
     val = float(np.real(expectation(M3, co)))
     rec.check("matched wavelet pair saturates", abs(val - bd.wavelet_bound(c).bound), 2e-3)
@@ -629,8 +625,9 @@ def run_suite(name: str, seed: int = 0, basis: int = 48) -> list[dict]:
     """Run one suite (or 'all'); returns a list of suite summaries."""
     if not (isinstance(seed, Integral) and seed >= 0):
         raise InvalidInputError(f"seed must be a nonnegative integer, got {seed!r}")
+    basis = positive_int(basis, "basis")
     if name == "all":
         return [fn(seed=seed, basis=basis) for fn in _SUITE_FUNCS.values()]
     if name not in _SUITE_FUNCS:
-        raise ValueError(f"unknown suite {name!r}; choose from {SUITES + ('all',)}")
+        raise InvalidInputError(f"unknown suite {name!r}; choose from {SUITES + ('all',)}")
     return [_SUITE_FUNCS[name](seed=seed, basis=basis)]

@@ -11,7 +11,8 @@ hyperbolic measure of {|w|^2 < x} is s = 4 pi x / (1 - x), half-plane fields
 are grid fields with nu cell masses, a disc profile is a ``MeasureProfile``
 whose setting ``Disc`` holds its coordinate map, power family and grid
 sampling (``DiscProfile`` names its constructors), and whose instance
-``Disc(beta)`` is the spectral law.
+``Disc(beta)`` is the spectral law: it supplies the basis, which
+``bergman_basis`` gives its phase, and checks every entry's beta.
 """
 from __future__ import annotations
 
@@ -21,9 +22,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import GridField, MeasureProfile, gauss_panels, lp_norm
+from .core import GridField, MeasureProfile, gauss_panels, lp_norm, positive_int
 from .errors import InvalidInputError
-from .gabor import OperatorSpectrum, basis_recurrence, gram_operator, mirror_fold
+from .gabor import OperatorSpectrum, assemble, basis_recurrence, spectrum
 from .scalar import Disc
 
 __all__ = [
@@ -57,11 +58,14 @@ _FREQ_CHUNK = 1024
 
 
 def cauchy_norm_const(beta: float) -> float:
-    """c_beta with c_beta^2 = 2 pi 2^{-2 beta} Gamma(2 beta)."""
-    if not beta > 0:
-        raise InvalidInputError("beta must be positive")
-    return math.sqrt(2.0 * math.pi * math.exp(-2.0 * beta * math.log(2.0)
-                                              + math.lgamma(2.0 * beta)))
+    """c_beta with c_beta^2 = 2 pi 2^{-2 beta} Gamma(2 beta); past beta of
+    about 98, where it leaves the doubles, InvalidInputError."""
+    Disc(beta).check_spectral()
+    try:
+        return math.sqrt(2.0 * math.pi * math.exp(-2.0 * beta * math.log(2.0)
+                                                  + math.lgamma(2.0 * beta)))
+    except OverflowError:
+        raise InvalidInputError(f"c_beta is past the doubles at beta = {beta}") from None
 
 
 # Gauss-Laguerre nodes of ``from_function`` and ``from_disc_coeffs`` signals
@@ -164,6 +168,7 @@ def _disc_basis_stack(K: int, beta: float, om: np.ndarray) -> np.ndarray:
     = (2k+1+a-y) l_k - sqrt(k(k+a)) l_{k-1}, and e_k-hat = omega^beta
     e^{-omega} l_k(y).
     """
+    Disc(beta).check_spectral()
     a, y = 2.0 * beta, 2.0 * om
     out = np.empty((K, om.size))
     prev, cur = 0.0, np.full(om.size, math.exp(0.5 * ((a + 1.0) * math.log(2.0)
@@ -229,6 +234,7 @@ class HalfPlaneGrid:
 
 @dataclass(frozen=True)
 class HalfPlaneField(GridField):
+    setting = Disc
     grid: HalfPlaneGrid
     values: np.ndarray  # shape (nx, ny)
 
@@ -375,39 +381,30 @@ def wavelet_transform(f: HardySignal, beta: float, grid: HalfPlaneGrid) -> HalfP
 def bergman_basis(K: int, beta: float, x, y, center: complex = 1j) -> np.ndarray:
     """Closed-form transforms W e_0 .. W e_{K-1}, optionally recentered.
 
-    Built from the Laplace integral of the Laguerre basis; the recurrence
-    multiplies by the Cayley coordinate w(z).  Recentring uses the unitary
-    dilation-translation covariance of the transform.
+    The law's basis at the nodes (xc, yc) seen from ``center`` (unitary
+    covariance) times the phase of W e_0 = c0 yc^{beta + 1/2} q^{-(2 beta + 1)},
+    q = (1 + yc - i xc) / 2, from the Laplace integral of the Laguerre basis.
     """
-    xc, yc, w, c0 = _bergman_coordinates(beta, x, y, center)
-    q2 = 0.5 * (1.0 - 1j * (xc + 1j * yc))   # Re > 0: principal powers are safe
-    row0 = yc ** (beta + 0.5) * c0 * q2 ** (-(2 * beta + 1))
-    return basis_recurrence(row0, w, _bergman_ratios(K, beta))
-
-
-def _bergman_coordinates(beta: float, x, y, center: complex):
-    """Recentred coordinates (xc, yc), the Cayley coordinate w and the
-    constant c0 of |W e_0| = c0 (1 - |w|^2)^{beta + 1/2}."""
-    x = np.asarray(x, float).ravel()
+    K, law = positive_int(K, "K"), Disc(beta).check_spectral()
+    center = Disc.check_center(center)
     y = np.asarray(y, float).ravel()
     if np.any(y <= 0):
         raise InvalidInputError("basis evaluation needs y > 0")
-    center = Disc.check_center(center)
-    x0, y0 = float(center.real), float(center.imag)
-    if not beta > 0:
-        raise InvalidInputError("beta must be positive")
-    xc = (x - x0) / y0
-    yc = y / y0
-    z = xc + 1j * yc
-    w = (z - 1j) / (z + 1j)
-    # c0^2 = 2^{-(2 beta + 1)} Gamma(2 beta + 1) / c_beta^2 = beta / (2 pi)
-    return xc, yc, w, math.sqrt(beta / (2.0 * math.pi))
+    xc, yc = (np.asarray(x, float).ravel() - center.real) / center.imag, y / center.imag
+    row0, w, ratios = law.basis(K, xc, yc)
+    phase = np.exp(1j * (2.0 * beta + 1.0) * np.arctan2(xc, 1.0 + yc))
+    return basis_recurrence(row0 * phase, w, ratios)
 
 
-def _bergman_ratios(K: int, beta: float) -> np.ndarray:
-    """W e_k = W e_{k-1} w sqrt((2 beta + k) / k), k = 1 .. K-1."""
-    k = np.arange(1.0, K)
-    return np.sqrt((2 * beta + k) / k)
+def bergman_radial_eigenvalues(rho: DiscProfile, beta: float, K: int) -> OperatorSpectrum:
+    """Deprecated: ``spectrum(rho, K, Disc(beta))``."""
+    return spectrum(rho, K, Disc(beta))
+
+
+def assemble_wavelet_operator(F: HalfPlaneField, beta: float, K: int,
+                              center: complex = 1j) -> np.ndarray:
+    """Deprecated: ``assemble(F, K, Disc(beta), center=center)``."""
+    return assemble(F, K, Disc(beta), center=Disc.check_center(center))
 
 
 # ---------------------------------------------------------------------------
@@ -442,43 +439,6 @@ class DiscProfile(MeasureProfile):
     def sampled(cls, knots, values, center: complex = 1j) -> "DiscProfile":
         return cls(Disc, "sampled", knots=np.asarray(knots, float),
                    knot_values=np.asarray(values, float), center=center)
-
-
-# ---------------------------------------------------------------------------
-# spectra
-# ---------------------------------------------------------------------------
-
-def bergman_radial_eigenvalues(rho: DiscProfile, beta: float, K: int) -> OperatorSpectrum:
-    """Spectrum of a nu-radial symbol about i, by Beta-density averages:
-    lambda_k = int_0^1 rho(x) x^k (1-x)^{2 beta - 1} dx / B(k+1, 2 beta),
-    rho averaged against the negative-binomial laws of ``Disc(beta)``."""
-    return OperatorSpectrum.from_eigenvalues(rho.eigenvalues(K, Disc(beta)))
-
-
-def assemble_wavelet_operator(F: HalfPlaneField, beta: float, K: int,
-                              center: complex = 1j) -> np.ndarray:
-    """K x K matrix of L_{F, beta} by hyperbolic quadrature on the grid.
-
-    Entries are int F W e_j conj(W e_k) d nu against the basis recentered at
-    ``center`` (covariance makes the recentered family orthonormal too),
-    summed over the cell centers by the one Gram kernel of both settings,
-    ``gabor.gram_operator``, on the basis stack: row 0 is the modulus
-    c0 (1 - |w|^2)^{beta + 1/2}, since the phase of W e_0 cancels.  When
-    the grid's x is symmetric about Re(center), the cells at x and
-    2 Re(center) - x pair up (``gabor.mirror_fold``): their w conjugate.
-    """
-    if K < 1:
-        raise InvalidInputError("K must be >= 1")
-    center = Disc.check_center(center)
-    _, wf, wm = mirror_fold(F.grid.x - center.real, F.grid.cell_masses() * F.values)
-    # only nodes of nonzero weight enter the sum, so only theirs are built
-    live = wf != 0.0 if wm is None else (wf != 0.0) | (wm != 0.0)
-    ix, iy = np.divmod(np.flatnonzero(live), F.grid.y.size)
-    xc, yc, w, c0 = _bergman_coordinates(beta, F.grid.x[ix], F.grid.y[iy], center)
-    # 1 - |w|^2 = 4 yc / |z + i|^2, without the cancellation near the boundary
-    row0 = c0 * (4.0 * yc / (xc * xc + (1.0 + yc) ** 2)) ** (beta + 0.5)
-    return gram_operator(row0, w, _bergman_ratios(K, beta),
-                         *(x[live] for x in (wf, wm) if x is not None))
 
 
 _WINDOW_X, _WINDOW_Y = (-20.0, 20.0), (5e-3, 100.0)

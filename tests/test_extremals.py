@@ -73,6 +73,21 @@ def test_ball_weight_past_the_factorial_doubles():
         assert ball.edge == w.edge
 
 
+@pytest.mark.parametrize("d", [171, 200])
+def test_plane_extremals_past_the_factorial_doubles(d):
+    # gabor_bound serves d > 170 in logs, but the profiles took d! as a
+    # float: the ball's L^1 norm and the Gaussian's mu raised a bare
+    # OverflowError, and the truncated Gaussian's mu warned 'overflow'.  The
+    # volume (pi r^2)^d / d! is now taken in logs past d = 170
+    for p, A, B in ((1.0, 1.0, 2.0), (1.5, math.inf, 1.0), (2.0, 1.0, 1.0)):
+        w = extremal_weight_gabor(ConstraintSet(p, A, B, "gabor", d=d))
+        assert w.lp_norm(p) == pytest.approx(B, rel=1e-12, abs=0.0), (p, A, B)
+        mu = w.mu(0.5 * w.ess_sup())
+        assert np.isfinite(mu) and mu >= 0.0, (p, A, B)
+        if w.kind == "indicator":
+            assert mu == pytest.approx(B / A, rel=1e-12)
+
+
 def test_gabor_weight_norm_and_sup_saturation():
     for c in GABOR_CASES:
         w = extremal_weight_gabor(c)

@@ -16,14 +16,16 @@ from phasebound.core import (RadialProfile, WeightField, distribution_bound, lp_
 from phasebound.errors import (AliasingError, BasisTruncationError,
                                InvalidInputError, RegimeError)
 from phasebound.extremals import extremal_weight_gabor
-from phasebound.gabor import (OperatorSpectrum, Signal, assemble_operator,
+from phasebound.gabor import (OperatorSpectrum, Signal, assemble, assemble_operator,
                               concentration, expectation, gaussian_window, gram_operator, hermite_function,
                               hermite_phase_basis, lieb_quotient, mirror_fold,
                               operator_norm, radial_eigenvalues,
-                              radial_eigenvalues_quad, spectrum_from_matrix, stft)
+                              radial_eigenvalues_quad, spectrum, spectrum_from_matrix, stft)
 from phasebound.scalar import ConstraintSet, Disc, Plane
-from phasebound.wavelet import DiscProfile, bergman_radial_eigenvalues
-from phasebound.verify import random_field, random_radial
+from phasebound.wavelet import (DiscProfile, HalfPlaneField, HalfPlaneGrid,
+                                assemble_wavelet_operator, bergman_basis,
+                                bergman_radial_eigenvalues)
+from phasebound.verify import random_field, random_radial, run_suite
 
 
 # ---------------------------------------------------------------------------
@@ -327,9 +329,10 @@ def test_gram_polar_rule_matches_reference_sum(center, monkeypatch):
     nodes = []
     accumulate = gabor._accumulate
 
-    def spy(K, xs, ys, wf, wf_mirror=None):
+    def spy(K, xs, ys, wf, wf_mirror=None, *, law):
         nodes.append((xs, ys, wf, wf_mirror))
-        return accumulate(K, xs, ys, wf, wf_mirror)
+        assert law == Plane(1)
+        return accumulate(K, xs, ys, wf, wf_mirror, law=law)
 
     monkeypatch.setattr(gabor, "_accumulate", spy)
     K = 16
@@ -642,3 +645,91 @@ def test_pulse_expectation_sandwich():
     h1[1] = 1.0
     assert expectation(M, v0).real == pytest.approx(1 - math.exp(-1), abs=1e-10)
     assert abs(expectation(M, v0, h1)) < 1e-10
+
+
+# ---------------------------------------------------------------------------
+# the operator layer of both settings
+# ---------------------------------------------------------------------------
+
+def _halfplane_ones():
+    return HalfPlaneField(HalfPlaneGrid.logarithmic(-1.0, 1.0, 8, 0.5, 2.0, 8), np.ones((8, 8)))
+
+
+@pytest.mark.parametrize("bad", [2.5, np.float64(3.0), True, "3", None, 0, -2])
+def test_basis_size_is_checked_once(bad):
+    # K was only compared with 1: assemble_wavelet_operator(F, 1.0, 2.5)
+    # returned a 3 x 3 matrix, a float K raised a bare TypeError from the
+    # plane's polar rule and spectra, and run_suite took any basis.  One
+    # check now serves every assembly, spectrum and basis
+    F, H = random_field(np.random.default_rng(0), n=16), _halfplane_ones()
+    ball, disc = RadialProfile.ball(1.0, 1.0), DiscProfile.indicator(1.0, 1.0)
+    calls = [lambda K: assemble(F, K, Plane(1)), lambda K: assemble(ball, K, Plane(1)),
+             lambda K: assemble(H, K, Disc(1.0)), lambda K: spectrum(F, K, Plane(1)),
+             lambda K: spectrum(ball, K, Plane(1)), lambda K: spectrum(disc, K, Disc(1.0)),
+             lambda K: assemble_operator(F, K), lambda K: assemble_operator(ball, K),
+             lambda K: assemble_wavelet_operator(H, 1.0, K),
+             lambda K: radial_eigenvalues(ball, K), lambda K: radial_eigenvalues_quad(ball, K),
+             lambda K: bergman_radial_eigenvalues(disc, 1.0, K),
+             lambda K: bergman_basis(K, 1.0, [0.3], [2.0]),
+             lambda K: run_suite("bounds", basis=K)]
+    for call in calls:
+        with pytest.raises(InvalidInputError, match="must be an integer >= 1"):
+            call(bad)
+
+
+def test_basis_size_takes_numpy_integers_and_suite_names_are_checked():
+    F, H = random_field(np.random.default_rng(0), n=16), _halfplane_ones()
+    for K in (np.int64(4), np.int32(4)):
+        assert np.array_equal(assemble(F, K, Plane(1)), assemble(F, 4, Plane(1)))
+        assert np.array_equal(assemble(H, K, Disc(1.0)), assemble(H, 4, Disc(1.0)))
+        assert np.array_equal(spectrum(RadialProfile.ball(1.0, 1.0), K, Plane(1)).eigenvalues,
+                              radial_eigenvalues(RadialProfile.ball(1.0, 1.0), 4).eigenvalues)
+    # an unknown suite name was a bare ValueError, and a float index of the
+    # basis a bare IndexError
+    with pytest.raises(InvalidInputError, match="unknown suite"):
+        run_suite("nope")
+    for k in (1.5, True, "1", -1):
+        with pytest.raises(InvalidInputError, match="k must be an integer >= 0"):
+            hermite_phase_basis(k, [0.1], [0.2])
+    assert np.array_equal(hermite_phase_basis(np.int64(2), [0.1], [0.2]),
+                          hermite_phase_basis(2, [0.1], [0.2]))
+
+
+def test_weights_of_the_other_setting_are_refused():
+    # Disc.check_spectral ignored its geometry, so a disc law took a plane
+    # profile (refused only for its center), and assemble_wavelet_operator
+    # raised a bare AttributeError on a disc profile or a plane field.  Each
+    # law now takes the weights of its own setting, grid fields too, and
+    # refuses the rest; a disc profile has no polar assembly
+    weights = {
+        Plane(1): [random_field(np.random.default_rng(1), n=16),
+                   *(make((0.0, 0.0), 1) for on, _, make, _ in _spectrum_cases() if on == "plane")],
+        Disc(1.0): [_halfplane_ones(),
+                    *(make(1j, 1) for on, _, make, _ in _spectrum_cases() if on == "disc")],
+    }
+    for law in weights:
+        for own, ws in weights.items():
+            for w in ws:
+                if own != law:
+                    for call in (assemble, spectrum):
+                        with pytest.raises(RegimeError, match="weights of the"):
+                            call(w, 4, law)
+                    continue
+                assert np.all(np.isfinite(spectrum(w, 4, law).eigenvalues))
+                if isinstance(w, DiscProfile):
+                    with pytest.raises(RegimeError, match="no assembly"):
+                        assemble(w, 4, law)
+                else:
+                    assert np.all(np.isfinite(assemble(w, 4, law)))
+    plane_field, disc = weights[Plane(1)][0], weights[Disc(1.0)][1]
+    with pytest.raises(RegimeError):
+        Disc(1.0).check_spectral(Plane(1))
+    with pytest.raises(RegimeError):
+        assemble_wavelet_operator(disc, 1.0, 4)
+    with pytest.raises(RegimeError):
+        assemble_wavelet_operator(plane_field, 1.0, 4)
+    with pytest.raises(RegimeError):
+        assemble_operator(_halfplane_ones(), 4)
+    # only the disc's basis takes a center
+    with pytest.raises(InvalidInputError, match="no center"):
+        assemble(plane_field, 4, Plane(1), center=1j)

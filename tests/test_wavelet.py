@@ -15,7 +15,8 @@ from phasebound import wavelet
 from phasebound.bounds import G_beta, wavelet_bound
 from phasebound.core import distribution_bound
 from phasebound.errors import DivergenceError, InvalidInputError, RegimeError
-from phasebound.extremals import extremal_weight_wavelet
+from phasebound.extremals import (extremal_signal_wavelet, extremal_weight_wavelet,
+                                  wavelet_disc_coefficients)
 from phasebound.scalar import FOUR_PI, ConstraintSet, Disc, Plane
 from phasebound.wavelet import (DiscProfile, HalfPlaneField, HalfPlaneGrid,
                                 HardySignal, assemble_wavelet_operator,
@@ -96,6 +97,63 @@ def test_transform_matches_closed_form_basis():
             X, Y = np.meshgrid(xs, ys, indexing="ij")
             want = bergman_basis(k + 1, beta, X.ravel(), Y.ravel())[k].reshape(got.shape)
             assert np.max(np.abs(got - want)) < 1e-8, (beta, k)
+
+
+def _mp_bergman(K, beta, x, y):
+    """W e_0 .. W e_{K-1} at x + i y about i in 50-digit mpmath: c0 y^{beta + 1/2}
+    q^{-(2 beta + 1)}, q = (1 - i z) / 2, then w^k sqrt(Gamma(b + k + 1) / (Gamma(b + 1) k!))."""
+    with mpmath.workdps(50):
+        b, z = 2 * mpmath.mpf(beta), mpmath.mpc(x, y)
+        e0 = (mpmath.sqrt(mpmath.mpf(beta) / (2 * mpmath.pi)) * mpmath.mpf(y) ** (beta + 0.5)
+              * mpmath.power((1 - 1j * z) / 2, -(b + 1)))
+        w = (z - 1j) / (z + 1j)
+        return [complex(e0 * w ** k * mpmath.sqrt(mpmath.gamma(b + k + 1)
+                                                   / (mpmath.gamma(b + 1) * mpmath.factorial(k))))
+                for k in range(K)]
+
+
+@pytest.mark.parametrize("beta", [1.0, 50.0, 400.0, 1000.0])
+def test_bergman_basis_at_large_beta_matches_mpmath(beta):
+    # the product yc^{beta + 1/2} q^{-(2 beta + 1)} underflowed: W e_0 at
+    # 0.3 + 2i and beta = 1000 came back exactly 0 against 3.97e-55, and its
+    # relative error was already 1e-14 at beta = 400.  The law's modulus
+    # c0 (4 y / |z + i|^2)^{beta + 1/2} is one power of a number below 1.
+    # Budget, in eps = 2^-52 (Higham ch. 3, a rounding is eps / 2): the base
+    # takes 5 roundings, which the power multiplies by beta + 1/2, 2.5 beta +
+    # 1.3; pow, c0 and the product 3; the phase (2 beta + 1) atan2(x, 1 + y)
+    # is off by 1.5 eps |theta| (2 beta + 1) <= 4.8 beta + 2.4 for |theta| <=
+    # pi / 2, and its cos, sin and product 2; each recurrence step (the
+    # Cayley quotient, the ratio and two products) at most 6.5.  So the bound
+    # is (7.3 beta + 8.7 + 6.5 (K - 1)) eps <= (8 beta + 7 K + 9) eps
+    K = 4
+    tol = (8.0 * beta + 7.0 * K + 9.0) * np.finfo(float).eps
+    for x, y in ((0.3, 2.0), (-1.1, 0.5), (0.8, 2.5), (0.1, 1.2)):
+        got = bergman_basis(K, beta, [x], [y])[:, 0]
+        for k, want in enumerate(_mp_bergman(K, beta, x, y)):
+            assert abs(want) > 1e-300 and abs(got[k] - want) <= tol * abs(want), (x, y, k)
+
+
+def test_wavelet_entries_check_beta_through_the_law():
+    # each entry checked beta > 0 alone, or nothing: cauchy_norm_const(inf)
+    # was NaN and cauchy_norm_const(1000) a bare OverflowError (c_beta is
+    # past the doubles from beta of about 98), and the basis and the
+    # assembly warned 'invalid value' at beta = 1e308 and inf
+    grid = HalfPlaneGrid.logarithmic(-1.0, 1.0, 8, 0.5, 2.0, 8)
+    F = HalfPlaneField(grid, np.ones((8, 8)))
+    for beta in (math.inf, 1e308, -1.0, math.nan):
+        for call in (lambda: cauchy_norm_const(beta), lambda: cauchy_wavelet(beta),
+                     lambda: bergman_basis(4, beta, [0.3], [2.0]),
+                     lambda: assemble_wavelet_operator(F, beta, 4),
+                     lambda: HardySignal.from_disc_coeffs([1.0, 0.5], beta),
+                     lambda: disc_basis_frequency(1, beta, [0.5, 2.0]),
+                     lambda: extremal_signal_wavelet(0.3, 2.0, beta),
+                     lambda: wavelet_disc_coefficients(0.3, 2.0, beta, 3)):
+            with pytest.raises(InvalidInputError, match="beta"):
+                call()
+    for beta in (99.0, 1000.0):
+        with pytest.raises(InvalidInputError, match="c_beta is past the doubles"):
+            cauchy_norm_const(beta)
+    assert cauchy_norm_const(97.0) == pytest.approx(4.14067576e150, rel=1e-8)
 
 
 def test_transform_grid_rejects_boundary():

@@ -253,14 +253,17 @@ def integrate(f, b: float, breaks=()):
 def _scaled_lp(v: np.ndarray, masses, p: float) -> float:
     """(sum v^p masses)^{1/p} for v >= 0, as A (sum (v/A)^p masses)^{1/p}
     with A = max v, so that no power overflows or underflows where the norm
-    itself is a double; 0 for v = 0.  A norm past the doubles raises."""
+    is a double; 0 for v = 0.  A norm past the doubles, or masses below, raises."""
     A = float(np.max(v))
     if A == 0.0:
         return 0.0
     r = v / A
     r **= p
     r *= masses
-    norm = A * float(np.sum(r)) ** (1.0 / p)
+    total = float(np.sum(r))
+    if total < sys.float_info.min:
+        raise InvalidInputError("the cell masses of the weight underflow the doubles")
+    norm = A * total ** (1.0 / p)
     if norm == math.inf:
         raise InvalidInputError(f"the L^{p:g} norm of the weight overflows the doubles")
     return norm

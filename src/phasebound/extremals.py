@@ -15,7 +15,7 @@ from .core import RadialProfile
 from .errors import InvalidInputError
 from .gabor import Signal
 from .scalar import ConstraintSet, Disc
-from .wavelet import DiscProfile, HardySignal, bergman_basis, cauchy_norm_const
+from .wavelet import DiscProfile, HardySignal, bergman_basis, cauchy_wavelet
 
 __all__ = [
     "extremal_weight_gabor",
@@ -52,17 +52,16 @@ def extremal_signal_wavelet(x0: float, y0: float, beta: float,
 
     f(t) = (c / sqrt(y0)) psi((t - x0)/y0) with |c|^2 = 2 pi / beta, which
     makes ||f|| = 1; in frequency, f-hat = c sqrt(y0) e^{-i omega x0}
-    psi-hat(y0 omega).
+    psi-hat(y0 omega): ``cauchy_wavelet``'s samples at nodes u / y0, weights w / y0.
     """
-    Disc(beta).check_spectral()
     if not y0 > 0:
         raise InvalidInputError("the center must satisfy y0 > 0")
+    psi = cauchy_wavelet(beta)
     c = math.sqrt(2.0 * math.pi / beta) if phase is None else complex(phase)
     if abs(abs(c) - math.sqrt(2.0 * math.pi / beta)) > 1e-10:
         raise InvalidInputError("|phase|^2 must equal 2 pi / beta")
-    cb = cauchy_norm_const(beta)
-    return HardySignal.from_function(lambda om: c * math.sqrt(y0) * np.exp(-1j * om * x0)
-                                     * (y0 * om) ** beta * np.exp(-y0 * om) / cb)
+    om = psi.omegas / y0
+    return HardySignal(om, c * math.sqrt(y0) * np.exp(-1j * om * x0) * psi.values, psi.weights / y0)
 
 
 def wavelet_disc_coefficients(x0: float, y0: float, beta: float, K: int,

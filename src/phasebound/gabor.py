@@ -13,12 +13,12 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .core import (GridField, MeasureProfile, RadialProfile, WeightField, _legendre_rule,
-                   gauss_panels, integrate, lp_norm, positive_int)
+                   distribution_bound, gauss_panels, integrate, lp_norm, positive_int)
 from .errors import AliasingError, BasisTruncationError, InvalidInputError, RegimeError
 from .scalar import Disc, Plane
 
@@ -264,9 +264,9 @@ def gram_operator(row0, step, ratios, *w) -> np.ndarray:
     update V V^T of the block's interleaved real view V by the sign of s
     (the mixed block one product with the odd s / |s|) and one product for
     B (two on the mixed block), skipped where its factor is 0 on the whole
-    sign class.  Nodes where s = 0 != d, or whose odd part over |s| could
-    overflow, add that part unscaled.  M is exactly Hermitian; complex
-    weights are two real sums, M(Re) + i M(Im).
+    sign class.  Nodes where s = 0 != d, or whose odd part over |s| or
+    1 / |s| could overflow, add that part unscaled.  M is exactly
+    Hermitian; complex weights are two real sums, M(Re) + i M(Im).
     """
     K = len(ratios) + 1
     w = [np.asarray(x) for x in w]
@@ -286,12 +286,12 @@ def gram_operator(row0, step, ratios, *w) -> np.ndarray:
     # rows 0::2 and 1::2 hold the even and the odd basis functions
     rows = [slice(0, None, 2), slice(1, None, 2)] if odd else [slice(None)]
     pairs = [(r, r, 0) for r in rows] + [(r, c, 2) for r in rows for c in rows if r != c]
-    # the odd part rides on the sqrt|s| rows unless its quotient by |s| could overflow
+    # the odd part rides on the sqrt|s| rows unless 1 / |s|, or its quotient by |s|, could overflow
     big = np.maximum(np.abs(odd[0]), np.abs(odd[1])) if odd else 0.0
-    ride = big * 2.0 ** -1000 <= np.abs(s)
+    ride = (big * 2.0 ** -1000 <= np.abs(s)) & (np.abs(s) >= np.finfo(float).tiny)
     real, B = np.zeros((K, K)), np.zeros((K, K))
     for sign, nodes in ((1.0, s > 0.0), (-1.0, s < 0.0),
-                        (0.0, ~ride | (s == 0.0) & (d != 0.0))):
+                        (0.0, ~ride & (big != 0.0) | (s == 0.0) & (d != 0.0))):
         # factors: d, then s and d of the odd part
         if sign:
             abs_s = sign * s[nodes]
@@ -483,46 +483,42 @@ def _polar_radial_rule(F: RadialProfile, K: int):
 
 @dataclass(frozen=True)
 class OperatorSpectrum:
-    """Sorted eigenvalues with a truncation-error estimate for the norm."""
+    """Eigenvalues of L_F on ``basis_size`` basis functions, sorted descending,
+    and ``upper``, a proven bound on ||L_F||: a grid field's distribution bound,
+    a profile's lambda_0 (attained), inf for a bare matrix.  ``tail_bound`` =
+    upper - norm() is not clamped: a negative gap exposes an assembly error."""
 
     eigenvalues: np.ndarray
     basis_size: int
-    tail_bound: float
+    upper: float
+
+    def __post_init__(self):
+        object.__setattr__(self, "eigenvalues", np.sort(self.eigenvalues)[::-1])
 
     def norm(self) -> float:
         return float(np.max(np.abs(self.eigenvalues)))
 
-    @classmethod
-    def from_eigenvalues(cls, eigs) -> "OperatorSpectrum":
-        """The K = len(eigs) leading eigenvalues, sorted descending.
-
-        The tail is extrapolated geometrically from the last two
-        eigenvalues: an estimate, not a bound.
-        """
-        eigs = np.sort(eigs)[::-1]
-        a = np.abs(eigs)
-        if a.size < 2 or a[-1] == 0.0:
-            tail = float(a[-1]) if a.size else 0.0
-        else:
-            ratio = min(a[-1] / max(a[-2], 1e-300), 0.9)
-            tail = float(a[-1] * ratio / (1.0 - ratio))
-        return cls(eigs, eigs.size, tail)
+    @property
+    def tail_bound(self) -> float:
+        return self.upper - self.norm()
 
 
 def spectrum_from_matrix(M: np.ndarray) -> OperatorSpectrum:
     M = np.asarray(M)
     if np.max(np.abs(M - M.conj().T)) > 1e-10 * max(1.0, float(np.max(np.abs(M)))):
         raise InvalidInputError("matrix is not Hermitian within 1e-10")
-    return OperatorSpectrum.from_eigenvalues(eigh(M))
+    return OperatorSpectrum(eigh(M), M.shape[0], math.inf)
 
 
 def spectrum(F, K: int, law, *, points_per_cell: int = 2) -> OperatorSpectrum:
     """Spectrum of L_F in the basis of ``law``: a profile's closed form
     (``MeasureProfile.eigenvalues``, with the plane's oracle
-    ``radial_eigenvalues_quad``), or a grid field's ``assemble``."""
+    ``radial_eigenvalues_quad``), or a grid field's ``assemble``, bounded with ``law.g``."""
     if isinstance(F, MeasureProfile):
-        return OperatorSpectrum.from_eigenvalues(F.eigenvalues(K, law))
-    return spectrum_from_matrix(assemble(F, K, law, points_per_cell=points_per_cell))
+        eigs = F.eigenvalues(K, law)
+        return OperatorSpectrum(eigs, eigs.size, eigs[0])
+    spec = spectrum_from_matrix(assemble(F, K, law, points_per_cell=points_per_cell))
+    return replace(spec, upper=distribution_bound(F, law.g))
 
 
 def radial_eigenvalues(rho: RadialProfile, K: int) -> OperatorSpectrum:
@@ -536,7 +532,8 @@ def radial_eigenvalues_quad(rho: RadialProfile, K: int) -> OperatorSpectrum:
     breakpoints in s."""
     K = rho.check_spectrum(K, Plane(1))
     pts = _profile_breaks_s(rho)
-    return OperatorSpectrum.from_eigenvalues([_gamma_average_quad(rho, k, pts) for k in range(K)])
+    eigs = [_gamma_average_quad(rho, k, pts) for k in range(K)]
+    return OperatorSpectrum(eigs, K, eigs[0])
 
 
 def _gamma_q_inverse(K: int, q: float) -> float:

@@ -40,6 +40,16 @@ __all__ = [
 # grid coordinates may differ from the grid they imply by this many cells
 _GRID_RTOL = 1e-9
 
+# tag: header and reader name (looked up at call time); _PROFILE: tag by coordinate
+_FORMATS = {
+    "field": (("x", "omega", "re", "im"), "read_weight_field"),
+    "radial": (("r", "value"), "read_radial_profile"),
+    "disc": (("x", "value"), "read_disc_profile"),
+    "halfplane": (("x", "y", "re", "im"), "read_halfplane_field"),
+    "spectrum": (("k", "eigenvalue"), None),
+}
+_PROFILE = {"r": "radial", "x": "disc"}
+
 
 def _write_rows(path, header, *columns):
     """One CSV row per entry of the equal-length columns (float lists or
@@ -60,17 +70,18 @@ def _open_text(path):
         raise InvalidInputError(f"{path}: not a UTF-8 text file") from None
 
 
-def _read_rows(path, header):
-    """The data rows of a CSV file with the given header, as a float array.
+def _read_rows(path, tag):
+    """The data rows of a CSV file in the format ``tag``, as a float array.
 
     numpy's C parser reads a well-formed file; any file it rejects, or
     reads to the wrong shape, is parsed again by ``csv``, which either
     reads it (quoted fields) or names the offending row.
     """
     import numpy as np
+    header = _FORMATS[tag][0]
     with _open_text(path) as fh:
         got = next(csv.reader([fh.readline()]))
-        if [h.strip() for h in got] != header:
+        if tuple(h.strip() for h in got) != header:
             raise InvalidInputError(f"{path}: expected header {','.join(header)}")
         try:
             with warnings.catch_warnings():
@@ -117,7 +128,7 @@ def _check_axis(path, name, got, want, step):
 def write_weight_field(field: WeightField, path):
     import numpy as np
     ax, n = field.axis, field.n
-    _write_rows(path, ["x", "omega", "re", "im"], np.repeat(ax, n), np.tile(ax, n),
+    _write_rows(path, _FORMATS["field"][0], np.repeat(ax, n), np.tile(ax, n),
                 field.values.real, field.values.imag)
 
 
@@ -125,7 +136,7 @@ def read_weight_field(path) -> WeightField:
     import numpy as np
 
     from .core import WeightField
-    rows = _read_rows(path, ["x", "omega", "re", "im"])
+    rows = _read_rows(path, "field")
     n = int(round(math.sqrt(rows.shape[0])))
     if n * n != rows.shape[0] or n < 2:
         raise InvalidInputError(f"{path}: row count {rows.shape[0]} is not a square grid")
@@ -162,7 +173,7 @@ def _write_profile(path, params, n_samples, coordinate):
     if not all(map(math.isfinite, coords + vals)):
         raise InvalidInputError("the profile's samples are not finite (a peak level or "
                                 "extent past the doubles): no CSV written")
-    _write_rows(path, [coordinate, "value"], coords, vals)
+    _write_rows(path, _FORMATS[_PROFILE[coordinate]][0], coords, vals)
 
 
 def write_radial_profile(profile: RadialProfile, path, n_samples: int = 512):
@@ -173,8 +184,7 @@ def write_radial_profile(profile: RadialProfile, path, n_samples: int = 512):
 
 def read_radial_profile(path) -> RadialProfile:
     from .core import RadialProfile
-    rows = _read_rows(path, ["r", "value"])
-    return RadialProfile.sampled(rows[:, 0], rows[:, 1])
+    return RadialProfile.sampled(*_read_rows(path, "radial").T)
 
 
 def write_disc_profile(profile: DiscProfile, path, n_samples: int = 512):
@@ -183,8 +193,7 @@ def write_disc_profile(profile: DiscProfile, path, n_samples: int = 512):
 
 def read_disc_profile(path) -> DiscProfile:
     from .wavelet import DiscProfile
-    rows = _read_rows(path, ["x", "value"])
-    return DiscProfile.sampled(rows[:, 0], rows[:, 1])
+    return DiscProfile.sampled(*_read_rows(path, "disc").T)
 
 
 def write_extremal(report: BoundReport, path, n_samples: int = 512):
@@ -196,7 +205,7 @@ def write_extremal(report: BoundReport, path, n_samples: int = 512):
 def write_halfplane_field(field: HalfPlaneField, path):
     import numpy as np
     xs, ys = field.grid.x, field.grid.y
-    _write_rows(path, ["x", "y", "re", "im"], np.repeat(xs, ys.size), np.tile(ys, xs.size),
+    _write_rows(path, _FORMATS["halfplane"][0], np.repeat(xs, ys.size), np.tile(ys, xs.size),
                 field.values.real, field.values.imag)
 
 
@@ -204,7 +213,7 @@ def read_halfplane_field(path) -> HalfPlaneField:
     import numpy as np
 
     from .wavelet import HalfPlaneField, HalfPlaneGrid
-    rows = _read_rows(path, ["x", "y", "re", "im"])
+    rows = _read_rows(path, "halfplane")
     nx, ny = np.unique(rows[:, 0]).size, np.unique(rows[:, 1]).size
     if nx * ny != rows.shape[0]:
         raise InvalidInputError(f"{path}: rows do not form a tensor grid")
@@ -229,7 +238,7 @@ def read_halfplane_field(path) -> HalfPlaneField:
 
 def write_spectrum(spectrum: OperatorSpectrum, path):
     import numpy as np
-    _write_rows(path, ["k", "eigenvalue"], np.arange(spectrum.eigenvalues.size),
+    _write_rows(path, _FORMATS["spectrum"][0], np.arange(spectrum.eigenvalues.size),
                 spectrum.eigenvalues)
 
 
@@ -237,20 +246,12 @@ def sniff_weight_file(path) -> str:
     """Return the format tag of a weight CSV: field, radial, disc, halfplane."""
     with _open_text(path) as fh:
         header = [h.strip() for h in next(csv.reader(fh), [])]
-    known = {
-        ("x", "omega", "re", "im"): "field",
-        ("r", "value"): "radial",
-        ("x", "value"): "disc",
-        ("x", "y", "re", "im"): "halfplane",
-    }
-    try:
-        return known[tuple(header)]
-    except KeyError:
-        raise InvalidInputError(f"{path}: unrecognized header {header}") from None
+    for tag, (known, reader) in _FORMATS.items():
+        if reader and tuple(header) == known:
+            return tag
+    raise InvalidInputError(f"{path}: unrecognized header {header}")
 
 
 def read_weight(path):
     """The weight in a CSV of any of the four formats, by its header."""
-    read = {"field": read_weight_field, "radial": read_radial_profile,
-            "disc": read_disc_profile, "halfplane": read_halfplane_field}
-    return read[sniff_weight_file(path)](path)
+    return globals()[_FORMATS[sniff_weight_file(path)][1]](path)

@@ -9,6 +9,7 @@ import math
 import time
 
 import numpy as np
+import pytest
 from scipy.integrate import quad
 
 from phasebound.bounds import G, G_beta, gabor_bound, lambda_root, wavelet_bound
@@ -19,7 +20,7 @@ from phasebound.gabor import (Signal, assemble_operator, lieb_quotient,
                               radial_eigenvalues_quad)
 from phasebound.scalar import ConstraintSet
 from phasebound.varprob import solve_closed_form, solve_kkt_oracle
-from phasebound.verify import random_feasible_competitor, random_field, run_suite
+from phasebound.verify import random_feasible_competitor, random_field, run_suite, verify_gabor
 from phasebound.wavelet import (DiscProfile, HalfPlaneGrid, assemble_wavelet_operator,
                                 bergman_radial_eigenvalues)
 
@@ -229,6 +230,18 @@ def test_verify_suite_all_passes():
     summaries = run_suite("all", seed=0, basis=48)
     failed = [(s["suite"], d["name"]) for s in summaries for d in s["details"] if not d["ok"]]
     assert not failed, failed
+
+
+@pytest.mark.parametrize("seed", [16, 30])
+def test_verify_gabor_passes_where_the_tail_was_guessed(seed):
+    # norm(K) vs norm(2K) failed here, by up to 0.155 at seed 16, while the
+    # tail was extrapolated from the last two eigenvalues; the upper end is
+    # now the proven int G(mu_|F|), and norm(2K) stays below it
+    summary = verify_gabor(seed=seed)
+    failed = [d["name"] for d in summary["details"] if not d["ok"]]
+    assert not failed, failed
+    tail, = (d for d in summary["details"] if d["name"] == "norm(K) vs norm(2K) within tail")
+    assert tail["tolerance"] == 0.0 and tail["error"] < 0.0
 
 
 def test_verify_details_carry_time_and_margin():

@@ -487,6 +487,22 @@ def test_lp_norm_of_extreme_weights(levels, p):
 
 
 
+@pytest.mark.parametrize("knots, values, dim", [([0.5], [1.0], 200), ([1e-160], [1.0], 1),
+                                                ([1e-170], [2.0], 1)])
+def test_lp_norm_refuses_underflowed_masses(knots, values, dim):
+    # the scaled sum was taken from masses below the normal doubles: the
+    # volume (pi / 4)^200 / 200! = 1.3e-396 is 0 in doubles, and the norm
+    # read 0.0 against 1.15e-198 (50 digits); pi 1e-320 is subnormal, and
+    # pi 1e-340 is 0 again
+    with pytest.raises(InvalidInputError, match="underflow"):
+        RadialProfile.sampled(knots, values, dim=dim).lp_norm(2.0)
+
+
+def test_lp_norm_of_a_ball_past_d_170_stays_exact():
+    # an indicator's norm takes no cell masses: its volume is 1 at d = 200
+    assert RadialProfile.ball(1.0, 1.0, dim=200).lp_norm(2.0) == 0.9999999999999432
+
+
 # ---------------------------------------------------------------------------
 # the panel rule
 # ---------------------------------------------------------------------------

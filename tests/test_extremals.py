@@ -269,6 +269,22 @@ def test_wavelet_signal_normalization():
         extremal_signal_wavelet(0.0, 1.0, beta=1.0, phase=1.0)  # wrong modulus
 
 
+@pytest.mark.parametrize("beta", [0.5, 1.0, 3.0])
+def test_wavelet_signal_is_unit_norm_at_every_scale(beta):
+    # the signal took psi-hat(y0 omega) on the fixed 160-node frequency rule,
+    # which cannot resolve it away from y0 of about 1: ||f|| read 0.363 at
+    # y0 = 1e-3, 1.129 at 100 and 2e-36 at 1e4.  On the rule's nodes moved
+    # to u / y0 it is 1 at every y0, and its transform peaks at the center
+    # at sqrt(beta / 2 pi), the reproducing kernel's value
+    from phasebound.wavelet import wavelet_transform_grid
+    for y0 in (1e-4, 1e-3, 0.1, 100.0, 1e4):
+        x0 = 0.7 * y0
+        f = extremal_signal_wavelet(x0, y0, beta)
+        assert f.l2_norm() == pytest.approx(1.0, abs=1e-10)
+        peak = abs(wavelet_transform_grid(f, beta, [x0], [y0])[0, 0])
+        assert peak == pytest.approx(math.sqrt(beta / (2 * math.pi)), abs=1e-10)
+
+
 def test_matched_pair_saturates_wavelet():
     # symbol and signal both centered at z0; expectation through the
     # diagonal spectrum in the recentered basis equals the bound

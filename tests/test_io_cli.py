@@ -121,6 +121,22 @@ def test_spectrum_export(tmp_path):
     assert float(rows[1].split(",")[1]) == pytest.approx(1 - math.exp(-1))
 
 
+def test_one_header_table_for_readers_writers_and_sniffer(tmp_path, monkeypatch):
+    # a spectrum file is written from the table but is no weight; read_weight
+    # finds its reader by name when it is called, so a reader swapped into
+    # the module (as the benchmark's tracer does) is the one it runs
+    from phasebound import io
+    from phasebound.gabor import radial_eigenvalues
+    spec_path = tmp_path / "spec.csv"
+    write_spectrum(radial_eigenvalues(RadialProfile.ball(1.0, 1.0), 4), spec_path)
+    with pytest.raises(InvalidInputError, match="unrecognized header"):
+        io.read_weight(spec_path)
+    path = tmp_path / "g.csv"
+    write_radial_profile(RadialProfile.gaussian(1.0, 1.0), path)
+    monkeypatch.setattr(io, "read_radial_profile", lambda p: ("swapped", p))
+    assert io.read_weight(path) == ("swapped", path)
+
+
 def test_bad_header_rejected(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("a,b\n1,2\n")
